@@ -11,16 +11,16 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 from . import (
-    AlphaStrategy,
     Hypothesis,
     StoppingRule,
-    TestFamilyCollection,
     UtilitySpec,
     anytime_validity_check,
     bernoulli_pair,
@@ -39,7 +39,6 @@ from . import (
     fragility_strategy,
     gaussian_log_optimal_report,
     invalid_eprocess_fixture,
-    law_of,
     log_optimal,
     markov_equality_check,
     martingale_fixture,
@@ -81,12 +80,6 @@ class CliError(Exception):
     pass
 
 
-def _num(x, backend):
-    if backend == "float":
-        return float(x)
-    return x
-
-
 def _fmt(x, backend):
     return fmt_number(float(x) if backend == "float" else x)
 
@@ -105,6 +98,7 @@ def run_distortion(opts):
     strat = STRATEGIES[opts["strategy"]]()
     rep = distortion_report(law, strat)
     est, se = monte_carlo_distortion(law, strat, opts["n"], opts["seed"])
+    within = abs(est - float(rep.expected_distortion)) <= 3 * se
     report = {
         "fixture": opts["fixture"],
         "strategy": opts["strategy"],
@@ -113,7 +107,8 @@ def run_distortion(opts):
         "max_distortion": _fmt(rep.max_distortion, opts["backend"]),
         "mc_estimate": est,
         "mc_se": se,
-        "mc_within_3se": abs(est - float(rep.expected_distortion)) <= 3 * se,
+        "mc_within_3se": within,
+        "ok": within,
     }
     return report, {"distortion": rep.to_csv()}
 
@@ -123,18 +118,20 @@ def run_optimal(opts):
     pair = bernoulli_pair()
     p_star = log_optimal(pair)
     e_star, lam = utility_optimal(pair, UtilitySpec.power(2))
+    double = double_posthoc_check(pair)
     report = {
         "gaussian": gauss,
         "bernoulli_log_optimal": {
             str(x): _fmt(p_star[x], opts["backend"]) for x in p_star.outcomes
         },
-        "bernoulli_double_posthoc": double_posthoc_check(pair),
+        "bernoulli_double_posthoc": double,
         "bernoulli_power2_lambda": lam,
         "np_half": {
             str(x): _fmt(v, opts["backend"])
             for x, v in ((y, np_optimal(pair, frac(1, 2))[y])
                          for y in pair.P.outcomes)
         },
+        "ok": double,
     }
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -161,6 +158,7 @@ def run_merge(opts):
         "harmonic_merge": {
             str(x): _fmt(harm[x], opts["backend"]) for x in harm.outcomes},
         "uniform_product_failure_witness_n": witness,
+        "ok": bool(prod_valid),
     }
     return report, {}
 
@@ -179,8 +177,9 @@ def run_pfunction(opts):
     )
     report = {
         "statistic": _fmt(rep.statistic, opts["backend"]),
-        "valid": bool(rep),
+        "valid": rep.valid,
         "round_trip_exact": round_trip_ok,
+        "ok": rep.valid,
     }
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -206,13 +205,13 @@ def run_sequential(opts):
                           _fmt(b, opts["backend"]),
                           _fmt(r, opts["backend"])],
         "anytime": anytime,
+        "ok": anytime["valid"],
     }
     return report, {}
 
 
 def run_ville(opts):
     rule = StoppingRule.hitting_time(2.0)
-    rows = []
     mart = ville_equality_check(
         martingale_fixture(), rule, opts["n"], opts["seed"])
     superm = ville_equality_check(
@@ -222,12 +221,13 @@ def run_ville(opts):
         invalid_eprocess_fixture(), [StoppingRule.fixed_time(50)],
         opts["n"], opts["seed"])
     rows = [mart.to_dict(), superm.to_dict()]
+    passed = mart.valid and superm.valid and not invalid["valid"]
     report = {
-        "martingale": mart.to_dict(),
-        "supermartingale": superm.to_dict(),
+        "martingale": rows[0],
+        "supermartingale": rows[1],
         "invalid_process_flagged": not invalid["valid"],
-        "verdict": "PASS" if (mart.valid and superm.valid
-                              and not invalid["valid"]) else "FAIL",
+        "verdict": "PASS" if passed else "FAIL",
+        "ok": passed,
     }
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
@@ -285,10 +285,12 @@ def reproduce_examples(opts=None):
     check("bernoulli/double_posthoc", double_posthoc_check(pair), True)
     gauss = gaussian_log_optimal_report(alpha=0.05)
     check("gaussian/posthoc_threshold", gauss["posthoc_threshold"], 20.0)
-    ok_crit = abs(gauss["classical_critical"] - 3.137) <= 0.01
+    # continuous unit-shift critical value exp(z_.95 - 1/2) = 3.1420
+    anchor = math.exp(NormalDist().inv_cdf(0.95) - 0.5)
+    ok_crit = abs(gauss["classical_critical"] - anchor) <= 0.01
     rows.append({"example": "gaussian/classical_critical",
                  "got": repr(gauss["classical_critical"]),
-                 "want": "3.137 +/- .01", "ok": ok_crit})
+                 "want": f"{anchor:.4f} +/- .01", "ok": ok_crit})
     if not ok_crit:
         failures.append("gaussian/classical_critical")
     report = {"rows": rows, "failures": failures, "ok": not failures}
@@ -338,7 +340,13 @@ def _resolve_options(args) -> dict:
     if args.config is not None:
         if not args.config.exists():
             raise CliError(f"config file not found: {args.config}")
-        config = json.loads(args.config.read_text())
+        try:
+            config = json.loads(args.config.read_text())
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(config, dict):
+            raise CliError(f"config {args.config} must be a JSON object, "
+                           f"got {type(config).__name__}")
     opts = {
         "seed": DEFAULT_SEED,
         "n": 10_000,
@@ -389,8 +397,7 @@ def _emit(command, opts, report, tables) -> int:
             sys.stdout.write(content)
     else:
         sys.stdout.write(text)
-    failed = isinstance(report, dict) and report.get("ok") is False
-    return 1 if failed else 0
+    return 0 if report["ok"] else 1
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -27,7 +27,12 @@ P_SCALE = "p"
 
 @dataclass(frozen=True)
 class DiscreteSpace:
-    """Finite outcome set with one probability weight per outcome."""
+    """Finite outcome set with one probability weight per outcome.
+
+    Outcomes are indexed once at construction, so :meth:`prob` is an O(1)
+    dict lookup.  The index is not a field: equality, hashing and
+    :meth:`to_dict` see only ``outcomes`` and ``probs``.
+    """
 
     outcomes: tuple
     probs: tuple
@@ -37,7 +42,8 @@ class DiscreteSpace:
         probs = tuple(probs)
         if len(outcomes) != len(probs):
             raise ValueError("outcomes and probs must have equal length")
-        if len(set(outcomes)) != len(outcomes):
+        index = {x: i for i, x in enumerate(outcomes)}
+        if len(index) != len(outcomes):
             raise ValueError("outcome ids must be unique")
         if any(p < 0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
@@ -49,9 +55,13 @@ class DiscreteSpace:
             raise ValueError(f"probabilities must sum to 1, got {total}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_index", index)
 
     def prob(self, outcome) -> Number:
-        return self.probs[self.outcomes.index(outcome)]
+        try:
+            return self.probs[self._index[outcome]]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown outcome {outcome!r}") from None
 
     def expectation(self, f: Callable[[Any], Number]) -> Number:
         """E[f(X)] with 0 * inf = 0 so mass-zero outcomes never matter."""

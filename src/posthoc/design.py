@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from ._numbers import INF, TOL, Number, is_inf, mul0, pow_ext, recip
 from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, dual
@@ -153,41 +151,46 @@ def utility_optimal(pair: SimplePair, U: UtilitySpec,
         return dual(p_star), c
 
     ratios = {x: pair.density_ratio(x) for x in pair.P.outcomes}
+    support = [(float(fp), float(ratios[x]))
+               for x, fp in zip(pair.P.outcomes, pair.P.probs) if fp != 0]
 
     def mean_p(lam: float) -> float:
         total = 0.0
-        for x, fp in zip(pair.P.outcomes, pair.P.probs):
-            if fp == 0:
-                continue
-            total += float(fp) * float(U.inv_derivative(lam * float(ratios[x])))
+        for fp, r in support:
+            total += fp * float(U.inv_derivative(lam * r))
         return total
 
+    # f_lo, f_hi carry E_P at the bracket ends: one evaluation per step
     lo, hi = _BRACKET
+    f_lo = mean_p(lo)
     for _ in range(max_expansions):
-        if mean_p(lo) >= 1.0:
+        if f_lo >= 1.0:
             break
         lo /= 8.0
+        f_lo = mean_p(lo)
+    f_hi = mean_p(hi)
     for _ in range(max_expansions):
-        if mean_p(hi) <= 1.0:
+        if f_hi <= 1.0:
             break
         hi *= 8.0
-    if mean_p(lo) < 1.0 or mean_p(hi) > 1.0:
+        f_hi = mean_p(hi)
+    if f_lo < 1.0 or f_hi > 1.0:
         raise RuntimeError(
             f"no normalization constant found in [{lo}, {hi}]: "
-            f"E_P at bracket = ({mean_p(lo)}, {mean_p(hi)})")
+            f"E_P at bracket = ({f_lo}, {f_hi})")
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         val = mean_p(mid)
         # bracket invariant from lambda-monotonicity: E_P decreasing in lambda
-        if not (mean_p(lo) + 1e-9 >= val >= mean_p(hi) - 1e-9):
+        if not (f_lo + 1e-9 >= val >= f_hi - 1e-9):
             raise AssertionError("E_P[e*_lambda] must be nonincreasing in lambda")
         if abs(val - 1.0) <= _BISECT_TOL:
             lo = hi = mid
             break
         if val > 1.0:
-            lo = mid
+            lo, f_lo = mid, val
         else:
-            hi = mid
+            hi, f_hi = mid, val
     lam = math.sqrt(lo * hi)
     values = {x: U.inv_derivative(lam * float(ratios[x]))
               for x in pair.P.outcomes}
@@ -205,31 +208,43 @@ def np_optimal(pair: SimplePair, alpha_star: Number,
     k in [alpha*, inf] where r = c, and inf where r > c; c is the largest
     value with P(r < c) <= alpha* and k makes E_P[1/p*] = 1 (k = inf when
     the sub-boundary mass already equals alpha*).
+
+    O(n log n): P-mass is grouped by ratio level in one pass, the levels are
+    sorted once by ``float`` and walked with a running prefix sum.  Levels
+    equal as floats share one strictly-below mass, and the boundary branch
+    takes the ratios exactly equal to c.  With exact (``Fraction``) masses
+    ``below``, ``at`` and k are exact; float masses are summed in level
+    order, so their rounding can differ from an outcome-order sum.
     """
     if not (0 < alpha_star < 1):
         raise ValueError("alpha* must lie in (0, 1)")
     ratios = {x: pair.density_ratio(x) for x in pair.P.outcomes}
+    mass = {}
+    for x, fp in zip(pair.P.outcomes, pair.P.probs):
+        r = ratios[x]
+        mass[r] = mass.get(r, 0) + fp
     levels = sorted(set(ratios.values()), key=float)
 
-    def mass_below(c):
-        return sum(fp for x, fp in zip(pair.P.outcomes, pair.P.probs)
-                   if float(ratios[x]) < float(c))
-
-    c = levels[0]
-    for v in levels:
-        if mass_below(v) <= alpha_star:
-            c = v
-    below = mass_below(c)
-    at = sum(fp for x, fp in zip(pair.P.outcomes, pair.P.probs)
-             if ratios[x] == c)
+    # c is the last level whose strictly-below mass is <= alpha*; levels
+    # equal as floats share that mass, so c is the last of its float group
+    c, below, running, i = levels[0], 0, 0, 0
+    while i < len(levels) and running <= alpha_star:
+        c, below = levels[i], running
+        group = float(c)
+        while i < len(levels) and float(levels[i]) == group:
+            c = levels[i]
+            running += mass[c]
+            i += 1
+    at = mass[c]
     if below == alpha_star or at == 0:
         k = INF
     else:
         k = mul0(alpha_star, at) / (alpha_star - below)
     values = {}
+    c_float = float(c)
     for x in pair.P.outcomes:
         r = ratios[x]
-        if float(r) < float(c):
+        if float(r) < c_float:
             values[x] = alpha_star
         elif r == c:
             values[x] = k
@@ -344,8 +359,9 @@ def gaussian_shift_pair(n_cells: int = 2001, clip: float = 8.0) -> SimplePair:
     clip]; the alternative mass is proportional to the shift likelihood
     ratio exp(x - 1/2) and renormalized.
     """
+    inv_cdf = NormalDist().inv_cdf
     centers = [
-        min(max(float(norm.ppf((i + 0.5) / n_cells)), -clip), clip)
+        min(max(inv_cdf((i + 0.5) / n_cells), -clip), clip)
         for i in range(n_cells)
     ]
     p_mass = Fraction(1, n_cells)

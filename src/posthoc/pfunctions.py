@@ -14,7 +14,6 @@ harmonic and product merging.  An empty term list encodes the value +inf
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence

@@ -10,13 +10,13 @@ rules instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numbers import INF, TOL, Number, is_inf, mul0, recip
+from ._numbers import TOL, Number, is_inf, mul0, recip
 from .core import (
     DiscreteSpace,
     E_SCALE,

@@ -179,7 +179,7 @@ def test_criterion_06_gaussian_log_optimal():
     start = time.monotonic()
     rep = gaussian_log_optimal_report(alpha=0.05)
     elapsed = time.monotonic() - start
-    anchor = math.exp(1.6448536269514722 - 0.5)  # exp(z_.95 - 1/2) = 3.1369
+    anchor = math.exp(1.6448536269514722 - 0.5)  # exp(z_.95 - 1/2) = 3.1420
     ok = (
         abs(rep["classical_critical"] - anchor) <= 0.01
         and rep["posthoc_threshold"] == 20.0

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posthoc
 from posthoc.cli import main, reproduce_examples
 
 
@@ -101,3 +106,47 @@ class TestOutputs:
         code, out = run(capsys, "ville", "--n", "4000")
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "PASS"
+
+
+class TestExitCodes:
+    def test_passing_verdict_exits_0(self, capsys):
+        code, out = run(capsys, "merge")
+        report = json.loads(out)["report"]
+        assert code == 0
+        assert report["ok"] is report["product_independent_valid"] is True
+
+    def test_failing_verdict_exits_1(self, capsys):
+        # two draws cannot land within 3 SE of 9/5: the MC check fails
+        code, out = run(capsys, "distortion", "--n", "2")
+        report = json.loads(out)["report"]
+        assert report["ok"] is report["mc_within_3se"] is False
+        assert code == 1
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
+                             ids=["invalid-json", "json-list"])
+    def test_malformed_config_exits_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["merge", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+    def test_every_report_carries_ok(self, capsys):
+        for cmd in ("distortion", "optimal", "merge", "pfunction",
+                    "sequential", "ville"):
+            code, out = run(capsys, cmd, "--n", "500")
+            report = json.loads(out)["report"]
+            assert isinstance(report["ok"], bool), cmd
+            assert code == (0 if report["ok"] else 1), cmd
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, posthoc; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(posthoc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -32,6 +32,29 @@ class TestDiscreteSpace:
         sp = DiscreteSpace(("a", "b"), (0, 1))
         assert sp.expectation(lambda x: INF if x == "a" else 1) == 1
 
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.text(max_size=3)),
+                    min_size=1, max_size=12, unique=True), st.data())
+    def test_prob_matches_linear_scan(self, outcomes, data):
+        n = len(outcomes)
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=n,
+                                     max_size=n).filter(any))
+        probs = [F(w, sum(weights)) for w in weights]
+        sp = DiscreteSpace(outcomes, probs)
+        for x in outcomes:
+            assert sp.prob(x) == probs[outcomes.index(x)]
+        with pytest.raises(ValueError):
+            sp.prob(("missing",))
+        with pytest.raises(ValueError):
+            sp.prob(["unhashable"])
+
+    def test_equality_and_hash_see_fields_only(self):
+        a = DiscreteSpace(("a", "b"), (F(1, 3), F(2, 3)))
+        b = DiscreteSpace(["a", "b"], [F(1, 3), F(2, 3)])
+        assert a == b and hash(a) == hash(b)
+        assert a != DiscreteSpace(("b", "a"), (F(1, 3), F(2, 3)))
+        assert a.to_dict() == {"outcomes": ["a", "b"], "probs": ["1/3", "2/3"]}
+        assert DiscreteSpace.from_dict(a.to_dict()) == a
+
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             DiscreteSpace(("a", "b"), (F(1, 2), F(1, 3)))

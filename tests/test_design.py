@@ -3,6 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posthoc import (
     INF,
@@ -20,6 +21,7 @@ from posthoc import (
     np_rejection_region,
     utility_optimal,
 )
+from posthoc._numbers import mul0
 
 
 def pair_of(p_probs, q_probs):
@@ -28,6 +30,53 @@ def pair_of(p_probs, q_probs):
         P=DiscreteSpace(tuple(range(n)), tuple(p_probs)),
         Q=DiscreteSpace(tuple(range(n)), tuple(q_probs)),
     )
+
+
+def np_optimal_quadratic(pair, alpha_star):
+    """Direct O(n^2) statement of the three-branch rule: every candidate
+    level rescans every outcome.  Reference for :func:`np_optimal`."""
+    ratios = {x: pair.density_ratio(x) for x in pair.P.outcomes}
+    levels = sorted(set(ratios.values()), key=float)
+
+    def mass_below(c):
+        return sum(fp for x, fp in zip(pair.P.outcomes, pair.P.probs)
+                   if float(ratios[x]) < float(c))
+
+    c = levels[0]
+    for v in levels:
+        if mass_below(v) <= alpha_star:
+            c = v
+    below = mass_below(c)
+    at = sum(fp for x, fp in zip(pair.P.outcomes, pair.P.probs)
+             if ratios[x] == c)
+    if below == alpha_star or at == 0:
+        k = INF
+    else:
+        k = mul0(alpha_star, at) / (alpha_star - below)
+    values = {}
+    for x in pair.P.outcomes:
+        r = ratios[x]
+        if float(r) < float(c):
+            values[x] = alpha_star
+        elif r == c:
+            values[x] = k
+        else:
+            values[x] = INF
+    return values, c
+
+
+def typed(values):
+    return {x: (type(v), v) for x, v in values.items()}
+
+
+def normalized(weights):
+    return [F(w, sum(weights)) for w in weights]
+
+
+# small weight alphabets give tied ratios and zero-mass outcomes
+weight_lists = st.lists(st.integers(min_value=0, max_value=4),
+                        min_size=1, max_size=7).filter(any)
+levels_in_unit = st.fractions(min_value=F(1, 100), max_value=F(99, 100))
 
 
 class TestUtilitySpec:
@@ -97,6 +146,29 @@ class TestUtilityOptimal:
         assert all(e_star.as_scale("p")[x] == direct[x]
                    for x in direct.outcomes)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=9),
+                              st.integers(min_value=1, max_value=9)),
+                    min_size=2, max_size=8),
+           st.sampled_from([F(1, 3), F(1, 2), 2, 3, 0.7]))
+    def test_power_normalization_and_first_order_condition(self, weights,
+                                                           gamma):
+        pair = pair_of(normalized([w for w, _ in weights]),
+                       normalized([v for _, v in weights]))
+        e_star, lam = utility_optimal(pair, UtilitySpec.power(gamma))
+        mean = sum(float(fp) * float(e_star[x])
+                   for x, fp in zip(pair.P.outcomes, pair.P.probs))
+        assert abs(mean - 1) <= 1e-9
+        # U'(e) = e^-gamma proportional to f_P/f_Q: e*(f_P/f_Q)^(1/gamma) const
+        tilted = [float(e_star[x]) * float(pair.density_ratio(x))
+                  ** (1 / float(gamma)) for x in pair.P.outcomes]
+        assert max(tilted) - min(tilted) <= 1e-9 * max(tilted)
+        # E_P[(lam f_P/f_Q)^(-1/gamma)] = 1 solves to a closed form in lam
+        g = float(gamma)
+        closed = sum(float(fp) * float(pair.density_ratio(x)) ** (-1 / g)
+                     for x, fp in zip(pair.P.outcomes, pair.P.probs)) ** g
+        assert lam == pytest.approx(closed, rel=1e-8)
+
     def test_normalization_across_utilities(self):
         pair = pair_of([F(1, 4), F(1, 4), F(1, 2)],
                        [F(1, 2), F(1, 4), F(1, 4)])
@@ -146,6 +218,47 @@ class TestNpOptimal:
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             np_optimal(bernoulli_pair(), 1)
+
+    @given(st.data(), weight_lists)
+    def test_matches_quadratic_reference(self, data, p_weights):
+        n, total = len(p_weights), sum(p_weights)
+        q_weights = data.draw(st.lists(st.integers(min_value=0, max_value=4),
+                                       min_size=n, max_size=n).filter(any))
+        # levels on the P-mass lattice hit the boundary case below == alpha*
+        alpha = data.draw(st.one_of(
+            levels_in_unit,
+            st.integers(1, total).map(lambda j: F(j, total))
+            .filter(lambda a: a < 1)))
+        pair = pair_of(normalized(p_weights), normalized(q_weights))
+        p_star, c = np_optimal(pair, alpha, return_threshold=True)
+        want, want_c = np_optimal_quadratic(pair, alpha)
+        assert typed(p_star.values) == typed(want)
+        assert (type(c), c) == (type(want_c), want_c)
+
+    @pytest.mark.parametrize("alpha", [F(1, 10), F(1, 3), F(1, 2),
+                                       F(2, 3), F(9, 10)])
+    def test_float_equal_ratios_match_reference(self, alpha):
+        # ratios 1 + 6e, 1 + 3e, 1, 1 - 3e are distinct but equal as floats
+        eps = F(1, 10 ** 30)
+        p = [F(1, 6) + eps, F(1, 6) + eps / 2, F(1, 6),
+             F(1, 6) - eps / 2, F(1, 6) - eps, F(1, 6)]
+        q = [F(1, 6)] * 4 + [F(1, 12), F(1, 4)]
+        pair = pair_of(p, q)
+        assert len({float(pair.density_ratio(x)) for x in range(6)}) == 3
+        p_star, c = np_optimal(pair, alpha, return_threshold=True)
+        want, want_c = np_optimal_quadratic(pair, alpha)
+        assert typed(p_star.values) == typed(want)
+        assert (type(c), c) == (type(want_c), want_c)
+
+    @given(st.lists(st.integers(min_value=1, max_value=60), min_size=1,
+                    max_size=8, unique=True), levels_in_unit)
+    def test_region_matches_exhaustive(self, q_weights, alpha):
+        # equiprobable nulls and distinct ratios: the induced test is the
+        # best non-randomized region of P-mass at most alpha*
+        n = len(q_weights)
+        pair = pair_of([F(1, n)] * n, normalized(q_weights))
+        assert np_rejection_region(pair, alpha) == \
+            best_region_exhaustive(pair, alpha)
 
 
 class TestBruteForceOracle:
