@@ -358,19 +358,31 @@ def _resolve_options(args) -> dict:
     }
     opts.update({k: v for k, v in config.items() if k in opts})
     if os.environ.get(ENV_SEED):
-        opts["seed"] = int(os.environ[ENV_SEED])
+        try:
+            opts["seed"] = int(os.environ[ENV_SEED])
+        except ValueError:
+            raise CliError(f"{ENV_SEED} must be an integer, "
+                           f"got {os.environ[ENV_SEED]!r}") from None
     for key in ("seed", "n", "backend", "format", "fixture", "strategy", "out"):
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val  # flags win over config and environment
+    for key in ("seed", "n"):
+        if not isinstance(opts[key], int) or isinstance(opts[key], bool):
+            raise CliError(f"{key} must be an integer, got {opts[key]!r}")
+    if not 0 <= opts["seed"] < 2 ** 128:  # the Philox key range
+        raise CliError(f"seed must lie in [0, 2**128), got {opts['seed']}")
     if opts["n"] < 1:
         raise CliError("n must be at least 1")
-    if opts["fixture"] not in P_LAWS:
-        raise CliError(f"unknown fixture {opts['fixture']!r}; "
-                       f"choose from {sorted(P_LAWS)}")
-    if opts["strategy"] not in STRATEGIES:
-        raise CliError(f"unknown strategy {opts['strategy']!r}; "
-                       f"choose from {sorted(STRATEGIES)}")
+    for key, allowed in (("backend", ("exact", "float")),
+                         ("format", ("csv", "json")),
+                         ("fixture", sorted(P_LAWS)),
+                         ("strategy", sorted(STRATEGIES))):
+        if not isinstance(opts[key], str) or opts[key] not in allowed:
+            raise CliError(f"unknown {key} {opts[key]!r}; "
+                           f"choose from {list(allowed)}")
+    if opts["out"] is not None and not isinstance(opts["out"], (str, Path)):
+        raise CliError(f"out must be a path, got {opts['out']!r}")
     return opts
 
 

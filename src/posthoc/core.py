@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ._numbers import INF, TOL, Number, fmt_number, is_inf, mul0, parse_number, recip
 
 E_SCALE = "e"
@@ -327,15 +329,13 @@ class PValueLaw:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, n: int, rng) -> "np.ndarray":
-        """n i.i.d. float draws via inverse-mixture sampling."""
-        import numpy as np
-
+    def sample(self, n: int, rng) -> np.ndarray:
+        """n i.i.d. float draws via inverse-mixture sampling: n component
+        indices (as floats) from :func:`sample_finite`, then n uniforms."""
         comps = [(float(m), ("atom", float(loc))) for loc, m in self.atoms]
         comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in self.pieces]
-        weights = np.array([w for w, _ in comps])
-        weights = weights / weights.sum()
-        idx = rng.choice(len(comps), size=n, p=weights)
+        idx = sample_finite(rng, range(len(comps)), [w for w, _ in comps],
+                            np.empty(n))
         u = rng.random(n)
         out = np.empty(n)
         for i, (_, spec) in enumerate(comps):
@@ -366,6 +366,35 @@ class PValueLaw:
             for a, b, m in d.get("pieces", [])
         ]
         return cls(atoms, pieces)
+
+
+def sample_finite(rng, values, masses, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array ``out`` with draws from the finite law
+    P(values[j]) = masses[j] / sum(masses), and return it.
+
+    Bit-identical to numpy's ``Generator.choice(values, size=out.shape,
+    p=masses / sum)``, uniforms included: numpy draws ``u = random(shape)``
+    and returns ``values[cdf.searchsorted(u, side="right")]`` with
+    ``cdf = p.cumsum(); cdf /= cdf[-1]``.  As u < 1 = cdf[-1], that index
+    is the count of j < k-1 with u >= cdf[j], so k-1 vector comparisons
+    replace the binary search (cdf is nondecreasing, so zero masses and
+    ties count alike).
+
+    The uniforms are drawn into ``out`` and the index array has the
+    smallest integer type that holds k-1, so a caller that reuses ``out``
+    allocates no float array per call.
+    """
+    values = np.asarray(values, dtype=float)
+    p = np.asarray(masses, dtype=float)
+    p = p / p.sum()  # exact masses may not be float-normalized
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    rng.random(out=out)
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(values) - 1))
+    for c in cdf[:-1]:
+        idx += out >= c
+    # every index is in range, so "clip" only skips numpy's bounds buffer
+    return values.take(idx, out=out, mode="clip")
 
 
 def law_of(ev: EvidenceVariable, space: DiscreteSpace) -> PValueLaw:

@@ -239,7 +239,9 @@ def np_optimal(pair: SimplePair, alpha_star: Number,
     if below == alpha_star or at == 0:
         k = INF
     else:
-        k = mul0(alpha_star, at) / (alpha_star - below)
+        # the gap is taken exactly: a float ``below`` within an ulp of an
+        # exact alpha* makes the mixed float subtraction 0 or far off
+        k = mul0(alpha_star, at) / (Fraction(alpha_star) - Fraction(below))
     values = {}
     c_float = float(c)
     for x in pair.P.outcomes:

@@ -16,6 +16,16 @@ def run(capsys, *argv):
     return code, out
 
 
+def assert_usage_error(capsys, *argv):
+    """Exit 2, nothing on stdout, one JSON error line on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
 class TestExamples:
     def test_golden_table_passes(self, capsys):
         code, out = run(capsys, "examples")
@@ -127,12 +137,21 @@ class TestExitCodes:
     def test_malformed_config_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        code = main(["merge", "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and "error" in json.loads(lines[0])
+        assert_usage_error(capsys, "merge", "--config", str(cfg))
+
+    @pytest.mark.parametrize("config", [{"n": "5"}, {"seed": -1}],
+                             ids=["string-n", "negative-seed"])
+    def test_malformed_config_value_exits_2(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert_usage_error(capsys, "merge", "--config", str(cfg))
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        assert_usage_error(capsys, "merge", "--seed", "-1")
+
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("EVALID_SEED", "abc")
+        assert_usage_error(capsys, "merge")
 
     def test_every_report_carries_ok(self, capsys):
         for cmd in ("distortion", "optimal", "merge", "pfunction",

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,8 +20,34 @@ from posthoc import (
     law_of,
     p_value,
     posthoc_evidence_of_family,
+    uniform_p_law,
+    valid_hacking_law,
 )
-from posthoc.core import from_json, to_json
+from posthoc.core import from_json, sample_finite, to_json
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def reference_law_sample(law, n, rng):
+    """The ``rng.choice`` formulation of :meth:`PValueLaw.sample`: reference
+    for the shared finite-support sampler."""
+    comps = [(float(m), ("atom", float(loc))) for loc, m in law.atoms]
+    comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in law.pieces]
+    weights = np.array([w for w, _ in comps])
+    weights = weights / weights.sum()
+    idx = rng.choice(len(comps), size=n, p=weights)
+    u = rng.random(n)
+    out = np.empty(n)
+    for i, (_, spec) in enumerate(comps):
+        sel = idx == i
+        if spec[0] == "atom":
+            out[sel] = spec[1]
+        else:
+            a, b = spec[1], spec[2]
+            out[sel] = a + (b - a) * u[sel]
+    return out
 
 
 class TestDiscreteSpace:
@@ -138,15 +165,37 @@ class TestPValueLaw:
             PValueLaw(atoms=[(0, 1)])
 
     def test_sampling_support(self):
-        import numpy as np
         law = PValueLaw(atoms=[(2, F(1, 2))], pieces=[(0, 1, F(1, 2))])
         rng = np.random.Generator(np.random.Philox(key=7))
         draws = law.sample(500, rng)
         assert ((draws == 2.0) | ((draws > 0) & (draws <= 1))).all()
 
+    @pytest.mark.parametrize("law", [
+        uniform_p_law(), valid_hacking_law(),
+        PValueLaw(atoms=[(F(1, 20), F(1, 3)), (F(1, 2), F(1, 6)), (INF, 0)],
+                  pieces=[(F(1, 4), 1, F(1, 2))]),
+    ], ids=["uniform", "valid_hacking", "three_atoms_and_a_piece"])
+    def test_sampling_matches_rng_choice(self, law):
+        for n in (1, 1000):
+            assert np.array_equal(law.sample(n, philox(11)),
+                                  reference_law_sample(law, n, philox(11)))
+
     def test_json_roundtrip(self):
         law = PValueLaw(atoms=[(F(1, 2), F(1, 4))], pieces=[(0, 1, F(3, 4))])
         assert from_json(PValueLaw, to_json(law)) == law
+
+
+class TestSampleFinite:
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any),
+           st.sampled_from([(1,), (37,), (5, 8)]), st.integers(0, 2 ** 32))
+    def test_matches_rng_choice(self, weights, shape, seed):
+        # exact masses such as 1/3 are not float-normalized; zeros included
+        masses = [float(F(w, sum(weights))) for w in weights]
+        values = [1.5 * j - 2 for j in range(len(weights))]
+        p = np.array(masses) / np.sum(masses)
+        want = philox(seed).choice(np.array(values), size=shape, p=p)
+        got = sample_finite(philox(seed), values, masses, np.empty(shape))
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestValidity:

@@ -250,6 +250,19 @@ class TestNpOptimal:
         assert typed(p_star.values) == typed(want)
         assert (type(c), c) == (type(want_c), want_c)
 
+    def test_float_masses_boundary_within_an_ulp_of_alpha(self):
+        # the float mass below c lands within an ulp of alpha* = 2/3: a
+        # float gap alpha* - below is 0 and the division used to raise
+        p = (0.38888888888888884, 0.16666666666666666, 0.0,
+             0.05555555555555556, 0.11111111111111112, 0.16666666666666666,
+             0.11111111111111112)
+        q = (F(3, 8), 0, 0, F(1, 4), F(1, 8), F(1, 8), F(1, 8))
+        pair = pair_of(p, q)
+        p_star = np_optimal(pair, F(2, 3))
+        mean = sum(m / float(p_star[x]) for x, m in enumerate(p)
+                   if not math.isinf(p_star[x]))
+        assert abs(mean - 1) <= 1e-12
+
     @given(st.lists(st.integers(min_value=1, max_value=60), min_size=1,
                     max_size=8, unique=True), levels_in_unit)
     def test_region_matches_exhaustive(self, q_weights, alpha):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from posthoc import (
     EPROCESS,
@@ -28,6 +30,7 @@ from posthoc import (
     supermartingale_fixture,
     ville_equality_check,
 )
+from posthoc.sequential import _BLOCK_ROWS, _posthoc_sup, _stopped_values
 
 
 def ev_on(values, probs=None):
@@ -36,6 +39,36 @@ def ev_on(values, probs=None):
     sp = DiscreteSpace(tuple(range(n)), tuple(probs))
     return (EvidenceVariable(dict(enumerate(values)), "e"),
             Hypothesis.simple(sp))
+
+
+def reference_paths(model, n, seed):
+    """The one-shot ``rng.choice`` draw of all (n, T+1) paths: reference
+    for the block-streamed path layer."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    vals = np.array([float(v) for v in model.multiplier.outcomes])
+    probs = np.array([float(p) for p in model.multiplier.probs])
+    probs = probs / probs.sum()
+    factors = rng.choice(vals, size=(n, model.horizon), p=probs)
+    paths = np.empty((n, model.horizon + 1))
+    paths[:, 0] = float(model.initial)
+    np.cumprod(factors, axis=1, out=factors)
+    paths[:, 1:] = float(model.initial) * factors
+    return paths
+
+
+# 1, 2 and 4 outcomes; the last has a zero-mass factor and masses of 1/3,
+# which are not float-normalized
+MULTIPLIERS = {
+    "one": DiscreteSpace((F(5, 4),), (1,)),
+    "two": martingale_fixture().multiplier,
+    "four": DiscreteSpace((0, F(1, 2), F(3, 2), F(5, 2)),
+                          (F(1, 3), 0, F(1, 3), F(1, 3))),
+}
+STREAM_SIZES = (1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3)
+
+
+def streamed_model(name, horizon=6):
+    return ProcessModel(F(3, 2), MULTIPLIERS[name], EPROCESS, horizon)
 
 
 class TestProcessModel:
@@ -88,6 +121,48 @@ class TestSimulatePaths:
         assert abs(final.mean() - 1.0) <= 3 * se
 
 
+class TestStreamedPaths:
+    @pytest.mark.parametrize("name", sorted(MULTIPLIERS))
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_simulate_paths_matches_one_shot_draw(self, name, n):
+        model = streamed_model(name)
+        assert np.array_equal(simulate_paths(model, n, seed=4),
+                              reference_paths(model, n, seed=4))
+
+    @pytest.mark.parametrize("rule", [
+        StoppingRule.fixed_time(0), StoppingRule.fixed_time(6),
+        StoppingRule.hitting_time(2.0),
+        StoppingRule("generic", lambda prefix: prefix[-1] >= 2.0),
+    ], ids=lambda rule: rule.name)
+    @pytest.mark.parametrize("name", ["two", "four"])
+    def test_stopped_values_match_stopping_the_full_array(self, rule, name):
+        model = streamed_model(name)
+        n = STREAM_SIZES[-1]
+        paths = reference_paths(model, n, seed=8)
+        want = paths[np.arange(n), rule.stop_indices(paths)]
+        assert np.array_equal(_stopped_values(model, rule, n, seed=8), want)
+
+    def test_rejects_empty_sample(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                simulate_paths(martingale_fixture(), n, seed=1)
+            with pytest.raises(ValueError, match="at least 1"):
+                ville_equality_check(martingale_fixture(),
+                                     StoppingRule.fixed_time(0), n, seed=1)
+
+    def test_stopped_values_memory_is_bounded(self):
+        # one (n, T+1) path array alone takes 40.8 MB at this size; the
+        # streamed checks keep n stopped values and one block (about 12 MB)
+        tracemalloc.start()
+        try:
+            ville_equality_check(martingale_fixture(),
+                                 StoppingRule.hitting_time(2.0), 100_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 10 ** 6
+
+
 class TestMarkovEquality:
     def test_constant(self):
         ev, hyp = ev_on([F(3, 2), F(3, 2)])
@@ -100,6 +175,18 @@ class TestMarkovEquality:
     def test_half_three_halves(self):
         ev, hyp = ev_on([F(1, 2), F(3, 2)])
         assert markov_equality_check(ev, hyp) == (1, 1)
+
+    @given(st.lists(st.fractions(min_value=0, max_value=20,
+                                 max_denominator=12), min_size=1, max_size=8),
+           st.fractions(min_value=0, max_value=25, max_denominator=12))
+    def test_posthoc_sup_is_the_grid_floor(self, grid, x):
+        # the deterministic Markov identity: sup_c 1{x >= 1/c}/c = x on the
+        # grid, and the largest grid value <= x off it
+        for v in grid:
+            assert _posthoc_sup(v, grid) == v
+        if x not in grid:
+            assert _posthoc_sup(x, grid) == max(
+                (v for v in grid if v <= x), default=0)
 
 
 class TestMrmwSandwich:
