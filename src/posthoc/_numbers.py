@@ -26,13 +26,15 @@ def is_inf(x: Number) -> bool:
 
 def recip(x: Number) -> Number:
     """Reciprocal with 1/0 = inf and 1/inf = 0, preserving exactness."""
+    if type(x) is Fraction:
+        # swap numerator and denominator: an int pair takes Fraction's
+        # fast constructor path, where Fraction(1) / x takes the slow one
+        return Fraction(x.denominator, x.numerator) if x else INF
     if is_inf(x):
         return 0
     if x == 0:
         return INF
-    if isinstance(x, Fraction):
-        return Fraction(1) / x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(1, x)
     return 1.0 / x
 
@@ -60,10 +62,18 @@ def pow_ext(base: Number, expo: Number) -> Number:
         return 1
     if isinstance(expo, int) or (isinstance(expo, Fraction) and expo.denominator == 1):
         e = int(expo)
-        if isinstance(base, (Fraction, int)):
-            return Fraction(base) ** e
+        if isinstance(base, (int, Fraction)):
+            # Fraction(n ** e, d ** e) from an int pair, without copying a
+            # Fraction base or going through Fraction.__pow__
+            n, d = base.numerator, base.denominator
+            return Fraction(n ** e, d ** e) if e >= 0 else Fraction(d ** -e, n ** -e)
+    else:
+        base, e = float(base), float(expo)
+    try:
         return base ** e
-    return float(base) ** float(expo)
+    except OverflowError:
+        # a positive float result past the float range is the top element
+        return INF
 
 
 def fmt_number(x: Number) -> str:

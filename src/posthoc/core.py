@@ -262,8 +262,13 @@ class PValueLaw:
         """P(p <= alpha)."""
         total = 0
         for loc, m in self.atoms:
-            if loc <= alpha:
-                total += m
+            if loc > alpha:
+                break  # atoms are sorted by location
+            total += m
+        return self._add_piece_cdf(total, alpha)
+
+    def _add_piece_cdf(self, total: Number, alpha: Number) -> Number:
+        """total plus the mass of the pieces at or below alpha."""
         for a, b, m in self.pieces:
             if alpha >= b:
                 total += m
@@ -289,7 +294,11 @@ class PValueLaw:
         """E[1/p]; +inf when a piece touches 0 with positive mass."""
         total = 0
         for loc, m in self.atoms:
-            if m > 0:
+            if m == 0:  # masses are nonnegative
+                continue
+            if isinstance(loc, Fraction) and not isinstance(m, float):
+                total += m / loc  # exact, so equal to m * (1 / loc)
+            else:
                 total += mul0(m, recip(loc))
             if is_inf(total):
                 return INF
@@ -440,12 +449,19 @@ def check_classical_validity(p_law: PValueLaw, tol: float = TOL) -> ValidityRepo
     Between breakpoints P(p <= a)/a is monotone for piecewise-uniform laws,
     so the finite candidate set of atom locations and piece endpoints is
     exhaustive.  Levels a >= 1 satisfy P(p <= a) <= a trivially, so the
-    search runs over a < 1 plus the left-limit at 1.
+    search runs over a < 1 plus the left-limit at 1.  One sweep visits the
+    candidates in increasing order with a running sum of the atom masses at
+    or below them, which :meth:`PValueLaw.cdf` would add up the same way.
     """
     best, witness = 0, None
-    candidates = [a for a in p_law.support_breakpoints() if a < 1]
-    for a in candidates:
-        ratio = p_law.cdf(a) / a
+    atoms, i, below = p_law.atoms, 0, 0
+    for a in p_law.support_breakpoints():
+        if a >= 1:
+            break
+        while i < len(atoms) and atoms[i][0] <= a:
+            below += atoms[i][1]
+            i += 1
+        ratio = p_law._add_piece_cdf(below, a) / a
         if ratio > best:
             best, witness = ratio, a
     # left-limit at 1: the cdf just below 1 excludes an atom sitting at 1

@@ -182,13 +182,23 @@ def merge_pfunctions_harmonic(pfs: Sequence[PFunction],
 
 class ShapeConditionError(ValueError):
     """Raised when the product-merge shape condition fails; carries the
-    witness u and the worst value of u * prod_i p_i(1)/p_i(u)."""
+    witness u and the worst value of u * prod_i p_i(1)/p_i(u).
+
+    A witness below the float range is a point 2^-k and is shown so; None
+    means the condition fails only below 2^-65536, as u -> 0+.
+    """
 
     def __init__(self, witness_u, worst):
         self.witness_u = witness_u
         self.worst = worst
+        if witness_u is None:
+            where = "as u -> 0+"
+        elif float(witness_u) == 0:
+            where = f"at u = 2^-{witness_u.denominator.bit_length() - 1}"
+        else:
+            where = f"at u = {witness_u}"
         super().__init__(
-            f"shape condition violated at u = {witness_u}: "
+            f"shape condition violated {where}: "
             f"u * prod p_i(1)/p_i(u) = {worst} > 1")
 
 

@@ -14,8 +14,11 @@ harmonic and product merging.  An empty term list encodes the value +inf
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ._numbers import INF, TOL, Number, is_inf, mul0, pow_ext, recip
@@ -28,13 +31,6 @@ from .core import (
     ValidityReport,
 )
 
-_GRID = 65  # numeric refinement for multi-term suprema
-
-
-def _inv_pow(x: Number, g: Number) -> Number:
-    """x ** (1/g) preserving exactness when 1/g is an integer."""
-    return pow_ext(x, recip(g) if isinstance(g, (int, Fraction)) else 1.0 / g)
-
 
 # ---------------------------------------------------------------------------
 # per-outcome curves
@@ -42,7 +38,8 @@ def _inv_pow(x: Number, g: Number) -> Number:
 
 @dataclass(frozen=True)
 class PCurve:
-    """One outcome's p-function on (0, 1]: callal, nondecreasing."""
+    """One outcome's p-function on (0, 1]: nondecreasing, and
+    left-continuous on each piece (u_lo, u_hi]."""
 
     segments: tuple  # ((u_hi, terms), ...); terms = ((a, g), ...)
 
@@ -126,7 +123,11 @@ class PCurve:
         return [u_hi for u_hi, _ in self.segments]
 
     def statistic(self) -> Number:
-        """sup over u of u / p(u), including the u -> 0+ limit."""
+        """sup over u of u / p(u), including the u -> 0+ limit.
+
+        Exact: on each piece u / p(u) has no interior maximum (see
+        :func:`_sup_ratio`), so only piece ends and the limit are compared.
+        """
         best = 0
         u_lo = 0
         for u_hi, terms in self.segments:
@@ -154,43 +155,43 @@ def _close(a: Number, b: Number) -> bool:
 
 
 def _eval_terms(terms, u: Number) -> Number:
+    """p(u) = 1 / sum a * u^(-g); the sum starts at its first term, as
+    0 + Fraction takes Fraction's slow reflected addition."""
     if not terms:
         return INF
-    total = 0
-    for a, g in terms:
-        total += mul0(a, pow_ext(u, -g))
-    return recip(total)
+    return recip(reduce(add, (a if g == 0 else mul0(a, pow_ext(u, -g))
+                              for a, g in terms)))
 
 
 def _ratio_terms(terms, u: Number) -> Number:
     """u / p(u) = sum a * u^(1-g)."""
     if not terms:
         return 0
-    total = 0
-    for a, g in terms:
-        total += mul0(a, pow_ext(u, 1 - g))
-    return total
+    return reduce(add, (mul0(a, pow_ext(u, 1 - g)) for a, g in terms))
 
 
 def _sup_ratio(terms, u_lo: Number, u_hi: Number) -> Number:
-    """sup of sum a*u^(1-g) on (u_lo, u_hi]; exact for single terms."""
+    """sup of f(u) = sum_j a_j u^(1-g_j) on (u_lo, u_hi], exactly.
+
+    With a_j > 0, f'(u) = sum_j a_j (1-g_j) u^(-g_j) has coefficients that,
+    in order of increasing exponent -g_j, are negative (g_j > 1), zero
+    (g_j = 1), then positive (g_j < 1): at most one sign change.  By
+    Laguerre's extension of Descartes' rule of signs to real exponents,
+    f' then has at most one root on u > 0, where it can only turn from -
+    to +.  So f falls and then rises, has no interior maximum, and its
+    supremum is the larger of f(u_hi) and the limit at u_lo: f(u_lo) when
+    u_lo > 0, and as u -> 0+ inf if some g_j > 1, else the sum of the a_j
+    with g_j = 1.
+    """
     if not terms:
         return 0
-    cands = [_ratio_terms(terms, u_hi)]
     if u_lo > 0:
-        cands.append(_ratio_terms(terms, u_lo))
+        low = _ratio_terms(terms, u_lo)
+    elif any(g > 1 for _, g in terms):
+        return INF
     else:
-        # limit as u -> 0+: terms with g > 1 diverge, g == 1 persist
-        if any(g > 1 for _, g in terms):
-            return INF
-        cands.append(sum(a for a, g in terms if g == 1))
-    if len(terms) > 1:
-        lo = float(u_lo) if u_lo > 0 else float(u_hi) / 2 ** 20
-        hi = float(u_hi)
-        for i in range(1, _GRID):
-            u = lo * (hi / lo) ** (i / _GRID)
-            cands.append(_ratio_terms(terms, u))
-    return max(cands)
+        low = sum(a for a, g in terms if g == 1)
+    return max(_ratio_terms(terms, u_hi), low)
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,13 @@ class TCurve:
             if c < 0 or m < 0:
                 raise ValueError("segment value must be nondecreasing in alpha")
             a_hi = segs[i + 1][0] if i + 1 < len(segs) else INF
-            start = mul0(c, pow_ext(alo, m)) if alo > 0 else (c if m == 0 else 0)
+            if m == 0:  # flat piece: no powers to take
+                start = end = c
+            else:
+                start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
+                end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
             if start < prev_end and not _close(start, prev_end):
                 raise ValueError("test function must be nondecreasing in alpha")
-            end = mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else (
-                c if m == 0 else INF)
             if end > 1 and not _close(end, 1):
                 raise ValueError("test function values must stay within [0, 1]")
             prev_end = end
@@ -266,57 +269,40 @@ class TCurve:
 
 
 @dataclass(frozen=True)
-class PFunction:
-    """Per-outcome p-function (quantile representation of a randomized test)."""
+class _OutcomeCurves:
+    """One curve per outcome."""
 
     curves: Mapping
 
     def __init__(self, curves: Mapping):
         object.__setattr__(self, "curves", dict(curves))
 
-    def __getitem__(self, outcome) -> PCurve:
+    def __getitem__(self, outcome):
         return self.curves[outcome]
 
     @property
     def outcomes(self) -> tuple:
         return tuple(self.curves)
+
+    def to_rows(self) -> list:
+        """Plot-ready (outcome, point, value) rows sampled at breakpoints."""
+        return [(x, float(t), float(curve.value(t)))
+                for x, curve in self.curves.items() for t in curve.breakpoints()]
+
+
+class PFunction(_OutcomeCurves):
+    """Per-outcome p-function (quantile representation of a randomized test)."""
 
     def is_randomized(self) -> bool:
         return not all(c.is_constant() for c in self.curves.values())
 
-    def to_rows(self) -> list:
-        """Plot-ready (outcome, u, p) rows sampled at breakpoints."""
-        rows = []
-        for x, curve in self.curves.items():
-            for u in curve.breakpoints():
-                rows.append((x, float(u), float(curve.value(u))))
-        return rows
 
-
-@dataclass(frozen=True)
-class RandomizedTestFunction:
-    curves: Mapping
-
-    def __init__(self, curves: Mapping):
-        object.__setattr__(self, "curves", dict(curves))
-
-    def __getitem__(self, outcome) -> TCurve:
-        return self.curves[outcome]
-
-    @property
-    def outcomes(self) -> tuple:
-        return tuple(self.curves)
+class RandomizedTestFunction(_OutcomeCurves):
+    """Per-outcome randomized test function."""
 
     @classmethod
     def from_test_function(cls, tf: TestFunction) -> "RandomizedTestFunction":
         return cls({x: TCurve.indicator(tf.p[x]) for x in tf.p.outcomes})
-
-    def to_rows(self) -> list:
-        rows = []
-        for x, curve in self.curves.items():
-            for a in curve.breakpoints():
-                rows.append((x, float(a), float(curve.value(a))))
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +331,11 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
             v_hi = mul0(c, pow_ext(u_hi, g))
             # inverted piece on [v_lo, v_hi), then flat at u_hi; a later
             # piece starting at v_hi overrides the flat via deduplication
-            out.append((v_lo, _inv_pow(recip(c), g), recip(g)
-                        if isinstance(g, (int, Fraction)) else 1.0 / g))
+            out.append((v_lo, pow_ext(recip(c), recip(g)), recip(g)))
             out.append((v_hi, u_hi, 0))
         u_lo = u_hi
     # deduplicate segments that share a breakpoint (the later one wins)
-    dedup = {}
-    for alo, c, m in out:
-        dedup[alo] = (alo, c, m)
+    dedup = {alo: (alo, c, m) for alo, c, m in out}
     return TCurve(sorted(dedup.values()))
 
 
@@ -375,10 +358,8 @@ def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
             v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
             if v_hi > u_cur:
                 # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m)
-                coef = _inv_pow(recip(c), m)
-                out.append((v_hi, ((recip(coef), recip(m)
-                                    if isinstance(m, (int, Fraction))
-                                    else 1.0 / m),)))
+                coef = pow_ext(recip(c), recip(m))
+                out.append((v_hi, ((recip(coef), recip(m)),)))
                 u_cur = v_hi
     if u_cur < 1:
         out.append((1, ()))  # never reached: p(u) = inf above the max level
@@ -421,12 +402,6 @@ def check_pfunction_posthoc(pf: PFunction, H: Hypothesis,
         kind="posthoc-pfunction",
         detail="sup over members of E[sup_u u/p(u)]",
     )
-
-
-def randomized_statistic(rtf: RandomizedTestFunction, H: Hypothesis) -> Number:
-    """sup over members of E[sup_alpha tf(alpha)/alpha]."""
-    stats = {x: rtf[x].statistic() for x in rtf.outcomes}
-    return max(m.expectation(lambda x: stats[x]) for m in H.members)
 
 
 def uniform_randomize(p_ev: EvidenceVariable) -> PFunction:
@@ -486,65 +461,78 @@ def harmonic_combine(curves: Sequence[PCurve], weights: Sequence[Number]) -> PCu
 
 
 def product_combine(curves: Sequence[PCurve]) -> PCurve:
-    """Pointwise product; closed under the reciprocal power-sum form."""
+    """Pointwise product; closed under the reciprocal power-sum form.
+
+    On each piece 1/prod_i p_i = prod_i sum_j a_ij u^(-g_ij) is expanded
+    with the coefficients of equal powers added up exactly, and the terms
+    are sorted by power: n copies of a two-term curve give n + 1 terms,
+    not 2^n.
+    """
     cuts = sorted({u for c in curves for u in c.breakpoints()})
     out = []
     u_lo = 0
     for u_hi in cuts:
-        terms = [(1, 0)]  # multiplicative identity: p = 1
-        dead = False
+        terms = {0: 1}  # power -> coefficient; multiplicative identity p = 1
         for c in curves:
             seg = _active_terms(c, u_lo, u_hi)
             if not seg:
-                dead = True
+                terms = {}  # p = inf on this piece
                 break
-            terms = [(a1 * a2, g1 + g2) for a1, g1 in terms for a2, g2 in seg]
-        out.append((u_hi, () if dead else tuple(terms)))
+            expanded = {}
+            for g1, a1 in terms.items():
+                for a2, g2 in seg:
+                    g = g1 + g2
+                    expanded[g] = expanded.get(g, 0) + a1 * a2
+            terms = expanded
+        out.append((u_hi, tuple((a, g) for g, a in sorted(terms.items()))))
         u_lo = u_hi
     return PCurve(out)
 
 
 def product_shape_condition(curves: Sequence[PCurve], tol: float = TOL):
-    """Check prod_i p_i(1)/p_i(u) <= 1/u on (0, 1].
+    """Check prod_i p_i(1)/p_i(u) <= 1/u on (0, 1], exactly.
 
-    Returns (ok, witness_u, worst_value) where the condition is recast as
-    F(u) = u * prod_i p_i(1)/p_i(u) <= 1 and F is evaluated at segment
-    endpoints, the u -> 0+ limit, and a numeric refinement grid.
+    Returns (ok, witness_u, worst_value): the condition is recast as
+    F(u) = u * prod_i p_i(1)/p_i(u) <= 1, and worst_value is sup F.  A
+    ratio is 1 where p_i(1) = p_i(u) = inf and inf where only p_i(1) is,
+    so a curve inf at 1 but not everywhere makes F inf from the first
+    breakpoint on.  Curves inf everywhere drop out; the rest are finite
+    everywhere (a p-curve is nondecreasing), and on each piece of their
+    product P, F = H u / P(u) = H sum_j a_j u^(1-g_j) with H = prod_i
+    p_i(1).  :func:`_sup_ratio` takes its supremum from the piece ends
+    alone (Laguerre's rule of signs: F falls, then rises), and as P is
+    nondecreasing the witness is the breakpoint where it is first reached.
+    If F diverges as u -> 0+ and F at the first breakpoint is at most
+    1 + tol, the witness is a point 2^-k of the first piece where the term
+    of the largest power alone exceeds 1 + tol (None below 2^-65536).
     """
-    heads = [c.head() for c in curves]
-    cuts = sorted({u for c in curves for u in c.breakpoints()})
+    live, head = [], 1
+    for c in curves:
+        h = c.head()
+        if not is_inf(h):
+            live.append(c)
+            head *= h
+        elif any(terms for _, terms in c.segments):
+            return False, min(u for c in curves for u in c.breakpoints()), INF
+    prod = product_combine(live) if live else PCurve.constant(1)
     worst, witness = 0, None
-
-    def f(u):
-        val = u
-        for c, h in zip(curves, heads):
-            pu = c.value(u)
-            if is_inf(pu):
-                ratio = 1 if is_inf(h) else 0
-            elif is_inf(h):
-                return INF
-            else:
-                ratio = h / pu
-            val = mul0(val, ratio)
-            if is_inf(val):
-                return INF
-        return val
-
     u_lo = 0
-    for u_hi in cuts:
-        cands = [u_hi]
-        if u_lo > 0:
-            cands.append(u_lo)
-        else:
-            cands.append(float(u_hi) / 2 ** 30)  # probe the u -> 0+ limit
-        lo = float(u_lo) if u_lo > 0 else float(u_hi) / 2 ** 20
-        for i in range(1, _GRID):
-            cands.append(lo * (float(u_hi) / lo) ** (i / _GRID))
-        for u in cands:
-            v = f(u)
-            if v > worst:
-                worst, witness = v, u
+    for u_hi, terms in prod.segments:
+        v = head * _sup_ratio(terms, u_lo, u_hi)
+        if v > worst:
+            worst, witness = v, u_hi
         u_lo = u_hi
+    u_hi, first = prod.segments[0]
+    if is_inf(worst) and not head * _ratio_terms(first, u_hi) > 1 + tol:
+        # k (g-1) ln 2 > ln(1 + tol) - ln(head * a), with k one above the
+        # float bound: a margin of a factor 2^(g-1)
+        a, g = max(first, key=lambda t: t[1])
+        ha = head * a
+        log_ha = (math.log(ha.numerator) - math.log(ha.denominator)
+                  if isinstance(ha, Fraction) else math.log(ha))
+        bound = (math.log1p(tol) - log_ha) / (float(g - 1) * math.log(2))
+        k = max(math.ceil(-math.log2(u_hi)), math.floor(bound) + 1) + 1
+        witness = Fraction(1, 1 << k) if k <= 1 << 16 else None
     return worst <= 1 + tol, witness, worst
 
 

@@ -1,9 +1,10 @@
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from posthoc import (
     INF,
@@ -23,6 +24,7 @@ from posthoc import (
     uniform_p_law,
     valid_hacking_law,
 )
+from posthoc._numbers import is_inf, mul0, recip
 from posthoc.core import from_json, sample_finite, to_json
 
 
@@ -247,6 +249,73 @@ class TestValidity:
         law = PValueLaw(atoms=list(atoms.items()))
         if check_posthoc_validity(law).valid:
             assert check_classical_validity(law).valid
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_sweep_and_recip_match_the_direct_formulas(self, data, exact):
+        law = data.draw(p_value_laws(exact))
+        assert same_report(check_classical_validity(law),
+                           classical_reference(law))
+        got, want = law.expect_recip(), recip_mean_reference(law)
+        assert got == want and type(got) is type(want)
+
+
+def classical_reference(law, tol=1e-12):
+    """check_classical_validity as first written: one cdf call per level."""
+    best, witness = 0, None
+    for a in [a for a in law.support_breakpoints() if a < 1]:
+        ratio = law.cdf(a) / a
+        if ratio > best:
+            best, witness = ratio, a
+    limit = law.cdf(1) - sum(m for loc, m in law.atoms if loc == 1)
+    if limit > best:
+        best, witness = limit, 1
+    return best <= 1 + tol, best, witness
+
+
+def same_report(rep, ref):
+    valid, stat, witness = ref
+    return ((rep.valid, rep.statistic, rep.witness) == ref
+            and type(rep.statistic) is type(stat))
+
+
+def recip_mean_reference(law):
+    """expect_recip as first written: m * (1 / loc) for every atom."""
+    total = 0
+    for loc, m in law.atoms:
+        if m > 0:
+            total += mul0(m, recip(loc))
+        if is_inf(total):
+            return INF
+    for a, b, m in law.pieces:
+        if m == 0:
+            continue
+        if a == 0:
+            return INF
+        total += m * (math.log(float(b)) - math.log(float(a))) / float(b - a)
+    return total
+
+
+@st.composite
+def p_value_laws(draw, exact):
+    """Atoms (at 1, an int location or inf among them; masses may be 0)
+    and up to two disjoint pieces, with exact or float masses."""
+    locs = draw(st.lists(st.one_of(
+        st.fractions(F(1, 32), 4, max_denominator=32),
+        st.sampled_from([F(1), 2, INF])), min_size=1, max_size=5, unique=True))
+    ends = sorted(draw(st.lists(st.fractions(0, 2, max_denominator=16),
+                                max_size=4, unique=True)))
+    spans = list(zip(ends[::2], ends[1::2]))
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(locs) + len(spans),
+                            max_size=len(locs) + len(spans)).filter(any))
+    total = sum(weights)
+    masses = [F(w, total) if exact else w / total for w in weights]
+    if not exact:
+        locs = [float(loc) for loc in locs]
+    return PValueLaw(atoms=list(zip(locs, masses)),
+                     pieces=[(a, b, m) for (a, b), m in
+                             zip(spans, masses[len(locs):])])
 
 
 class TestEvidenceLattice:

@@ -1,10 +1,16 @@
+import itertools
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posthoc import (
     INF,
+    ShapeConditionError,
     DiscreteSpace,
     EvidenceVariable,
     Hypothesis,
@@ -14,11 +20,17 @@ from posthoc import (
     TCurve,
     TestFunction,
     check_pfunction_posthoc,
+    merge_pfunctions_product,
     p_value_head,
     pfunction_of,
     soft_test_function,
     test_function_of,
     uniform_randomize,
+)
+from posthoc.pfunctions import (
+    _sup_ratio,
+    product_combine,
+    product_shape_condition,
 )
 
 
@@ -121,18 +133,36 @@ class TestTransforms:
     def test_step_round_trip_and_adjunction(self):
         rng = random.Random(20260823)
         for _ in range(300):
-            pf = PFunction({0: _random_step_curve(rng)})
-            rtf = test_function_of(pf)
-            back = pfunction_of(rtf)
-            grid_u = pf[0].breakpoints()
-            for u in grid_u:
-                assert back[0].value(u) == pf[0].value(u)
-            alphas = sorted({a for a, _, _ in rtf[0].segments if a > 0})
-            for u in grid_u:
-                for a in alphas:
-                    lhs = rtf[0].value(a) >= u
-                    rhs = pf[0].value(u) <= a
-                    assert lhs == rhs
+            _assert_round_trip_and_adjunction(_random_step_curve(rng))
+
+    @given(st.lists(st.tuples(st.integers(1, 64), st.fractions(F(1, 64), 4)),
+                    min_size=1, max_size=5, unique_by=lambda t: t[0]),
+           st.booleans())
+    def test_round_trip_and_adjunction_property(self, raw, dead_tail):
+        # step p-functions with strictly increasing levels on a 1/64 grid,
+        # optionally ending in a p = inf piece
+        raw = sorted(raw)
+        cuts = [F(c, 64) for c, _ in raw[:-1]] + [1]
+        levels = list(itertools.accumulate(lvl for _, lvl in raw))
+        if dead_tail:
+            levels[-1] = INF
+        _assert_round_trip_and_adjunction(
+            PCurve.steps(list(zip(cuts, levels))))
+
+
+def _assert_round_trip_and_adjunction(curve):
+    """tf = test_function_of(p) inverts back to p, and tf(alpha) >= u
+    <=> p(u) <= alpha at every breakpoint u of p and alpha of tf."""
+    pf = PFunction({0: curve})
+    rtf = test_function_of(pf)
+    back = pfunction_of(rtf)
+    grid_u = curve.breakpoints()
+    for u in grid_u:
+        assert back[0].value(u) == curve.value(u)
+    alphas = sorted({a for a, _, _ in rtf[0].segments if a > 0})
+    for u in grid_u:
+        for a in alphas:
+            assert (rtf[0].value(a) >= u) == (curve.value(u) <= a)
 
 
 def _random_step_curve(rng, max_steps=4):
@@ -237,3 +267,157 @@ class TestRows:
         assert (0, 0.5, 1.0) in rows and (0, 1.0, 2.0) in rows
         rtf = test_function_of(pf)
         assert all(len(r) == 3 for r in rtf.to_rows())
+
+
+# ---------------------------------------------------------------------------
+# exact curve algebra: merged products, endpoint suprema, shape condition
+
+
+def _terms_at(curve, u):
+    u_lo = 0
+    for u_hi, terms in curve.segments:
+        if u_lo < u <= u_hi:
+            return terms
+        u_lo = u_hi
+
+
+def _expanded_product(curves, u):
+    """p_1(u) ... p_n(u) from the 2^n-term expansion of
+    prod_i sum_j a_ij u^(-g_ij), one term per choice of j's."""
+    terms = [(F(1), 0)]
+    for c in curves:
+        seg = _terms_at(c, u)
+        if not seg:
+            return INF
+        terms = [(a1 * a2, g1 + g2) for a1, g1 in terms for a2, g2 in seg]
+    return 1 / sum(a * F(u) ** -g for a, g in terms)
+
+
+@st.composite
+def exact_curves(draw):
+    """Nondecreasing multi-term curves with integer powers (exact values
+    at rational u), up to 3 pieces, sometimes ending in p = inf pieces."""
+    k = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(1, 15), min_size=k - 1,
+                                max_size=k - 1, unique=True))) + [16]
+    cuts = [F(c, 16) for c in cuts]
+    n_dead = draw(st.integers(0, k - 1)) if draw(st.booleans()) else 0
+    segs, u_lo, prev_end = [], 0, None
+    for i, u_hi in enumerate(cuts):
+        if i >= k - n_dead:
+            segs.append((u_hi, ()))
+            continue
+        terms = draw(st.lists(st.tuples(st.fractions(F(1, 8), 8),
+                                        st.integers(0, 3)),
+                              min_size=1, max_size=3))
+        if prev_end is not None:
+            # scale so the piece starts at or above the previous end
+            start = 1 / sum(a * u_lo ** -g for a, g in terms)
+            scale = min(1, start / prev_end) * draw(st.fractions(F(1, 2), 1))
+            terms = [(a * scale, g) for a, g in terms]
+        segs.append((u_hi, tuple(terms)))
+        prev_end = 1 / sum(a * u_hi ** -g for a, g in terms)
+        u_lo = u_hi
+    return PCurve(segs)
+
+
+class TestProductCombine:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(exact_curves(), min_size=1, max_size=4),
+           st.lists(st.fractions(F(1, 1000), 1), min_size=1, max_size=8))
+    def test_matches_the_expansion_exactly(self, curves, us):
+        prod = product_combine(curves)
+        for u in us + [u for c in curves for u in c.breakpoints()]:
+            assert prod.value(u) == _expanded_product(curves, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(exact_curves(), min_size=1, max_size=4))
+    def test_one_term_per_power_sum(self, curves):
+        prod = product_combine(curves)
+        u_lo = 0
+        for u_hi, terms in prod.segments:
+            segs = [_terms_at(c, u_hi) for c in curves]
+            if not all(segs):
+                assert terms == ()
+            else:
+                sums = {sum(choice) for choice in
+                        itertools.product(*[[g for _, g in s] for s in segs])}
+                powers = [g for _, g in terms]
+                assert powers == sorted(sums)
+            u_lo = u_hi
+
+    def test_n_two_term_curves_keep_n_plus_one_terms(self):
+        curve = PCurve([(1, ((F(3, 4), 0), (F(5, 4), F(1, 16))))])
+        prod = product_combine([curve] * 11)
+        (_, terms), = prod.segments
+        assert [g for _, g in terms] == [F(k, 16) for k in range(12)]
+        assert [a for a, _ in terms] == [
+            math.comb(11, k) * F(3, 4) ** (11 - k) * F(5, 4) ** k
+            for k in range(12)]
+
+
+class TestExactSupremum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.01, 10), st.floats(0, 3)),
+                    min_size=2, max_size=4),
+           st.one_of(st.just(0.0), st.floats(1e-3, 0.9)), st.floats(0.05, 1))
+    def test_endpoints_beat_a_dense_grid(self, terms, u_lo, width):
+        u_hi = u_lo + width * (1 - u_lo)
+        sup = _sup_ratio(terms, u_lo, u_hi)
+        u = np.linspace(u_lo, u_hi, 4001)[1:]  # the piece is open at u_lo
+        grid = max(sum(a * u ** (1 - g) for a, g in terms))
+        assert sup >= grid * (1 - 1e-12)
+
+    def test_statistic_with_an_interior_minimum(self):
+        # u/p(u) = u^-1/2 / 4 + u on (0, 1]: diverges toward 0
+        assert PCurve([(1, ((F(1, 4), F(3, 2)), (1, 0)))]).statistic() == INF
+        # on (1/16, 1], u/p(u) = 3/1024 u^-1/2 + u/16 falls to a minimum
+        # at u = (3/128)^(2/3) ~ 0.082, then rises: f(1/16) = 1/64 and
+        # f(1) = 67/1024; the first piece, u/4, peaks at 1/64
+        curve = PCurve([(F(1, 16), ((F(1, 4), 0),)),
+                        (1, ((F(3, 1024), F(3, 2)), (F(1, 16), 0)))])
+        assert curve.statistic() == F(67, 1024)
+
+
+class TestShapeCondition:
+    # p(u) = 1 / (1 + 1e-6 u^-1.01): F(u) = u p(1) / p(u) diverges only
+    # below u = 1e-600, far under any float grid
+    SLOW = PCurve([(1, ((1, 0), (F(1, 10**6), F(101, 100))))])
+
+    def test_slowly_diverging_curve_fails(self):
+        assert self.SLOW.statistic() == INF
+        ok, witness, worst = product_shape_condition([self.SLOW])
+        assert not ok and worst == INF
+        assert 0 < witness <= 1
+        with localcontext() as ctx:
+            ctx.prec = 50
+            u = Decimal(witness.numerator) / Decimal(witness.denominator)
+            f = (u + Decimal(10) ** -6 * u ** Decimal("-0.01")) * Decimal(
+                self.SLOW.head())
+        assert f > 1 + Decimal(1e-12)
+
+    def test_slowly_diverging_merge_is_rejected(self):
+        pfs = [PFunction({0: self.SLOW}), PFunction({0: PCurve.constant(1)})]
+        with pytest.raises(ShapeConditionError) as exc:
+            merge_pfunctions_product(pfs)
+        assert exc.value.worst == INF
+        assert "2^-" in str(exc.value)
+
+    def test_witness_is_an_exact_breakpoint(self):
+        # p(u) = u on (0, 1/2], then 1: F = 1 on the first piece, u after
+        curve = PCurve([(F(1, 2), ((1, 1),)), (1, ((1, 0),))])
+        assert product_shape_condition([curve]) == (True, F(1, 2), 1)
+        # two copies: F = 1/u diverges, yet F(1/2) = 2 already fails
+        assert product_shape_condition([curve, curve]) == (False, F(1, 2), INF)
+        # p(u) = u/2 on (0, 1/2]: F = 2 there, with no divergence
+        halved = PCurve([(F(1, 2), ((2, 1),)), (1, ((1, 0),))])
+        assert product_shape_condition([halved]) == (False, F(1, 2), 2)
+
+    def test_infinite_values(self):
+        dead = PCurve([(1, ())])
+        tail = PCurve([(F(1, 4), ((4, 0),)), (1, ())])
+        assert product_shape_condition([dead, PCurve.constant(F(1, 2))]) == (
+            True, 1, 1)
+        assert product_shape_condition([dead]) == (True, 1, 1)
+        assert product_shape_condition([PCurve.constant(1), tail]) == (
+            False, F(1, 4), INF)
