@@ -8,6 +8,7 @@ contribute nothing to expectations).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -68,7 +69,23 @@ def pow_ext(base: Number, expo: Number) -> Number:
             n, d = base.numerator, base.denominator
             return Fraction(n ** e, d ** e) if e >= 0 else Fraction(d ** -e, n ** -e)
     else:
-        base, e = float(base), float(expo)
+        e = float(expo)
+        if not isinstance(base, float):
+            try:
+                f = float(base)
+            except OverflowError:
+                f = INF
+            if not sys.float_info.min <= f < INF:
+                # an exact base outside the normal float range would become
+                # 0.0, a subnormal or an OverflowError: take the power in the
+                # log domain of the int pair (relative error about
+                # |e log base| * 2^-53); exp underflows to 0.0 by itself
+                try:
+                    return math.exp(e * (math.log(base.numerator)
+                                         - math.log(base.denominator)))
+                except OverflowError:
+                    return INF
+            base = f
     try:
         return base ** e
     except OverflowError:

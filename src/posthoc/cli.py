@@ -225,6 +225,7 @@ def run_ville(opts):
     report = {
         "martingale": rows[0],
         "supermartingale": rows[1],
+        "invalid_process": invalid,
         "invalid_process_flagged": not invalid["valid"],
         "verdict": "PASS" if passed else "FAIL",
         "ok": passed,

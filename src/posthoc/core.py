@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from ._numbers import INF, TOL, Number, fmt_number, is_inf, mul0, parse_number, recip
 
 E_SCALE = "e"
@@ -341,6 +339,8 @@ class PValueLaw:
     def sample(self, n: int, rng) -> np.ndarray:
         """n i.i.d. float draws via inverse-mixture sampling: n component
         indices (as floats) from :func:`sample_finite`, then n uniforms."""
+        import numpy as np
+
         comps = [(float(m), ("atom", float(loc))) for loc, m in self.atoms]
         comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in self.pieces]
         idx = sample_finite(rng, range(len(comps)), [w for w, _ in comps],
@@ -393,6 +393,8 @@ def sample_finite(rng, values, masses, out: np.ndarray) -> np.ndarray:
     smallest integer type that holds k-1, so a caller that reuses ``out``
     allocates no float array per call.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     p = np.asarray(masses, dtype=float)
     p = p / p.sum()  # exact masses may not be float-normalized

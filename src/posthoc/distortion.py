@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from ._numbers import INF, Number, fmt_number, frac, is_inf, recip
 from .core import PValueLaw
 
@@ -173,6 +171,8 @@ def monte_carlo_distortion(sampler, s: AlphaStrategy, n: int, seed: int):
     ``sampler`` is a PValueLaw or a callable (n, rng) -> float array.
     Deterministic for a fixed seed (counter-based Philox stream).
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.Philox(key=seed))

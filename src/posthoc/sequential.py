@@ -3,9 +3,12 @@ Ville equalities, plus familywise / averaged multiple-testing merges.
 
 Processes are multiplicative with a finite-support i.i.d. factor, so the
 martingale and supermartingale moment conditions are checkable exactly at
-construction; e-process claims are not checkable from the one-step law and
-are verified by simulation against a finite battery of bounded stopping
-rules instead.
+construction.  Stopped means are exact too: M_t takes finitely many values
+at each t, so one forward pass over the (t, M_t) lattice gives E[M_tau] for
+every stopping rule that depends only on (t, M_t), and e-process claims are
+certified or refuted by the exact supremum of E[M_tau] over all stopping
+times.  Monte Carlo over simulated paths remains for rules that look at
+the whole path.
 """
 from __future__ import annotations
 
@@ -14,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ._numbers import TOL, Number, is_inf, mul0, recip
+from ._numbers import TOL, Number, fmt_number, is_inf, mul0, recip
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -74,34 +75,50 @@ class ProcessModel:
 class StoppingRule:
     """Adapted rule: stop as soon as decide(prefix) is true, capped at the
     horizon.  ``vectorized`` optionally maps a path matrix (n, T+1) to stop
-    indices for fast simulation; it must agree with ``decide``."""
+    indices for fast simulation; it must agree with ``decide``.
+
+    ``markov`` is the rule's Markov form, if it has one: a predicate on
+    (t, M_t) that agrees with ``decide`` on every prefix.  Rules with a
+    Markov form are evaluated exactly on the state lattice
+    (:func:`stopped_law`); a rule built from ``decide`` alone has none and
+    is simulated."""
 
     name: str
     decide: Callable[[Sequence[float]], bool]
     vectorized: Callable | None = None
+    markov: Callable[[int, Number], bool] | None = None
 
     @classmethod
     def fixed_time(cls, t: int) -> "StoppingRule":
         def vec(paths):
+            import numpy as np
+
             n, width = paths.shape
             return np.full(n, min(t, width - 1), dtype=np.int64)
 
-        return cls(f"fixed@{t}", lambda prefix: len(prefix) - 1 >= t, vec)
+        return cls(f"fixed@{t}", lambda prefix: len(prefix) - 1 >= t, vec,
+                   lambda step, value: step >= t)
 
     @classmethod
     def hitting_time(cls, threshold: float) -> "StoppingRule":
         def vec(paths):
+            import numpy as np
+
             hits = paths >= threshold
             idx = np.argmax(hits, axis=1)
             idx[~hits.any(axis=1)] = paths.shape[1] - 1
             return idx
 
+        # Fraction >= float compares exactly
         return cls(f"hit@{threshold}",
-                   lambda prefix: prefix[-1] >= threshold, vec)
+                   lambda prefix: prefix[-1] >= threshold, vec,
+                   lambda step, value: value >= threshold)
 
     def stop_indices(self, paths: np.ndarray) -> np.ndarray:
         if self.vectorized is not None:
             return self.vectorized(paths)
+        import numpy as np
+
         out = np.empty(paths.shape[0], dtype=np.int64)
         for i, path in enumerate(paths):
             t = paths.shape[1] - 1
@@ -125,8 +142,9 @@ def _path_blocks(model: ProcessModel, n: int, seed: int):
     block by block concatenates to the single (n, T) draw: the paths are
     bit-identical for every block size.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    import numpy as np
+
+    _require_samples(n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     vals = [float(v) for v in model.multiplier.outcomes]
     masses = [float(p) for p in model.multiplier.probs]
@@ -154,9 +172,10 @@ def simulate_paths(model: ProcessModel, n: int, seed: int) -> np.ndarray:
     The factors are ``Generator.choice(Z values, size=(n, T), p=Z masses)``
     on a Philox stream keyed by ``seed``, drawn in row blocks
     (bit-identical to the one-shot draw).  Only this array is O(n T); the
-    stopped values of :func:`ville_equality_check` and
-    :func:`anytime_validity_check` take O(n + block T) memory.
+    Monte Carlo Ville and anytime checks keep O(n + block T) memory.
     """
+    import numpy as np
+
     blocks = _path_blocks(model, n, seed)
     paths = np.empty((n, model.horizon + 1))
     for start, block in blocks:
@@ -224,24 +243,95 @@ def mrmw_sandwich(X: EvidenceVariable, c: Number, H: Hypothesis):
 # Ville / anytime validity
 
 
+def stopped_law(model: ProcessModel, rule: StoppingRule) -> dict:
+    """The exact law of M_tau as {value: mass}, by one forward pass over
+    the (t, M_t) lattice, for a rule with a Markov form.
+
+    Inputs are taken exactly (a float becomes the ``Fraction`` it is), so
+    equal products merge into one state: a k-point factor gives at most
+    C(t+k-1, k-1) states at step t.  At each t a state stops, when the
+    rule fires or t = T, or spreads to value * z with mass * P(z).
+    """
+    if rule.markov is None:
+        raise ValueError(f"rule {rule.name} has no Markov form")
+    steps = [(Fraction(z), Fraction(p)) for z, p in
+             zip(model.multiplier.outcomes, model.multiplier.probs) if p]
+    law: dict = {}
+    states = {Fraction(model.initial): Fraction(1)}
+    for t in range(model.horizon + 1):
+        spread: dict = {}
+        for value, mass in states.items():
+            if t == model.horizon or rule.markov(t, value):
+                law[value] = law.get(value, 0) + mass
+                continue
+            for z, p in steps:
+                nxt = value * z
+                spread[nxt] = spread.get(nxt, 0) + mass * p
+        states = spread
+    return law
+
+
+def stopped_mean(model: ProcessModel, rule: StoppingRule) -> Fraction:
+    """E[M_tau], exactly, from :func:`stopped_law`."""
+    return sum((v * m for v, m in stopped_law(model, rule).items()),
+               Fraction(0))
+
+
+def sup_stopped_mean(model: ProcessModel) -> Fraction:
+    """sup of E[M_tau] over all stopping times tau <= T, exactly:
+    M_0 * max(1, E[Z])^T.
+
+    This is the Snell envelope of an i.i.d. product: for E[Z] > 0,
+    M_t E[Z]^-t is a martingale, so E[M_tau] <= M_0 when E[Z] <= 1 and
+    E[M_tau] <= E[M_T] when E[Z] > 1 (and Z = 0 a.s. when E[Z] = 0), and
+    tau = 0 or tau = T attains the bound.
+    """
+    mean = sum(Fraction(z) * Fraction(p) for z, p in
+               zip(model.multiplier.outcomes, model.multiplier.probs))
+    return Fraction(model.initial) * max(Fraction(1), mean) ** model.horizon
+
+
+def _slack(model: ProcessModel) -> float:
+    """How far an exact stopped mean may pass M_0 and still count as M_0.
+
+    0 on exact inputs.  Float inputs pass the model's moment check with
+    E[Z] within TOL of 1, which moves any E[M_tau] by at most
+    M_0((1 + TOL)^T - 1).
+    """
+    z = model.multiplier
+    if not any(isinstance(x, float)
+               for x in (model.initial, *z.outcomes, *z.probs)):
+        return 0.0
+    return TOL + float(model.initial) * math.expm1(
+        model.horizon * math.log1p(TOL))
+
+
+def _require_samples(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 @dataclass(frozen=True)
 class VilleReport:
     rule: str
     kind: str
-    n: int
+    n: int | None  # None when the mean is exact
     mean: float
     se: float
     initial: float
     valid: bool
     detail: str
+    method: str  # "exact" or "monte_carlo"
+    mean_exact: str | None  # fmt_number of the exact mean
 
     def __bool__(self) -> bool:
         return self.valid
 
     def to_dict(self) -> dict:
         return {
-            "rule": self.rule, "kind": self.kind, "n": self.n,
-            "mean": self.mean, "se": self.se, "initial": self.initial,
+            "rule": self.rule, "kind": self.kind, "method": self.method,
+            "n": self.n, "mean": self.mean, "mean_exact": self.mean_exact,
+            "se": self.se, "initial": self.initial,
             "valid": self.valid, "detail": self.detail,
         }
 
@@ -251,6 +341,8 @@ def _stopped_values(model: ProcessModel, rule: StoppingRule,
     """M_tau of each of the n paths of ``simulate_paths``, one block at a
     time: O(n + block T) memory.  Rules act row by row, so stopping each
     block equals stopping the whole path array."""
+    import numpy as np
+
     blocks = _path_blocks(model, n, seed)
     stopped = np.empty(n)
     for start, block in blocks:
@@ -259,52 +351,88 @@ def _stopped_values(model: ProcessModel, rule: StoppingRule,
     return stopped
 
 
+def _stopped_estimate(model: ProcessModel, rule: StoppingRule,
+                      n: int, seed: int):
+    """(exact E[M_tau] or None, the method, n, mean, mean_exact and se
+    fields of a report row): exact on the lattice when the rule has a
+    Markov form, else the mean of n simulated paths."""
+    if rule.markov is not None:
+        exact = stopped_mean(model, rule)
+        try:
+            mean = float(exact)
+        except OverflowError:  # past the float range
+            mean = math.inf
+        return exact, {"method": "exact", "n": None, "mean": mean,
+                       "mean_exact": fmt_number(exact), "se": 0.0}
+    stopped = _stopped_values(model, rule, n, seed)
+    se = float(stopped.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return None, {"method": "monte_carlo", "n": n,
+                  "mean": float(stopped.mean()), "mean_exact": None, "se": se}
+
+
 def ville_equality_check(model: ProcessModel, rule: StoppingRule,
                          n: int, seed: int) -> VilleReport:
     """Optional-stopping check of E[M_tau] against M_0.
 
-    Martingales must match within 3 standard errors; supermartingales must
-    not exceed M_0 + 3 SE (tau = 0 attains equality exactly and is checked
-    directly when the rule is the immediate stop).
+    For a rule with a Markov form E[M_tau] is exact: a martingale is valid
+    iff it equals M_0 and a supermartingale iff it is at most M_0 (within
+    a float slack only when an input is a float).  Other rules are
+    simulated on n paths keyed by ``seed``: martingales must match within
+    3 standard errors, supermartingales must not exceed M_0 + 3 SE.
     """
-    stopped = _stopped_values(model, rule, n, seed)
-    mean = float(stopped.mean())
-    se = float(stopped.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    _require_samples(n)
+    exact, est = _stopped_estimate(model, rule, n, seed)
     m0 = float(model.initial)
-    if model.kind == MARTINGALE:
-        valid = abs(mean - m0) <= 3 * se + TOL
-        detail = "optional stopping equality within 3 SE"
+    if exact is not None:
+        gap, slack, how = exact - Fraction(model.initial), _slack(model), "exact"
     else:
-        valid = mean <= m0 + 3 * se + TOL
-        detail = "stopped mean bounded by the initial value"
-    return VilleReport(rule.name, model.kind, n, mean, se, m0, valid, detail)
+        gap, slack, how = est["mean"] - m0, 3 * est["se"] + TOL, "within 3 SE"
+    valid = abs(gap) <= slack if model.kind == MARTINGALE else gap <= slack
+    if model.kind == MARTINGALE:
+        detail = f"optional stopping equality, {how}"
+    else:
+        detail = f"stopped mean bounded by the initial value, {how}"
+    return VilleReport(rule.name, model.kind, initial=m0, valid=valid,
+                       detail=detail, **est)
 
 
 def anytime_validity_check(models, rules: Sequence[StoppingRule],
                            n: int, seed: int) -> dict:
-    """sup over rules (and hypothesis members) of the stopped mean E[M_tau].
+    """Anytime validity, E[M_tau] <= M_0 for every stopping time tau <= T,
+    decided exactly for each hypothesis member.
 
     ``models`` is a ProcessModel or a mapping member-name -> ProcessModel.
-    Valid iff every stopped mean stays below the initial value within 3 SE.
+    ``valid`` comes from :func:`sup_stopped_mean`, the supremum over all
+    stopping times, reported per member as ``sup_all_stopping_times``.
+    A battery of rules can pass falsely, since a process may beat M_0 only
+    under a rule the battery lacks; this bound cannot.  The battery's rows
+    stay in the report as evidence: exact for rules with a Markov form,
+    simulated (n paths, key ``seed + j`` for rule j, 3 SE) otherwise.
     """
+    _require_samples(n)
     if not rules:
         raise ValueError("at least one stopping rule required")
     if isinstance(models, ProcessModel):
         models = {"null": models}
-    rows, valid = [], True
+    rows, sups, valid = [], {}, True
     worst = None
     for name, model in models.items():
+        slack = _slack(model)
+        sup = sup_stopped_mean(model)
+        sups[name] = fmt_number(sup)
+        valid = valid and sup - Fraction(model.initial) <= slack
         for j, rule in enumerate(rules):
-            stopped = _stopped_values(model, rule, n, seed + j)
-            mean = float(stopped.mean())
-            se = float(stopped.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-            ok = mean <= float(model.initial) + 3 * se + TOL
-            valid = valid and ok
-            rows.append({"member": name, "rule": rule.name, "mean": mean,
-                         "se": se, "valid": ok})
-            if worst is None or mean > worst:
-                worst = mean
-    return {"valid": valid, "sup_mean": worst, "rows": rows}
+            exact, est = _stopped_estimate(model, rule, n, seed + j)
+            if exact is not None:
+                ok = exact - Fraction(model.initial) <= slack
+            else:
+                ok = est["mean"] <= float(model.initial) + 3 * est["se"] + TOL
+            rows.append({"member": name, "rule": rule.name, **est,
+                         "valid": ok})
+            if worst is None or est["mean"] > worst:
+                worst = est["mean"]
+    return {"valid": valid, "sup_mean": worst,
+            "sup_all_stopping_times": sups, "rows": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import posthoc
+from posthoc import fmt_number
 from posthoc.cli import main, reproduce_examples
 
 
@@ -117,6 +119,17 @@ class TestOutputs:
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "PASS"
 
+    def test_ville_is_exact(self, capsys):
+        _, out = run(capsys, "ville")
+        report = json.loads(out)["report"]
+        for key in ("martingale", "supermartingale"):
+            row = report[key]
+            assert (row["method"], row["n"], row["se"]) == ("exact", None, 0.0)
+            assert row["mean_exact"] == "1"
+        invalid = report["invalid_process"]
+        assert invalid["sup_all_stopping_times"]["null"] == fmt_number(
+            Fraction(11, 10) ** 50)
+
 
 class TestExitCodes:
     def test_passing_verdict_exits_0(self, capsys):
@@ -168,4 +181,20 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(posthoc.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [[], ["ville"], ["sequential"]],
+                         ids=["import", "ville", "sequential"])
+def test_exact_commands_do_not_load_numpy(argv):
+    # numpy is imported only by the Monte Carlo code
+    code = ("import io, sys, contextlib, posthoc, posthoc.cli\n"
+            "if sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert posthoc.cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(posthoc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, check=True,
+                         env=env).stdout
     assert out.strip() == "[]"

@@ -1,5 +1,9 @@
+import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from posthoc._numbers import INF, is_inf, pow_ext, recip
@@ -77,3 +81,33 @@ def test_fast_paths_on_fixed_points():
     assert same(pow_ext(1e-200, -2.5), INF)
     assert same(pow_ext(1e200, 2), INF)
     assert same(pow_ext(1e200, -2), 0.0)
+
+
+def decimal_power(base, expo):
+    """base ** expo to 50 digits, from the exact int pairs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b = Decimal(base.numerator) / Decimal(base.denominator)
+        return b ** (Decimal(expo.numerator) / Decimal(expo.denominator))
+
+
+@pytest.mark.parametrize("base, expo", [
+    (F(1, 2 ** 1995), F(-101, 100)),   # float(base) is 0.0
+    (F(2 ** 1100), F(-1, 2)),          # float(base) overflows
+    (F(2 ** 1100), F(1, 2)),           # result past the float range
+    (F(1, 2 ** 1060), F(1, 2)),        # float(base) is subnormal
+    (2 ** 1100, F(-1, 3)),             # a plain int base
+    (F(3, 2 ** 1500), 0.25),           # a float exponent
+    (F(1, 2 ** 1500), F(3, 2)),        # result below the float range
+], ids=["tiny-negative", "huge-negative", "huge-positive", "subnormal",
+        "int", "float-exponent", "underflow"])
+def test_pow_ext_outside_the_float_range(base, expo):
+    want = decimal_power(base, F(expo))
+    got = pow_ext(base, expo)
+    assert type(got) is float
+    if want > Decimal(sys.float_info.max):
+        assert got == INF
+    elif want < Decimal(2.0 ** -1074):
+        assert got == 0.0
+    else:
+        assert math.isclose(got, float(want), rel_tol=1e-12)

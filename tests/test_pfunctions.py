@@ -395,6 +395,8 @@ class TestShapeCondition:
             f = (u + Decimal(10) ** -6 * u ** Decimal("-0.01")) * Decimal(
                 self.SLOW.head())
         assert f > 1 + Decimal(1e-12)
+        # p(witness) is about 10^-600, below the float range
+        assert self.SLOW.value(witness) == 0
 
     def test_slowly_diverging_merge_is_rejected(self):
         pfs = [PFunction({0: self.SLOW}), PFunction({0: PCurve.constant(1)})]

@@ -1,10 +1,11 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from posthoc import (
     EPROCESS,
@@ -22,14 +23,19 @@ from posthoc import (
     check_posthoc_validity,
     fdr_average,
     fwer_merge,
+    fmt_number,
     invalid_eprocess_fixture,
     markov_equality_check,
     martingale_fixture,
     mrmw_sandwich,
     simulate_paths,
+    stopped_law,
+    stopped_mean,
+    sup_stopped_mean,
     supermartingale_fixture,
     ville_equality_check,
 )
+import posthoc.sequential as sequential
 from posthoc.sequential import _BLOCK_ROWS, _posthoc_sup, _stopped_values
 
 
@@ -155,8 +161,8 @@ class TestStreamedPaths:
         # streamed checks keep n stopped values and one block (about 12 MB)
         tracemalloc.start()
         try:
-            ville_equality_check(martingale_fixture(),
-                                 StoppingRule.hitting_time(2.0), 100_000, 1)
+            _stopped_values(martingale_fixture(),
+                            StoppingRule.hitting_time(2.0), 100_000, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,11 +263,154 @@ class TestAnytimeValidity:
         out = anytime_validity_check(invalid_eprocess_fixture(), rules,
                                      n=5_000, seed=3)
         assert not out["valid"]
-        assert out["sup_mean"] > 1.5  # E[M_5] = 1.1^5, stopped mean near 1.8
+        assert out["sup_mean"] > 1.5  # E[M_5] = 1.1^5 ~ 1.61
 
     def test_requires_rules(self):
         with pytest.raises(ValueError):
             anytime_validity_check(martingale_fixture(), [], n=10, seed=0)
+
+
+def brute_force_stopped_mean(model, rule):
+    """E[M_tau] summed over all k^T factor sequences, each weighted by its
+    probability and stopped where ``rule.decide`` first fires on its
+    prefix: the oracle for the lattice."""
+    z = model.multiplier
+    total = F(0)
+    for seq in itertools.product(range(len(z.outcomes)),
+                                 repeat=model.horizon):
+        prob = math.prod((z.probs[i] for i in seq), start=F(1))
+        prefix = [F(model.initial)]
+        for i in seq:
+            if rule.decide(prefix):
+                break
+            prefix.append(prefix[-1] * z.outcomes[i])
+        total += prob * prefix[-1]
+    return total
+
+
+@st.composite
+def lattice_models(draw):
+    k = draw(st.integers(1, 3))
+    factors = draw(st.lists(
+        st.fractions(min_value=0, max_value=3, max_denominator=4),
+        min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)
+                   .filter(any))
+    masses = tuple(F(w, sum(weights)) for w in weights)
+    initial = draw(st.fractions(min_value=0, max_value=2, max_denominator=4))
+    horizon = draw(st.integers(1, 8))
+    return ProcessModel(initial, DiscreteSpace(tuple(factors), masses),
+                        EPROCESS, horizon)
+
+
+markov_rules = st.one_of(
+    st.integers(0, 9).map(StoppingRule.fixed_time),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.25, 3.0]),
+              st.floats(0, 4)).map(StoppingRule.hitting_time),
+)
+
+
+def without_markov(rule):
+    return StoppingRule(rule.name, rule.decide, rule.vectorized)
+
+
+class TestExactLattice:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_models(), markov_rules)
+    def test_matches_brute_force_enumeration(self, model, rule):
+        law = stopped_law(model, rule)
+        assert stopped_mean(model, rule) == brute_force_stopped_mean(
+            model, rule)
+        assert sum(law.values()) == 1
+        assert all(type(v) is F and type(m) is F for v, m in law.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_models(), st.lists(markov_rules, min_size=1, max_size=4))
+    def test_sup_over_all_stopping_times(self, model, rules):
+        sup = sup_stopped_mean(model)
+        assert all(stopped_mean(model, r) <= sup for r in rules)
+        if model.step_mean() <= 1:
+            assert sup == model.initial
+        else:
+            assert sup == stopped_mean(model,
+                                       StoppingRule.fixed_time(model.horizon))
+        out = anytime_validity_check(model, rules, n=1, seed=0)
+        assert out["sup_all_stopping_times"] == {"null": fmt_number(sup)}
+        assert out["valid"] is (sup <= model.initial)
+
+    def test_fixture_values(self):
+        hit, fixed = StoppingRule.hitting_time(2.0), StoppingRule.fixed_time
+        for rule in (hit, fixed(0), fixed(50)):
+            assert stopped_mean(martingale_fixture(), rule) == 1
+        assert stopped_mean(invalid_eprocess_fixture(), fixed(50)) == (
+            F(11, 10) ** 50)
+        # at most T + 1 values of M_T for a two-point factor
+        assert len(stopped_law(martingale_fixture(), fixed(50))) == 51
+
+    def test_exact_check_runs_no_simulation(self, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("simulated paths on an exact rule")
+
+        monkeypatch.setattr(sequential, "_path_blocks", no_paths)
+        rep = ville_equality_check(martingale_fixture(),
+                                   StoppingRule.hitting_time(2.0),
+                                   400_000, 2026)
+        assert rep.method == "exact" and rep.n is None
+        assert rep.mean == 1.0 and rep.se == 0.0 and rep.valid
+        assert rep.mean_exact == "1"
+
+    def test_invalid_eprocess_is_refuted_exactly(self):
+        out = anytime_validity_check(invalid_eprocess_fixture(),
+                                     [StoppingRule.fixed_time(50)],
+                                     n=400_000, seed=2028)
+        sup = fmt_number(F(11, 10) ** 50)
+        assert out["sup_all_stopping_times"] == {"null": sup}
+        assert out["valid"] is False
+        row, = out["rows"]
+        assert row["method"] == "exact" and row["mean_exact"] == sup
+        assert row["se"] == 0.0 and row["n"] is None
+
+    def test_battery_that_passes_falsely_is_overruled(self):
+        # E[Z] = 1 + 10^-6 exceeds 1 by too little for any 3-SE test, and
+        # tau = 0 sees only M_0; the supremum over all stopping times
+        # refutes the process exactly
+        eps = F(1, 10 ** 6)
+        z = DiscreteSpace((F(1, 2), F(3, 2) + 2 * eps), (F(1, 2), F(1, 2)))
+        model = ProcessModel(1, z, EPROCESS, 50)
+        out = anytime_validity_check(model, [StoppingRule.fixed_time(0)],
+                                     n=10, seed=0)
+        assert out["rows"][0]["valid"]
+        assert not out["valid"]
+        assert out["sup_all_stopping_times"]["null"] == fmt_number(
+            (1 + eps) ** 50)
+
+    def test_float_inputs_get_a_float_slack(self):
+        # E[Z] of the floats 0.9 and 1.1 is 1 only up to rounding
+        z = DiscreteSpace((0.9, 1.1), (0.5, 0.5))
+        model = ProcessModel(1.0, z, MARTINGALE, 50)
+        rule = StoppingRule.fixed_time(50)
+        assert stopped_mean(model, rule) != 1
+        assert ville_equality_check(model, rule, 1, 0).valid
+        assert anytime_validity_check(model, [rule], 1, 0)["valid"]
+
+    def test_decide_only_rule_has_no_markov_form(self):
+        rule = without_markov(StoppingRule.hitting_time(2.0))
+        with pytest.raises(ValueError, match="no Markov form"):
+            stopped_law(martingale_fixture(), rule)
+
+    @pytest.mark.parametrize("model, rule, seed", [
+        (martingale_fixture(), StoppingRule.hitting_time(2.0), 12),
+        (supermartingale_fixture(), StoppingRule.hitting_time(2.0), 12),
+        (martingale_fixture(horizon=10), StoppingRule.fixed_time(10), 9),
+        (invalid_eprocess_fixture(), StoppingRule.fixed_time(5), 3),
+    ], ids=["martingale-hit", "supermartingale-hit", "martingale-fixed",
+            "invalid-fixed"])
+    def test_monte_carlo_agrees_with_the_lattice(self, model, rule, seed):
+        rep = ville_equality_check(model, without_markov(rule), 20_000, seed)
+        assert rep.method == "monte_carlo" and rep.n == 20_000
+        assert rep.mean_exact is None and rep.se > 0
+        exact = stopped_mean(model, rule)
+        assert abs(rep.mean - float(exact)) <= 3 * rep.se
 
 
 class TestMultipleTesting:
