@@ -30,7 +30,8 @@ def recip(x: Number) -> Number:
     if type(x) is Fraction:
         # swap numerator and denominator: an int pair takes Fraction's
         # fast constructor path, where Fraction(1) / x takes the slow one
-        return Fraction(x.denominator, x.numerator) if x else INF
+        n, d = x.as_integer_ratio()
+        return Fraction(d, n) if n else INF
     if is_inf(x):
         return 0
     if x == 0:
@@ -38,6 +39,18 @@ def recip(x: Number) -> Number:
     if isinstance(x, (int, Fraction)):
         return Fraction(1, x)
     return 1.0 / x
+
+
+def at_most(x: Number, bound: Number) -> bool:
+    """x <= bound, with the result of Python's comparison.  A ``Fraction``
+    against a finite float is compared as int pairs, without the ABC checks
+    of ``Fraction``'s operators and the ``Fraction`` they build from the
+    float."""
+    if type(x) is Fraction and type(bound) is float and math.isfinite(bound):
+        n, d = x.as_integer_ratio()
+        bn, bd = bound.as_integer_ratio()
+        return n * bd <= bn * d
+    return x <= bound
 
 
 def mul0(a: Number, b: Number) -> Number:
@@ -91,6 +104,78 @@ def pow_ext(base: Number, expo: Number) -> Number:
     except OverflowError:
         # a positive float result past the float range is the top element
         return INF
+
+
+EXACT_TYPES = frozenset((int, Fraction))
+
+
+def common_denominator(values) -> tuple | None:
+    """(D, [x * D for x in values]) with D the least common denominator, so
+    every x * D is an int; None when some value is not an int or a
+    ``Fraction`` (a float, inf, a bool or a subclass).
+
+    Exact kernels compare and add these ints instead of ``Fraction``s, whose
+    operators pay for ABC checks and normalisation on every call.
+    """
+    pairs = []
+    for x in values:
+        if type(x) not in EXACT_TYPES:
+            return None
+        pairs.append(x.as_integer_ratio())
+    d = math.lcm(*[k for _, k in pairs])
+    return d, [n * (d // k) for n, k in pairs]
+
+
+def power_mean(values, weights, h: Number) -> Number:
+    """Weighted power mean (sum_i w_i v_i^h)^(1/h) of values in [0, inf].
+
+    Terms of weight 0 are left out.  h = -inf and +inf give the min and max
+    of the rest, and h = 0 the weighted geometric mean exp(sum_i w_i log v_i),
+    which is 0 when some v_i = 0 and inf when some v_i = inf.  When both 0
+    and inf carry positive weight at h = 0 the mean is undefined, and this
+    raises ``ValueError``: any value would make some validity check pass or
+    fail falsely.  For h != 0 a moment of inf or 0 gives inf or 0 on the
+    side the sign of h implies, and the root is exact for an int or
+    ``Fraction`` h applied to an exact moment with an integer 1/h.  With an
+    int h and exact values and weights the moment is summed on int pairs,
+    one ``Fraction`` in all rather than one per term.
+    """
+    pairs = [(v, w) for v, w in zip(values, weights) if w != 0]
+    if is_inf(h):
+        return (max if h > 0 else min)(v for v, _ in pairs)
+    if h == 0:
+        has_zero = any(v == 0 for v, _ in pairs)
+        has_inf = any(is_inf(v) for v, _ in pairs)
+        if has_zero and has_inf:
+            raise ValueError("geometric mean undefined: support includes 0 and inf")
+        if has_inf:
+            return INF
+        if has_zero:
+            return 0
+        return math.exp(sum(float(w) * math.log(float(v)) for v, w in pairs))
+    if type(h) is int and all(type(v) in EXACT_TYPES and type(w) in EXACT_TYPES
+                              for v, w in pairs):
+        # the exact moment on int pairs, with one Fraction for the sum
+        num, den = 0, 1
+        for v, w in pairs:
+            (vn, vd), (wn, wd) = v.as_integer_ratio(), w.as_integer_ratio()
+            if h < 0:
+                if vn == 0:
+                    return 0  # v^h = inf makes the moment inf
+                vn, vd = vd, vn
+            tn, td = wn * vn ** abs(h), wd * vd ** abs(h)
+            g = math.gcd(den, td)
+            num, den = num * (td // g) + tn * (den // g), den // g * td
+        moment = Fraction(num, den) if num else 0
+    else:
+        moment = 0
+        for v, w in pairs:
+            moment = moment + mul0(w, pow_ext(v, h))
+            if is_inf(moment):
+                return INF if h > 0 else 0
+    if moment == 0:
+        return 0 if h > 0 else INF
+    return pow_ext(moment, recip(h) if isinstance(h, (int, Fraction)) else 1.0 / h)
 
 
 def fmt_number(x: Number) -> str:

@@ -8,11 +8,10 @@ family; :func:`minimal_h_counterexample` exhibits the failure below it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numbers import INF, TOL, Number, is_inf, mul0, pow_ext, recip
+from ._numbers import TOL, Number, pow_ext, power_mean, recip
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -25,32 +24,7 @@ from .core import (
 
 
 def _rho_h_member(e: EvidenceVariable, h: Number, member: DiscreteSpace) -> Number:
-    vals = [(e[x], p) for x, p in zip(member.outcomes, member.probs) if p > 0]
-    if is_inf(h) and h > 0:
-        return max(v for v, _ in vals)
-    if is_inf(h) and h < 0:
-        return min(v for v, _ in vals)
-    if h == 0:
-        has_zero = any(v == 0 for v, _ in vals)
-        has_inf = any(is_inf(v) for v, _ in vals)
-        if has_zero and has_inf:
-            raise ValueError("geometric mean undefined: support includes 0 and inf")
-        if has_inf:
-            return INF
-        if has_zero:
-            return 0
-        log_mean = sum(float(p) * math.log(float(v)) for v, p in vals)
-        return math.exp(log_mean)
-    moment = 0
-    for v, p in vals:
-        moment = moment + mul0(p, pow_ext(v, h))
-        if is_inf(moment):
-            break
-    if is_inf(moment):
-        return INF if h > 0 else 0
-    if moment == 0:
-        return 0 if h > 0 else INF
-    return pow_ext(moment, recip(h) if isinstance(h, (int, Fraction)) else 1.0 / h)
+    return power_mean([e[x] for x in member.outcomes], member.probs, h)
 
 
 def h_mean(ev: EvidenceVariable, h: Number, H: Hypothesis) -> Number:

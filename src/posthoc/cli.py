@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from statistics import NormalDist
 
@@ -81,7 +82,11 @@ class CliError(Exception):
 
 
 def _fmt(x, backend):
-    return fmt_number(float(x) if backend == "float" else x)
+    """A number as report and table cells show it: exact as given, or as a
+    float under ``--backend float`` (bools stay bools)."""
+    if backend == "float" and not isinstance(x, bool):
+        x = float(x)
+    return fmt_number(x)
 
 
 def _fixture_hash(obj) -> str:
@@ -97,20 +102,21 @@ def run_distortion(opts):
     law = P_LAWS[opts["fixture"]]()
     strat = STRATEGIES[opts["strategy"]]()
     rep = distortion_report(law, strat)
+    fmt = partial(_fmt, backend=opts["backend"])
     est, se = monte_carlo_distortion(law, strat, opts["n"], opts["seed"])
     within = abs(est - float(rep.expected_distortion)) <= 3 * se
     report = {
         "fixture": opts["fixture"],
         "strategy": opts["strategy"],
-        "per_level": rep.to_rows(),
-        "expected_distortion": _fmt(rep.expected_distortion, opts["backend"]),
-        "max_distortion": _fmt(rep.max_distortion, opts["backend"]),
+        "per_level": rep.to_rows(fmt),
+        "expected_distortion": fmt(rep.expected_distortion),
+        "max_distortion": fmt(rep.max_distortion),
         "mc_estimate": est,
         "mc_se": se,
         "mc_within_3se": within,
         "ok": within,
     }
-    return report, {"distortion": rep.to_csv()}
+    return report, {"distortion": rep.to_csv(fmt)}
 
 
 def run_optimal(opts):
@@ -245,8 +251,8 @@ def reproduce_examples(opts=None):
     def check(example, got, want):
         ok = got == want if opts["backend"] == "exact" else (
             abs(float(got) - float(want)) <= 1e-10)
-        rows.append({"example": example, "got": fmt_number(got),
-                     "want": fmt_number(want), "ok": ok})
+        rows.append({"example": example, "got": _fmt(got, opts["backend"]),
+                     "want": _fmt(want, opts["backend"]), "ok": ok})
         if not ok:
             failures.append(example)
 

@@ -13,9 +13,22 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ._numbers import INF, TOL, Number, fmt_number, is_inf, mul0, parse_number, recip
+from ._numbers import (
+    EXACT_TYPES,
+    INF,
+    TOL,
+    Number,
+    at_most,
+    common_denominator,
+    fmt_number,
+    is_inf,
+    mul0,
+    parse_number,
+    recip,
+)
 
 E_SCALE = "e"
 P_SCALE = "p"
@@ -211,53 +224,58 @@ class PValueLaw:
 
     Atoms are (location, mass) with location > 0 (inf allowed for the mass a
     test never converts into a rejection).  Pieces are (a, b, mass) carrying
-    uniform density on the half-open interval (a, b].
+    uniform density on the half-open interval (a, b].  Both are stored
+    sorted by location.
+
+    When every location, endpoint and mass is an int or a ``Fraction``, the
+    constructor puts them over their least common denominator D and runs
+    every check and the sort on the ints x * D.  When every mass is a
+    ``Fraction`` it keeps those ints (sorted like ``atoms`` and ``pieces``)
+    as the private, non-field attribute ``_lattice``, on which :meth:`cdf`,
+    :meth:`expect_recip` and :func:`check_classical_validity` sweep with
+    int ratios and build one ``Fraction`` for the value they return.  A
+    float, an inf atom or an int mass (which makes a sum an int, not a
+    ``Fraction``) takes the ``Fraction``/float code instead; both paths give
+    equal values of equal type.
     """
 
     atoms: tuple
     pieces: tuple
 
     def __init__(self, atoms: Iterable = (), pieces: Iterable = ()):
-        atoms = tuple((loc, m) for loc, m in atoms)
-        pieces = tuple((a, b, m) for a, b, m in pieces)
-        locs = [loc for loc, _ in atoms]
-        if len(set(locs)) != len(locs):
-            raise ValueError("atom locations must be distinct")
-        for loc, m in atoms:
-            if not is_inf(loc) and loc <= 0:
-                raise ValueError("atom locations must be positive")
-            if m < 0:
-                raise ValueError("atom masses must be nonnegative")
-        spans = []
-        for a, b, m in pieces:
-            if not (0 <= a < b):
-                raise ValueError(f"bad piece interval ({a}, {b}]")
-            if is_inf(b):
-                raise ValueError("pieces must be bounded")
-            if m < 0:
-                raise ValueError("piece masses must be nonnegative")
-            spans.append((a, b))
-        spans.sort()
-        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-            if a2 < b1:
-                raise ValueError("piece intervals must be disjoint")
-        total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
-        exact = all(
-            isinstance(m, (int, Fraction)) for m in
-            [m for _, m in atoms] + [m for _, _, m in pieces]
-        )
-        if exact:
-            if total != 1:
-                raise ValueError(f"masses must sum to 1, got {total}")
-        elif abs(total - 1) > TOL:
-            raise ValueError(f"masses must sum to 1, got {total}")
-        object.__setattr__(self, "atoms", tuple(sorted(atoms)))
-        object.__setattr__(self, "pieces", tuple(sorted(pieces)))
+        atoms = tuple([(loc, m) for loc, m in atoms])
+        pieces = tuple([(a, b, m) for a, b, m in pieces])
+        common = common_denominator(chain(*atoms, *pieces))
+        if common is None:
+            atoms, pieces = _checked_sorted(atoms, pieces)
+            lattice = None
+        else:
+            atoms, pieces, lattice = _checked_sorted_lattice(atoms, pieces, *common)
+            # an int mass can make a sum an int, so only Fraction masses
+            # keep the lattice
+            if not {type(m) for _, m in atoms} | {type(p[2]) for p in pieces} <= {Fraction}:
+                lattice = None
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_lattice", lattice)  # not a field
 
     # -- exact integration ------------------------------------------------
 
     def cdf(self, alpha: Number) -> Number:
         """P(p <= alpha)."""
+        if self._lattice is not None and type(alpha) in EXACT_TYPES:
+            d, atoms, pieces = self._lattice
+            # compare each x * d (an int) with alpha * d = top / scale
+            top, scale = alpha.numerator * d, alpha.denominator
+            total, seen = 0, False
+            for loc, m in atoms:
+                if loc * scale > top:
+                    break  # atoms are sorted by location
+                total += m
+                seen = True
+            num, q, added = _lattice_piece_cdf(pieces, total, top, scale)
+            # a sum of Fraction masses is a Fraction; of none, the int 0
+            return Fraction(num, q * d) if seen or added else 0
         total = 0
         for loc, m in self.atoms:
             if loc > alpha:
@@ -290,6 +308,25 @@ class PValueLaw:
 
     def expect_recip(self) -> Number:
         """E[1/p]; +inf when a piece touches 0 with positive mass."""
+        if self._lattice is not None:
+            d, atoms, pieces = self._lattice
+            # sum of m / loc = (m * d) / (loc * d) over the lcm of the locs
+            num, den, seen = 0, 1, False
+            for loc, m in atoms:
+                if m:
+                    g = math.gcd(den, loc)
+                    num = num * (loc // g) + m * (den // g)
+                    den = den // g * loc
+                    seen = True
+            total = Fraction(num, den) if seen else 0
+            for a, b, m in pieces:
+                if m == 0:
+                    continue
+                if a == 0:
+                    return INF
+                # the float terms below, from correctly rounded int ratios
+                total += (m / d) * (math.log(b / d) - math.log(a / d)) / ((b - a) / d)
+            return total
         total = 0
         for loc, m in self.atoms:
             if m == 0:  # masses are nonnegative
@@ -377,6 +414,95 @@ class PValueLaw:
         return cls(atoms, pieces)
 
 
+def _checked_sorted(atoms: tuple, pieces: tuple) -> tuple:
+    """Check a law's atoms and pieces and return them sorted; the
+    ``Fraction``/float formulation, for laws with a float or inf."""
+    locs = [loc for loc, _ in atoms]
+    if len(set(locs)) != len(locs):
+        raise ValueError("atom locations must be distinct")
+    for loc, m in atoms:
+        if not is_inf(loc) and loc <= 0:
+            raise ValueError("atom locations must be positive")
+        if m < 0:
+            raise ValueError("atom masses must be nonnegative")
+    spans = []
+    for a, b, m in pieces:
+        if not (0 <= a < b):
+            raise ValueError(f"bad piece interval ({a}, {b}]")
+        if is_inf(b):
+            raise ValueError("pieces must be bounded")
+        if m < 0:
+            raise ValueError("piece masses must be nonnegative")
+        spans.append((a, b))
+    spans.sort()
+    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+        if a2 < b1:
+            raise ValueError("piece intervals must be disjoint")
+    total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
+    exact = all(
+        isinstance(m, (int, Fraction)) for m in
+        [m for _, m in atoms] + [m for _, _, m in pieces]
+    )
+    if exact:
+        if total != 1:
+            raise ValueError(f"masses must sum to 1, got {total}")
+    elif abs(total - 1) > TOL:
+        raise ValueError(f"masses must sum to 1, got {total}")
+    return tuple(sorted(atoms)), tuple(sorted(pieces))
+
+
+def _checked_sorted_lattice(atoms: tuple, pieces: tuple, d: int,
+                            keys: list) -> tuple:
+    """The checks and sort of :func:`_checked_sorted` on the ints x * d,
+    in the same order and with the same messages; also returns the sorted
+    ints as the law's lattice (d, [(loc, m)], [(a, b, m)])."""
+    k = 2 * len(atoms)
+    locs, masses = keys[0:k:2], keys[1:k:2]
+    if len(set(locs)) != len(locs):
+        raise ValueError("atom locations must be distinct")
+    for loc, m in zip(locs, masses):
+        if loc <= 0:
+            raise ValueError("atom locations must be positive")
+        if m < 0:
+            raise ValueError("atom masses must be nonnegative")
+    spans = list(zip(keys[k::3], keys[k + 1::3], keys[k + 2::3], range(len(pieces))))
+    for (a, b, _), (ka, kb, km, _) in zip(pieces, spans):
+        if not (0 <= ka < kb):
+            raise ValueError(f"bad piece interval ({a}, {b}]")
+        if km < 0:
+            raise ValueError("piece masses must be nonnegative")
+    spans.sort()
+    for s1, s2 in zip(spans, spans[1:]):
+        if s2[0] < s1[1]:
+            raise ValueError("piece intervals must be disjoint")
+    if sum(masses) + sum(keys[k + 2::3]) != d:
+        total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
+        raise ValueError(f"masses must sum to 1, got {total}")
+    # locations are distinct and disjoint pieces start apart, so the sorts
+    # never compare past the first int
+    by_loc = sorted(zip(locs, masses, atoms))
+    return (tuple([t[2] for t in by_loc]), tuple([pieces[s[3]] for s in spans]),
+            (d, [t[:2] for t in by_loc], [s[:3] for s in spans]))
+
+
+def _lattice_piece_cdf(pieces: list, total: int, top: int, scale: int) -> tuple:
+    """(num, q, added): total plus the mass of a lattice's pieces at or
+    below alpha = top / (scale * d), as the ratio num / q in units of 1/d,
+    and whether some piece added mass."""
+    num, q, added = total, 1, False
+    for a, b, m in pieces:
+        if top >= b * scale:
+            num += m * q
+            added = True
+        elif top > a * scale:
+            # m (alpha - a) / (b - a) in units of 1/d
+            w = scale * (b - a)
+            num = num * w + m * (top - a * scale) * q
+            q *= w
+            added = True
+    return num, q, added
+
+
 def sample_finite(rng, values, masses, out: np.ndarray) -> np.ndarray:
     """Fill the float64 array ``out`` with draws from the finite law
     P(values[j]) = masses[j] / sum(masses), and return it.
@@ -454,30 +580,71 @@ def check_classical_validity(p_law: PValueLaw, tol: float = TOL) -> ValidityRepo
     search runs over a < 1 plus the left-limit at 1.  One sweep visits the
     candidates in increasing order with a running sum of the atom masses at
     or below them, which :meth:`PValueLaw.cdf` would add up the same way.
+    On a law with a lattice (see :class:`PValueLaw`) the sweep runs on its
+    ints, compares ratios by cross-multiplication, and builds ``Fraction``s
+    only for the statistic and the witness.
     """
-    best, witness = 0, None
-    atoms, i, below = p_law.atoms, 0, 0
-    for a in p_law.support_breakpoints():
-        if a >= 1:
-            break
-        while i < len(atoms) and atoms[i][0] <= a:
-            below += atoms[i][1]
-            i += 1
-        ratio = p_law._add_piece_cdf(below, a) / a
-        if ratio > best:
-            best, witness = ratio, a
-    # left-limit at 1: the cdf just below 1 excludes an atom sitting at 1
-    atom_at_one = sum(m for loc, m in p_law.atoms if loc == 1)
-    limit_ratio = p_law.cdf(1) - atom_at_one
-    if limit_ratio > best:
-        best, witness = limit_ratio, 1
+    if p_law._lattice is not None:
+        best, witness = _lattice_classical_sup(*p_law._lattice)
+    else:
+        best, witness = 0, None
+        atoms, i, below = p_law.atoms, 0, 0
+        for a in p_law.support_breakpoints():
+            if a >= 1:
+                break
+            while i < len(atoms) and atoms[i][0] <= a:
+                below += atoms[i][1]
+                i += 1
+            ratio = p_law._add_piece_cdf(below, a) / a
+            if ratio > best:
+                best, witness = ratio, a
+        # left-limit at 1: the cdf just below 1 excludes an atom sitting at 1
+        atom_at_one = sum(m for loc, m in p_law.atoms if loc == 1)
+        limit_ratio = p_law.cdf(1) - atom_at_one
+        if limit_ratio > best:
+            best, witness = limit_ratio, 1
     return ValidityReport(
-        valid=best <= 1 + tol,
+        valid=at_most(best, 1 + tol),
         statistic=best,
         witness=witness,
         kind="classical",
         detail="sup over alpha of P(p <= alpha)/alpha",
     )
+
+
+def _lattice_classical_sup(d: int, atoms: list, pieces: list) -> tuple:
+    """(statistic, witness) of the classical sweep on a law's lattice.
+
+    With every mass a ``Fraction``, each ratio P(p <= a)/a at a breakpoint
+    a < 1 is a ``Fraction``, and so is the left limit at 1 when it beats a
+    positive best: the statistic stays the int 0 only when nothing beats 0.
+    """
+    cands = {loc for loc, m in atoms if m > 0}
+    for a, b, m in pieces:
+        if m > 0:
+            cands.add(b)
+            if a > 0:
+                cands.add(a)
+    best_num, best_den, witness = 0, 1, None
+    i, below = 0, 0
+    for c in sorted(cands):
+        if c >= d:
+            break
+        while i < len(atoms) and atoms[i][0] <= c:
+            below += atoms[i][1]
+            i += 1
+        # P(p <= a) / a = (num / q / d) / (c / d) = num / (q c)
+        num, q, _ = _lattice_piece_cdf(pieces, below, c, 1)
+        if num * best_den > best_num * q * c:
+            best_num, best_den, witness = num, q * c, c
+    # left-limit at 1: the atoms below 1 and the pieces' mass up to 1
+    below = sum(m for loc, m in atoms if loc < d)
+    num, q, _ = _lattice_piece_cdf(pieces, below, d, 1)
+    if num * best_den > best_num * q * d:
+        return Fraction(num, q * d), 1
+    if witness is None:
+        return 0, None
+    return Fraction(best_num, best_den), Fraction(witness, d)
 
 
 def check_posthoc_validity(obj, H: Hypothesis | None = None,
@@ -486,7 +653,7 @@ def check_posthoc_validity(obj, H: Hypothesis | None = None,
     if isinstance(obj, PValueLaw):
         stat = obj.expect_recip()
         return ValidityReport(
-            valid=(not is_inf(stat)) and stat <= 1 + tol,
+            valid=(not is_inf(stat)) and at_most(stat, 1 + tol),
             statistic=stat,
             witness=None,
             kind="posthoc",
@@ -499,7 +666,7 @@ def check_posthoc_validity(obj, H: Hypothesis | None = None,
     e = obj.as_scale(E_SCALE)
     stat, worst = H.sup_expectation(lambda x: e[x])
     return ValidityReport(
-        valid=(not is_inf(stat)) and stat <= 1 + tol,
+        valid=(not is_inf(stat)) and at_most(stat, 1 + tol),
         statistic=stat,
         witness=worst,
         kind="posthoc",

@@ -91,13 +91,14 @@ class DistortionReport:
     expected_distortion: Number
     max_distortion: Number
 
-    def to_rows(self) -> list:
+    def to_rows(self, fmt=fmt_number) -> list:
+        """One dict per level, each number written by ``fmt``."""
         return [
             {
-                "level": fmt_number(lvl),
-                "mass": fmt_number(mass),
-                "size": fmt_number(size),
-                "distortion": fmt_number(dist),
+                "level": fmt(lvl),
+                "mass": fmt(mass),
+                "size": fmt(size),
+                "distortion": fmt(dist),
             }
             for lvl, mass, size, dist in self.per_level
         ]
@@ -112,13 +113,12 @@ class DistortionReport:
             indent=2,
         )
 
-    def to_csv(self) -> str:
+    def to_csv(self, fmt=fmt_number) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["level", "mass", "size", "distortion"])
-        for lvl, mass, size, dist in self.per_level:
-            writer.writerow([fmt_number(lvl), fmt_number(mass),
-                             fmt_number(size), fmt_number(dist)])
+        writer = csv.DictWriter(buf, fieldnames=["level", "mass", "size", "distortion"],
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self.to_rows(fmt))
         return buf.getvalue()
 
 

@@ -10,11 +10,9 @@ witnessed by the smallest diverging copy count.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import INF, TOL, Number, is_inf, mul0, pow_ext, recip
+from ._numbers import TOL, Number, mul0, power_mean, recip
 from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE
 from .pfunctions import (
     PFunction,
@@ -47,7 +45,9 @@ def _check_weights(weights: Sequence[Number], n: int) -> list:
     return weights
 
 
-def _common_outcomes(evs: Sequence[EvidenceVariable]) -> tuple:
+def _common_outcomes(evs: Sequence) -> tuple:
+    """The outcomes of the first input, which every input must share; the
+    inputs are evidence variables or p-functions."""
     if not evs:
         raise ValueError("at least one input required")
     outcomes = evs[0].outcomes
@@ -124,56 +124,24 @@ def merge_h_mean(evs: Sequence[EvidenceVariable], weights: Sequence[Number],
                  h: Number) -> EvidenceVariable:
     """Weighted power mean on the e^h scale: (sum_i w_i e_i^h)^(1/h).
 
-    h = 0 is the weighted geometric mean prod e_i^(w_i).  Preserves
-    h-validity under arbitrary dependence.
+    h = 0 is the weighted geometric mean prod e_i^(w_i); see
+    :func:`power_mean` for the conventions at 0 and inf (it raises when 0
+    and inf both carry weight at h = 0).  Preserves h-validity under
+    arbitrary dependence.
     """
     outcomes = _common_outcomes(evs)
     weights = _check_weights(weights, len(evs))
     es = [ev.as_scale(E_SCALE) for ev in evs]
-    merged = {}
-    for x in outcomes:
-        if h == 0:
-            log_sum, hit_zero, hit_inf = 0.0, False, False
-            for e, w in zip(es, weights):
-                if w == 0:
-                    continue
-                if e[x] == 0:
-                    hit_zero = True
-                elif is_inf(e[x]):
-                    hit_inf = True
-                else:
-                    log_sum += float(w) * math.log(float(e[x]))
-            if hit_zero:
-                merged[x] = 0
-            elif hit_inf:
-                merged[x] = INF
-            else:
-                merged[x] = math.exp(log_sum)
-        else:
-            moment = 0
-            for e, w in zip(es, weights):
-                moment += mul0(w, pow_ext(e[x], h))
-            if is_inf(moment):
-                merged[x] = INF if h > 0 else 0
-            elif moment == 0:
-                merged[x] = 0 if h > 0 else INF
-            else:
-                merged[x] = pow_ext(
-                    moment,
-                    recip(h) if isinstance(h, (int, Fraction)) else 1.0 / h)
-    return EvidenceVariable(merged, E_SCALE)
+    return EvidenceVariable(
+        {x: power_mean([e[x] for e in es], weights, h) for x in outcomes},
+        E_SCALE)
 
 
 def merge_pfunctions_harmonic(pfs: Sequence[PFunction],
                               weights: Sequence[Number]) -> PFunction:
     """Pointwise-in-u weighted harmonic mean of p-functions."""
     weights = _check_weights(weights, len(pfs))
-    if not pfs:
-        raise ValueError("at least one input required")
-    outcomes = pfs[0].outcomes
-    for pf in pfs[1:]:
-        if set(pf.outcomes) != set(outcomes):
-            raise ValueError("inputs must share a common outcome set")
+    outcomes = _common_outcomes(pfs)
     return PFunction({
         x: harmonic_combine([pf[x] for pf in pfs], weights)
         for x in outcomes
@@ -209,12 +177,7 @@ def merge_pfunctions_product(pfs: Sequence[PFunction]) -> PFunction:
     u in (0, 1] and every outcome; violated inputs are rejected with a
     witness u.
     """
-    if not pfs:
-        raise ValueError("at least one input required")
-    outcomes = pfs[0].outcomes
-    for pf in pfs[1:]:
-        if set(pf.outcomes) != set(outcomes):
-            raise ValueError("inputs must share a common outcome set")
+    outcomes = _common_outcomes(pfs)
     for x in outcomes:
         ok, witness, worst = product_shape_condition([pf[x] for pf in pfs])
         if not ok:

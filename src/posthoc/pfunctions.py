@@ -21,7 +21,17 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from ._numbers import INF, TOL, Number, is_inf, mul0, pow_ext, recip
+from ._numbers import (
+    EXACT_TYPES,
+    INF,
+    TOL,
+    Number,
+    common_denominator,
+    is_inf,
+    mul0,
+    pow_ext,
+    recip,
+)
 from .core import (
     E_SCALE,
     EvidenceVariable,
@@ -39,38 +49,50 @@ from .core import (
 @dataclass(frozen=True)
 class PCurve:
     """One outcome's p-function on (0, 1]: nondecreasing, and
-    left-continuous on each piece (u_lo, u_hi]."""
+    left-continuous on each piece (u_lo, u_hi].
+
+    When every piece is flat (g = 0) with int or ``Fraction`` breakpoints
+    and coefficients, the sort and the checks run on ints over one common
+    denominator (:func:`_sorted_flat_pcurve`); other curves take the
+    general code.  The ints are not kept.
+    """
 
     segments: tuple  # ((u_hi, terms), ...); terms = ((a, g), ...)
 
     def __init__(self, segments: Iterable):
         segs = []
         for u_hi, terms in segments:
-            terms = tuple((a, g) for a, g in terms)
+            terms = tuple([(a, g) for a, g in terms])
             for a, g in terms:
-                if a <= 0:
+                # an exact number has the sign of its numerator, and an int
+                # comparison skips Fraction's ABC checks
+                if (a.numerator if type(a) in EXACT_TYPES else a) <= 0:
                     raise ValueError("term coefficients must be positive")
-                if g < 0:
+                if (g.numerator if type(g) in EXACT_TYPES else g) < 0:
                     raise ValueError("term powers must be nonnegative")
             segs.append((u_hi, terms))
         if not segs:
             raise ValueError("p-curve needs at least one segment")
-        segs.sort(key=lambda s: s[0])
-        if segs[-1][0] != 1:
-            raise ValueError("segments must cover (0, 1]")
-        u_lo = 0
-        for u_hi, _ in segs:
-            if u_hi <= u_lo:
-                raise ValueError("segment breakpoints must strictly increase")
-            u_lo = u_hi
-        prev_end = None
-        u_lo = 0
-        for u_hi, terms in segs:
-            start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
-            if prev_end is not None and start < prev_end and not _close(start, prev_end):
-                raise ValueError("p-curve must be nondecreasing in u")
-            prev_end = _eval_terms(terms, u_hi)
-            u_lo = u_hi
+        flat = _sorted_flat_pcurve(segs)
+        if flat is not None:
+            segs = flat
+        else:
+            segs.sort(key=lambda s: s[0])
+            if segs[-1][0] != 1:
+                raise ValueError("segments must cover (0, 1]")
+            u_lo = 0
+            for u_hi, _ in segs:
+                if u_hi <= u_lo:
+                    raise ValueError("segment breakpoints must strictly increase")
+                u_lo = u_hi
+            prev_end = None
+            u_lo = 0
+            for u_hi, terms in segs:
+                start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
+                if prev_end is not None and start < prev_end and not _close(start, prev_end):
+                    raise ValueError("p-curve must be nondecreasing in u")
+                prev_end = _eval_terms(terms, u_hi)
+                u_lo = u_hi
         object.__setattr__(self, "segments", tuple(segs))
 
     # -- constructors ------------------------------------------------------
@@ -154,6 +176,78 @@ def _close(a: Number, b: Number) -> bool:
     return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(b)))
 
 
+def _sorted_flat_pcurve(segs: list) -> list | None:
+    """The segments sorted by u_hi and checked as :class:`PCurve` checks
+    them, on the ints x * D of one common denominator D; None unless every
+    piece is flat (every g an exact 0) with exact u_hi and coefficients.
+
+    A flat piece has p = 1 / s with s the sum of its coefficients (inf with
+    no terms), so p falls exactly where s rises.  The tolerance of
+    :func:`_close` is then applied to the values, as the general code does.
+    """
+    vals = []
+    for u_hi, terms in segs:
+        vals.append(u_hi)
+        for a, g in terms:
+            if type(g) not in EXACT_TYPES or g:
+                return None
+            vals.append(a)
+    common = common_denominator(vals)
+    if common is None:
+        return None
+    d, keys = common
+    rows, k = [], 0  # (u_hi * d, index, sum of the a * d or None for inf)
+    for i, (_, terms) in enumerate(segs):
+        n = len(terms)
+        rows.append((keys[k], i, sum(keys[k + 1:k + 1 + n]) if n else None))
+        k += 1 + n
+    rows.sort()  # indices are distinct: a stable sort by u_hi
+    if rows[-1][0] != d:
+        raise ValueError("segments must cover (0, 1]")
+    u_lo = 0
+    for u, _, _ in rows:
+        if u <= u_lo:
+            raise ValueError("segment breakpoints must strictly increase")
+        u_lo = u
+    for (_, i0, s0), (_, i1, s1) in zip(rows, rows[1:]):
+        if s1 is not None and (s0 is None or s1 > s0):
+            start, prev_end = _eval_terms(segs[i1][1], 1), _eval_terms(segs[i0][1], 1)
+            if not _close(start, prev_end):
+                raise ValueError("p-curve must be nondecreasing in u")
+    return [segs[i] for _, i, _ in rows]
+
+
+def _sorted_flat_tcurve(segs: list) -> list | None:
+    """The segments sorted by alpha_lo and checked as :class:`TCurve`
+    checks them, on the ints x * D of one common denominator D; None
+    unless every piece is flat (every m an exact 0) with exact alpha_lo and
+    levels.  A flat piece's value is its level c at both ends."""
+    vals = []
+    for alo, c, m in segs:
+        if type(m) not in EXACT_TYPES or m:
+            return None
+        vals += (alo, c)
+    common = common_denominator(vals)
+    if common is None:
+        return None
+    d, keys = common
+    order = sorted(range(len(segs)), key=keys[::2].__getitem__)
+    prev, prev_end = 0, 0  # the last level, as an int and as given
+    for i in order:
+        c = segs[i][1]
+        ka, kc = keys[2 * i], keys[2 * i + 1]
+        if ka < 0:
+            raise ValueError("alpha breakpoints must be nonnegative")
+        if kc < 0:
+            raise ValueError("segment value must be nondecreasing in alpha")
+        if kc < prev and not _close(c, prev_end):
+            raise ValueError("test function must be nondecreasing in alpha")
+        if kc > d and not _close(c, 1):
+            raise ValueError("test function values must stay within [0, 1]")
+        prev, prev_end = kc, c
+    return [segs[i] for i in order]
+
+
 def _eval_terms(terms, u: Number) -> Number:
     """p(u) = 1 / sum a * u^(-g); the sum starts at its first term, as
     0 + Fraction takes Fraction's slow reflected addition."""
@@ -200,30 +294,37 @@ class TCurve:
 
     Segments are (alpha_lo, coef, power): value coef * alpha^power on
     [alpha_lo, next alpha_lo), with value 0 before the first breakpoint and
-    the final segment extending to infinity.
+    the final segment extending to infinity.  A curve whose pieces are all
+    flat (m = 0) with exact breakpoints and levels is sorted and checked on
+    ints over one common denominator (:func:`_sorted_flat_tcurve`).
     """
 
     segments: tuple
 
     def __init__(self, segments: Iterable):
-        segs = sorted(((alo, c, m) for alo, c, m in segments), key=lambda s: s[0])
-        prev_end = 0
-        for i, (alo, c, m) in enumerate(segs):
-            if alo < 0:
-                raise ValueError("alpha breakpoints must be nonnegative")
-            if c < 0 or m < 0:
-                raise ValueError("segment value must be nondecreasing in alpha")
-            a_hi = segs[i + 1][0] if i + 1 < len(segs) else INF
-            if m == 0:  # flat piece: no powers to take
-                start = end = c
-            else:
-                start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
-                end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
-            if start < prev_end and not _close(start, prev_end):
-                raise ValueError("test function must be nondecreasing in alpha")
-            if end > 1 and not _close(end, 1):
-                raise ValueError("test function values must stay within [0, 1]")
-            prev_end = end
+        segs = [(alo, c, m) for alo, c, m in segments]
+        flat = _sorted_flat_tcurve(segs)
+        if flat is not None:
+            segs = flat
+        else:
+            segs.sort(key=lambda s: s[0])
+            prev_end = 0
+            for i, (alo, c, m) in enumerate(segs):
+                if alo < 0:
+                    raise ValueError("alpha breakpoints must be nonnegative")
+                if c < 0 or m < 0:
+                    raise ValueError("segment value must be nondecreasing in alpha")
+                a_hi = segs[i + 1][0] if i + 1 < len(segs) else INF
+                if m == 0:  # flat piece: no powers to take
+                    start = end = c
+                else:
+                    start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
+                    end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
+                if start < prev_end and not _close(start, prev_end):
+                    raise ValueError("test function must be nondecreasing in alpha")
+                if end > 1 and not _close(end, 1):
+                    raise ValueError("test function values must stay within [0, 1]")
+                prev_end = end
         object.__setattr__(self, "segments", tuple(segs))
 
     @classmethod
@@ -315,7 +416,43 @@ def _single_term(terms):
     return terms[0]
 
 
+def _flat_jumps(pc: PCurve) -> list | None:
+    """The segments of the test function of a flat exact p-curve (one term
+    (a, 0) with exact a on each piece up to the first p = inf piece), or
+    None for any other curve.
+
+    The test jumps to u_hi at alpha = 1/a.  As p is nondecreasing, a falls
+    from piece to piece, so the jumps come sorted, and of equal a's the
+    later piece wins.  The a's are compared as int pairs by
+    cross-multiplication; a curve whose a rises (within the tolerance of
+    :class:`PCurve`) is left to the general code too.
+    """
+    out, last = [], None
+    for u_hi, terms in pc.segments:
+        if not terms:
+            break  # p = inf: the test never climbs past the last u_hi
+        if len(terms) != 1:
+            return None
+        a, g = terms[0]
+        if type(a) not in EXACT_TYPES or type(g) not in EXACT_TYPES or g:
+            return None
+        n, d = a.as_integer_ratio()
+        if last is not None:
+            if n * last[1] > last[0] * d:
+                return None  # a rose, within the tolerance of PCurve
+            if n * last[1] == last[0] * d:
+                out.pop()  # an equal a: the later piece wins
+        out.append((recip(a), u_hi, 0))
+        last = n, d
+    return out
+
+
 def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
+    """tf(alpha) = sup{u : p(u) <= alpha} of one curve; a flat exact curve
+    takes :func:`_flat_jumps`, which gives equal segments of equal type."""
+    jumps = _flat_jumps(pc)
+    if jumps is not None:
+        return TCurve(jumps)
     out = []
     u_lo = 0
     for u_hi, terms in pc.segments:
@@ -340,6 +477,26 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
 
 
 def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
+    """p(u) = inf{alpha : tf(alpha) >= u} of one curve.
+
+    On a flat exact curve (every m an exact 0, exact levels) each level
+    min(c, 1) above the last one adds a piece p = alpha_lo; the levels are
+    compared as int pairs by cross-multiplication.  Any other curve takes
+    the general code below, which gives equal segments of equal type.
+    """
+    if all(type(m) in EXACT_TYPES and not m and type(c) in EXACT_TYPES
+           for _, c, m in tc.segments):
+        out, top = [], (0, 1)  # the last level as an int pair
+        for alo, c, _ in tc.segments:
+            n, d = c.as_integer_ratio()
+            if n > d:
+                c, n, d = 1, 1, 1  # the level is min(c, 1)
+            if n * top[1] > top[0] * d:
+                out.append((c, ((recip(alo), 0),)))
+                top = n, d
+        if top[0] < top[1]:
+            out.append((1, ()))  # never reached: p(u) = inf above the max level
+        return PCurve(out)
     out = []
     u_cur = 0
     for i, (alo, c, m) in enumerate(tc.segments):

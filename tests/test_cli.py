@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -101,6 +103,29 @@ class TestOutputs:
     def test_csv_format_streams_table(self, capsys):
         _, out = run(capsys, "distortion", "--n", "500", "--format", "csv")
         assert out.startswith("level,mass,size,distortion")
+
+    @pytest.mark.parametrize("command", ["distortion", "examples"])
+    def test_float_backend_reaches_csv_tables(self, capsys, command):
+        """--backend float writes floats in the CSV table as in the JSON
+        report; the default backend writes the exact fractions."""
+        _, exact = run(capsys, command, "--n", "500", "--format", "csv")
+        _, floats = run(capsys, command, "--n", "500", "--format", "csv",
+                        "--backend", "float")
+        _, report = run(capsys, command, "--n", "500", "--backend", "float")
+        assert "/" in exact  # e.g. the level 1/100
+        rows = list(csv.DictReader(io.StringIO(floats)))
+        columns = (["level", "mass", "size", "distortion"] if command == "distortion"
+                   else ["got", "want"])
+        cells = [row[c] for row in rows for c in columns
+                 if row.get("example") != "gaussian/classical_critical"]
+        assert cells and not any("/" in cell for cell in cells)
+        assert all(cell in ("True", "False") or isinstance(float(cell), float)
+                   for cell in cells)
+        report_rows = json.loads(report)["report"]
+        report_rows = report_rows["per_level"] if command == "distortion" \
+            else report_rows["rows"]
+        assert [{c: r[c] for c in columns} for r in report_rows] == \
+            [{c: r[c] for c in columns} for r in rows]
 
     def test_schema_version_present(self, capsys):
         _, out = run(capsys, "sequential", "--n", "500")

@@ -1,0 +1,504 @@
+"""The integer-lattice paths of PValueLaw and of the step-curve Galois
+transforms against the Fraction/float formulations they replace, kept here
+as oracles: equal values of equal type, or the same ValueError message."""
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from posthoc import (
+    INF,
+    PCurve,
+    PValueLaw,
+    TCurve,
+    check_classical_validity,
+    check_posthoc_validity,
+)
+from posthoc._numbers import TOL, common_denominator, is_inf, mul0, pow_ext, recip
+from posthoc.pfunctions import (
+    _close,
+    _eval_terms,
+    _pcurve_to_tcurve,
+    _single_term,
+    _tcurve_to_pcurve,
+)
+
+
+def same(a, b):
+    """Equal, and of the same type all the way down."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_outcome(got, want):
+    return got[0] == want[0] and (same(got[1], want[1]) if got[0] == "ok"
+                                  else got[1] == want[1])
+
+
+# ---------------------------------------------------------------------------
+# PValueLaw oracle: the constructor and sweeps before the lattice
+
+
+class ReferenceLaw:
+    def __init__(self, atoms=(), pieces=()):
+        atoms = tuple((loc, m) for loc, m in atoms)
+        pieces = tuple((a, b, m) for a, b, m in pieces)
+        locs = [loc for loc, _ in atoms]
+        if len(set(locs)) != len(locs):
+            raise ValueError("atom locations must be distinct")
+        for loc, m in atoms:
+            if not is_inf(loc) and loc <= 0:
+                raise ValueError("atom locations must be positive")
+            if m < 0:
+                raise ValueError("atom masses must be nonnegative")
+        spans = []
+        for a, b, m in pieces:
+            if not (0 <= a < b):
+                raise ValueError(f"bad piece interval ({a}, {b}]")
+            if is_inf(b):
+                raise ValueError("pieces must be bounded")
+            if m < 0:
+                raise ValueError("piece masses must be nonnegative")
+            spans.append((a, b))
+        spans.sort()
+        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+            if a2 < b1:
+                raise ValueError("piece intervals must be disjoint")
+        total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
+        exact = all(isinstance(m, (int, F)) for m in
+                    [m for _, m in atoms] + [m for _, _, m in pieces])
+        if exact:
+            if total != 1:
+                raise ValueError(f"masses must sum to 1, got {total}")
+        elif abs(total - 1) > TOL:
+            raise ValueError(f"masses must sum to 1, got {total}")
+        self.atoms = tuple(sorted(atoms))
+        self.pieces = tuple(sorted(pieces))
+
+    def cdf(self, alpha):
+        total = 0
+        for loc, m in self.atoms:
+            if loc > alpha:
+                break
+            total += m
+        for a, b, m in self.pieces:
+            if alpha >= b:
+                total += m
+            elif alpha > a:
+                total += m * (alpha - a) / (b - a)
+        return total
+
+    def mass_interval(self, lo, hi):
+        if hi <= lo:
+            return 0
+        total = 0
+        for loc, m in self.atoms:
+            if lo < loc <= hi:
+                total += m
+        for a, b, m in self.pieces:
+            left, right = max(a, lo), min(b, hi)
+            if right > left:
+                total += m * (right - left) / (b - a)
+        return total
+
+    def expect_recip(self):
+        total = 0
+        for loc, m in self.atoms:
+            if m == 0:
+                continue
+            if isinstance(loc, F) and not isinstance(m, float):
+                total += m / loc
+            else:
+                total += mul0(m, recip(loc))
+            if is_inf(total):
+                return INF
+        for a, b, m in self.pieces:
+            if m == 0:
+                continue
+            if a == 0:
+                return INF
+            total += m * (math.log(float(b)) - math.log(float(a))) / float(b - a)
+        return total
+
+    def breakpoints(self):
+        pts = [loc for loc, m in self.atoms if m > 0 and not is_inf(loc)]
+        for a, b, m in self.pieces:
+            if m > 0:
+                if a > 0:
+                    pts.append(a)
+                pts.append(b)
+        return sorted(set(pts))
+
+    def classical(self, tol=TOL):
+        best, witness = 0, None
+        for a in [a for a in self.breakpoints() if a < 1]:
+            ratio = self.cdf(a) / a
+            if ratio > best:
+                best, witness = ratio, a
+        limit = self.cdf(1) - sum(m for loc, m in self.atoms if loc == 1)
+        if limit > best:
+            best, witness = limit, 1
+        return best <= 1 + tol, best, witness
+
+    def posthoc(self, tol=TOL):
+        stat = self.expect_recip()
+        return (not is_inf(stat)) and stat <= 1 + tol, stat
+
+
+def assert_law_matches(atoms, pieces):
+    got = outcome(PValueLaw, atoms, pieces)
+    want = outcome(ReferenceLaw, atoms, pieces)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return None
+    law, ref = got[1], want[1]
+    assert same(law.atoms, ref.atoms) and same(law.pieces, ref.pieces)
+    alphas = [0, 1, 2, F(1, 3), F(1, 2), 0.3, 1.0, INF]
+    for x in law.support_breakpoints():
+        alphas += [x, x / 2, x + F(1, 7)]
+    queries = [(law.expect_recip, ref.expect_recip)]
+    for a in alphas:
+        queries.append((lambda a=a: law.cdf(a), lambda a=a: ref.cdf(a)))
+        if not is_inf(a):
+            queries.append((lambda a=a: law.mass_interval(a / 3, a),
+                            lambda a=a: ref.mass_interval(a / 3, a)))
+    queries.append((lambda: (lambda r: (r.valid, r.statistic, r.witness))(
+        check_classical_validity(law)), ref.classical))
+    queries.append((lambda: (lambda r: (r.valid, r.statistic))(
+        check_posthoc_validity(law)), ref.posthoc))
+    for mine, oracle in queries:
+        assert same_outcome(outcome(mine), outcome(oracle))
+    return law
+
+
+# ---------------------------------------------------------------------------
+# random laws
+
+exact_locations = st.one_of(st.fractions(F(1, 32), 4, max_denominator=32),
+                            st.integers(1, 3))
+exact_ends = st.one_of(st.fractions(0, 2, max_denominator=16), st.integers(0, 2))
+
+
+@st.composite
+def laws(draw, locations=exact_locations, ends=exact_ends, mass_kind="fraction"):
+    """(atoms, pieces) whose masses sum to 1: distinct locations and
+    disjoint pieces, masses may be 0.  mass_kind picks Fraction masses,
+    ints where a mass is 0 or 1, or floats."""
+    locs = draw(st.lists(locations, min_size=0, max_size=5,
+                         unique_by=lambda x: F(x) if not is_inf(x) else x))
+    cuts = sorted(set(draw(st.lists(ends, max_size=4))), key=float)
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    n = len(locs) + len(spans)
+    if n == 0:
+        locs, n = [F(1, 2)], 1
+    weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+    total = sum(weights)
+    masses = []
+    for w in weights:
+        if mass_kind == "float":
+            masses.append(w / total)
+        elif mass_kind == "int" and w in (0, total) and draw(st.booleans()):
+            masses.append(w // total)
+        else:
+            masses.append(F(w, total))
+    draw(st.randoms()).shuffle(locs)
+    atoms = list(zip(locs, masses))
+    pieces = [(a, b, m) for (a, b), m in zip(spans, masses[len(locs):])]
+    return atoms, pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws())
+def test_exact_laws_take_the_lattice_and_match_the_oracle(law):
+    atoms, pieces = law
+    got = assert_law_matches(atoms, pieces)
+    assert got._lattice is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws(mass_kind="int"))
+def test_int_masses_match_the_oracle(law):
+    # an int mass makes some sums ints: the sweeps take the oracle's code
+    atoms, pieces = law
+    got = assert_law_matches(atoms, pieces)
+    ints = any(type(m) is int for _, m in atoms) or \
+        any(type(m) is int for *_, m in pieces)
+    assert (got._lattice is None) == ints
+
+
+mixed_numbers = st.one_of(st.fractions(F(1, 32), 4, max_denominator=32),
+                          st.integers(1, 3), st.floats(0.03, 4), st.just(INF))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws(locations=mixed_numbers, mass_kind="float")
+       | laws(locations=mixed_numbers,
+              ends=st.one_of(exact_ends, st.floats(0, 2))))
+def test_mixed_inputs_take_the_fallback(law):
+    atoms, pieces = law
+    values = [x for a in atoms for x in a] + [x for p in pieces for x in p]
+    got = assert_law_matches(atoms, pieces)
+    if got is not None and common_denominator(values) is None:
+        assert got._lattice is None
+
+
+def test_int_piece_cdf_is_a_float_as_before():
+    # m (alpha - a) / (b - a) with every value an int is a true division
+    assert_law_matches([], [(0, 2, 1)])
+    assert type(PValueLaw(pieces=[(0, 2, 1)]).cdf(1)) is float
+    assert_law_matches([(F(1, 2), F(1, 2))], [(0, 1, F(1, 2))])
+    assert_law_matches([(F(1, 2), 1), (F(3, 4), F(0))], [])
+
+
+def test_statistic_is_int_zero_when_nothing_beats_zero():
+    law = PValueLaw(atoms=[(2, F(1, 2)), (3, F(1, 2))])
+    assert law._lattice is not None
+    rep = check_classical_validity(law)
+    assert rep.statistic == 0 and type(rep.statistic) is int and rep.witness is None
+    assert_law_matches([(2, F(1, 2)), (3, F(1, 2))], [])
+    assert same(law.cdf(F(1, 2)), 0)
+
+
+@pytest.mark.parametrize("atoms, pieces", [
+    ([(F(1, 2), F(1, 2)), (F(2, 4), F(1, 2))], []),       # duplicate location
+    ([(1, F(1, 2)), (F(1), F(1, 2))], []),                # int and Fraction 1
+    ([(0, F(1))], []),                                    # location 0
+    ([(F(-1, 2), F(1))], []),                             # negative location
+    ([(F(1, 2), F(3, 2)), (1, F(-1, 2))], []),            # negative mass
+    ([(F(1, 2), F(-1, 2)), (0, F(3, 2))], []),            # mass before location
+    ([], [(F(1, 2), F(1, 4), F(1))]),                     # a > b
+    ([], [(F(1, 2), F(1, 2), F(1))]),                     # a == b
+    ([], [(F(-1, 2), F(1, 4), F(1))]),                    # a < 0
+    ([], [(0, 1, F(3, 2)), (1, 2, F(-1, 2))]),            # negative piece mass
+    ([], [(0, F(3, 4), F(1, 2)), (F(1, 2), 1, F(1, 2))]),  # overlap
+    ([(F(1, 2), F(1, 2))], [(0, 1, F(1, 3))]),            # total 5/6
+    ([(F(1, 2), F(2, 3))], [(0, 1, F(1, 2))]),            # total 7/6
+    ([(2, 2)], []),                                       # int total 2
+    ([], []),                                             # total 0
+])
+def test_invalid_laws_raise_the_oracle_message(atoms, pieces):
+    got, want = outcome(PValueLaw, atoms, pieces), outcome(ReferenceLaw, atoms, pieces)
+    assert got[0] == want[0] == "ValueError"
+    assert got[1] == want[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws(), st.integers(0, 4), st.fractions(-1, 1, max_denominator=8))
+def test_broken_laws_raise_the_oracle_message(law, where, shift):
+    """Move one value of a valid exact law; the first check that fails
+    names the same error as the oracle's, or both accept."""
+    atoms, pieces = [list(a) for a in law[0]], [list(p) for p in law[1]]
+    cells = [(row, i) for row in atoms for i in (0, 1)] + \
+        [(row, i) for row in pieces for i in (0, 1, 2)]
+    row, i = cells[where % len(cells)]
+    row[i] += shift
+    assert_law_matches([tuple(a) for a in atoms], [tuple(p) for p in pieces])
+
+
+# ---------------------------------------------------------------------------
+# step-curve Galois transforms: the oracle is the general code before the
+# lattice, with the PCurve / TCurve checks it triggered
+
+
+def reference_pcurve(segments):
+    segs = []
+    for u_hi, terms in segments:
+        terms = tuple((a, g) for a, g in terms)
+        for a, g in terms:
+            if a <= 0:
+                raise ValueError("term coefficients must be positive")
+            if g < 0:
+                raise ValueError("term powers must be nonnegative")
+        segs.append((u_hi, terms))
+    if not segs:
+        raise ValueError("p-curve needs at least one segment")
+    segs.sort(key=lambda s: s[0])
+    if segs[-1][0] != 1:
+        raise ValueError("segments must cover (0, 1]")
+    u_lo = 0
+    for u_hi, _ in segs:
+        if u_hi <= u_lo:
+            raise ValueError("segment breakpoints must strictly increase")
+        u_lo = u_hi
+    prev_end = None
+    u_lo = 0
+    for u_hi, terms in segs:
+        start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
+        if prev_end is not None and start < prev_end and not _close(start, prev_end):
+            raise ValueError("p-curve must be nondecreasing in u")
+        prev_end = _eval_terms(terms, u_hi)
+        u_lo = u_hi
+    return tuple(segs)
+
+
+def reference_tcurve(segments):
+    segs = sorted(((alo, c, m) for alo, c, m in segments), key=lambda s: s[0])
+    prev_end = 0
+    for i, (alo, c, m) in enumerate(segs):
+        if alo < 0:
+            raise ValueError("alpha breakpoints must be nonnegative")
+        if c < 0 or m < 0:
+            raise ValueError("segment value must be nondecreasing in alpha")
+        a_hi = segs[i + 1][0] if i + 1 < len(segs) else INF
+        if m == 0:
+            start = end = c
+        else:
+            start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
+            end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
+        if start < prev_end and not _close(start, prev_end):
+            raise ValueError("test function must be nondecreasing in alpha")
+        if end > 1 and not _close(end, 1):
+            raise ValueError("test function values must stay within [0, 1]")
+        prev_end = end
+    return tuple(segs)
+
+
+def reference_to_tcurve(segments):
+    out = []
+    u_lo = 0
+    for u_hi, terms in segments:
+        if not terms:
+            break
+        a, g = _single_term(terms)
+        c = recip(a)
+        if g == 0:
+            out.append((c, u_hi, 0))
+        else:
+            v_lo = mul0(c, pow_ext(u_lo, g)) if u_lo > 0 else 0
+            v_hi = mul0(c, pow_ext(u_hi, g))
+            out.append((v_lo, pow_ext(recip(c), recip(g)), recip(g)))
+            out.append((v_hi, u_hi, 0))
+        u_lo = u_hi
+    dedup = {alo: (alo, c, m) for alo, c, m in out}
+    return reference_tcurve(sorted(dedup.values()))
+
+
+def reference_to_pcurve(segments):
+    out = []
+    u_cur = 0
+    for i, (alo, c, m) in enumerate(segments):
+        a_hi = segments[i + 1][0] if i + 1 < len(segments) else INF
+        if m == 0:
+            level = min(c, 1)
+            if level > u_cur:
+                out.append((level, ((recip(alo), 0),)))
+                u_cur = level
+        else:
+            v_lo = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
+            if v_lo > u_cur:
+                out.append((v_lo, ((recip(alo), 0),)))
+                u_cur = v_lo
+            v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
+            if v_hi > u_cur:
+                coef = pow_ext(recip(c), recip(m))
+                out.append((v_hi, ((recip(coef), recip(m)),)))
+                u_cur = v_hi
+    if u_cur < 1:
+        out.append((1, ()))
+    return reference_pcurve(out)
+
+
+def assert_round_trip_matches(curve, nondecreasing=True):
+    """Both transforms equal the oracle's; on a truly nondecreasing curve
+    the round trip gives p back and the adjunction tf(alpha) >= u <=>
+    p(u) <= alpha holds on the breakpoints."""
+    ref_t = outcome(reference_to_tcurve, curve.segments)
+    got_t = outcome(lambda: _pcurve_to_tcurve(curve).segments)
+    assert same_outcome(got_t, ref_t)
+    if got_t[0] != "ok":
+        return
+    tc = TCurve(got_t[1])
+    back = _tcurve_to_pcurve(tc)
+    assert same(back.segments, reference_to_pcurve(tc.segments))
+    for u in curve.breakpoints() if nondecreasing else ():
+        assert back.value(u) == curve.value(u)
+        for a in [a for a, _, _ in tc.segments if a > 0]:
+            assert (tc.value(a) >= u) == (curve.value(u) <= a)
+
+
+levels = st.one_of(st.fractions(F(1, 64), 2, max_denominator=64), st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 63), levels), max_size=4,
+                unique_by=lambda t: t[0]),
+       levels, st.sampled_from(["none", "inf", "equal"]))
+def test_step_round_trips_match_the_oracle(raw, last, tail):
+    """Nondecreasing step p-functions with int and Fraction cuts and
+    levels, repeated levels, levels above 1 and p = inf tails."""
+    raw = sorted(raw)
+    cuts = [F(c, 64) for c, _ in raw] + [1]
+    lv = sorted([x for _, x in raw] + [last], key=F)
+    if tail == "inf":
+        lv[-1] = INF
+    elif tail == "equal" and len(lv) > 1:
+        lv[-1] = lv[-2]
+    assert_round_trip_matches(PCurve.steps(list(zip(cuts, lv))))
+
+
+@pytest.mark.parametrize("pieces", [
+    [(F(1, 2), F(1, 2) + F(1, 10**12)), (1, F(1, 2))],   # p falls within tolerance
+    [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2) - F(1, 10**12)), (1, F(1, 2))],
+    [(F(1, 2), 1 + F(1, 10**12)), (1, 1 + F(1, 10**11))],
+    [(1, INF)],
+    [(F(1, 3), 3), (1, INF)],
+])
+def test_step_round_trips_at_the_tolerance_and_at_inf(pieces):
+    # a p that falls within PCurve's tolerance is accepted but has no
+    # exact inverse; the transforms still equal the oracle's
+    falls = any(b[1] < a[1] for a, b in zip(pieces, pieces[1:]))
+    assert_round_trip_matches(PCurve.steps(pieces), nondecreasing=not falls)
+
+
+@pytest.mark.parametrize("curve", [
+    PCurve.power(2, 1),
+    PCurve.power(F(1, 2), F(1, 2)),
+    PCurve([(F(1, 2), ((F(4), 1),)), (1, ((F(1, 2), 0),))]),
+    PCurve([(F(1, 4), ((F(2), 0),)), (1, ((F(1), F(1, 3)),))]),
+    PCurve([(F(1, 2), ((2.0, 0),)), (1, ((1, 0),))]),
+    PCurve([(F(1, 2), ((F(2), F(0)),)), (1, ((1, 0),))]),
+])
+def test_power_and_float_pieces_take_the_fallback(curve):
+    assert_round_trip_matches(curve)
+
+
+def test_two_terms_on_a_piece_still_raise():
+    curve = PCurve([(1, ((F(1), 0), (F(1), 0)))])
+    got, want = outcome(_pcurve_to_tcurve, curve), outcome(reference_to_tcurve,
+                                                            curve.segments)
+    assert got[0] == want[0] == "ValueError" and got[1] == want[1]
+
+
+exact_points = st.one_of(st.fractions(-1, 2, max_denominator=8), st.integers(-1, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(exact_points, exact_points,
+                          st.sampled_from([0, 0, F(0), F(1, 2), 0.0])),
+                max_size=4))
+def test_tcurve_checks_match_the_oracle(segments):
+    assert same_outcome(outcome(lambda: TCurve(segments).segments),
+                        outcome(reference_tcurve, segments))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(exact_points, st.just(1)),
+    st.lists(st.tuples(st.one_of(exact_points, st.floats(-1, 2)),
+                       st.sampled_from([0, 0, F(0), F(1, 2), -1])), max_size=2)),
+    max_size=4))
+def test_pcurve_checks_match_the_oracle(segments):
+    assert same_outcome(outcome(lambda: PCurve(segments).segments),
+                        outcome(reference_pcurve, segments))

@@ -218,3 +218,36 @@ class TestFailureWitness:
         pf = PFunction({0: PCurve.constant(F(1, 2))})
         with pytest.raises(ValueError):
             product_merge_failure_witness(pf)
+
+
+class TestOutcomeSetCheck:
+    """Every merge checks its inputs' outcomes through one function, with
+    the same messages for evidence variables and p-functions."""
+
+    EV_A = EvidenceVariable({0: F(1, 2), 1: 2}, "p")
+    EV_B = EvidenceVariable({0: F(1, 2), 2: 2}, "p")
+    PF_A = PFunction({0: PCurve.constant(1), 1: PCurve.constant(2)})
+    PF_B = PFunction({0: PCurve.constant(1), 2: PCurve.constant(2)})
+    HALF = [F(1, 2), F(1, 2)]
+
+    @pytest.mark.parametrize("merge", [
+        lambda xs: merge_harmonic(xs, TestOutcomeSetCheck.HALF[:len(xs)]),
+        lambda xs: merge_geometric(xs),
+        lambda xs: merge_h_mean(xs, TestOutcomeSetCheck.HALF[:len(xs)], 2),
+    ], ids=["harmonic", "geometric", "h_mean"])
+    def test_evidence_merges(self, merge):
+        with pytest.raises(ValueError, match="at least one input required"):
+            merge([])
+        with pytest.raises(ValueError, match="inputs must share a common outcome set"):
+            merge([self.EV_A, self.EV_B])
+
+    def test_pfunction_merges(self):
+        with pytest.raises(ValueError, match="at least one input required"):
+            merge_pfunctions_product([])
+        with pytest.raises(ValueError, match="inputs must share a common outcome set"):
+            merge_pfunctions_product([self.PF_A, self.PF_B])
+        with pytest.raises(ValueError, match="inputs must share a common outcome set"):
+            merge_pfunctions_harmonic([self.PF_A, self.PF_B], self.HALF)
+        # the weights are checked first, as before
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            merge_pfunctions_harmonic([], [])

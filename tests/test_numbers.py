@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from posthoc._numbers import INF, is_inf, pow_ext, recip
+from posthoc._numbers import INF, is_inf, mul0, pow_ext, power_mean, recip
 
 
 def recip_reference(x):
@@ -111,3 +111,137 @@ def test_pow_ext_outside_the_float_range(base, expo):
         assert got == 0.0
     else:
         assert math.isclose(got, float(want), rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# power_mean: one implementation for calibration and merging
+
+
+def rho_h_reference(values, weights, h):
+    """calibration._rho_h_member as first written (zero weights dropped)."""
+    vals = [(v, p) for v, p in zip(values, weights) if p > 0]
+    if is_inf(h) and h > 0:
+        return max(v for v, _ in vals)
+    if is_inf(h) and h < 0:
+        return min(v for v, _ in vals)
+    if h == 0:
+        has_zero = any(v == 0 for v, _ in vals)
+        has_inf = any(is_inf(v) for v, _ in vals)
+        if has_zero and has_inf:
+            raise ValueError("geometric mean undefined: support includes 0 and inf")
+        if has_inf:
+            return INF
+        if has_zero:
+            return 0
+        return math.exp(sum(float(p) * math.log(float(v)) for v, p in vals))
+    moment = 0
+    for v, p in vals:
+        moment = moment + mul0(p, pow_ext(v, h))
+        if is_inf(moment):
+            break
+    if is_inf(moment):
+        return INF if h > 0 else 0
+    if moment == 0:
+        return 0 if h > 0 else INF
+    return pow_ext(moment, recip(h) if isinstance(h, (int, F)) else 1.0 / h)
+
+
+def merge_h_mean_reference(values, weights, h):
+    """merging.merge_h_mean for one outcome as first written (finite h)."""
+    if h == 0:
+        log_sum, hit_zero, hit_inf = 0.0, False, False
+        for v, w in zip(values, weights):
+            if w == 0:
+                continue
+            if v == 0:
+                hit_zero = True
+            elif is_inf(v):
+                hit_inf = True
+            else:
+                log_sum += float(w) * math.log(float(v))
+        if hit_zero:
+            return 0
+        if hit_inf:
+            return INF
+        return math.exp(log_sum)
+    moment = 0
+    for v, w in zip(values, weights):
+        moment += mul0(w, pow_ext(v, h))
+    if is_inf(moment):
+        return INF if h > 0 else 0
+    if moment == 0:
+        return 0 if h > 0 else INF
+    return pow_ext(moment, recip(h) if isinstance(h, (int, F)) else 1.0 / h)
+
+
+mean_values = st.one_of(
+    st.fractions(min_value=0, max_value=20, max_denominator=16),
+    st.integers(0, 5),
+    st.floats(0, 20),
+    st.just(INF),
+)
+mean_indices = st.sampled_from([-INF, -3, -2, -1, F(-1, 2), 0, F(1, 3), F(1, 2),
+                                1, 2, 3, F(3, 1), 0.5, -1.5, INF])
+
+
+@st.composite
+def weighted_values(draw):
+    values = draw(st.lists(mean_values, min_size=1, max_size=5))
+    raw = draw(st.lists(st.integers(0, 6), min_size=len(values),
+                        max_size=len(values)).filter(any))
+    if draw(st.booleans()):
+        weights = [F(r, sum(raw)) for r in raw]
+    else:
+        weights = [r / sum(raw) for r in raw]
+    return values, weights
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(weighted_values(), mean_indices)
+def test_power_mean_matches_both_old_formulations(vw, h):
+    """Equal value and type as the calibration formulation everywhere, and
+    as the merging one at finite h, except at h = 0 with 0 and inf both
+    weighted, where merging returned 0 and the one convention raises."""
+    values, weights = vw
+    got = outcome(power_mean, values, weights, h)
+    want = outcome(rho_h_reference, values, weights, h)
+    assert got[0] == want[0]
+    assert got[1] == want[1] and type(got[1]) is type(want[1])
+    if not is_inf(h):
+        merged = outcome(merge_h_mean_reference, values, weights, h)
+        if got[0] == "ValueError":
+            assert h == 0 and merged == ("ok", 0)
+        else:
+            assert merged[1] == got[1] and type(merged[1]) is type(got[1])
+
+
+def test_power_mean_geometric_of_zero_and_inf_raises_on_both_callers():
+    from posthoc import EvidenceVariable, Hypothesis, DiscreteSpace, h_mean, merge_h_mean
+
+    space = DiscreteSpace((0, 1), (F(1, 2), F(1, 2)))
+    ev = EvidenceVariable({0: 0, 1: INF}, "e")
+    with pytest.raises(ValueError, match="geometric mean undefined"):
+        power_mean([0, INF], [F(1, 2), F(1, 2)], 0)
+    with pytest.raises(ValueError, match="geometric mean undefined"):
+        h_mean(ev, 0, Hypothesis.simple(space))
+    zero = EvidenceVariable({0: 0, 1: 1}, "e")
+    top = EvidenceVariable({0: INF, 1: 1}, "e")
+    with pytest.raises(ValueError, match="geometric mean undefined"):
+        merge_h_mean([zero, top], [F(1, 2), F(1, 2)], 0)
+    # a zero weight leaves the undefined value out
+    assert merge_h_mean([zero, top], [1, 0], 0)[0] == 0
+    assert power_mean([0, INF], [0, 1], 0) == INF
+
+
+def test_power_mean_infinite_index_is_max_and_min():
+    # merge_h_mean at h = inf used to return 0, 1.0 or inf from
+    # (sum w e^inf)^0; the power mean's limits are the max and min
+    assert power_mean([F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)], INF) == F(1, 2)
+    assert power_mean([F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)], -INF) == F(1, 3)
+    assert power_mean([F(1, 2), 3], [1, 0], INF) == F(1, 2)
