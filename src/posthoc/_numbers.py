@@ -178,6 +178,22 @@ def power_mean(values, weights, h: Number) -> Number:
     return pow_ext(moment, recip(h) if isinstance(h, (int, Fraction)) else 1.0 / h)
 
 
+def sqrt_fraction(x: Fraction) -> float:
+    """The correctly rounded square root of a nonnegative ``Fraction``
+    (result in the normal float range)."""
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return 0.0
+    # scale by 4**e so the integer root has at least 55 bits: the 53 kept,
+    # a round bit and a sticky bit, which is set when the root is inexact
+    e = max(0, (110 - p.bit_length() + q.bit_length()) // 2 + 1)
+    num = p << (2 * e)
+    r = math.isqrt(num // q)
+    if r * r * q != num:
+        r |= 1
+    return math.ldexp(float(r), -e)
+
+
 def fmt_number(x: Number) -> str:
     """Serialize a number losslessly: fractions as 'n/d', inf as 'inf'."""
     if is_inf(x):

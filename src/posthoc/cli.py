@@ -59,6 +59,7 @@ from . import (
     utility_optimal,
     valid_hacking_law,
     ville_equality_check,
+    __version__,
 )
 from .core import DiscreteSpace, EvidenceVariable, E_SCALE
 from .pfunctions import PCurve, PFunction
@@ -89,8 +90,14 @@ def _fmt(x, backend):
     return fmt_number(x)
 
 
-def _fixture_hash(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, default=str).encode()
+def _fixture_hash(law, strategy) -> str:
+    """Content hash of what a run computes on: the serialized p-value law,
+    the strategy's pieces and the package version."""
+    blob = json.dumps({
+        "law": law.to_dict(),
+        "strategy": [[fmt_number(x) for x in piece] for piece in strategy.pieces],
+        "version": __version__,
+    }, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -399,8 +406,8 @@ def _emit(command, opts, report, tables) -> int:
         "command": command,
         "seed": opts["seed"],
         "backend": opts["backend"],
-        "fixture_hash": _fixture_hash({"fixture": opts["fixture"],
-                                       "strategy": opts["strategy"]}),
+        "fixture_hash": _fixture_hash(P_LAWS[opts["fixture"]](),
+                                      STRATEGIES[opts["strategy"]]()),
         "report": report,
     }
     text = json.dumps(envelope, indent=2, sort_keys=True, default=str) + "\n"

@@ -218,6 +218,9 @@ def p_value(tf: TestFunction, outcome) -> Number:
 # p-value laws (atoms + uniform-density pieces)
 
 
+SAMPLE_BLOCK = 1 << 16  # draws per block of PValueLaw.sample_blocks: 512 KB
+
+
 @dataclass(frozen=True)
 class PValueLaw:
     """Distribution of a p-value: point masses plus uniform-density intervals.
@@ -374,24 +377,53 @@ class PValueLaw:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """n i.i.d. float draws via inverse-mixture sampling: n component
-        indices (as floats) from :func:`sample_finite`, then n uniforms."""
+        """n i.i.d. float draws via inverse-mixture sampling: n uniforms
+        pick the components as :func:`sample_finite` does, then n more
+        place the draws within them."""
+        masses, base, width = self._mixture()
+        out = rng.random(n)
+        idx = _finite_index(masses, out)
+        return _place(base, width, idx, rng.random(n), out)
+
+    def sample_blocks(self, n: int, seed: int):
+        """The draws of ``sample(n, Generator(Philox(key=seed)))`` in stream
+        order, as blocks of at most ``SAMPLE_BLOCK`` draws.
+
+        Each block is a view of one reused buffer, valid until the next
+        block is drawn, so memory does not grow with n.  ``sample`` draws
+        the n component uniforms, then the n position uniforms; a Philox
+        counter yields four 64-bit words and a double takes one, so a
+        second Philox on the same key, advanced n // 4 counters and n % 4
+        words, streams the position uniforms alongside the first.
+        """
         import numpy as np
 
-        comps = [(float(m), ("atom", float(loc))) for loc, m in self.atoms]
-        comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in self.pieces]
-        idx = sample_finite(rng, range(len(comps)), [w for w, _ in comps],
-                            np.empty(n))
-        u = rng.random(n)
-        out = np.empty(n)
-        for i, (_, spec) in enumerate(comps):
-            sel = idx == i
-            if spec[0] == "atom":
-                out[sel] = spec[1]
-            else:
-                a, b = spec[1], spec[2]
-                out[sel] = a + (b - a) * u[sel]
-        return out
+        masses, base, width = self._mixture()
+        comp = np.random.Generator(np.random.Philox(key=seed))
+        bits = np.random.Philox(key=seed)
+        bits.advance(n // 4)
+        bits.random_raw(n % 4)
+        pos = np.random.Generator(bits)
+        size = SAMPLE_BLOCK
+        out, u = np.empty(min(n, size)), np.empty(min(n, size))
+        for start in range(0, n, size):
+            o, v = out[: n - start], u[: n - start]
+            if len(masses) > 1:  # one component needs no uniform to pick it
+                comp.random(out=o)
+            idx = _finite_index(masses, o)
+            pos.random(out=v)
+            yield _place(base, width, idx, v, o)
+
+    def _mixture(self) -> tuple:
+        """(masses, base, width) float arrays over the components, atoms
+        then pieces: an atom is its location with width 0, a piece (a, b]
+        is a with width b - a."""
+        import numpy as np
+
+        comps = [(float(m), float(loc), 0.0) for loc, m in self.atoms]
+        comps += [(float(m), float(a), float(b) - float(a))
+                  for a, b, m in self.pieces]
+        return tuple(np.array(col) for col in zip(*comps))
 
     # -- serialization -------------------------------------------------------
 
@@ -427,7 +459,9 @@ def _checked_sorted(atoms: tuple, pieces: tuple) -> tuple:
             raise ValueError("atom masses must be nonnegative")
     spans = []
     for a, b, m in pieces:
-        if not (0 <= a < b):
+        # a float and an exact endpoint can differ by less than an ulp: then
+        # b - a is 0.0 and the uniform density on (a, b] is undefined
+        if not (0 <= a < b) or b - a == 0:
             raise ValueError(f"bad piece interval ({a}, {b}]")
         if is_inf(b):
             raise ValueError("pieces must be bounded")
@@ -509,29 +543,47 @@ def sample_finite(rng, values, masses, out: np.ndarray) -> np.ndarray:
 
     Bit-identical to numpy's ``Generator.choice(values, size=out.shape,
     p=masses / sum)``, uniforms included: numpy draws ``u = random(shape)``
-    and returns ``values[cdf.searchsorted(u, side="right")]`` with
-    ``cdf = p.cumsum(); cdf /= cdf[-1]``.  As u < 1 = cdf[-1], that index
-    is the count of j < k-1 with u >= cdf[j], so k-1 vector comparisons
-    replace the binary search (cdf is nondecreasing, so zero masses and
-    ties count alike).
-
-    The uniforms are drawn into ``out`` and the index array has the
-    smallest integer type that holds k-1, so a caller that reuses ``out``
-    allocates no float array per call.
+    and returns ``values[cdf.searchsorted(u, side="right")]``, which
+    :func:`_finite_index` computes.  The uniforms are drawn into ``out``,
+    so a caller that reuses ``out`` allocates no float array per call.
     """
     import numpy as np
 
     values = np.asarray(values, dtype=float)
+    rng.random(out=out)
+    # every index is in range, so "clip" only skips numpy's bounds buffer
+    return values.take(_finite_index(masses, out), out=out, mode="clip")
+
+
+def _finite_index(masses, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1), with
+    ``cdf = p.cumsum(); cdf /= cdf[-1]`` for p = masses / sum(masses), as
+    ``Generator.choice`` has it.  As u < 1 = cdf[-1], that index is the
+    count of j < k-1 with u >= cdf[j], so k-1 vector comparisons replace
+    the binary search (cdf is nondecreasing, so zero masses and ties count
+    alike).  The index has the smallest integer type that holds k-1.
+    """
+    import numpy as np
+
     p = np.asarray(masses, dtype=float)
     p = p / p.sum()  # exact masses may not be float-normalized
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    rng.random(out=out)
-    idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(values) - 1))
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
     for c in cdf[:-1]:
-        idx += out >= c
-    # every index is in range, so "clip" only skips numpy's bounds buffer
-    return values.take(idx, out=out, mode="clip")
+        idx += u >= c
+    return idx
+
+
+def _place(base: np.ndarray, width: np.ndarray, idx: np.ndarray,
+           u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Draws within the components ``idx``, written into ``out`` (``u`` is
+    overwritten): base + width * u, which is an atom's location (width 0)
+    or a + (b - a) u on a piece (a, b]."""
+    width.take(idx, out=out, mode="clip")
+    out *= u
+    out += base.take(idx, out=u, mode="clip")
+    return out
 
 
 def law_of(ev: EvidenceVariable, space: DiscreteSpace) -> PValueLaw:

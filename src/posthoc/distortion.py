@@ -10,13 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ._numbers import INF, Number, fmt_number, frac, is_inf, recip
-from .core import PValueLaw
+from ._numbers import INF, Number, fmt_number, frac, is_inf, recip, sqrt_fraction
+from .core import SAMPLE_BLOCK, PValueLaw
 
 
 @dataclass(frozen=True)
@@ -168,29 +167,48 @@ def distortion_report(p_law: PValueLaw, s: AlphaStrategy) -> DistortionReport:
 def monte_carlo_distortion(sampler, s: AlphaStrategy, n: int, seed: int):
     """Unbiased MC estimate of the expected size distortion, with its SE.
 
-    ``sampler`` is a PValueLaw or a callable (n, rng) -> float array.
-    Deterministic for a fixed seed (counter-based Philox stream).
+    ``sampler`` is a PValueLaw or a callable (n, rng) -> array of n floats.
+    Deterministic for a fixed seed (counter-based Philox stream).  A law's
+    draws are made in blocks (:meth:`PValueLaw.sample_blocks`, bit-identical
+    to ``sample``) and a callable's array is read in blocks of the same
+    size; each block only adds to the count of draws at or below each edge
+    of the strategy's cells.  The estimate is the exact mean of the per-draw
+    values 1.0/level and the SE the correctly rounded root of the exact
+    sample variance over n, both computed from those counts.
     """
     import numpy as np
 
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
     if isinstance(sampler, PValueLaw):
-        draws = sampler.sample(n, rng)
+        blocks = sampler.sample_blocks(n, seed)
     else:
+        rng = np.random.Generator(np.random.Philox(key=seed))
         draws = np.asarray(sampler(n, rng), dtype=float)
-    vals = np.zeros(n)
-    lower = np.full(n, False)
+        if draws.shape != (n,):
+            raise ValueError(f"sampler must return {n} draws, got shape {draws.shape}")
+        blocks = (draws[i:i + SAMPLE_BLOCK] for i in range(0, n, SAMPLE_BLOCK))
+    # a draw scores 1.0/level in its cell (lo, min(hi, level)], else 0
+    cells = []
     for lo, hi, lvl in s.pieces:
-        sel = (draws > float(lo)) & (draws <= float(hi))
-        vals[sel] = np.where(draws[sel] <= float(lvl), 1.0 / float(lvl), 0.0)
-        lower |= sel
-    if not lower.all():
+        lo, top = float(lo), min(float(hi), float(lvl))
+        if top > lo:
+            cells.append((lo, top, Fraction(1.0 / float(lvl))))
+    at_most = dict.fromkeys({0.0, INF}.union(*(c[:2] for c in cells)), 0)
+    for block in blocks:
+        for x in at_most:
+            at_most[x] += int(np.count_nonzero(block <= x))
+    if at_most[INF] - at_most[0.0] != n:
         raise ValueError("sampler produced p-values outside (0, inf]")
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else INF
-    return est, se
+    total = squares = Fraction(0)
+    for lo, top, v in cells:
+        count = at_most[top] - at_most[lo]
+        total += count * v
+        squares += count * v * v
+    mean = total / n
+    if n == 1:
+        return float(mean), INF
+    return float(mean), sqrt_fraction((squares - total * mean) / (n - 1) / n)
 
 
 @dataclass(frozen=True)

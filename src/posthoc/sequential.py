@@ -27,6 +27,7 @@ from .core import (
     TestFunction,
     sample_finite,
 )
+from .merging import _check_weights
 from .pfunctions import RandomizedTestFunction, TCurve
 
 MARTINGALE = "MARTINGALE"
@@ -479,11 +480,7 @@ def fdr_average(fam: TestFamilyCollection,
     k = len(fam.members)
     if weights is None:
         weights = [Fraction(1, k)] * k
-    weights = list(weights)
-    if len(weights) != k or any(w < 0 for w in weights):
-        raise ValueError("need one nonnegative weight per member")
-    if sum(weights) != 1 and abs(float(sum(weights)) - 1.0) > TOL:
-        raise ValueError("weights must sum to 1")
+    weights = _check_weights(weights, k)
     curves = {}
     for x in fam.outcomes:
         jumps = sorted(

@@ -133,6 +133,26 @@ class TestOutputs:
         assert env["schema_version"] == 1
         assert "fixture_hash" in env
 
+    def test_fixture_hash_follows_the_fixture_content(self, capsys, monkeypatch):
+        from posthoc import cli
+
+        hashes = {}
+        for fixture in ("uniform", "valid_hacking"):
+            for strategy in ("decreasing_alpha", "conservative"):
+                _, out = run(capsys, "distortion", "--n", "10",
+                             "--fixture", fixture, "--strategy", strategy)
+                hashes[fixture, strategy] = json.loads(out)["fixture_hash"]
+        assert len(set(hashes.values())) == 4
+        # the content is hashed, not the name
+        monkeypatch.setitem(cli.P_LAWS, "uniform", posthoc.valid_hacking_law)
+        _, out = run(capsys, "distortion", "--n", "10")
+        assert json.loads(out)["fixture_hash"] == \
+            hashes["valid_hacking", "decreasing_alpha"]
+        monkeypatch.setattr(cli, "__version__", "0.0.0")
+        _, out = run(capsys, "distortion", "--n", "10")
+        assert json.loads(out)["fixture_hash"] != \
+            hashes["valid_hacking", "decreasing_alpha"]
+
     def test_all_subcommands_run(self, capsys):
         for cmd in ("distortion", "optimal", "merge", "pfunction",
                     "sequential"):

@@ -1,6 +1,13 @@
+import math
+import tracemalloc
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posthoc import (
     INF,
@@ -18,6 +25,9 @@ from posthoc import (
     uniform_p_law,
     valid_hacking_law,
 )
+from posthoc import core
+from posthoc.core import SAMPLE_BLOCK
+from test_core import philox, reference_law_sample
 
 
 class TestAlphaStrategy:
@@ -115,9 +125,167 @@ class TestMonteCarlo:
         assert abs(est - 1.0) <= 3 * se + 0.01
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            monte_carlo_distortion(uniform_p_law(),
-                                   AlphaStrategy.constant(1), 0, seed=1)
+        for sampler in (uniform_p_law(), lambda n, rng: rng.random(n) + 0.5):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                monte_carlo_distortion(sampler, AlphaStrategy.constant(1), 0, seed=1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, -math.inf])
+    @pytest.mark.parametrize("where", [0, SAMPLE_BLOCK + 2])
+    def test_rejects_draws_outside_the_half_line(self, bad, where):
+        def sampler(n, rng):
+            draws = rng.random(n) + 0.5
+            draws[where] = bad
+            return draws
+
+        with pytest.raises(ValueError, match="outside"):
+            monte_carlo_distortion(sampler, decreasing_alpha_strategy(),
+                                   SAMPLE_BLOCK + 3, seed=2)
+
+    def test_rejects_a_sampler_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="must return 5 draws"):
+            monte_carlo_distortion(lambda n, rng: rng.random(n + 1) + 0.5,
+                                   decreasing_alpha_strategy(), 5, seed=2)
+
+    def test_mc_paths_keys_keep_their_estimates(self):
+        # the estimates of the default decreasing-alpha runs at 5 * 10^6
+        # draws; their SEs are the correctly rounded roots
+        s = decreasing_alpha_strategy()
+        assert monte_carlo_distortion(uniform_p_law(), s, 5_000_000, 2029) == \
+            (1.807332, 0.004759937262165936)
+        assert monte_carlo_distortion(valid_hacking_law(), s, 5_000_000, 2030) == \
+            (0.896824, 0.003371533718658724)
+
+    def test_law_path_memory_is_one_block(self):
+        law, s = valid_hacking_law(), decreasing_alpha_strategy()
+        monte_carlo_distortion(law, s, 10, seed=1)  # imports and caches
+        tracemalloc.start()
+        try:
+            monte_carlo_distortion(law, s, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the blocked estimator against the one-shot numpy estimator it replaced
+
+
+def oracle_distortion(sampler, s, n, seed):
+    """Every draw's value in an n-length array, then numpy's mean and std."""
+    rng = philox(seed)
+    if isinstance(sampler, PValueLaw):
+        draws = reference_law_sample(sampler, n, rng)
+    else:
+        draws = np.asarray(sampler(n, rng), dtype=float)
+    vals = np.zeros(n)
+    lower = np.full(n, False)
+    for lo, hi, lvl in s.pieces:
+        sel = (draws > float(lo)) & (draws <= float(hi))
+        vals[sel] = np.where(draws[sel] <= float(lvl), 1.0 / float(lvl), 0.0)
+        lower |= sel
+    if not lower.all():
+        raise ValueError("sampler produced p-values outside (0, inf]")
+    est = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else INF
+    return est, se, vals
+
+
+def exact_se(vals):
+    """sqrt(exact sample variance / n) of the float values, to 60 digits."""
+    n = len(vals)
+    counts = Counter(vals.tolist())
+    mean = sum(c * F(v) for v, c in counts.items()) / n
+    var = sum(c * (F(v) - mean) ** 2 for v, c in counts.items()) / (n - 1) / n
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(var.numerator) / Decimal(var.denominator)).sqrt()
+
+
+B = SAMPLE_BLOCK
+SIZES = [1, 2, 3, 4, 5, B - 1, B, B + 1, 2 * B + 3]
+
+
+@st.composite
+def p_laws(draw):
+    """Atoms (one may sit at inf), pieces, zero masses, sums exactly 1."""
+    locs = draw(st.lists(st.one_of(st.fractions(F(1, 64), 2, max_denominator=64),
+                                   st.just(INF)), max_size=4, unique=True))
+    cuts = sorted(set(draw(st.lists(st.fractions(0, 2, max_denominator=32),
+                                    max_size=6))))
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    k = len(locs) + len(spans)
+    if k == 0:
+        locs, k = [F(1, 2)], 1
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    ms = [F(w, sum(weights)) for w in weights]
+    return PValueLaw(atoms=list(zip(locs, ms)),
+                     pieces=[(a, b, m) for (a, b), m in zip(spans, ms[len(locs):])])
+
+
+levels = st.one_of(st.integers(1, 100).map(lambda k: F(1, k)),
+                   st.fractions(F(1, 97), 2, max_denominator=97),
+                   st.floats(0.003, 2))
+
+
+@st.composite
+def strategies(draw):
+    cuts = sorted(set(draw(st.lists(st.fractions(F(1, 50), 2, max_denominator=50),
+                                    max_size=4))))
+    edges = [0] + cuts + [INF]
+    return AlphaStrategy([(lo, hi, draw(levels)) for lo, hi in zip(edges, edges[1:])])
+
+
+def assert_matches_oracle(sampler, s, n, seed):
+    est, se = monte_carlo_distortion(sampler, s, n, seed)
+    want_est, want_se, vals = oracle_distortion(sampler, s, n, seed)
+    if all((1.0 / float(lvl)).is_integer() for lvl in s.levels()):
+        # integer values: numpy's float sum is exact too
+        assert est == want_est
+    else:
+        assert est == pytest.approx(want_est, rel=1e-12, abs=0)
+    if n == 1:
+        assert se == want_se == INF
+    else:
+        assert abs(Decimal(se) - exact_se(vals)) <= 2 * Decimal(math.ulp(se))
+
+
+seeds = st.integers(0, 2 ** 64)
+
+
+class TestBlockedEstimator:
+    @settings(max_examples=60, deadline=None)
+    @given(p_laws(), st.sampled_from(SIZES), seeds)
+    def test_blocks_concatenate_to_sample(self, law, n, seed):
+        blocks = [b.copy() for b in law.sample_blocks(n, seed)]
+        assert all(1 <= len(b) <= B for b in blocks)
+        got = np.concatenate(blocks)
+        assert np.array_equal(got, law.sample(n, philox(seed)))
+        assert np.array_equal(got, reference_law_sample(law, n, philox(seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p_laws(), st.integers(1, 40), st.integers(1, 9), seeds)
+    def test_small_blocks_concatenate_to_sample(self, law, n, size, seed):
+        with mock.patch.object(core, "SAMPLE_BLOCK", size):
+            got = np.concatenate([b.copy() for b in law.sample_blocks(n, seed)])
+        assert np.array_equal(got, law.sample(n, philox(seed)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(p_laws(), strategies(), st.sampled_from(SIZES), seeds)
+    def test_law_estimate_matches_the_oracle(self, law, s, n, seed):
+        assert_matches_oracle(law, s, n, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_laws(), strategies(), st.sampled_from(SIZES), seeds)
+    def test_callable_estimate_matches_the_oracle(self, law, s, n, seed):
+        assert_matches_oracle(lambda n, rng: law.sample(n, rng), s, n, seed)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_fixtures_match_the_oracle(self, n):
+        for law in (uniform_p_law(), valid_hacking_law()):
+            for s in (decreasing_alpha_strategy(), conservative_strategy()):
+                assert_matches_oracle(law, s, n, seed=2026)
+
 
 
 class TestImpossibility:

@@ -159,6 +159,12 @@ class ReferenceLaw:
 def assert_law_matches(atoms, pieces):
     got = outcome(PValueLaw, atoms, pieces)
     want = outcome(ReferenceLaw, atoms, pieces)
+    flat = [(a, b) for a, b, _ in pieces if 0 <= a < b and b - a == 0]
+    if want[0] == "ok" and flat:
+        # the oracle accepts a piece whose endpoints are equal as floats and
+        # then divides by b - a == 0.0; PValueLaw rejects it
+        assert got == ("ValueError", "bad piece interval ({}, {}]".format(*flat[0]))
+        return None
     assert got[0] == want[0]
     if got[0] != "ok":
         assert got[1] == want[1]
@@ -252,6 +258,16 @@ def test_mixed_inputs_take_the_fallback(law):
     got = assert_law_matches(atoms, pieces)
     if got is not None and common_denominator(values) is None:
         assert got._lattice is None
+
+
+@pytest.mark.parametrize("pieces", [
+    [(0.3333333333333333, F(1, 3), 1)],
+    [(0, F(1, 4), F(1, 2)), (F(1, 2) - F(1, 10 ** 20), 0.5, F(1, 2))],
+])
+def test_pieces_equal_as_floats_are_rejected(pieces):
+    with pytest.raises(ValueError, match="bad piece interval"):
+        PValueLaw(pieces=pieces)
+    assert_law_matches([], pieces)
 
 
 def test_int_piece_cdf_is_a_float_as_before():

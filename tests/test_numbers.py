@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from posthoc._numbers import INF, is_inf, mul0, pow_ext, power_mean, recip
+from posthoc._numbers import (
+    INF, is_inf, mul0, pow_ext, power_mean, recip, sqrt_fraction,
+)
 
 
 def recip_reference(x):
@@ -245,3 +247,23 @@ def test_power_mean_infinite_index_is_max_and_min():
     assert power_mean([F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)], INF) == F(1, 2)
     assert power_mean([F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)], -INF) == F(1, 3)
     assert power_mean([F(1, 2), 3], [1, 0], INF) == F(1, 2)
+
+
+@given(st.fractions(0, 10 ** 6) | st.fractions(0, F(1, 10 ** 6)),
+       st.integers(0, 3 * 10 ** 6))
+def test_sqrt_fraction_is_correctly_rounded(x, k):
+    for y in (x, F(k * k, 4 ** 20), F(k, 10 ** 12)):
+        got = sqrt_fraction(y)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            exact = (Decimal(y.numerator) / Decimal(y.denominator)).sqrt()
+            # within half an ulp, so no other float is nearer
+            assert abs(Decimal(got) - exact) <= Decimal(math.ulp(got)) / 2
+        if y.numerator == 0:
+            assert got == 0.0
+
+
+def test_sqrt_fraction_of_squares_is_exact():
+    for k in (1, 3, 2 ** 26 + 1, 10 ** 7):
+        assert sqrt_fraction(F(k * k)) == k
+        assert sqrt_fraction(F(k * k, 4)) == k / 2

@@ -470,6 +470,16 @@ class TestMultipleTesting:
         for x in (0, 1):
             assert rtf[x].value(F(1, 20)) == F(1, 2)
 
+    @pytest.mark.parametrize("weights, message", [
+        ([F(1, 2)], "one weight per input required"),
+        ([F(3, 2), F(-1, 2)], "weights must be nonnegative"),
+        ([F(1, 2), F(1, 3)], "weights must sum to 1"),
+    ])
+    def test_fdr_checks_weights_as_the_merges_do(self, weights, message):
+        tf = TestFunction(EvidenceVariable({0: F(1, 2)}, "p"))
+        with pytest.raises(ValueError, match=message):
+            fdr_average(TestFamilyCollection([tf, tf]), weights)
+
     def test_fdr_is_monotone_and_bounded(self):
         tf1 = TestFunction(EvidenceVariable({0: F(1, 10)}, "p"))
         tf2 = TestFunction(EvidenceVariable({0: F(1, 2)}, "p"))
