@@ -60,6 +60,33 @@ def mul0(a: Number, b: Number) -> Number:
     return a * b
 
 
+def log_ext(x: Number) -> float:
+    """ln x on [0, inf], with ln 0 = -inf and ln inf = inf.  An exact x
+    outside the normal float range, where ``float(x)`` would be 0.0, a
+    subnormal or an OverflowError, is taken on its int pair."""
+    if x == 0:
+        return -INF
+    if is_inf(x):
+        return INF
+    if isinstance(x, float):
+        return math.log(x)
+    try:
+        f = float(x)
+    except OverflowError:
+        f = INF
+    if sys.float_info.min <= f < INF:
+        return math.log(f)
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def exp_ext(t: float) -> float:
+    """exp on [-inf, inf], inf where the result passes the float range."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return INF
+
+
 def pow_ext(base: Number, expo: Number) -> Number:
     """base ** expo on [0, inf], exact when the exponent is an integer."""
     if is_inf(base):
@@ -91,13 +118,9 @@ def pow_ext(base: Number, expo: Number) -> Number:
             if not sys.float_info.min <= f < INF:
                 # an exact base outside the normal float range would become
                 # 0.0, a subnormal or an OverflowError: take the power in the
-                # log domain of the int pair (relative error about
-                # |e log base| * 2^-53); exp underflows to 0.0 by itself
-                try:
-                    return math.exp(e * (math.log(base.numerator)
-                                         - math.log(base.denominator)))
-                except OverflowError:
-                    return INF
+                # log domain (relative error about |e log base| * 2^-53);
+                # exp underflows to 0.0 by itself
+                return exp_ext(e * log_ext(base))
             base = f
     try:
         return base ** e

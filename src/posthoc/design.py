@@ -4,8 +4,9 @@ For a simple null P versus simple alternative Q and a nondecreasing concave
 utility U, the optimal e-value satisfies lambda * f_P/f_Q in dU(e*) Q-a.s.
 together with the normalization E_P[e*] = 1 (or lambda = 0).  The log
 utility gives the likelihood ratio; power (CRRA) utilities give tilted
-likelihood ratios found by bisection on lambda; the truncated-linear
-utility x -> x AND 1/alpha* gives the three-branch post-hoc analogue of the
+likelihood ratios (lambda f_P/f_Q)^(-1/gamma) whose lambda has the closed
+form E_P[(f_P/f_Q)^(-1/gamma)]^gamma; the truncated-linear utility
+x -> x AND 1/alpha* gives the three-branch post-hoc analogue of the
 Neyman-Pearson test.
 """
 from __future__ import annotations
@@ -15,15 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
-from ._numbers import INF, TOL, Number, is_inf, mul0, pow_ext, recip
+from ._numbers import (
+    INF, TOL, Number, exp_ext, is_inf, log_ext, mul0, pow_ext, recip,
+)
 from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, dual
 
 LOG = "LOG"
 POWER = "POWER"
 NEYMAN_PEARSON = "NEYMAN_PEARSON"
-
-_BISECT_TOL = 1e-10
-_BRACKET = (1e-8, 1e8)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,9 @@ class UtilitySpec:
             if self.param is not None:
                 raise ValueError("LOG takes no parameter")
         elif self.kind == POWER:
-            if self.param is None or self.param <= 0 or self.param == 1:
+            # the chained comparison also rejects nan and inf
+            if (self.param is None or not 0 < self.param < INF
+                    or self.param == 1):
                 raise ValueError("POWER needs gamma > 0, gamma != 1")
         elif self.kind == NEYMAN_PEARSON:
             if self.param is None or not (0 < self.param < 1):
@@ -134,15 +136,22 @@ def expected_utility(ev: EvidenceVariable, Q: DiscreteSpace,
     return total
 
 
-def utility_optimal(pair: SimplePair, U: UtilitySpec,
-                    max_expansions: int = 200):
+def utility_optimal(pair: SimplePair, U: UtilitySpec):
     """Maximize E_Q[U(e)] subject to E_P[e] <= 1.
 
     Returns (e*, lambda).  LOG has the closed form e* = f_Q/f_P with
     lambda = 1; the truncated-linear utility dispatches to the three-branch
-    rule of :func:`np_optimal` with lambda the likelihood-ratio threshold;
-    POWER solves E_P[e*_lambda] = 1 by bisection (decreasing in lambda) and
-    normalizes the result exactly.
+    rule of :func:`np_optimal` with lambda the likelihood-ratio threshold.
+
+    POWER(gamma) has e*_lambda = (lambda r)^(-1/gamma) with r = f_P/f_Q, so
+    E_P[e*_lambda] = lambda^(-1/gamma) m with m = E_P[r^(-1/gamma)], and
+    E_P[e*] = 1 gives lambda = m^gamma and e* = r^(-1/gamma) / m.  Both are
+    taken in one pass in the log domain, where a plain sum of r^(-1/gamma)
+    would overflow: with a_x = -ln(r_x)/gamma, b_x = ln f_P(x) + a_x and top
+    the largest b_x on the P-support, ln m = top + ln sum exp(b_x - top)
+    (``math.fsum``), lambda = exp(gamma ln m) and e*(x) = exp(a_x - ln m).
+    Taking f_P into the exponent keeps P-masses below the float range.
+    r_x = 0 gives e* = inf, and lambda or e* past the float range is inf.
     """
     if U.kind == LOG:
         return dual(log_optimal(pair)), 1
@@ -150,54 +159,19 @@ def utility_optimal(pair: SimplePair, U: UtilitySpec,
         p_star, c = np_optimal(pair, U.param, return_threshold=True)
         return dual(p_star), c
 
-    ratios = {x: pair.density_ratio(x) for x in pair.P.outcomes}
-    support = [(float(fp), float(ratios[x]))
-               for x, fp in zip(pair.P.outcomes, pair.P.probs) if fp != 0]
-
-    def mean_p(lam: float) -> float:
-        total = 0.0
-        for fp, r in support:
-            total += fp * float(U.inv_derivative(lam * r))
-        return total
-
-    # f_lo, f_hi carry E_P at the bracket ends: one evaluation per step
-    lo, hi = _BRACKET
-    f_lo = mean_p(lo)
-    for _ in range(max_expansions):
-        if f_lo >= 1.0:
-            break
-        lo /= 8.0
-        f_lo = mean_p(lo)
-    f_hi = mean_p(hi)
-    for _ in range(max_expansions):
-        if f_hi <= 1.0:
-            break
-        hi *= 8.0
-        f_hi = mean_p(hi)
-    if f_lo < 1.0 or f_hi > 1.0:
+    g = float(U.param)
+    a = {x: -log_ext(pair.density_ratio(x)) / g for x in pair.P.outcomes}
+    # ln(f_P r^(-1/gamma)) on the P-support
+    b = [log_ext(fp) + a[x]
+         for x, fp in zip(pair.P.outcomes, pair.P.probs) if fp != 0]
+    top = max(b)
+    if top == -INF:
+        # f_Q = 0 on the whole P-support: e*_lambda = 0 there for every lambda
         raise RuntimeError(
-            f"no normalization constant found in [{lo}, {hi}]: "
-            f"E_P at bracket = ({f_lo}, {f_hi})")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        val = mean_p(mid)
-        # bracket invariant from lambda-monotonicity: E_P decreasing in lambda
-        if not (f_lo + 1e-9 >= val >= f_hi - 1e-9):
-            raise AssertionError("E_P[e*_lambda] must be nonincreasing in lambda")
-        if abs(val - 1.0) <= _BISECT_TOL:
-            lo = hi = mid
-            break
-        if val > 1.0:
-            lo, f_lo = mid, val
-        else:
-            hi, f_hi = mid, val
-    lam = math.sqrt(lo * hi)
-    values = {x: U.inv_derivative(lam * float(ratios[x]))
-              for x in pair.P.outcomes}
-    norm_const = sum(mul0(fp, values[x])
-                     for x, fp in zip(pair.P.outcomes, pair.P.probs))
-    values = {x: v / norm_const for x, v in values.items()}
-    return EvidenceVariable(values, E_SCALE), lam
+            "no normalization constant: P and Q are mutually singular")
+    log_m = top + math.log(math.fsum(math.exp(v - top) for v in b))
+    values = {x: exp_ext(ax - log_m) for x, ax in a.items()}
+    return EvidenceVariable(values, E_SCALE), exp_ext(g * log_m)
 
 
 def np_optimal(pair: SimplePair, alpha_star: Number,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +127,14 @@ class TestOutputs:
             else report_rows["rows"]
         assert [{c: r[c] for c in columns} for r in report_rows] == \
             [{c: r[c] for c in columns} for r in rows]
+
+    def test_power2_lambda_is_the_closed_form(self, capsys):
+        """Bernoulli(1/2) vs Bernoulli(3/4) at gamma = 2: lambda =
+        ((1/sqrt 2 + sqrt(3/2))/2)^2 = (2 + sqrt 3)/4."""
+        _, out = run(capsys, "optimal")
+        lam = json.loads(out)["report"]["bernoulli_power2_lambda"]
+        want = (2 + math.sqrt(3)) / 4
+        assert abs(lam - want) <= math.ulp(want)
 
     def test_schema_version_present(self, capsys):
         _, out = run(capsys, "sequential", "--n", "500")

@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from posthoc import (
     double_posthoc_check,
     expected_utility,
     gaussian_log_optimal_report,
+    gaussian_shift_pair,
     log_optimal,
     np_optimal,
     np_rejection_region,
@@ -89,6 +91,12 @@ class TestUtilitySpec:
             UtilitySpec.neyman_pearson(0)
         with pytest.raises(ValueError):
             UtilitySpec("LOG", 3)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_power_rejects_non_finite_gamma(self, gamma):
+        # nan passed every comparison and inf gave e* = 1 everywhere
+        with pytest.raises(ValueError, match="POWER needs gamma > 0"):
+            UtilitySpec.power(gamma)
 
     def test_limits(self):
         assert UtilitySpec.log().value(0) == -math.inf
@@ -165,9 +173,64 @@ class TestUtilityOptimal:
         assert max(tilted) - min(tilted) <= 1e-9 * max(tilted)
         # E_P[(lam f_P/f_Q)^(-1/gamma)] = 1 solves to a closed form in lam
         g = float(gamma)
-        closed = sum(float(fp) * float(pair.density_ratio(x)) ** (-1 / g)
-                     for x, fp in zip(pair.P.outcomes, pair.P.probs)) ** g
-        assert lam == pytest.approx(closed, rel=1e-8)
+        closed = math.fsum(float(fp) * float(pair.density_ratio(x)) ** (-1 / g)
+                           for x, fp in zip(pair.P.outcomes, pair.P.probs)) ** g
+        assert lam == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [F(1, 2), 2, F(1, 10)])
+    def test_power_extreme_ratio(self, gamma):
+        """r^(-1/gamma) passes the float range on this pair (r = 2e-200 at
+        outcome 0); the log-domain pass still gives the closed form."""
+        tiny = F(1, 10 ** 200)
+        pair = pair_of([tiny, 1 - tiny], [F(1, 2), F(1, 2)])
+        e_star, lam = utility_optimal(pair, UtilitySpec.power(gamma))
+        with localcontext() as ctx:
+            ctx.prec = 60
+
+            def dec(q):
+                return Decimal(q.numerator) / Decimal(q.denominator)
+
+            g = dec(F(gamma))
+            m = sum(dec(fp) * dec(pair.density_ratio(x)) ** (-1 / g)
+                    for x, fp in zip(pair.P.outcomes, pair.P.probs))
+            closed = float(m ** g)
+        assert math.isfinite(lam)
+        assert lam == pytest.approx(closed, rel=1e-12)
+        mean = math.fsum(float(fp) * e_star[x]
+                         for x, fp in zip(pair.P.outcomes, pair.P.probs))
+        assert abs(mean - 1) <= 1e-9
+
+    def test_power_p_mass_below_the_float_range(self):
+        # float(f_P) would be 0.0 at outcome 0; m = 2^(-1/2) to 15 digits,
+        # so e*(0) = (2 10^-400)^(-1/2) / m = 10^200
+        tiny = F(1, 10 ** 400)
+        pair = pair_of([tiny, 1 - tiny], [F(1, 2), F(1, 2)])
+        e_star, lam = utility_optimal(pair, UtilitySpec.power(2))
+        assert lam == pytest.approx(0.5, rel=1e-15)
+        assert e_star[0] == pytest.approx(1e200, rel=1e-12)
+        assert e_star[1] == pytest.approx(1.0, rel=1e-15)
+
+    def test_power_mutually_singular_has_no_normalization(self):
+        pair = pair_of([1, 0], [0, 1])
+        with pytest.raises(RuntimeError, match="no normalization constant"):
+            utility_optimal(pair, UtilitySpec.power(2))
+
+    @pytest.mark.parametrize("gamma,bounds", [
+        (2, (5.1e-3, 2.2e-3, 1.5e-3, 5.0e-4)),
+        (F(1, 2), (4.6e-2, 2.6e-2, 1.9e-2, 8.7e-3)),
+    ])
+    def test_power_lambda_converges_on_the_gaussian_pair(self, gamma, bounds):
+        """N(0,1) vs N(1,1): E_P[LR^s] = exp((s^2 - s)/2) with s = 1/gamma,
+        so lambda = exp((1/gamma - 1)/2); each bound is about 1.5 times the
+        relative error measured at that cell count."""
+        want = math.exp((1 / float(gamma) - 1) / 2)
+        errors = []
+        for n_cells, bound in zip((401, 1201, 2001, 8001), bounds):
+            _, lam = utility_optimal(gaussian_shift_pair(n_cells),
+                                     UtilitySpec.power(gamma))
+            errors.append(abs(lam / want - 1))
+            assert errors[-1] <= bound, n_cells
+        assert errors == sorted(errors, reverse=True)
 
     def test_normalization_across_utilities(self):
         pair = pair_of([F(1, 4), F(1, 4), F(1, 2)],

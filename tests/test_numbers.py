@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from posthoc._numbers import (
-    INF, is_inf, mul0, pow_ext, power_mean, recip, sqrt_fraction,
+    INF, exp_ext, is_inf, log_ext, mul0, pow_ext, power_mean, recip,
+    sqrt_fraction,
 )
 
 
@@ -114,6 +115,26 @@ def test_pow_ext_outside_the_float_range(base, expo):
     else:
         assert math.isclose(got, float(want), rel_tol=1e-12)
 
+
+
+@pytest.mark.parametrize("x", [
+    F(1, 3), 7, 0.25, 5e-324,           # in range, or a float subnormal
+    F(1, 2 ** 1995), F(1, 2 ** 1060),   # float(x) is 0.0 or subnormal
+    F(2 ** 1100, 3), 10 ** 400,         # float(x) overflows
+])
+def test_log_ext_matches_decimal(x):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = F(x)
+        want = (Decimal(q.numerator) / Decimal(q.denominator)).ln()
+    assert math.isclose(log_ext(x), float(want), rel_tol=1e-15)
+
+
+def test_log_ext_and_exp_ext_at_the_ends():
+    assert log_ext(0) == log_ext(0.0) == log_ext(F(0)) == -INF
+    assert log_ext(INF) == INF
+    assert exp_ext(-INF) == 0.0 and exp_ext(INF) == INF
+    assert exp_ext(710.0) == INF and exp_ext(709.0) == math.exp(709.0)
 
 # ---------------------------------------------------------------------------
 # power_mean: one implementation for calibration and merging
