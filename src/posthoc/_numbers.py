@@ -60,6 +60,14 @@ def mul0(a: Number, b: Number) -> Number:
     return a * b
 
 
+def float_ext(x: Number) -> float:
+    """float(x), with +-inf for an exact x past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return INF if x > 0 else -INF
+
+
 def log_ext(x: Number) -> float:
     """ln x on [0, inf], with ln 0 = -inf and ln inf = inf.  An exact x
     outside the normal float range, where ``float(x)`` would be 0.0, a
@@ -70,10 +78,7 @@ def log_ext(x: Number) -> float:
         return INF
     if isinstance(x, float):
         return math.log(x)
-    try:
-        f = float(x)
-    except OverflowError:
-        f = INF
+    f = float_ext(x)
     if sys.float_info.min <= f < INF:
         return math.log(f)
     return math.log(x.numerator) - math.log(x.denominator)
@@ -111,10 +116,7 @@ def pow_ext(base: Number, expo: Number) -> Number:
     else:
         e = float(expo)
         if not isinstance(base, float):
-            try:
-                f = float(base)
-            except OverflowError:
-                f = INF
+            f = float_ext(base)
             if not sys.float_info.min <= f < INF:
                 # an exact base outside the normal float range would become
                 # 0.0, a subnormal or an OverflowError: take the power in the

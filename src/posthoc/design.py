@@ -17,7 +17,8 @@ from fractions import Fraction
 from statistics import NormalDist
 
 from ._numbers import (
-    INF, TOL, Number, exp_ext, is_inf, log_ext, mul0, pow_ext, recip,
+    INF, TOL, Number, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext,
+    recip,
 )
 from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, dual
 
@@ -38,9 +39,11 @@ class UtilitySpec:
             if self.param is not None:
                 raise ValueError("LOG takes no parameter")
         elif self.kind == POWER:
-            # the chained comparison also rejects nan and inf
+            # gamma is used as a float, so its float must be a valid gamma
+            # too (10**400 overflows, 1 + 10**-20 rounds to 1); the chained
+            # comparisons also reject nan and inf
             if (self.param is None or not 0 < self.param < INF
-                    or self.param == 1):
+                    or not 0 < (g := float_ext(self.param)) < INF or g == 1):
                 raise ValueError("POWER needs gamma > 0, gamma != 1")
         elif self.kind == NEYMAN_PEARSON:
             if self.param is None or not (0 < self.param < 1):

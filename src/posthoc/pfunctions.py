@@ -171,6 +171,10 @@ class PCurve:
 
 
 def _close(a: Number, b: Number) -> bool:
+    """a == b, up to a relative 1e-9 when either is a float: the tolerance
+    absorbs float rounding, and exact values have none."""
+    if type(a) in EXACT_TYPES and type(b) in EXACT_TYPES:
+        return a == b
     if is_inf(a) or is_inf(b):
         return is_inf(a) and is_inf(b)
     return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(b)))
@@ -182,8 +186,8 @@ def _sorted_flat_pcurve(segs: list) -> list | None:
     piece is flat (every g an exact 0) with exact u_hi and coefficients.
 
     A flat piece has p = 1 / s with s the sum of its coefficients (inf with
-    no terms), so p falls exactly where s rises.  The tolerance of
-    :func:`_close` is then applied to the values, as the general code does.
+    no terms), so p falls exactly where s rises; exact values get no
+    tolerance, as in :func:`_close`.
     """
     vals = []
     for u_hi, terms in segs:
@@ -211,9 +215,7 @@ def _sorted_flat_pcurve(segs: list) -> list | None:
         u_lo = u
     for (_, i0, s0), (_, i1, s1) in zip(rows, rows[1:]):
         if s1 is not None and (s0 is None or s1 > s0):
-            start, prev_end = _eval_terms(segs[i1][1], 1), _eval_terms(segs[i0][1], 1)
-            if not _close(start, prev_end):
-                raise ValueError("p-curve must be nondecreasing in u")
+            raise ValueError("p-curve must be nondecreasing in u")
     return [segs[i] for _, i, _ in rows]
 
 
@@ -232,19 +234,18 @@ def _sorted_flat_tcurve(segs: list) -> list | None:
         return None
     d, keys = common
     order = sorted(range(len(segs)), key=keys[::2].__getitem__)
-    prev, prev_end = 0, 0  # the last level, as an int and as given
+    prev = 0  # the last level, as an int
     for i in order:
-        c = segs[i][1]
         ka, kc = keys[2 * i], keys[2 * i + 1]
         if ka < 0:
             raise ValueError("alpha breakpoints must be nonnegative")
         if kc < 0:
             raise ValueError("segment value must be nondecreasing in alpha")
-        if kc < prev and not _close(c, prev_end):
+        if kc < prev:
             raise ValueError("test function must be nondecreasing in alpha")
-        if kc > d and not _close(c, 1):
+        if kc > d:
             raise ValueError("test function values must stay within [0, 1]")
-        prev, prev_end = kc, c
+        prev = kc
     return [segs[i] for i in order]
 
 

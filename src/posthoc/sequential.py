@@ -5,10 +5,11 @@ Processes are multiplicative with a finite-support i.i.d. factor, so the
 martingale and supermartingale moment conditions are checkable exactly at
 construction.  Stopped means are exact too: M_t takes finitely many values
 at each t, so one forward pass over the (t, M_t) lattice gives E[M_tau] for
-every stopping rule that depends only on (t, M_t), and e-process claims are
-certified or refuted by the exact supremum of E[M_tau] over all stopping
-times.  Monte Carlo over simulated paths remains for rules that look at
-the whole path.
+every stopping rule that depends only on (t, M_t), and stopping at the
+first hit of 1/alpha gives Ville's P(max_t M_t >= 1/alpha).  E-process
+claims are certified or refuted by the exact supremum of E[M_tau] over all
+stopping times.  Monte Carlo over simulated paths remains for rules that
+look at the whole path.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._numbers import TOL, Number, fmt_number, is_inf, mul0, recip
+from ._numbers import TOL, Number, float_ext, fmt_number, is_inf, mul0, recip
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -33,6 +34,11 @@ from .pfunctions import RandomizedTestFunction, TCurve
 MARTINGALE = "MARTINGALE"
 SUPERMARTINGALE = "SUPERMARTINGALE"
 EPROCESS = "EPROCESS"
+
+
+def _finite(x: Number) -> bool:
+    """False for a float inf or nan, which has no exact ``Fraction``."""
+    return not isinstance(x, float) or math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,17 @@ class ProcessModel:
     horizon: int
 
     def __post_init__(self):
+        if not _finite(self.initial):
+            raise ValueError(f"initial value must be finite, got {self.initial}")
         if self.initial < 0:
             raise ValueError("initial value must be nonnegative")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
-        if any(v < 0 for v in self.multiplier.outcomes):
-            raise ValueError("multiplicative factors must be nonnegative")
+        for v in self.multiplier.outcomes:
+            if not _finite(v):
+                raise ValueError(f"multiplicative factors must be finite, got {v}")
+            if v < 0:
+                raise ValueError("multiplicative factors must be nonnegative")
         mean = self.multiplier.expectation(lambda v: v)
         if self.kind == MARTINGALE:
             if not (abs(float(mean) - 1.0) <= TOL or mean == 1):
@@ -110,10 +121,12 @@ class StoppingRule:
             idx[~hits.any(axis=1)] = paths.shape[1] - 1
             return idx
 
-        # Fraction >= float compares exactly
+        # the lattice compares its exact values with an exact threshold;
+        # nan and +-inf stay floats, which Fraction compares as 0.0 does
+        exact = Fraction(threshold) if _finite(threshold) else threshold
         return cls(f"hit@{threshold}",
                    lambda prefix: prefix[-1] >= threshold, vec,
-                   lambda step, value: value >= threshold)
+                   lambda step, value: value >= exact)
 
     def stop_indices(self, paths: np.ndarray) -> np.ndarray:
         if self.vectorized is not None:
@@ -248,27 +261,46 @@ def stopped_law(model: ProcessModel, rule: StoppingRule) -> dict:
     """The exact law of M_tau as {value: mass}, by one forward pass over
     the (t, M_t) lattice, for a rule with a Markov form.
 
-    Inputs are taken exactly (a float becomes the ``Fraction`` it is), so
-    equal products merge into one state: a k-point factor gives at most
-    C(t+k-1, k-1) states at step t.  At each t a state stops, when the
-    rule fires or t = T, or spreads to value * z with mass * P(z).
+    Inputs are taken exactly (a float becomes the ``Fraction`` it is).  The
+    pass runs on ints over one common denominator: with ``den`` the lcm of
+    the factor denominators and ``wden`` that of the masses, each step
+    multiplies by the ints a = z * den and w = P(z) * wden, and a state at
+    step t is an int N with an int mass numerator m, standing for the value
+    M_0 * N / den^t and the mass m / wden^t.  Equal values at one step have
+    equal N, so equal products merge into one state: a k-point factor gives
+    at most C(t+k-1, k-1) states at step t.  Each live state's value is
+    built once as a ``Fraction``, for ``rule.markov`` and as its key in the
+    law; it stops when the rule fires or t = T, or spreads to N * a with
+    mass m * w.
     """
     if rule.markov is None:
         raise ValueError(f"rule {rule.name} has no Markov form")
     steps = [(Fraction(z), Fraction(p)) for z, p in
              zip(model.multiplier.outcomes, model.multiplier.probs) if p]
+    den = math.lcm(*[z.denominator for z, _ in steps])
+    wden = math.lcm(*[p.denominator for _, p in steps])
+    moves = [(z.numerator * (den // z.denominator),
+              p.numerator * (wden // p.denominator)) for z, p in steps]
+    num, dnm = Fraction(model.initial).as_integer_ratio()
     law: dict = {}
-    states = {Fraction(model.initial): Fraction(1)}
+    # every N is one state when M_0 = 0, as every value is
+    states = {1 if num else 0: 1}
+    scale = wscale = 1  # den^t and wden^t
     for t in range(model.horizon + 1):
         spread: dict = {}
-        for value, mass in states.items():
+        for n, m in states.items():
+            value = Fraction(num * n, dnm * scale)
             if t == model.horizon or rule.markov(t, value):
-                law[value] = law.get(value, 0) + mass
+                mass = Fraction(m, wscale)
+                prev = law.get(value)
+                law[value] = mass if prev is None else prev + mass
                 continue
-            for z, p in steps:
-                nxt = value * z
-                spread[nxt] = spread.get(nxt, 0) + mass * p
+            for a, w in moves:
+                nxt = n * a
+                spread[nxt] = spread.get(nxt, 0) + m * w
         states = spread
+        scale *= den
+        wscale *= wden
     return law
 
 
@@ -290,6 +322,22 @@ def sup_stopped_mean(model: ProcessModel) -> Fraction:
     mean = sum(Fraction(z) * Fraction(p) for z, p in
                zip(model.multiplier.outcomes, model.multiplier.probs))
     return Fraction(model.initial) * max(Fraction(1), mean) ** model.horizon
+
+
+def ville_tail(model: ProcessModel, alpha: Number) -> Fraction:
+    """P(max_{t <= T} M_t >= 1/alpha), exactly: the left side of Ville's
+    inequality, at most alpha * M_0 for a nonnegative supermartingale.
+
+    Stopping at the first t with M_t >= 1/alpha, or at T, leaves
+    M_tau >= 1/alpha on exactly the paths whose running maximum reaches
+    1/alpha, so the tail is the mass of :func:`stopped_law` under that
+    hitting rule at values >= 1/alpha; no running-maximum state is needed.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    level = 1 / Fraction(alpha)
+    law = stopped_law(model, StoppingRule.hitting_time(level))
+    return sum((m for v, m in law.items() if v >= level), Fraction(0))
 
 
 def _slack(model: ProcessModel) -> float:
@@ -359,11 +407,7 @@ def _stopped_estimate(model: ProcessModel, rule: StoppingRule,
     Markov form, else the mean of n simulated paths."""
     if rule.markov is not None:
         exact = stopped_mean(model, rule)
-        try:
-            mean = float(exact)
-        except OverflowError:  # past the float range
-            mean = math.inf
-        return exact, {"method": "exact", "n": None, "mean": mean,
+        return exact, {"method": "exact", "n": None, "mean": float_ext(exact),
                        "mean_exact": fmt_number(exact), "se": 0.0}
     stopped = _stopped_values(model, rule, n, seed)
     se = float(stopped.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf

@@ -98,6 +98,20 @@ class TestUtilitySpec:
         with pytest.raises(ValueError, match="POWER needs gamma > 0"):
             UtilitySpec.power(gamma)
 
+    @pytest.mark.parametrize("gamma", [10**400, F(10**401, 7), F(1, 10**400),
+                                       1 + F(1, 10**20)])
+    def test_power_rejects_gamma_whose_float_is_out_of_range(self, gamma):
+        # each passes the exact comparisons, but float(gamma) is inf, 0.0
+        # or 1.0, which utility_optimal and value cannot take
+        with pytest.raises(ValueError, match="POWER needs gamma > 0"):
+            UtilitySpec.power(gamma)
+
+    @pytest.mark.parametrize("gamma", [10**300, F(1, 10**300), 1 + F(1, 10**15)])
+    def test_power_accepts_gamma_near_the_float_edges(self, gamma):
+        U = UtilitySpec.power(gamma)
+        e, lam = utility_optimal(bernoulli_pair(), U)
+        assert math.isfinite(U.value(2)) and lam > 0
+
     def test_limits(self):
         assert UtilitySpec.log().value(0) == -math.inf
         assert UtilitySpec.power(2).value(0) == -math.inf

@@ -426,10 +426,10 @@ def reference_to_pcurve(segments):
     return reference_pcurve(out)
 
 
-def assert_round_trip_matches(curve, nondecreasing=True):
-    """Both transforms equal the oracle's; on a truly nondecreasing curve
-    the round trip gives p back and the adjunction tf(alpha) >= u <=>
-    p(u) <= alpha holds on the breakpoints."""
+def assert_round_trip_matches(curve):
+    """Both transforms equal the oracle's, the round trip gives p back and
+    the adjunction tf(alpha) >= u <=> p(u) <= alpha holds on the
+    breakpoints."""
     ref_t = outcome(reference_to_tcurve, curve.segments)
     got_t = outcome(lambda: _pcurve_to_tcurve(curve).segments)
     assert same_outcome(got_t, ref_t)
@@ -438,7 +438,7 @@ def assert_round_trip_matches(curve, nondecreasing=True):
     tc = TCurve(got_t[1])
     back = _tcurve_to_pcurve(tc)
     assert same(back.segments, reference_to_pcurve(tc.segments))
-    for u in curve.breakpoints() if nondecreasing else ():
+    for u in curve.breakpoints():
         assert back.value(u) == curve.value(u)
         for a in [a for a, _, _ in tc.segments if a > 0]:
             assert (tc.value(a) >= u) == (curve.value(u) <= a)
@@ -465,17 +465,20 @@ def test_step_round_trips_match_the_oracle(raw, last, tail):
 
 
 @pytest.mark.parametrize("pieces", [
-    [(F(1, 2), F(1, 2) + F(1, 10**12)), (1, F(1, 2))],   # p falls within tolerance
+    [(F(1, 2), F(1, 2) + F(1, 10**12)), (1, F(1, 2))],   # p falls by 10^-12
     [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2) - F(1, 10**12)), (1, F(1, 2))],
     [(F(1, 2), 1 + F(1, 10**12)), (1, 1 + F(1, 10**11))],
     [(1, INF)],
     [(F(1, 3), 3), (1, INF)],
 ])
 def test_step_round_trips_at_the_tolerance_and_at_inf(pieces):
-    # a p that falls within PCurve's tolerance is accepted but has no
-    # exact inverse; the transforms still equal the oracle's
-    falls = any(b[1] < a[1] for a, b in zip(pieces, pieces[1:]))
-    assert_round_trip_matches(PCurve.steps(pieces), nondecreasing=not falls)
+    # the float tolerance does not apply to exact levels: a p that falls
+    # by less than it is rejected, as it has no exact inverse
+    if any(b[1] < a[1] for a, b in zip(pieces, pieces[1:])):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PCurve.steps(pieces)
+    else:
+        assert_round_trip_matches(PCurve.steps(pieces))
 
 
 @pytest.mark.parametrize("curve", [

@@ -34,6 +34,7 @@ from posthoc import (
     sup_stopped_mean,
     supermartingale_fixture,
     ville_equality_check,
+    ville_tail,
 )
 import posthoc.sequential as sequential
 from posthoc.sequential import _BLOCK_ROWS, _posthoc_sup, _stopped_values
@@ -100,6 +101,20 @@ class TestProcessModel:
         z = DiscreteSpace((-1, 3), (F(1, 2), F(1, 2)))
         with pytest.raises(ValueError):
             ProcessModel(1, z, EPROCESS, 10)
+
+    @pytest.mark.parametrize("initial, factor, message", [
+        (math.inf, F(3, 2), "initial value must be finite, got inf"),
+        (math.nan, F(3, 2), "initial value must be finite, got nan"),
+        (1, math.inf, "factors must be finite, got inf"),
+        (1, math.nan, "factors must be finite, got nan"),
+        (1, -math.inf, "factors must be finite, got -inf"),
+    ])
+    def test_rejects_non_finite_inputs(self, initial, factor, message):
+        # the exact checks cannot take them: Fraction(inf) and Fraction(nan)
+        # raise OverflowError and ValueError
+        z = DiscreteSpace((F(1, 2), factor), (F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match=message):
+            ProcessModel(initial, z, EPROCESS, 10)
 
 
 class TestSimulatePaths:
@@ -411,6 +426,221 @@ class TestExactLattice:
         assert rep.mean_exact is None and rep.se > 0
         exact = stopped_mean(model, rule)
         assert abs(rep.mean - float(exact)) <= 3 * rep.se
+
+
+def reference_stopped_law(model, rule):
+    """The Fraction-keyed forward pass that the integer lattice of
+    :func:`stopped_law` replaced, kept as its oracle."""
+    if rule.markov is None:
+        raise ValueError(f"rule {rule.name} has no Markov form")
+    steps = [(F(z), F(p)) for z, p in
+             zip(model.multiplier.outcomes, model.multiplier.probs) if p]
+    law: dict = {}
+    states = {F(model.initial): F(1)}
+    for t in range(model.horizon + 1):
+        spread: dict = {}
+        for value, mass in states.items():
+            if t == model.horizon or rule.markov(t, value):
+                law[value] = law.get(value, 0) + mass
+                continue
+            for z, p in steps:
+                nxt = value * z
+                spread[nxt] = spread.get(nxt, 0) + mass * p
+        states = spread
+    return law
+
+
+def reference_hitting_time(threshold):
+    """``hitting_time`` as it was: the Markov form compares each value with
+    the threshold as given, converting it on every call."""
+    rule = StoppingRule.hitting_time(threshold)
+    return StoppingRule(rule.name, rule.decide, rule.vectorized,
+                        lambda step, value: value >= threshold)
+
+
+def recording(rule):
+    """The rule, and the list of (t, value) its Markov form is called on."""
+    calls = []
+
+    def markov(step, value):
+        calls.append((step, value))
+        return rule.markov(step, value)
+
+    return StoppingRule(rule.name, rule.decide, rule.vectorized, markov), calls
+
+
+def assert_law_matches_the_oracle(model, rule, reference_rule=None):
+    """Equal laws of Fraction keys and masses, from the same live states:
+    the rule sees each state of the oracle once, in the same order."""
+    reference_rule, reference_calls = recording(reference_rule or rule)
+    rule, calls = recording(rule)
+    law = stopped_law(model, rule)
+    assert law == reference_stopped_law(model, reference_rule)
+    assert all(type(v) is F and type(m) is F for v, m in law.items())
+    assert calls == reference_calls
+    assert all(type(v) is F for _, v in calls)
+
+
+# each value type: int, Fraction and float (half precision keeps the
+# float denominators small over 25 steps)
+numbers = st.one_of(st.integers(0, 3),
+                    st.fractions(0, 3, max_denominator=6),
+                    st.floats(0, 3, width=16))
+
+
+@st.composite
+def oracle_models(draw):
+    """1-4 factor outcomes of mixed types, zero factors and zero masses
+    allowed; masses as Fractions, floats, a mix, or one int 1."""
+    factors = draw(st.lists(numbers, min_size=1, max_size=4, unique_by=F))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(factors),
+                            max_size=len(factors)).filter(any))
+    masses = [F(w, sum(weights)) for w in weights]
+    cast = draw(st.sampled_from(["fraction", "float", "mixed", "int"]))
+    if cast == "float" or (cast == "mixed" and len(masses) > 1):
+        masses = [float(m) if cast == "float" or i % 2 else m
+                  for i, m in enumerate(masses)]
+    elif cast == "int" and sum(1 for w in weights if w) == 1:
+        masses = [int(m) for m in masses]
+    initial = draw(st.one_of(st.just(0), numbers))
+    return ProcessModel(initial, DiscreteSpace(tuple(factors), tuple(masses)),
+                        EPROCESS, draw(st.integers(1, 25)))
+
+
+@st.composite
+def oracle_rules(draw):
+    """(rule, the rule the oracle runs): fixed times, hitting times at
+    int, Fraction, float and non-finite thresholds, and a custom Markov
+    predicate."""
+    form = draw(st.sampled_from(["fixed", "hit", "custom"]))
+    if form == "fixed":
+        rule = StoppingRule.fixed_time(draw(st.integers(0, 26)))
+        return rule, rule
+    if form == "hit":
+        c = draw(st.one_of(numbers, st.floats(0, 4),
+                           st.sampled_from([math.inf, -math.inf, math.nan])))
+        return StoppingRule.hitting_time(c), reference_hitting_time(c)
+    k, c = draw(st.integers(0, 5)), draw(numbers)
+
+    def markov(step, value):
+        return step >= k and value <= c
+
+    rule = StoppingRule(f"custom@{k},{c}",
+                        lambda prefix: markov(len(prefix) - 1, prefix[-1]),
+                        None, markov)
+    return rule, rule
+
+
+FIXTURES = {"martingale": martingale_fixture(),
+            "supermartingale": supermartingale_fixture(),
+            "invalid-eprocess": invalid_eprocess_fixture()}
+# (rule, the rule the oracle runs)
+FIXTURE_RULES = {
+    "hit@2.0": (StoppingRule.hitting_time(2.0), reference_hitting_time(2.0)),
+    "fixed@0": (StoppingRule.fixed_time(0),) * 2,
+    "fixed@50": (StoppingRule.fixed_time(50),) * 2,
+}
+
+
+class TestIntegerLattice:
+    @pytest.mark.parametrize("rule", FIXTURE_RULES)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_fixture_laws_match_the_oracle(self, fixture, rule):
+        assert_law_matches_the_oracle(FIXTURES[fixture], *FIXTURE_RULES[rule])
+
+    @settings(max_examples=120, deadline=None)
+    @given(oracle_models(), oracle_rules())
+    def test_laws_match_the_oracle(self, model, rules):
+        assert_law_matches_the_oracle(model, *rules)
+
+    @pytest.mark.parametrize("initial", [0, 0.0, F(0), 3, 0.75, F(2, 3)])
+    def test_zero_factor_and_zero_mass(self, initial):
+        # four live outcomes of mixed types and one of zero mass
+        z = DiscreteSpace((0, F(1, 2), 2.0, 3, 0.75),
+                          (F(1, 4), F(1, 4), 0, F(1, 4), 0.25))
+        model = ProcessModel(initial, z, EPROCESS, 25)
+        for rule, ref in [(StoppingRule.fixed_time(25),) * 2,
+                          (StoppingRule.hitting_time(F(3, 2)),
+                           reference_hitting_time(F(3, 2)))]:
+            assert_law_matches_the_oracle(model, rule, ref)
+        if initial == 0:
+            assert stopped_law(model, StoppingRule.fixed_time(25)) == {0: 1}
+
+    @pytest.mark.parametrize("threshold, name", [
+        (2.0, "hit@2.0"), (2, "hit@2"), (F(9, 4), "hit@9/4"),
+        (math.inf, "hit@inf"), (-math.inf, "hit@-inf"), (math.nan, "hit@nan"),
+    ])
+    def test_hitting_time_keeps_its_name_and_answers(self, threshold, name):
+        rule = StoppingRule.hitting_time(threshold)
+        assert rule.name == name
+        for value in (F(0), F(1, 10), F(2), F(9, 4), F(10**400)):
+            assert rule.markov(3, value) is (value >= threshold)
+        # the float 0.1 is a little above 1/10, and the exact compare sees it
+        assert not StoppingRule.hitting_time(0.1).markov(0, F(1, 10))
+
+    def test_non_finite_thresholds_never_or_always_stop(self):
+        model = martingale_fixture(horizon=6)
+        fixed = StoppingRule.fixed_time
+        for c, at in [(math.inf, 6), (math.nan, 6), (-math.inf, 0)]:
+            assert (stopped_law(model, StoppingRule.hitting_time(c))
+                    == stopped_law(model, fixed(at)))
+
+
+def brute_force_ville_tail(model, alpha):
+    """P(max_t M_t >= 1/alpha) summed over all k^T factor sequences."""
+    z, level = model.multiplier, 1 / F(alpha)
+    total = F(0)
+    for seq in itertools.product(range(len(z.outcomes)),
+                                 repeat=model.horizon):
+        value = F(model.initial)
+        hit = value >= level
+        for i in seq:
+            value *= z.outcomes[i]
+            hit = hit or value >= level
+        if hit:
+            total += math.prod((z.probs[i] for i in seq), start=F(1))
+    return total
+
+
+class TestVilleTail:
+    def test_brute_force_value(self):
+        model = martingale_fixture(horizon=8)
+        assert brute_force_ville_tail(model, F(1, 4)) == F(3, 32)
+        assert ville_tail(model, F(1, 4)) == F(3, 32)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_models(),
+           st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16))
+    def test_matches_brute_force_enumeration(self, model, alpha):
+        tail = ville_tail(model, alpha)
+        assert type(tail) is F
+        assert tail == brute_force_ville_tail(model, alpha)
+
+    @pytest.mark.parametrize("fixture, alpha, tail", [
+        (martingale_fixture, F(1, 20), 0.03759),
+        (martingale_fixture, F(1, 2), 0.42375),
+        (supermartingale_fixture, F(1, 20), 0.00934),
+        (supermartingale_fixture, F(1, 2), 0.23519),
+    ])
+    def test_ville_bound_holds_for_supermartingales(self, fixture, alpha,
+                                                   tail):
+        model = fixture()
+        got = ville_tail(model, alpha)
+        assert float(got) == pytest.approx(tail, abs=5e-6)
+        assert got <= alpha * model.initial
+
+    def test_invalid_eprocess_breaks_the_bound(self):
+        got = ville_tail(invalid_eprocess_fixture(), F(1, 20))
+        assert float(got) == pytest.approx(0.26281, abs=5e-6)
+        assert got > F(1, 20)
+
+    def test_alpha_one_is_certain(self):
+        assert ville_tail(martingale_fixture(), 1) == 1
+
+    @pytest.mark.parametrize("alpha", [0, -F(1, 2), 1.5, math.nan, -math.inf])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            ville_tail(martingale_fixture(), alpha)
 
 
 class TestMultipleTesting:
