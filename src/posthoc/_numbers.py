@@ -25,6 +25,11 @@ def is_inf(x: Number) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
+def is_finite(x: Number) -> bool:
+    """False for a float inf or nan, which has no exact ``Fraction``."""
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 def recip(x: Number) -> Number:
     """Reciprocal with 1/0 = inf and 1/inf = 0, preserving exactness."""
     if type(x) is Fraction:

@@ -24,6 +24,7 @@ from ._numbers import (
     at_most,
     common_denominator,
     fmt_number,
+    is_finite,
     is_inf,
     mul0,
     parse_number,
@@ -58,6 +59,9 @@ class DiscreteSpace:
         index = {x: i for i, x in enumerate(outcomes)}
         if len(index) != len(outcomes):
             raise ValueError("outcome ids must be unique")
+        for p in probs:
+            if not is_finite(p):
+                raise ValueError(f"probabilities must be finite, got {p}")
         if any(p < 0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
         total = sum(probs)
@@ -378,7 +382,7 @@ class PValueLaw:
 
     def sample(self, n: int, rng) -> np.ndarray:
         """n i.i.d. float draws via inverse-mixture sampling: n uniforms
-        pick the components as :func:`sample_finite` does, then n more
+        pick the components as ``Generator.choice`` does, then n more
         place the draws within them."""
         masses, base, width = self._mixture()
         out = rng.random(n)
@@ -537,31 +541,15 @@ def _lattice_piece_cdf(pieces: list, total: int, top: int, scale: int) -> tuple:
     return num, q, added
 
 
-def sample_finite(rng, values, masses, out: np.ndarray) -> np.ndarray:
-    """Fill the float64 array ``out`` with draws from the finite law
-    P(values[j]) = masses[j] / sum(masses), and return it.
-
-    Bit-identical to numpy's ``Generator.choice(values, size=out.shape,
-    p=masses / sum)``, uniforms included: numpy draws ``u = random(shape)``
-    and returns ``values[cdf.searchsorted(u, side="right")]``, which
-    :func:`_finite_index` computes.  The uniforms are drawn into ``out``,
-    so a caller that reuses ``out`` allocates no float array per call.
-    """
-    import numpy as np
-
-    values = np.asarray(values, dtype=float)
-    rng.random(out=out)
-    # every index is in range, so "clip" only skips numpy's bounds buffer
-    return values.take(_finite_index(masses, out), out=out, mode="clip")
-
-
 def _finite_index(masses, u: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1), with
-    ``cdf = p.cumsum(); cdf /= cdf[-1]`` for p = masses / sum(masses), as
-    ``Generator.choice`` has it.  As u < 1 = cdf[-1], that index is the
-    count of j < k-1 with u >= cdf[j], so k-1 vector comparisons replace
-    the binary search (cdf is nondecreasing, so zero masses and ties count
-    alike).  The index has the smallest integer type that holds k-1.
+    """The component index of each uniform u in [0, 1), as numpy's
+    ``Generator.choice`` picks it: ``cdf.searchsorted(u, side="right")``
+    with ``cdf = p.cumsum(); cdf /= cdf[-1]`` for p = masses / sum(masses).
+    As u < 1 = cdf[-1], that index is the count of j < k-1 with
+    u >= cdf[j], so k-1 vector comparisons replace the binary search (cdf
+    is nondecreasing, so zero masses and ties count alike).  The index has
+    the smallest integer type that holds k-1.  :meth:`PValueLaw.sample`
+    and :meth:`PValueLaw.sample_blocks` pick their components with it.
     """
     import numpy as np
 

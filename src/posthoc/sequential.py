@@ -3,13 +3,12 @@ Ville equalities, plus familywise / averaged multiple-testing merges.
 
 Processes are multiplicative with a finite-support i.i.d. factor, so the
 martingale and supermartingale moment conditions are checkable exactly at
-construction.  Stopped means are exact too: M_t takes finitely many values
-at each t, so one forward pass over the (t, M_t) lattice gives E[M_tau] for
-every stopping rule that depends only on (t, M_t), and stopping at the
-first hit of 1/alpha gives Ville's P(max_t M_t >= 1/alpha).  E-process
-claims are certified or refuted by the exact supremum of E[M_tau] over all
-stopping times.  Monte Carlo over simulated paths remains for rules that
-look at the whole path.
+construction.  A stopping rule is a predicate on (t, M_t), and stopped
+means are exact: M_t takes finitely many values at each t, so one forward
+pass over the (t, M_t) lattice gives E[M_tau] for every rule, and stopping
+at the first hit of 1/alpha gives Ville's P(max_t M_t >= 1/alpha).
+E-process claims are certified or refuted by the exact supremum of
+E[M_tau] over all stopping times.  Nothing here is simulated.
 """
 from __future__ import annotations
 
@@ -18,7 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._numbers import TOL, Number, float_ext, fmt_number, is_inf, mul0, recip
+from ._numbers import (
+    EXACT_TYPES,
+    TOL,
+    Number,
+    float_ext,
+    fmt_number,
+    is_finite,
+    is_inf,
+    mul0,
+    recip,
+)
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -26,7 +35,6 @@ from .core import (
     Hypothesis,
     P_SCALE,
     TestFunction,
-    sample_finite,
 )
 from .merging import _check_weights
 from .pfunctions import RandomizedTestFunction, TCurve
@@ -36,19 +44,15 @@ SUPERMARTINGALE = "SUPERMARTINGALE"
 EPROCESS = "EPROCESS"
 
 
-def _finite(x: Number) -> bool:
-    """False for a float inf or nan, which has no exact ``Fraction``."""
-    return not isinstance(x, float) or math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class ProcessModel:
     """M_t = M_0 * Z_1 * ... * Z_t with i.i.d. finite-support Z >= 0.
 
     The declared class is verified against the one-step mean at
-    construction for martingales and supermartingales.  EPROCESS makes no
-    one-step claim (the contract is about stopped expectations), so it is
-    deliberately unchecked here and certified or refuted by
+    construction for martingales and supermartingales: exactly when the
+    mean is exact, within ``TOL`` when an input makes it a float.  EPROCESS
+    makes no one-step claim (the contract is about stopped expectations),
+    so it is deliberately unchecked here and certified or refuted by
     :func:`anytime_validity_check`.
     """
 
@@ -58,23 +62,25 @@ class ProcessModel:
     horizon: int
 
     def __post_init__(self):
-        if not _finite(self.initial):
+        if not is_finite(self.initial):
             raise ValueError(f"initial value must be finite, got {self.initial}")
         if self.initial < 0:
             raise ValueError("initial value must be nonnegative")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         for v in self.multiplier.outcomes:
-            if not _finite(v):
+            if not is_finite(v):
                 raise ValueError(f"multiplicative factors must be finite, got {v}")
             if v < 0:
                 raise ValueError("multiplicative factors must be nonnegative")
-        mean = self.multiplier.expectation(lambda v: v)
+        mean = self.step_mean()
+        # the stopped means are exact, so an exact E[Z] gets no tolerance
+        tol = 0 if type(mean) in EXACT_TYPES else TOL
         if self.kind == MARTINGALE:
-            if not (abs(float(mean) - 1.0) <= TOL or mean == 1):
+            if abs(mean - 1) > tol:
                 raise ValueError(f"martingale needs E[Z] = 1, got {mean}")
         elif self.kind == SUPERMARTINGALE:
-            if mean > 1 + TOL:
+            if mean > 1 + tol:
                 raise ValueError(f"supermartingale needs E[Z] <= 1, got {mean}")
         elif self.kind != EPROCESS:
             raise ValueError(f"unknown process class {self.kind!r}")
@@ -85,116 +91,23 @@ class ProcessModel:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Adapted rule: stop as soon as decide(prefix) is true, capped at the
-    horizon.  ``vectorized`` optionally maps a path matrix (n, T+1) to stop
-    indices for fast simulation; it must agree with ``decide``.
-
-    ``markov`` is the rule's Markov form, if it has one: a predicate on
-    (t, M_t) that agrees with ``decide`` on every prefix.  Rules with a
-    Markov form are evaluated exactly on the state lattice
-    (:func:`stopped_law`); a rule built from ``decide`` alone has none and
-    is simulated."""
+    """Stop at the first t with ``markov(t, M_t)`` true, capped at the
+    horizon.  Every rule is such a predicate on (t, M_t), so every rule is
+    evaluated exactly on the state lattice (:func:`stopped_law`)."""
 
     name: str
-    decide: Callable[[Sequence[float]], bool]
-    vectorized: Callable | None = None
-    markov: Callable[[int, Number], bool] | None = None
+    markov: Callable[[int, Number], bool]
 
     @classmethod
     def fixed_time(cls, t: int) -> "StoppingRule":
-        def vec(paths):
-            import numpy as np
-
-            n, width = paths.shape
-            return np.full(n, min(t, width - 1), dtype=np.int64)
-
-        return cls(f"fixed@{t}", lambda prefix: len(prefix) - 1 >= t, vec,
-                   lambda step, value: step >= t)
+        return cls(f"fixed@{t}", lambda step, value: step >= t)
 
     @classmethod
     def hitting_time(cls, threshold: float) -> "StoppingRule":
-        def vec(paths):
-            import numpy as np
-
-            hits = paths >= threshold
-            idx = np.argmax(hits, axis=1)
-            idx[~hits.any(axis=1)] = paths.shape[1] - 1
-            return idx
-
         # the lattice compares its exact values with an exact threshold;
         # nan and +-inf stay floats, which Fraction compares as 0.0 does
-        exact = Fraction(threshold) if _finite(threshold) else threshold
-        return cls(f"hit@{threshold}",
-                   lambda prefix: prefix[-1] >= threshold, vec,
-                   lambda step, value: value >= exact)
-
-    def stop_indices(self, paths: np.ndarray) -> np.ndarray:
-        if self.vectorized is not None:
-            return self.vectorized(paths)
-        import numpy as np
-
-        out = np.empty(paths.shape[0], dtype=np.int64)
-        for i, path in enumerate(paths):
-            t = paths.shape[1] - 1
-            for j in range(paths.shape[1]):
-                if self.decide(path[: j + 1]):
-                    t = j
-                    break
-            out[i] = t
-        return out
-
-
-_BLOCK_ROWS = 8192  # paths per simulated block: 3.3 MB of float64 at T = 50
-
-
-def _path_blocks(model: ProcessModel, n: int, seed: int):
-    """The n paths of ``simulate_paths`` as (first row, block) pairs.
-
-    Each block is a view of one reused (b, T+1) buffer with
-    b <= ``_BLOCK_ROWS``, valid until the next block is drawn.  Philox
-    doubles use one 64-bit word each, in C order, so drawing the factors
-    block by block concatenates to the single (n, T) draw: the paths are
-    bit-identical for every block size.
-    """
-    import numpy as np
-
-    _require_samples(n)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    vals = [float(v) for v in model.multiplier.outcomes]
-    masses = [float(p) for p in model.multiplier.probs]
-    m0 = float(model.initial)
-    b = min(n, _BLOCK_ROWS)
-    factors = np.empty((b, model.horizon))
-    buf = np.empty((b, model.horizon + 1))
-    buf[:, 0] = m0
-
-    def fill(start):
-        rows = buf[: min(b, n - start)]
-        draws = sample_finite(rng, vals, masses, factors[: len(rows)])
-        np.cumprod(draws, axis=1, out=rows[:, 1:])
-        rows[:, 1:] *= m0
-        return start, rows
-
-    # n is checked on the call, before the caller allocates; the blocks
-    # are drawn lazily, in stream order
-    return map(fill, range(0, n, _BLOCK_ROWS))
-
-
-def simulate_paths(model: ProcessModel, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. paths (M_0, ..., M_T) as an (n, T+1) array.
-
-    The factors are ``Generator.choice(Z values, size=(n, T), p=Z masses)``
-    on a Philox stream keyed by ``seed``, drawn in row blocks
-    (bit-identical to the one-shot draw).  Only this array is O(n T); the
-    Monte Carlo Ville and anytime checks keep O(n + block T) memory.
-    """
-    import numpy as np
-
-    blocks = _path_blocks(model, n, seed)
-    paths = np.empty((n, model.horizon + 1))
-    for start, block in blocks:
-        paths[start:start + len(block)] = block
-    return paths
+        exact = Fraction(threshold) if is_finite(threshold) else threshold
+        return cls(f"hit@{threshold}", lambda step, value: value >= exact)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +172,7 @@ def mrmw_sandwich(X: EvidenceVariable, c: Number, H: Hypothesis):
 
 def stopped_law(model: ProcessModel, rule: StoppingRule) -> dict:
     """The exact law of M_tau as {value: mass}, by one forward pass over
-    the (t, M_t) lattice, for a rule with a Markov form.
+    the (t, M_t) lattice.
 
     Inputs are taken exactly (a float becomes the ``Fraction`` it is).  The
     pass runs on ints over one common denominator: with ``den`` the lcm of
@@ -273,8 +186,6 @@ def stopped_law(model: ProcessModel, rule: StoppingRule) -> dict:
     law; it stops when the rule fires or t = T, or spreads to N * a with
     mass m * w.
     """
-    if rule.markov is None:
-        raise ValueError(f"rule {rule.name} has no Markov form")
     steps = [(Fraction(z), Fraction(p)) for z, p in
              zip(model.multiplier.outcomes, model.multiplier.probs) if p]
     den = math.lcm(*[z.denominator for z, _ in steps])
@@ -364,14 +275,14 @@ def _require_samples(n: int) -> None:
 class VilleReport:
     rule: str
     kind: str
-    n: int | None  # None when the mean is exact
+    n: None  # the mean is exact, drawn from no sample
     mean: float
     se: float
     initial: float
     valid: bool
     detail: str
-    method: str  # "exact" or "monte_carlo"
-    mean_exact: str | None  # fmt_number of the exact mean
+    method: str  # "exact"
+    mean_exact: str  # fmt_number of the exact mean
 
     def __bool__(self) -> bool:
         return self.valid
@@ -385,74 +296,47 @@ class VilleReport:
         }
 
 
-def _stopped_values(model: ProcessModel, rule: StoppingRule,
-                    n: int, seed: int) -> np.ndarray:
-    """M_tau of each of the n paths of ``simulate_paths``, one block at a
-    time: O(n + block T) memory.  Rules act row by row, so stopping each
-    block equals stopping the whole path array."""
-    import numpy as np
-
-    blocks = _path_blocks(model, n, seed)
-    stopped = np.empty(n)
-    for start, block in blocks:
-        idx = rule.stop_indices(block)
-        stopped[start:start + len(block)] = block[np.arange(len(block)), idx]
-    return stopped
-
-
-def _stopped_estimate(model: ProcessModel, rule: StoppingRule,
-                      n: int, seed: int):
-    """(exact E[M_tau] or None, the method, n, mean, mean_exact and se
-    fields of a report row): exact on the lattice when the rule has a
-    Markov form, else the mean of n simulated paths."""
-    if rule.markov is not None:
-        exact = stopped_mean(model, rule)
-        return exact, {"method": "exact", "n": None, "mean": float_ext(exact),
-                       "mean_exact": fmt_number(exact), "se": 0.0}
-    stopped = _stopped_values(model, rule, n, seed)
-    se = float(stopped.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return None, {"method": "monte_carlo", "n": n,
-                  "mean": float(stopped.mean()), "mean_exact": None, "se": se}
+def _stopped_row(model: ProcessModel, rule: StoppingRule):
+    """(exact E[M_tau], the method, n, mean, mean_exact and se fields of a
+    report row)."""
+    exact = stopped_mean(model, rule)
+    return exact, {"method": "exact", "n": None, "mean": float_ext(exact),
+                   "mean_exact": fmt_number(exact), "se": 0.0}
 
 
 def ville_equality_check(model: ProcessModel, rule: StoppingRule,
                          n: int, seed: int) -> VilleReport:
-    """Optional-stopping check of E[M_tau] against M_0.
+    """Optional-stopping check of E[M_tau] against M_0, exactly.
 
-    For a rule with a Markov form E[M_tau] is exact: a martingale is valid
-    iff it equals M_0 and a supermartingale iff it is at most M_0 (within
-    a float slack only when an input is a float).  Other rules are
-    simulated on n paths keyed by ``seed``: martingales must match within
-    3 standard errors, supermartingales must not exceed M_0 + 3 SE.
+    A martingale is valid iff E[M_tau] equals M_0 and a supermartingale iff
+    it is at most M_0, within a float slack only when an input is a float.
+    ``n`` must be at least 1; ``n`` and ``seed`` select no sample, since
+    nothing is simulated, and stay for the callers that pass them.
     """
     _require_samples(n)
-    exact, est = _stopped_estimate(model, rule, n, seed)
-    m0 = float(model.initial)
-    if exact is not None:
-        gap, slack, how = exact - Fraction(model.initial), _slack(model), "exact"
-    else:
-        gap, slack, how = est["mean"] - m0, 3 * est["se"] + TOL, "within 3 SE"
-    valid = abs(gap) <= slack if model.kind == MARTINGALE else gap <= slack
+    exact, fields = _stopped_row(model, rule)
+    gap, slack = exact - Fraction(model.initial), _slack(model)
     if model.kind == MARTINGALE:
-        detail = f"optional stopping equality, {how}"
+        valid, detail = abs(gap) <= slack, "optional stopping equality, exact"
     else:
-        detail = f"stopped mean bounded by the initial value, {how}"
-    return VilleReport(rule.name, model.kind, initial=m0, valid=valid,
-                       detail=detail, **est)
+        valid = gap <= slack
+        detail = "stopped mean bounded by the initial value, exact"
+    return VilleReport(rule.name, model.kind, initial=float(model.initial),
+                       valid=valid, detail=detail, **fields)
 
 
 def anytime_validity_check(models, rules: Sequence[StoppingRule],
                            n: int, seed: int) -> dict:
     """Anytime validity, E[M_tau] <= M_0 for every stopping time tau <= T,
-    decided exactly for each hypothesis member.
+    checked exactly for each hypothesis member.
 
     ``models`` is a ProcessModel or a mapping member-name -> ProcessModel.
     ``valid`` comes from :func:`sup_stopped_mean`, the supremum over all
     stopping times, reported per member as ``sup_all_stopping_times``.
     A battery of rules can pass falsely, since a process may beat M_0 only
     under a rule the battery lacks; this bound cannot.  The battery's rows
-    stay in the report as evidence: exact for rules with a Markov form,
-    simulated (n paths, key ``seed + j`` for rule j, 3 SE) otherwise.
+    stay in the report as evidence, each with its exact E[M_tau].  ``n``
+    and ``seed`` are taken as :func:`ville_equality_check` takes them.
     """
     _require_samples(n)
     if not rules:
@@ -466,16 +350,12 @@ def anytime_validity_check(models, rules: Sequence[StoppingRule],
         sup = sup_stopped_mean(model)
         sups[name] = fmt_number(sup)
         valid = valid and sup - Fraction(model.initial) <= slack
-        for j, rule in enumerate(rules):
-            exact, est = _stopped_estimate(model, rule, n, seed + j)
-            if exact is not None:
-                ok = exact - Fraction(model.initial) <= slack
-            else:
-                ok = est["mean"] <= float(model.initial) + 3 * est["se"] + TOL
-            rows.append({"member": name, "rule": rule.name, **est,
-                         "valid": ok})
-            if worst is None or est["mean"] > worst:
-                worst = est["mean"]
+        for rule in rules:
+            exact, fields = _stopped_row(model, rule)
+            rows.append({"member": name, "rule": rule.name, **fields,
+                         "valid": exact - Fraction(model.initial) <= slack})
+            if worst is None or fields["mean"] > worst:
+                worst = fields["mean"]
     return {"valid": valid, "sup_mean": worst,
             "sup_all_stopping_times": sups, "rows": rows}
 

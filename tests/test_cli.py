@@ -238,17 +238,28 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [[], ["ville"], ["sequential"]],
-                         ids=["import", "ville", "sequential"])
-def test_exact_commands_do_not_load_numpy(argv):
-    # numpy is imported only by the Monte Carlo code
+def numpy_modules(argv):
+    """The numpy modules loaded by ``import posthoc`` and, with ``argv``, by
+    one CLI run in a fresh interpreter."""
     code = ("import io, sys, contextlib, posthoc, posthoc.cli\n"
             "if sys.argv[1:]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert posthoc.cli.main(sys.argv[1:]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(posthoc.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code, *argv],
-                         capture_output=True, text=True, check=True,
-                         env=env).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=True,
+                          env=env).stdout.strip()
+
+
+@pytest.mark.parametrize("argv", [[], ["ville"], ["sequential"], ["examples"],
+                                  ["optimal"], ["merge"], ["pfunction"]],
+                         ids=["import", "ville", "sequential", "examples",
+                              "optimal", "merge", "pfunction"])
+def test_exact_commands_do_not_load_numpy(argv):
+    # numpy is imported only by the Monte Carlo distortion estimate
+    assert numpy_modules(argv) == "[]"
+
+
+def test_monte_carlo_distortion_loads_numpy():
+    assert "'numpy'" in numpy_modules(["distortion", "--n", "100"])

@@ -25,7 +25,7 @@ from posthoc import (
     valid_hacking_law,
 )
 from posthoc._numbers import is_inf, mul0, recip
-from posthoc.core import from_json, sample_finite, to_json
+from posthoc.core import from_json, to_json
 
 
 def philox(seed):
@@ -34,7 +34,7 @@ def philox(seed):
 
 def reference_law_sample(law, n, rng):
     """The ``rng.choice`` formulation of :meth:`PValueLaw.sample`: reference
-    for the shared finite-support sampler."""
+    for its component index kernel."""
     comps = [(float(m), ("atom", float(loc))) for loc, m in law.atoms]
     comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in law.pieces]
     weights = np.array([w for w, _ in comps])
@@ -89,6 +89,15 @@ class TestDiscreteSpace:
             DiscreteSpace(("a", "b"), (F(1, 2), F(1, 3)))
         with pytest.raises(ValueError):
             DiscreteSpace(("a", "a"), (F(1, 2), F(1, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        # nan passes both the sign test and the float sum test; the exact
+        # layers above cannot take it (Fraction(nan) raises)
+        for probs in [(bad, 1), (bad, 0.5), (1, bad)]:
+            with pytest.raises(ValueError,
+                               match=f"probabilities must be finite, got {bad}"):
+                DiscreteSpace((F(1, 2), F(3, 2)), probs)
 
     def test_roundtrip(self):
         sp = DiscreteSpace(("a", "b"), (F(1, 3), F(2, 3)))
@@ -185,19 +194,6 @@ class TestPValueLaw:
     def test_json_roundtrip(self):
         law = PValueLaw(atoms=[(F(1, 2), F(1, 4))], pieces=[(0, 1, F(3, 4))])
         assert from_json(PValueLaw, to_json(law)) == law
-
-
-class TestSampleFinite:
-    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any),
-           st.sampled_from([(1,), (37,), (5, 8)]), st.integers(0, 2 ** 32))
-    def test_matches_rng_choice(self, weights, shape, seed):
-        # exact masses such as 1/3 are not float-normalized; zeros included
-        masses = [float(F(w, sum(weights))) for w in weights]
-        values = [1.5 * j - 2 for j in range(len(weights))]
-        p = np.array(masses) / np.sum(masses)
-        want = philox(seed).choice(np.array(values), size=shape, p=p)
-        got = sample_finite(philox(seed), values, masses, np.empty(shape))
-        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestValidity:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,7 +27,6 @@ from posthoc import (
     markov_equality_check,
     martingale_fixture,
     mrmw_sandwich,
-    simulate_paths,
     stopped_law,
     stopped_mean,
     sup_stopped_mean,
@@ -36,8 +34,7 @@ from posthoc import (
     ville_equality_check,
     ville_tail,
 )
-import posthoc.sequential as sequential
-from posthoc.sequential import _BLOCK_ROWS, _posthoc_sup, _stopped_values
+from posthoc.sequential import _posthoc_sup
 
 
 def ev_on(values, probs=None):
@@ -46,36 +43,6 @@ def ev_on(values, probs=None):
     sp = DiscreteSpace(tuple(range(n)), tuple(probs))
     return (EvidenceVariable(dict(enumerate(values)), "e"),
             Hypothesis.simple(sp))
-
-
-def reference_paths(model, n, seed):
-    """The one-shot ``rng.choice`` draw of all (n, T+1) paths: reference
-    for the block-streamed path layer."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    vals = np.array([float(v) for v in model.multiplier.outcomes])
-    probs = np.array([float(p) for p in model.multiplier.probs])
-    probs = probs / probs.sum()
-    factors = rng.choice(vals, size=(n, model.horizon), p=probs)
-    paths = np.empty((n, model.horizon + 1))
-    paths[:, 0] = float(model.initial)
-    np.cumprod(factors, axis=1, out=factors)
-    paths[:, 1:] = float(model.initial) * factors
-    return paths
-
-
-# 1, 2 and 4 outcomes; the last has a zero-mass factor and masses of 1/3,
-# which are not float-normalized
-MULTIPLIERS = {
-    "one": DiscreteSpace((F(5, 4),), (1,)),
-    "two": martingale_fixture().multiplier,
-    "four": DiscreteSpace((0, F(1, 2), F(3, 2), F(5, 2)),
-                          (F(1, 3), 0, F(1, 3), F(1, 3))),
-}
-STREAM_SIZES = (1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3)
-
-
-def streamed_model(name, horizon=6):
-    return ProcessModel(F(3, 2), MULTIPLIERS[name], EPROCESS, horizon)
 
 
 class TestProcessModel:
@@ -92,6 +59,28 @@ class TestProcessModel:
         bad = DiscreteSpace((1, F(3, 2)), (F(1, 2), F(1, 2)))
         with pytest.raises(ValueError):
             ProcessModel(1, bad, SUPERMARTINGALE, 10)
+
+    @pytest.mark.parametrize("kind", [MARTINGALE, SUPERMARTINGALE])
+    def test_exact_moments_are_checked_exactly(self, kind):
+        # E[Z] = 1 +- 10^-13 in Fractions: within the float TOL, but the
+        # exact stopped means see the difference
+        eps = F(1, 10 ** 13)
+        fixed = StoppingRule.fixed_time(50)
+        half = (F(1, 2), F(1, 2))
+        above = DiscreteSpace((F(1, 2), F(3, 2) + 2 * eps), half)
+        with pytest.raises(ValueError, match="needs E\\[Z\\]"):
+            ProcessModel(1, above, kind, 50)
+        below = DiscreteSpace((F(1, 2), F(3, 2) - 2 * eps), half)
+        if kind == MARTINGALE:
+            with pytest.raises(ValueError, match="needs E\\[Z\\] = 1"):
+                ProcessModel(1, below, kind, 50)
+        else:
+            model = ProcessModel(1, below, kind, 50)
+            assert ville_equality_check(model, fixed, 1, 0).valid
+        # the floats 0.9 and 1.1 average to 1 only up to rounding
+        model = ProcessModel(1.0, DiscreteSpace((0.9, 1.1), (0.5, 0.5)),
+                             kind, 50)
+        assert ville_equality_check(model, fixed, 1, 0).valid
 
     def test_eprocess_moments_deliberately_unchecked(self):
         model = invalid_eprocess_fixture()
@@ -115,73 +104,6 @@ class TestProcessModel:
         z = DiscreteSpace((F(1, 2), factor), (F(1, 2), F(1, 2)))
         with pytest.raises(ValueError, match=message):
             ProcessModel(initial, z, EPROCESS, 10)
-
-
-class TestSimulatePaths:
-    def test_unit_factor_gives_constant_paths(self):
-        z = DiscreteSpace((1,), (1,))
-        model = ProcessModel(F(3, 2), z, MARTINGALE, 7)
-        paths = simulate_paths(model, 20, seed=1)
-        assert paths.shape == (20, 8)
-        assert np.all(paths == 1.5)
-
-    def test_deterministic_by_seed(self):
-        model = martingale_fixture(horizon=10)
-        a = simulate_paths(model, 100, seed=42)
-        b = simulate_paths(model, 100, seed=42)
-        c = simulate_paths(model, 100, seed=43)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_martingale_mean_near_initial(self):
-        # short horizon keeps the tail of M_T light enough for a 3 SE check
-        model = martingale_fixture(horizon=10)
-        paths = simulate_paths(model, 20_000, seed=9)
-        final = paths[:, -1]
-        se = final.std(ddof=1) / math.sqrt(len(final))
-        assert abs(final.mean() - 1.0) <= 3 * se
-
-
-class TestStreamedPaths:
-    @pytest.mark.parametrize("name", sorted(MULTIPLIERS))
-    @pytest.mark.parametrize("n", STREAM_SIZES)
-    def test_simulate_paths_matches_one_shot_draw(self, name, n):
-        model = streamed_model(name)
-        assert np.array_equal(simulate_paths(model, n, seed=4),
-                              reference_paths(model, n, seed=4))
-
-    @pytest.mark.parametrize("rule", [
-        StoppingRule.fixed_time(0), StoppingRule.fixed_time(6),
-        StoppingRule.hitting_time(2.0),
-        StoppingRule("generic", lambda prefix: prefix[-1] >= 2.0),
-    ], ids=lambda rule: rule.name)
-    @pytest.mark.parametrize("name", ["two", "four"])
-    def test_stopped_values_match_stopping_the_full_array(self, rule, name):
-        model = streamed_model(name)
-        n = STREAM_SIZES[-1]
-        paths = reference_paths(model, n, seed=8)
-        want = paths[np.arange(n), rule.stop_indices(paths)]
-        assert np.array_equal(_stopped_values(model, rule, n, seed=8), want)
-
-    def test_rejects_empty_sample(self):
-        for n in (0, -1):
-            with pytest.raises(ValueError, match="at least 1"):
-                simulate_paths(martingale_fixture(), n, seed=1)
-            with pytest.raises(ValueError, match="at least 1"):
-                ville_equality_check(martingale_fixture(),
-                                     StoppingRule.fixed_time(0), n, seed=1)
-
-    def test_stopped_values_memory_is_bounded(self):
-        # one (n, T+1) path array alone takes 40.8 MB at this size; the
-        # streamed checks keep n stopped values and one block (about 12 MB)
-        tracemalloc.start()
-        try:
-            _stopped_values(martingale_fixture(),
-                            StoppingRule.hitting_time(2.0), 100_000, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 10 ** 6
 
 
 class TestMarkovEquality:
@@ -229,20 +151,6 @@ class TestMrmwSandwich:
             mrmw_sandwich(ev, 0, hyp)
 
 
-class TestStoppingRules:
-    def test_fixed_time(self):
-        paths = np.arange(12.0).reshape(3, 4)
-        assert list(StoppingRule.fixed_time(2).stop_indices(paths)) == [2, 2, 2]
-
-    def test_hitting_time_vectorized_matches_generic(self):
-        model = martingale_fixture(horizon=20)
-        paths = simulate_paths(model, 200, seed=5)
-        rule = StoppingRule.hitting_time(2.0)
-        generic = StoppingRule("generic", rule.decide)
-        assert np.array_equal(rule.stop_indices(paths),
-                              generic.stop_indices(paths))
-
-
 class TestVille:
     def test_immediate_stop_is_exact(self):
         model = martingale_fixture()
@@ -263,6 +171,12 @@ class TestVille:
                                    n=20_000, seed=12)
         assert rep.valid
         assert rep.mean <= 1.0 + 3 * rep.se
+
+    def test_rejects_empty_sample(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                ville_equality_check(martingale_fixture(),
+                                     StoppingRule.fixed_time(0), n, seed=1)
 
 
 class TestAnytimeValidity:
@@ -287,19 +201,19 @@ class TestAnytimeValidity:
 
 def brute_force_stopped_mean(model, rule):
     """E[M_tau] summed over all k^T factor sequences, each weighted by its
-    probability and stopped where ``rule.decide`` first fires on its
-    prefix: the oracle for the lattice."""
+    probability and stopped at the first t where ``rule.markov(t, M_t)``
+    holds: the oracle for the lattice."""
     z = model.multiplier
     total = F(0)
     for seq in itertools.product(range(len(z.outcomes)),
                                  repeat=model.horizon):
         prob = math.prod((z.probs[i] for i in seq), start=F(1))
-        prefix = [F(model.initial)]
-        for i in seq:
-            if rule.decide(prefix):
+        value = F(model.initial)
+        for t, i in enumerate(seq):
+            if rule.markov(t, value):
                 break
-            prefix.append(prefix[-1] * z.outcomes[i])
-        total += prob * prefix[-1]
+            value *= z.outcomes[i]
+        total += prob * value
     return total
 
 
@@ -323,10 +237,6 @@ markov_rules = st.one_of(
     st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.25, 3.0]),
               st.floats(0, 4)).map(StoppingRule.hitting_time),
 )
-
-
-def without_markov(rule):
-    return StoppingRule(rule.name, rule.decide, rule.vectorized)
 
 
 class TestExactLattice:
@@ -363,10 +273,11 @@ class TestExactLattice:
         assert len(stopped_law(martingale_fixture(), fixed(50))) == 51
 
     def test_exact_check_runs_no_simulation(self, monkeypatch):
-        def no_paths(*args):
-            raise AssertionError("simulated paths on an exact rule")
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew random numbers on an exact rule")
 
-        monkeypatch.setattr(sequential, "_path_blocks", no_paths)
+        for name in ("default_rng", "Generator", "Philox"):
+            monkeypatch.setattr(np.random, name, no_draws)
         rep = ville_equality_check(martingale_fixture(),
                                    StoppingRule.hitting_time(2.0),
                                    400_000, 2026)
@@ -386,9 +297,8 @@ class TestExactLattice:
         assert row["se"] == 0.0 and row["n"] is None
 
     def test_battery_that_passes_falsely_is_overruled(self):
-        # E[Z] = 1 + 10^-6 exceeds 1 by too little for any 3-SE test, and
-        # tau = 0 sees only M_0; the supremum over all stopping times
-        # refutes the process exactly
+        # E[Z] = 1 + 10^-6, and tau = 0 sees only M_0; the supremum over
+        # all stopping times refutes the process exactly
         eps = F(1, 10 ** 6)
         z = DiscreteSpace((F(1, 2), F(3, 2) + 2 * eps), (F(1, 2), F(1, 2)))
         model = ProcessModel(1, z, EPROCESS, 50)
@@ -408,31 +318,9 @@ class TestExactLattice:
         assert ville_equality_check(model, rule, 1, 0).valid
         assert anytime_validity_check(model, [rule], 1, 0)["valid"]
 
-    def test_decide_only_rule_has_no_markov_form(self):
-        rule = without_markov(StoppingRule.hitting_time(2.0))
-        with pytest.raises(ValueError, match="no Markov form"):
-            stopped_law(martingale_fixture(), rule)
-
-    @pytest.mark.parametrize("model, rule, seed", [
-        (martingale_fixture(), StoppingRule.hitting_time(2.0), 12),
-        (supermartingale_fixture(), StoppingRule.hitting_time(2.0), 12),
-        (martingale_fixture(horizon=10), StoppingRule.fixed_time(10), 9),
-        (invalid_eprocess_fixture(), StoppingRule.fixed_time(5), 3),
-    ], ids=["martingale-hit", "supermartingale-hit", "martingale-fixed",
-            "invalid-fixed"])
-    def test_monte_carlo_agrees_with_the_lattice(self, model, rule, seed):
-        rep = ville_equality_check(model, without_markov(rule), 20_000, seed)
-        assert rep.method == "monte_carlo" and rep.n == 20_000
-        assert rep.mean_exact is None and rep.se > 0
-        exact = stopped_mean(model, rule)
-        assert abs(rep.mean - float(exact)) <= 3 * rep.se
-
-
 def reference_stopped_law(model, rule):
     """The Fraction-keyed forward pass that the integer lattice of
     :func:`stopped_law` replaced, kept as its oracle."""
-    if rule.markov is None:
-        raise ValueError(f"rule {rule.name} has no Markov form")
     steps = [(F(z), F(p)) for z, p in
              zip(model.multiplier.outcomes, model.multiplier.probs) if p]
     law: dict = {}
@@ -451,22 +339,21 @@ def reference_stopped_law(model, rule):
 
 
 def reference_hitting_time(threshold):
-    """``hitting_time`` as it was: the Markov form compares each value with
+    """``hitting_time`` as it was: its predicate compares each value with
     the threshold as given, converting it on every call."""
-    rule = StoppingRule.hitting_time(threshold)
-    return StoppingRule(rule.name, rule.decide, rule.vectorized,
+    return StoppingRule(StoppingRule.hitting_time(threshold).name,
                         lambda step, value: value >= threshold)
 
 
 def recording(rule):
-    """The rule, and the list of (t, value) its Markov form is called on."""
+    """The rule, and the list of (t, value) its predicate is called on."""
     calls = []
 
     def markov(step, value):
         calls.append((step, value))
         return rule.markov(step, value)
 
-    return StoppingRule(rule.name, rule.decide, rule.vectorized, markov), calls
+    return StoppingRule(rule.name, markov), calls
 
 
 def assert_law_matches_the_oracle(model, rule, reference_rule=None):
@@ -525,9 +412,7 @@ def oracle_rules(draw):
     def markov(step, value):
         return step >= k and value <= c
 
-    rule = StoppingRule(f"custom@{k},{c}",
-                        lambda prefix: markov(len(prefix) - 1, prefix[-1]),
-                        None, markov)
+    rule = StoppingRule(f"custom@{k},{c}", markov)
     return rule, rule
 
 
