@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numbers import TOL, Number, pow_ext, power_mean, recip
+from ._numbers import TOL, Number, at_most, pow_ext, power_mean, recip
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -35,7 +35,7 @@ def h_mean(ev: EvidenceVariable, h: Number, H: Hypothesis) -> Number:
 
 def check_h_validity(ev: EvidenceVariable, h: Number, H: Hypothesis,
                      tol: float = TOL) -> bool:
-    return h_mean(ev, h, H) <= 1 + tol
+    return at_most(h_mean(ev, h, H), 1 + tol)
 
 
 def size_difference_validity(tf: TestFunction, H: Hypothesis,

@@ -414,10 +414,13 @@ def _emit(command, opts, report, tables) -> int:
     out = opts.get("out")
     if out is not None:
         out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{command}.json").write_text(text)
-        for name, content in tables.items():
-            (out / f"{name}.csv").write_text(content)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{command}.json").write_text(text)
+            for name, content in tables.items():
+                (out / f"{name}.csv").write_text(content)
+        except OSError as exc:
+            raise CliError(f"cannot write to out directory {out}: {exc}") from None
     if opts["format"] == "csv" and tables:
         for content in tables.values():
             sys.stdout.write(content)
@@ -431,10 +434,10 @@ def main(argv=None) -> int:
     try:
         opts = _resolve_options(args)
         report, tables = RUNNERS[args.command](opts)
+        return _emit(args.command, opts, report, tables)
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    return _emit(args.command, opts, report, tables)
 
 
 if __name__ == "__main__":

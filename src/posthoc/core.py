@@ -151,8 +151,8 @@ class EvidenceVariable:
             raise ValueError(f"unknown scale {scale!r}")
         vals = dict(values)
         for x, v in vals.items():
-            if not is_inf(v) and v < 0:
-                raise ValueError(f"negative evidence value {v!r} at {x!r}")
+            if not v >= 0:  # also false for nan
+                raise ValueError(f"evidence value {v!r} at {x!r} is not in [0, inf]")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "scale", scale)
 
@@ -234,16 +234,19 @@ class PValueLaw:
     uniform density on the half-open interval (a, b].  Both are stored
     sorted by location.
 
-    When every location, endpoint and mass is an int or a ``Fraction``, the
-    constructor puts them over their least common denominator D and runs
-    every check and the sort on the ints x * D.  When every mass is a
-    ``Fraction`` it keeps those ints (sorted like ``atoms`` and ``pieces``)
-    as the private, non-field attribute ``_lattice``, on which :meth:`cdf`,
-    :meth:`expect_recip` and :func:`check_classical_validity` sweep with
-    int ratios and build one ``Fraction`` for the value they return.  A
-    float, an inf atom or an int mass (which makes a sum an int, not a
-    ``Fraction``) takes the ``Fraction``/float code instead; both paths give
-    equal values of equal type.
+    The constructor checks and sorts them once (:func:`_checked_sorted`),
+    on keys that compare as the values do: the ints x * D over the least
+    common denominator D when every location, endpoint and mass is an int
+    or a ``Fraction``, else the values themselves.  When every mass is a
+    ``Fraction`` it keeps the sorted ints as the private, non-field
+    attribute ``_lattice``, on which :meth:`cdf`, :meth:`expect_recip` and
+    :func:`check_classical_validity` sweep with int ratios and build one
+    ``Fraction`` for the value they return.  The integrals keep a second,
+    ``Fraction``/float formulation for other laws (a float, an inf atom or
+    an int mass): a comparison is the same on keys and values, but a sum
+    is not, as a float law summed on ints would round differently and an
+    int mass must give an int sum where the lattice gives a ``Fraction``.
+    Both formulations give equal values of equal type.
     """
 
     atoms: tuple
@@ -252,16 +255,14 @@ class PValueLaw:
     def __init__(self, atoms: Iterable = (), pieces: Iterable = ()):
         atoms = tuple([(loc, m) for loc, m in atoms])
         pieces = tuple([(a, b, m) for a, b, m in pieces])
-        common = common_denominator(chain(*atoms, *pieces))
-        if common is None:
-            atoms, pieces = _checked_sorted(atoms, pieces)
+        values = list(chain(*atoms, *pieces))
+        common = common_denominator(values)
+        atoms, pieces, lattice = _checked_sorted(atoms, pieces, *(common or (1, values)))
+        # an int mass can make a sum an int, so only Fraction masses keep
+        # the lattice
+        kinds = {type(m) for _, m in atoms} | {type(p[2]) for p in pieces}
+        if common is None or not kinds <= {Fraction}:
             lattice = None
-        else:
-            atoms, pieces, lattice = _checked_sorted_lattice(atoms, pieces, *common)
-            # an int mass can make a sum an int, so only Fraction masses
-            # keep the lattice
-            if not {type(m) for _, m in atoms} | {type(p[2]) for p in pieces} <= {Fraction}:
-                lattice = None
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_lattice", lattice)  # not a field
@@ -450,50 +451,15 @@ class PValueLaw:
         return cls(atoms, pieces)
 
 
-def _checked_sorted(atoms: tuple, pieces: tuple) -> tuple:
-    """Check a law's atoms and pieces and return them sorted; the
-    ``Fraction``/float formulation, for laws with a float or inf."""
-    locs = [loc for loc, _ in atoms]
-    if len(set(locs)) != len(locs):
-        raise ValueError("atom locations must be distinct")
-    for loc, m in atoms:
-        if not is_inf(loc) and loc <= 0:
-            raise ValueError("atom locations must be positive")
-        if m < 0:
-            raise ValueError("atom masses must be nonnegative")
-    spans = []
-    for a, b, m in pieces:
-        # a float and an exact endpoint can differ by less than an ulp: then
-        # b - a is 0.0 and the uniform density on (a, b] is undefined
-        if not (0 <= a < b) or b - a == 0:
-            raise ValueError(f"bad piece interval ({a}, {b}]")
-        if is_inf(b):
-            raise ValueError("pieces must be bounded")
-        if m < 0:
-            raise ValueError("piece masses must be nonnegative")
-        spans.append((a, b))
-    spans.sort()
-    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-        if a2 < b1:
-            raise ValueError("piece intervals must be disjoint")
-    total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
-    exact = all(
-        isinstance(m, (int, Fraction)) for m in
-        [m for _, m in atoms] + [m for _, _, m in pieces]
-    )
-    if exact:
-        if total != 1:
-            raise ValueError(f"masses must sum to 1, got {total}")
-    elif abs(total - 1) > TOL:
-        raise ValueError(f"masses must sum to 1, got {total}")
-    return tuple(sorted(atoms)), tuple(sorted(pieces))
+def _checked_sorted(atoms: tuple, pieces: tuple, d: int, keys: list) -> tuple:
+    """Check a law's atoms and pieces and return them sorted, with their
+    keys sorted alike as (d, [(loc, m)], [(a, b, m)]).
 
-
-def _checked_sorted_lattice(atoms: tuple, pieces: tuple, d: int,
-                            keys: list) -> tuple:
-    """The checks and sort of :func:`_checked_sorted` on the ints x * d,
-    in the same order and with the same messages; also returns the sorted
-    ints as the law's lattice (d, [(loc, m)], [(a, b, m)])."""
+    ``keys`` are the values of ``chain(*atoms, *pieces)`` as ints x * d on
+    one common denominator d, or the values themselves with d = 1: every
+    check and the sort only compare and add them, so both run the same
+    code and raise the same messages.
+    """
     k = 2 * len(atoms)
     locs, masses = keys[0:k:2], keys[1:k:2]
     if len(set(locs)) != len(locs):
@@ -505,19 +471,25 @@ def _checked_sorted_lattice(atoms: tuple, pieces: tuple, d: int,
             raise ValueError("atom masses must be nonnegative")
     spans = list(zip(keys[k::3], keys[k + 1::3], keys[k + 2::3], range(len(pieces))))
     for (a, b, _), (ka, kb, km, _) in zip(pieces, spans):
-        if not (0 <= ka < kb):
+        # a float and an exact endpoint can differ by less than an ulp: then
+        # b - a is 0.0 and the uniform density on (a, b] is undefined
+        if not (0 <= ka < kb) or kb - ka == 0:
             raise ValueError(f"bad piece interval ({a}, {b}]")
+        if is_inf(kb):
+            raise ValueError("pieces must be bounded")
         if km < 0:
             raise ValueError("piece masses must be nonnegative")
     spans.sort()
     for s1, s2 in zip(spans, spans[1:]):
         if s2[0] < s1[1]:
             raise ValueError("piece intervals must be disjoint")
-    if sum(masses) + sum(keys[k + 2::3]) != d:
+    total = sum(masses) + sum(keys[k + 2::3])
+    # a float mass makes the sum a float, checked within the tolerance
+    if abs(total - d) > TOL if isinstance(total, float) else total != d:
         total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
         raise ValueError(f"masses must sum to 1, got {total}")
     # locations are distinct and disjoint pieces start apart, so the sorts
-    # never compare past the first int
+    # never compare past the first key
     by_loc = sorted(zip(locs, masses, atoms))
     return (tuple([t[2] for t in by_loc]), tuple([pieces[s[3]] for s in spans]),
             (d, [t[:2] for t in by_loc], [s[:3] for s in spans]))
@@ -693,7 +665,7 @@ def check_posthoc_validity(obj, H: Hypothesis | None = None,
     if isinstance(obj, PValueLaw):
         stat = obj.expect_recip()
         return ValidityReport(
-            valid=(not is_inf(stat)) and at_most(stat, 1 + tol),
+            valid=at_most(stat, 1 + tol),
             statistic=stat,
             witness=None,
             kind="posthoc",
@@ -706,7 +678,7 @@ def check_posthoc_validity(obj, H: Hypothesis | None = None,
     e = obj.as_scale(E_SCALE)
     stat, worst = H.sup_expectation(lambda x: e[x])
     return ValidityReport(
-        valid=(not is_inf(stat)) and at_most(stat, 1 + tol),
+        valid=at_most(stat, 1 + tol),
         statistic=stat,
         witness=worst,
         kind="posthoc",

@@ -42,8 +42,8 @@ class AlphaStrategy:
             if l2 != h1:
                 raise ValueError("strategy pieces must tile (0, inf]")
         for lo, hi, lvl in pieces:
-            if lvl <= 0:
-                raise ValueError("levels must be positive")
+            if not 0 < lvl < INF:  # also false for nan
+                raise ValueError(f"levels must be positive and finite, got {lvl}")
             if hi <= lo:
                 raise ValueError(f"bad strategy interval ({lo}, {hi}]")
         object.__setattr__(self, "pieces", pieces)

@@ -26,6 +26,7 @@ from ._numbers import (
     INF,
     TOL,
     Number,
+    at_most,
     common_denominator,
     is_inf,
     mul0,
@@ -51,10 +52,11 @@ class PCurve:
     """One outcome's p-function on (0, 1]: nondecreasing, and
     left-continuous on each piece (u_lo, u_hi].
 
-    When every piece is flat (g = 0) with int or ``Fraction`` breakpoints
-    and coefficients, the sort and the checks run on ints over one common
-    denominator (:func:`_sorted_flat_pcurve`); other curves take the
-    general code.  The ints are not kept.
+    The constructor sorts the pieces and checks them once, on keys that
+    compare as the values do: when every piece is flat (g = 0) with int or
+    ``Fraction`` breakpoints and coefficients, the ints of
+    :func:`_flat_pkeys`; otherwise the breakpoints themselves and p at the
+    ends of each piece.  The keys are not kept.
     """
 
     segments: tuple  # ((u_hi, terms), ...); terms = ((a, g), ...)
@@ -73,26 +75,29 @@ class PCurve:
             segs.append((u_hi, terms))
         if not segs:
             raise ValueError("p-curve needs at least one segment")
-        flat = _sorted_flat_pcurve(segs)
-        if flat is not None:
-            segs = flat
-        else:
-            segs.sort(key=lambda s: s[0])
-            if segs[-1][0] != 1:
-                raise ValueError("segments must cover (0, 1]")
-            u_lo = 0
-            for u_hi, _ in segs:
-                if u_hi <= u_lo:
-                    raise ValueError("segment breakpoints must strictly increase")
-                u_lo = u_hi
-            prev_end = None
-            u_lo = 0
-            for u_hi, terms in segs:
+        d, ukeys, pkeys = _flat_pkeys(segs) or (1, [u_hi for u_hi, _ in segs], None)
+        order = sorted(range(len(segs)), key=ukeys.__getitem__)
+        if ukeys[order[-1]] != d:
+            raise ValueError("segments must cover (0, 1]")
+        u_lo = 0
+        for i in order:
+            if ukeys[i] <= u_lo:
+                raise ValueError("segment breakpoints must strictly increase")
+            u_lo = ukeys[i]
+        prev_end = None
+        u_lo = 0
+        for i in order:
+            u_hi, terms = segs[i]
+            if pkeys is not None:  # a flat piece has one value
+                start = end = pkeys[i]
+            else:
                 start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
-                if prev_end is not None and start < prev_end and not _close(start, prev_end):
-                    raise ValueError("p-curve must be nondecreasing in u")
-                prev_end = _eval_terms(terms, u_hi)
-                u_lo = u_hi
+                end = _eval_terms(terms, u_hi)
+            if prev_end is not None and start < prev_end and not _close(start, prev_end):
+                raise ValueError("p-curve must be nondecreasing in u")
+            prev_end = end
+            u_lo = u_hi
+        segs = [segs[i] for i in order]
         object.__setattr__(self, "segments", tuple(segs))
 
     # -- constructors ------------------------------------------------------
@@ -180,14 +185,14 @@ def _close(a: Number, b: Number) -> bool:
     return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(b)))
 
 
-def _sorted_flat_pcurve(segs: list) -> list | None:
-    """The segments sorted by u_hi and checked as :class:`PCurve` checks
-    them, on the ints x * D of one common denominator D; None unless every
-    piece is flat (every g an exact 0) with exact u_hi and coefficients.
+def _flat_pkeys(segs: list) -> tuple | None:
+    """(D, [u_hi * D], [-s * D]) over one common denominator D of the
+    breakpoints and coefficients, with s the sum of a piece's coefficients
+    (the key inf for no terms); None unless every piece is flat (every g an
+    exact 0) with exact u_hi and coefficients.
 
-    A flat piece has p = 1 / s with s the sum of its coefficients (inf with
-    no terms), so p falls exactly where s rises; exact values get no
-    tolerance, as in :func:`_close`.
+    A flat piece has p = 1 / s at both ends, so p rises exactly where -s
+    does; exact values get no tolerance, as in :func:`_close`.
     """
     vals = []
     for u_hi, terms in segs:
@@ -200,30 +205,20 @@ def _sorted_flat_pcurve(segs: list) -> list | None:
     if common is None:
         return None
     d, keys = common
-    rows, k = [], 0  # (u_hi * d, index, sum of the a * d or None for inf)
-    for i, (_, terms) in enumerate(segs):
+    ukeys, pkeys, k = [], [], 0
+    for _, terms in segs:
         n = len(terms)
-        rows.append((keys[k], i, sum(keys[k + 1:k + 1 + n]) if n else None))
+        ukeys.append(keys[k])
+        pkeys.append(-sum(keys[k + 1:k + 1 + n]) if n else INF)
         k += 1 + n
-    rows.sort()  # indices are distinct: a stable sort by u_hi
-    if rows[-1][0] != d:
-        raise ValueError("segments must cover (0, 1]")
-    u_lo = 0
-    for u, _, _ in rows:
-        if u <= u_lo:
-            raise ValueError("segment breakpoints must strictly increase")
-        u_lo = u
-    for (_, i0, s0), (_, i1, s1) in zip(rows, rows[1:]):
-        if s1 is not None and (s0 is None or s1 > s0):
-            raise ValueError("p-curve must be nondecreasing in u")
-    return [segs[i] for _, i, _ in rows]
+    return d, ukeys, pkeys
 
 
-def _sorted_flat_tcurve(segs: list) -> list | None:
-    """The segments sorted by alpha_lo and checked as :class:`TCurve`
-    checks them, on the ints x * D of one common denominator D; None
-    unless every piece is flat (every m an exact 0) with exact alpha_lo and
-    levels.  A flat piece's value is its level c at both ends."""
+def _flat_tkeys(segs) -> tuple | None:
+    """(D, [alpha_lo * D], [c * D]) over one common denominator D of the
+    breakpoints and levels; None unless every piece is flat (every m an
+    exact 0) with exact alpha_lo and levels.  A flat piece's value is its
+    level c at both ends."""
     vals = []
     for alo, c, m in segs:
         if type(m) not in EXACT_TYPES or m:
@@ -233,20 +228,7 @@ def _sorted_flat_tcurve(segs: list) -> list | None:
     if common is None:
         return None
     d, keys = common
-    order = sorted(range(len(segs)), key=keys[::2].__getitem__)
-    prev = 0  # the last level, as an int
-    for i in order:
-        ka, kc = keys[2 * i], keys[2 * i + 1]
-        if ka < 0:
-            raise ValueError("alpha breakpoints must be nonnegative")
-        if kc < 0:
-            raise ValueError("segment value must be nondecreasing in alpha")
-        if kc < prev:
-            raise ValueError("test function must be nondecreasing in alpha")
-        if kc > d:
-            raise ValueError("test function values must stay within [0, 1]")
-        prev = kc
-    return [segs[i] for i in order]
+    return d, keys[::2], keys[1::2]
 
 
 def _eval_terms(terms, u: Number) -> Number:
@@ -295,38 +277,42 @@ class TCurve:
 
     Segments are (alpha_lo, coef, power): value coef * alpha^power on
     [alpha_lo, next alpha_lo), with value 0 before the first breakpoint and
-    the final segment extending to infinity.  A curve whose pieces are all
-    flat (m = 0) with exact breakpoints and levels is sorted and checked on
-    ints over one common denominator (:func:`_sorted_flat_tcurve`).
+    the final segment extending to infinity.  The constructor sorts and
+    checks the pieces once, on keys that compare as the values do: the ints
+    of :func:`_flat_tkeys` when every piece is flat (m = 0) with exact
+    breakpoints and levels, otherwise the values themselves.  It keeps D,
+    or None for a curve checked on its values, as the private, non-field
+    attribute ``_denominator``, from which :func:`_tcurve_to_pcurve`
+    rebuilds the level keys.
     """
 
     segments: tuple
 
     def __init__(self, segments: Iterable):
         segs = [(alo, c, m) for alo, c, m in segments]
-        flat = _sorted_flat_tcurve(segs)
-        if flat is not None:
-            segs = flat
-        else:
-            segs.sort(key=lambda s: s[0])
-            prev_end = 0
-            for i, (alo, c, m) in enumerate(segs):
-                if alo < 0:
-                    raise ValueError("alpha breakpoints must be nonnegative")
-                if c < 0 or m < 0:
-                    raise ValueError("segment value must be nondecreasing in alpha")
-                a_hi = segs[i + 1][0] if i + 1 < len(segs) else INF
-                if m == 0:  # flat piece: no powers to take
-                    start = end = c
-                else:
-                    start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
-                    end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
-                if start < prev_end and not _close(start, prev_end):
-                    raise ValueError("test function must be nondecreasing in alpha")
-                if end > 1 and not _close(end, 1):
-                    raise ValueError("test function values must stay within [0, 1]")
-                prev_end = end
+        flat = _flat_tkeys(segs)
+        d, akeys, ckeys = flat or (1, [s[0] for s in segs], [s[1] for s in segs])
+        order = sorted(range(len(segs)), key=akeys.__getitem__)
+        segs = [segs[i] for i in order]
+        prev_end = 0
+        for j, (i, (alo, c, m)) in enumerate(zip(order, segs)):
+            if akeys[i] < 0:
+                raise ValueError("alpha breakpoints must be nonnegative")
+            if ckeys[i] < 0 or m < 0:
+                raise ValueError("segment value must be nondecreasing in alpha")
+            if m == 0:  # flat piece: no powers to take
+                start = end = ckeys[i]
+            else:
+                a_hi = segs[j + 1][0] if j + 1 < len(segs) else INF
+                start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
+                end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
+            if start < prev_end and not _close(start, prev_end):
+                raise ValueError("test function must be nondecreasing in alpha")
+            if end > d and not _close(end, d):
+                raise ValueError("test function values must stay within [0, 1]")
+            prev_end = end
         object.__setattr__(self, "segments", tuple(segs))
+        object.__setattr__(self, "_denominator", d if flat else None)  # not a field
 
     @classmethod
     def indicator(cls, p: Number) -> "TCurve":
@@ -422,11 +408,10 @@ def _flat_jumps(pc: PCurve) -> list | None:
     (a, 0) with exact a on each piece up to the first p = inf piece), or
     None for any other curve.
 
-    The test jumps to u_hi at alpha = 1/a.  As p is nondecreasing, a falls
-    from piece to piece, so the jumps come sorted, and of equal a's the
-    later piece wins.  The a's are compared as int pairs by
-    cross-multiplication; a curve whose a rises (within the tolerance of
-    :class:`PCurve`) is left to the general code too.
+    The test jumps to u_hi at alpha = 1/a.  As p is nondecreasing (and
+    :class:`PCurve` rejects any exact rise of a), a falls from piece to
+    piece, so the jumps come sorted, and of equal a's, compared as int
+    pairs, the later piece wins.
     """
     out, last = [], None
     for u_hi, terms in pc.segments:
@@ -437,14 +422,11 @@ def _flat_jumps(pc: PCurve) -> list | None:
         a, g = terms[0]
         if type(a) not in EXACT_TYPES or type(g) not in EXACT_TYPES or g:
             return None
-        n, d = a.as_integer_ratio()
-        if last is not None:
-            if n * last[1] > last[0] * d:
-                return None  # a rose, within the tolerance of PCurve
-            if n * last[1] == last[0] * d:
-                out.pop()  # an equal a: the later piece wins
+        ratio = a.as_integer_ratio()
+        if ratio == last:
+            out.pop()  # an equal a: the later piece wins
         out.append((recip(a), u_hi, 0))
-        last = n, d
+        last = ratio
     return out
 
 
@@ -480,46 +462,37 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
 def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
     """p(u) = inf{alpha : tf(alpha) >= u} of one curve.
 
-    On a flat exact curve (every m an exact 0, exact levels) each level
-    min(c, 1) above the last one adds a piece p = alpha_lo; the levels are
-    compared as int pairs by cross-multiplication.  Any other curve takes
-    the general code below, which gives equal segments of equal type.
+    Each level above the last one adds a piece.  The levels are compared
+    as keys: on a flat exact curve the ints c * D of :func:`_flat_tkeys`,
+    with the D that :class:`TCurve` kept, on any other curve the values
+    themselves.
     """
-    if all(type(m) in EXACT_TYPES and not m and type(c) in EXACT_TYPES
-           for _, c, m in tc.segments):
-        out, top = [], (0, 1)  # the last level as an int pair
-        for alo, c, _ in tc.segments:
-            n, d = c.as_integer_ratio()
-            if n > d:
-                c, n, d = 1, 1, 1  # the level is min(c, 1)
-            if n * top[1] > top[0] * d:
-                out.append((c, ((recip(alo), 0),)))
-                top = n, d
-        if top[0] < top[1]:
-            out.append((1, ()))  # never reached: p(u) = inf above the max level
-        return PCurve(out)
+    d = tc._denominator
+    one = 1 if d is None else d  # the key of the level 1
     out = []
-    u_cur = 0
+    u_cur = 0  # the last level, as a key
     for i, (alo, c, m) in enumerate(tc.segments):
-        a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
         if m == 0:
-            level = min(c, 1)
-            if level > u_cur:
+            kc = c if d is None else c.numerator * (d // c.denominator)
+            # the level min(c, 1) and its key
+            level, k = (c, kc) if kc <= one else (1, one)
+            if k > u_cur:
                 out.append((level, ((recip(alo), 0),)))
-                u_cur = level
-        else:
+                u_cur = k
+        else:  # not a flat curve, so keys are values
             v_lo = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
             if v_lo > u_cur:
                 # jump of the test at alo covers p(u) = alo on (u_cur, v_lo]
                 out.append((v_lo, ((recip(alo), 0),)))
                 u_cur = v_lo
+            a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
             v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
             if v_hi > u_cur:
                 # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m)
                 coef = pow_ext(recip(c), recip(m))
                 out.append((v_hi, ((recip(coef), recip(m)),)))
                 u_cur = v_hi
-    if u_cur < 1:
+    if u_cur < one:
         out.append((1, ()))  # never reached: p(u) = inf above the max level
     return PCurve(out)
 
@@ -548,13 +521,9 @@ def check_pfunction_posthoc(pf: PFunction, H: Hypothesis,
                             tol: float = TOL) -> ValidityReport:
     """E[sup_u u/p(u)] at most 1, supremum over hypothesis members."""
     stats = {x: pf[x].statistic() for x in pf.outcomes}
-    worst, worst_i = None, 0
-    for i, m in enumerate(H.members):
-        v = m.expectation(lambda x: stats[x])
-        if worst is None or v > worst:
-            worst, worst_i = v, i
+    worst, worst_i = H.sup_expectation(stats.__getitem__)
     return ValidityReport(
-        valid=(not is_inf(worst)) and worst <= 1 + tol,
+        valid=at_most(worst, 1 + tol),
         statistic=worst,
         witness=worst_i,
         kind="posthoc-pfunction",

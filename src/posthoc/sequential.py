@@ -66,8 +66,8 @@ class ProcessModel:
             raise ValueError(f"initial value must be finite, got {self.initial}")
         if self.initial < 0:
             raise ValueError("initial value must be nonnegative")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
+        if type(self.horizon) is not int or self.horizon < 1:
+            raise ValueError(f"horizon must be a positive int, got {self.horizon!r}")
         for v in self.multiplier.outcomes:
             if not is_finite(v):
                 raise ValueError(f"multiplicative factors must be finite, got {v}")

@@ -364,7 +364,7 @@ def test_criterion_12_ville():
     rule = StoppingRule.hitting_time(2.0)
     mart = ville_equality_check(martingale_fixture(horizon=50), rule,
                                 n=100_000, seed=2026)
-    mart_ok = mart.valid and abs(mart.mean - 1.0) <= 3 * mart.se
+    mart_ok = mart.valid and mart.mean_exact == "1"
 
     superm = ville_equality_check(supermartingale_fixture(horizon=50),
                                   StoppingRule.fixed_time(0),
@@ -376,7 +376,7 @@ def test_criterion_12_ville():
         [StoppingRule.fixed_time(5), rule], n=100_000, seed=2026)["valid"]
     elapsed = time.monotonic() - start
     verdict(12, mart_ok and super_ok and flagged and elapsed < 30.0,
-            f"martingale mean {mart.mean:.4f} within 3 SE of 1; "
+            f"martingale mean exactly {mart.mean_exact}; "
             f"tau=0 exact; inflated process flagged; {elapsed:.1f}s")
 
 

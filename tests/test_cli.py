@@ -220,6 +220,14 @@ class TestExitCodes:
         monkeypatch.setenv("EVALID_SEED", "abc")
         assert_usage_error(capsys, "merge")
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "results" if under else taken
+        assert_usage_error(capsys, "merge", "--out", str(out))
+        assert taken.read_text() == "kept"
+
     def test_every_report_carries_ok(self, capsys):
         for cmd in ("distortion", "optimal", "merge", "pfunction",
                     "sequential", "ville"):

@@ -121,6 +121,17 @@ class TestEvidenceVariable:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             EvidenceVariable({"a": -1}, "e")
+        with pytest.raises(ValueError, match="value -inf at 'a' is not in"):
+            EvidenceVariable({"a": -INF}, "p")
+
+    @pytest.mark.parametrize("values", [{0: F(1, 2), 1: math.nan},
+                                        {0: math.nan, 1: F(1, 2)}])
+    def test_rejects_nan(self, values):
+        # a nan made a verdict depend on the order of the outcomes: max(1/2,
+        # nan) is 1/2 but max(nan, 1/2) is nan
+        for scale in ("e", "p"):
+            with pytest.raises(ValueError, match="evidence value nan at . is not in"):
+                EvidenceVariable(values, scale)
 
     def test_json_roundtrip(self):
         ev = EvidenceVariable({"a": F(1, 3), "b": INF}, "p")
@@ -166,6 +177,12 @@ class TestPValueLaw:
         law = PValueLaw(atoms=[(1, F(1, 2)), (INF, F(1, 2))])
         assert law.expect_recip() == F(1, 2)
         assert law.expect_identity() == INF
+
+    def test_rejects_an_atom_at_minus_inf(self):
+        # -inf was let through as an infinite location; it is no p-value,
+        # yet its mass added 0 to E[1/p]
+        with pytest.raises(ValueError, match="atom locations must be positive"):
+            PValueLaw(atoms=[(-INF, F(1, 2)), (1, F(1, 2))])
 
     def test_rejects_overlap_and_bad_mass(self):
         with pytest.raises(ValueError):

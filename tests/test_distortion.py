@@ -45,6 +45,15 @@ class TestAlphaStrategy:
         with pytest.raises(ValueError):
             AlphaStrategy([(0, INF, 0)])  # level must be positive
 
+    @pytest.mark.parametrize("bad", [math.nan, INF])
+    def test_rejects_non_finite_level(self, bad):
+        # a nan level passed the positivity test and then read as zero
+        # expected and max distortion
+        with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+            AlphaStrategy([(0, INF, bad)])
+        with pytest.raises(ValueError, match="levels must be positive and finite"):
+            AlphaStrategy([(0, F(1, 2), F(1, 20)), (F(1, 2), INF, bad)])
+
     def test_constant(self):
         s = AlphaStrategy.constant(F(1, 20))
         assert s.level_of(F(99, 100)) == F(1, 20)

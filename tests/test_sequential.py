@@ -82,6 +82,13 @@ class TestProcessModel:
                              kind, 50)
         assert ville_equality_check(model, fixed, 1, 0).valid
 
+    @pytest.mark.parametrize("horizon", [2.5, 2.0, F(2), True])
+    def test_rejects_a_horizon_that_is_not_an_int(self, horizon):
+        # a float horizon was accepted, and stopped_mean then raised TypeError
+        z = DiscreteSpace((F(1, 2), F(3, 2)), (F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match="horizon must be a positive int"):
+            ProcessModel(1, z, MARTINGALE, horizon)
+
     def test_eprocess_moments_deliberately_unchecked(self):
         model = invalid_eprocess_fixture()
         assert model.step_mean() == F(11, 10)
