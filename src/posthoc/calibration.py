@@ -8,10 +8,10 @@ family; :func:`minimal_h_counterexample` exhibits the failure below it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numbers import TOL, Number, at_most, pow_ext, power_mean, recip
+from ._record import Record
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -46,8 +46,7 @@ def size_difference_validity(tf: TestFunction, H: Hypothesis,
     return worst >= 1 - tol
 
 
-@dataclass(frozen=True)
-class MinimalHCounterexample:
+class MinimalHCounterexample(Record):
     """An e-value that is h-valid yet induces a classically invalid test."""
 
     ev: EvidenceVariable
@@ -57,6 +56,12 @@ class MinimalHCounterexample:
     magnitude: Number        # the single positive value M
     rho_h: Number
     classical_sup: Number    # sup_alpha P(p <= alpha)/alpha of the induced test
+
+    def __init__(self, ev: EvidenceVariable, space: DiscreteSpace, h: Number,
+                 q: Number, magnitude: Number, rho_h: Number,
+                 classical_sup: Number):
+        self.__dict__.update(ev=ev, space=space, h=h, q=q, magnitude=magnitude,
+                             rho_h=rho_h, classical_sup=classical_sup)
 
 
 def minimal_h_counterexample(h: Number, q: Number) -> MinimalHCounterexample:

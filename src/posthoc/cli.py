@@ -7,74 +7,41 @@ that is byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from statistics import NormalDist
 
-from . import (
-    Hypothesis,
-    StoppingRule,
-    UtilitySpec,
-    anytime_validity_check,
-    bernoulli_pair,
-    check_classical_validity,
-    check_pfunction_posthoc,
-    check_posthoc_validity,
-    conditional_size,
-    conservative_strategy,
-    decreasing_alpha_strategy,
-    distortion_report,
-    double_posthoc_check,
-    dual,
-    expected_size_distortion,
-    fmt_number,
-    frac,
-    fragility_strategy,
-    gaussian_log_optimal_report,
-    invalid_eprocess_fixture,
-    log_optimal,
-    markov_equality_check,
-    martingale_fixture,
-    max_size_distortion,
-    merge_harmonic,
-    merge_product_independent,
-    minimal_h_counterexample,
-    monte_carlo_distortion,
-    mrmw_sandwich,
-    np_optimal,
-    pfunction_of,
-    product_merge_failure_witness,
-    supermartingale_fixture,
-    test_function_of,
-    uniform_p_law,
-    uniform_randomize,
-    utility_optimal,
-    valid_hacking_law,
-    ville_equality_check,
-    __version__,
-)
-from .core import DiscreteSpace, EvidenceVariable, E_SCALE
-from .pfunctions import PCurve, PFunction
+from . import __version__
+
+# Each runner imports the library modules it uses, so a run loads and
+# compiles only those, and a usage error loads none.
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 2026
 ENV_SEED = "EVALID_SEED"
 
+
+def _distortion(name):
+    """The zero-argument builder ``name`` of posthoc.distortion, looked up
+    when called: naming a fixture or a strategy loads no library module."""
+    def build():
+        from . import distortion
+
+        return getattr(distortion, name)()
+    return build
+
+
 P_LAWS = {
-    "uniform": uniform_p_law,
-    "valid_hacking": valid_hacking_law,
+    "uniform": _distortion("uniform_p_law"),
+    "valid_hacking": _distortion("valid_hacking_law"),
 }
 STRATEGIES = {
-    "decreasing_alpha": decreasing_alpha_strategy,
-    "conservative": conservative_strategy,
+    "decreasing_alpha": _distortion("decreasing_alpha_strategy"),
+    "conservative": _distortion("conservative_strategy"),
 }
 
 
@@ -85,6 +52,8 @@ class CliError(Exception):
 def _fmt(x, backend):
     """A number as report and table cells show it: exact as given, or as a
     float under ``--backend float`` (bools stay bools)."""
+    from ._numbers import fmt_number
+
     if backend == "float" and not isinstance(x, bool):
         x = float(x)
     return fmt_number(x)
@@ -93,6 +62,10 @@ def _fmt(x, backend):
 def _fixture_hash(law, strategy) -> str:
     """Content hash of what a run computes on: the serialized p-value law,
     the strategy's pieces and the package version."""
+    import hashlib
+
+    from ._numbers import fmt_number
+
     blob = json.dumps({
         "law": law.to_dict(),
         "strategy": [[fmt_number(x) for x in piece] for piece in strategy.pieces],
@@ -106,6 +79,8 @@ def _fixture_hash(law, strategy) -> str:
 
 
 def run_distortion(opts):
+    from .distortion import distortion_report, monte_carlo_distortion
+
     law = P_LAWS[opts["fixture"]]()
     strat = STRATEGIES[opts["strategy"]]()
     rep = distortion_report(law, strat)
@@ -127,6 +102,19 @@ def run_distortion(opts):
 
 
 def run_optimal(opts):
+    import csv
+
+    from ._numbers import frac
+    from .design import (
+        UtilitySpec,
+        bernoulli_pair,
+        double_posthoc_check,
+        gaussian_log_optimal_report,
+        log_optimal,
+        np_optimal,
+        utility_optimal,
+    )
+
     gauss = gaussian_log_optimal_report(alpha=0.05)
     pair = bernoulli_pair()
     p_star = log_optimal(pair)
@@ -155,6 +143,12 @@ def run_optimal(opts):
 
 
 def run_merge(opts):
+    from ._numbers import frac
+    from .core import EvidenceVariable, Hypothesis, check_posthoc_validity, dual
+    from .design import bernoulli_pair, log_optimal
+    from .merging import merge_harmonic, merge_product_independent
+    from .pfunctions import PCurve, PFunction, product_merge_failure_witness
+
     pair = bernoulli_pair()
     e = dual(log_optimal(pair))
     merged, space = merge_product_independent([(e, pair.P), (e, pair.P)])
@@ -177,6 +171,17 @@ def run_merge(opts):
 
 
 def run_pfunction(opts):
+    import csv
+
+    from ._numbers import frac
+    from .core import DiscreteSpace, EvidenceVariable, Hypothesis
+    from .pfunctions import (
+        check_pfunction_posthoc,
+        pfunction_of,
+        test_function_of,
+        uniform_randomize,
+    )
+
     p = EvidenceVariable({0: frac(1, 2), 1: 2}, "p")
     pf = uniform_randomize(p)
     # masses chosen so E[1/p] = 1 exactly: the boundary post-hoc p-value
@@ -203,6 +208,16 @@ def run_pfunction(opts):
 
 
 def run_sequential(opts):
+    from ._numbers import frac
+    from .core import DiscreteSpace, E_SCALE, EvidenceVariable, Hypothesis
+    from .sequential import (
+        StoppingRule,
+        anytime_validity_check,
+        markov_equality_check,
+        martingale_fixture,
+        mrmw_sandwich,
+    )
+
     space = DiscreteSpace(("a", "b"), (frac(1, 2), frac(1, 2)))
     hyp = Hypothesis.simple(space)
     X = EvidenceVariable({"a": frac(1, 2), "b": frac(3, 2)}, E_SCALE)
@@ -224,6 +239,17 @@ def run_sequential(opts):
 
 
 def run_ville(opts):
+    import csv
+
+    from .sequential import (
+        StoppingRule,
+        anytime_validity_check,
+        invalid_eprocess_fixture,
+        martingale_fixture,
+        supermartingale_fixture,
+        ville_equality_check,
+    )
+
     rule = StoppingRule.hitting_time(2.0)
     mart = ville_equality_check(
         martingale_fixture(), rule, opts["n"], opts["seed"])
@@ -252,6 +278,30 @@ def run_ville(opts):
 
 def reproduce_examples(opts=None):
     """Golden-number table for every worked example; raises on mismatch."""
+    import csv
+    from fractions import Fraction
+    from statistics import NormalDist
+
+    from ._numbers import fmt_number, frac
+    from .calibration import minimal_h_counterexample
+    from .core import check_classical_validity
+    from .design import (
+        bernoulli_pair,
+        double_posthoc_check,
+        gaussian_log_optimal_report,
+        log_optimal,
+    )
+    from .distortion import (
+        conditional_size,
+        conservative_strategy,
+        decreasing_alpha_strategy,
+        expected_size_distortion,
+        fragility_strategy,
+        max_size_distortion,
+        uniform_p_law,
+        valid_hacking_law,
+    )
+
     opts = opts or {"backend": "exact"}
     rows, failures = [], []
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -30,6 +29,7 @@ from ._numbers import (
     parse_number,
     recip,
 )
+from ._record import Record
 
 E_SCALE = "e"
 P_SCALE = "p"
@@ -39,8 +39,7 @@ P_SCALE = "p"
 # spaces and hypotheses
 
 
-@dataclass(frozen=True)
-class DiscreteSpace:
+class DiscreteSpace(Record):
     """Finite outcome set with one probability weight per outcome.
 
     Outcomes are indexed once at construction, so :meth:`prob` is an O(1)
@@ -98,8 +97,7 @@ class DiscreteSpace:
         return cls(d["outcomes"], [parse_number(p) for p in d["probs"]])
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
     """Finite composite hypothesis: a set of distributions on one outcome set.
 
     The composite expectation is the supremum (here: max) over members.
@@ -139,8 +137,7 @@ class Hypothesis:
 # evidence variables and test functions
 
 
-@dataclass(frozen=True)
-class EvidenceVariable:
+class EvidenceVariable(Record):
     """Per-outcome evidence in [0, inf], tagged e-scale or p-scale."""
 
     values: Mapping[Any, Number]
@@ -185,8 +182,7 @@ def dual(ev: EvidenceVariable) -> EvidenceVariable:
     return EvidenceVariable({x: recip(v) for x, v in ev.values.items()}, other)
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(Record):
     """Nondecreasing family of level-alpha tests, summarized by its jump point."""
 
     __test__ = False  # not a pytest class despite the name
@@ -225,8 +221,7 @@ def p_value(tf: TestFunction, outcome) -> Number:
 SAMPLE_BLOCK = 1 << 16  # draws per block of PValueLaw.sample_blocks: 512 KB
 
 
-@dataclass(frozen=True)
-class PValueLaw:
+class PValueLaw(Record):
     """Distribution of a p-value: point masses plus uniform-density intervals.
 
     Atoms are (location, mass) with location > 0 (inf allowed for the mass a
@@ -458,16 +453,17 @@ def _checked_sorted(atoms: tuple, pieces: tuple, d: int, keys: list) -> tuple:
     ``keys`` are the values of ``chain(*atoms, *pieces)`` as ints x * d on
     one common denominator d, or the values themselves with d = 1: every
     check and the sort only compare and add them, so both run the same
-    code and raise the same messages.
+    code and raise the same messages.  The sign checks are written so that
+    nan fails them.
     """
     k = 2 * len(atoms)
     locs, masses = keys[0:k:2], keys[1:k:2]
     if len(set(locs)) != len(locs):
         raise ValueError("atom locations must be distinct")
     for loc, m in zip(locs, masses):
-        if loc <= 0:
+        if not loc > 0:
             raise ValueError("atom locations must be positive")
-        if m < 0:
+        if not m >= 0:
             raise ValueError("atom masses must be nonnegative")
     spans = list(zip(keys[k::3], keys[k + 1::3], keys[k + 2::3], range(len(pieces))))
     for (a, b, _), (ka, kb, km, _) in zip(pieces, spans):
@@ -477,7 +473,7 @@ def _checked_sorted(atoms: tuple, pieces: tuple, d: int, keys: list) -> tuple:
             raise ValueError(f"bad piece interval ({a}, {b}]")
         if is_inf(kb):
             raise ValueError("pieces must be bounded")
-        if km < 0:
+        if not km >= 0:
             raise ValueError("piece masses must be nonnegative")
     spans.sort()
     for s1, s2 in zip(spans, spans[1:]):
@@ -561,13 +557,17 @@ def law_of(ev: EvidenceVariable, space: DiscreteSpace) -> PValueLaw:
 # validity reports
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     valid: bool
     statistic: Number
-    witness: Any = None
-    kind: str = ""
-    detail: str = ""
+    witness: Any
+    kind: str
+    detail: str
+
+    def __init__(self, valid: bool, statistic: Number, witness: Any = None,
+                 kind: str = "", detail: str = ""):
+        self.__dict__.update(valid=valid, statistic=statistic, witness=witness,
+                             kind=kind, detail=detail)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -690,8 +690,7 @@ def check_posthoc_validity(obj, H: Hypothesis | None = None,
 # abstract evidence lattices
 
 
-@dataclass(frozen=True)
-class EvidenceLattice:
+class EvidenceLattice(Record):
     """Finite totally ordered evidence space with bottom '0' and top 'inf'."""
 
     elements: tuple

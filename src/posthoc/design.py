@@ -12,7 +12,6 @@ Neyman-Pearson test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -20,6 +19,7 @@ from ._numbers import (
     INF, TOL, Number, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext,
     recip,
 )
+from ._record import Record
 from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, dual
 
 LOG = "LOG"
@@ -27,29 +27,29 @@ POWER = "POWER"
 NEYMAN_PEARSON = "NEYMAN_PEARSON"
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(Record):
     """Nondecreasing concave utility on [0, inf]."""
 
     kind: str
-    param: Number = None
+    param: Number
 
-    def __post_init__(self):
-        if self.kind == LOG:
-            if self.param is not None:
+    def __init__(self, kind: str, param: Number = None):
+        if kind == LOG:
+            if param is not None:
                 raise ValueError("LOG takes no parameter")
-        elif self.kind == POWER:
+        elif kind == POWER:
             # gamma is used as a float, so its float must be a valid gamma
             # too (10**400 overflows, 1 + 10**-20 rounds to 1); the chained
             # comparisons also reject nan and inf
-            if (self.param is None or not 0 < self.param < INF
-                    or not 0 < (g := float_ext(self.param)) < INF or g == 1):
+            if (param is None or not 0 < param < INF
+                    or not 0 < (g := float_ext(param)) < INF or g == 1):
                 raise ValueError("POWER needs gamma > 0, gamma != 1")
-        elif self.kind == NEYMAN_PEARSON:
-            if self.param is None or not (0 < self.param < 1):
+        elif kind == NEYMAN_PEARSON:
+            if param is None or not (0 < param < 1):
                 raise ValueError("NEYMAN_PEARSON needs a level in (0, 1)")
         else:
-            raise ValueError(f"unknown utility kind {self.kind!r}")
+            raise ValueError(f"unknown utility kind {kind!r}")
+        self.__dict__.update(kind=kind, param=param)
 
     @classmethod
     def log(cls) -> "UtilitySpec":
@@ -90,16 +90,16 @@ class UtilitySpec:
         raise ValueError("truncated-linear utility has a kink; use np_optimal")
 
 
-@dataclass(frozen=True)
-class SimplePair:
+class SimplePair(Record):
     """Simple null P versus simple alternative Q on a common outcome set."""
 
     P: DiscreteSpace
     Q: DiscreteSpace
 
-    def __post_init__(self):
-        if set(self.P.outcomes) != set(self.Q.outcomes):
+    def __init__(self, P: DiscreteSpace, Q: DiscreteSpace):
+        if set(P.outcomes) != set(Q.outcomes):
             raise ValueError("P and Q must share an outcome set")
+        self.__dict__.update(P=P, Q=Q)
 
     def density_ratio(self, outcome) -> Number:
         """f_P/f_Q; 0/0 is reported as 1 (the outcome is null under both)."""

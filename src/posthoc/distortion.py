@@ -10,16 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from ._numbers import INF, Number, fmt_number, frac, is_inf, recip, sqrt_fraction
+from ._record import Record
 from .core import SAMPLE_BLOCK, PValueLaw
 
 
-@dataclass(frozen=True)
-class AlphaStrategy:
+class AlphaStrategy(Record):
     """Piecewise-constant data-dependent level: pieces (lo, hi, level).
 
     The intervals (lo, hi] must partition (0, inf] and every level must be
@@ -82,13 +81,18 @@ class AlphaStrategy:
         return total
 
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(Record):
     """Per-level conditional sizes plus the expected and maximum distortion."""
 
     per_level: tuple  # rows of (level, mass, size, distortion)
     expected_distortion: Number
     max_distortion: Number
+
+    def __init__(self, per_level: tuple, expected_distortion: Number,
+                 max_distortion: Number):
+        self.__dict__.update(per_level=per_level,
+                             expected_distortion=expected_distortion,
+                             max_distortion=max_distortion)
 
     def to_rows(self, fmt=fmt_number) -> list:
         """One dict per level, each number written by ``fmt``."""
@@ -211,12 +215,18 @@ def monte_carlo_distortion(sampler, s: AlphaStrategy, n: int, seed: int):
     return float(mean), sqrt_fraction((squares - total * mean) / (n - 1) / n)
 
 
-@dataclass(frozen=True)
-class ImpossibilityVerdict:
+class ImpossibilityVerdict(Record):
     controls: bool
     ess_inf: Number
     witness_strategy: AlphaStrategy | None
     witness_max_distortion: Number
+
+    def __init__(self, controls: bool, ess_inf: Number,
+                 witness_strategy: AlphaStrategy | None,
+                 witness_max_distortion: Number):
+        self.__dict__.update(controls=controls, ess_inf=ess_inf,
+                             witness_strategy=witness_strategy,
+                             witness_max_distortion=witness_max_distortion)
 
     def __bool__(self) -> bool:
         return self.controls

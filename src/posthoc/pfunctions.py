@@ -15,7 +15,6 @@ harmonic and product merging.  An empty term list encodes the value +inf
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -33,6 +32,7 @@ from ._numbers import (
     pow_ext,
     recip,
 )
+from ._record import Record
 from .core import (
     E_SCALE,
     EvidenceVariable,
@@ -47,8 +47,7 @@ from .core import (
 # per-outcome curves
 
 
-@dataclass(frozen=True)
-class PCurve:
+class PCurve(Record):
     """One outcome's p-function on (0, 1]: nondecreasing, and
     left-continuous on each piece (u_lo, u_hi].
 
@@ -67,10 +66,10 @@ class PCurve:
             terms = tuple([(a, g) for a, g in terms])
             for a, g in terms:
                 # an exact number has the sign of its numerator, and an int
-                # comparison skips Fraction's ABC checks
-                if (a.numerator if type(a) in EXACT_TYPES else a) <= 0:
+                # comparison skips Fraction's ABC checks; nan fails both
+                if not (a.numerator if type(a) in EXACT_TYPES else a) > 0:
                     raise ValueError("term coefficients must be positive")
-                if (g.numerator if type(g) in EXACT_TYPES else g) < 0:
+                if not (g.numerator if type(g) in EXACT_TYPES else g) >= 0:
                     raise ValueError("term powers must be nonnegative")
             segs.append((u_hi, terms))
         if not segs:
@@ -81,7 +80,7 @@ class PCurve:
             raise ValueError("segments must cover (0, 1]")
         u_lo = 0
         for i in order:
-            if ukeys[i] <= u_lo:
+            if not ukeys[i] > u_lo:  # also true for nan
                 raise ValueError("segment breakpoints must strictly increase")
             u_lo = ukeys[i]
         prev_end = None
@@ -271,8 +270,7 @@ def _sup_ratio(terms, u_lo: Number, u_hi: Number) -> Number:
     return max(_ratio_terms(terms, u_hi), low)
 
 
-@dataclass(frozen=True)
-class TCurve:
+class TCurve(Record):
     """One outcome's randomized test function: cadlag, nondecreasing, [0, 1].
 
     Segments are (alpha_lo, coef, power): value coef * alpha^power on
@@ -296,9 +294,10 @@ class TCurve:
         segs = [segs[i] for i in order]
         prev_end = 0
         for j, (i, (alo, c, m)) in enumerate(zip(order, segs)):
-            if akeys[i] < 0:
+            # written so that nan fails the sign checks
+            if not akeys[i] >= 0:
                 raise ValueError("alpha breakpoints must be nonnegative")
-            if ckeys[i] < 0 or m < 0:
+            if not (ckeys[i] >= 0 and m >= 0):
                 raise ValueError("segment value must be nondecreasing in alpha")
             if m == 0:  # flat piece: no powers to take
                 start = end = ckeys[i]
@@ -356,8 +355,7 @@ class TCurve:
 # outcome-indexed wrappers
 
 
-@dataclass(frozen=True)
-class _OutcomeCurves:
+class _OutcomeCurves(Record):
     """One curve per outcome."""
 
     curves: Mapping

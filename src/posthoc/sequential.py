@@ -13,7 +13,6 @@ E[M_tau] over all stopping times.  Nothing here is simulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -28,6 +27,7 @@ from ._numbers import (
     mul0,
     recip,
 )
+from ._record import Record
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -44,8 +44,7 @@ SUPERMARTINGALE = "SUPERMARTINGALE"
 EPROCESS = "EPROCESS"
 
 
-@dataclass(frozen=True)
-class ProcessModel:
+class ProcessModel(Record):
     """M_t = M_0 * Z_1 * ... * Z_t with i.i.d. finite-support Z >= 0.
 
     The declared class is verified against the one-step mean at
@@ -61,42 +60,47 @@ class ProcessModel:
     kind: str
     horizon: int
 
-    def __post_init__(self):
-        if not is_finite(self.initial):
-            raise ValueError(f"initial value must be finite, got {self.initial}")
-        if self.initial < 0:
+    def __init__(self, initial: Number, multiplier: DiscreteSpace, kind: str,
+                 horizon: int):
+        if not is_finite(initial):
+            raise ValueError(f"initial value must be finite, got {initial}")
+        if initial < 0:
             raise ValueError("initial value must be nonnegative")
-        if type(self.horizon) is not int or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive int, got {self.horizon!r}")
-        for v in self.multiplier.outcomes:
+        if type(horizon) is not int or horizon < 1:
+            raise ValueError(f"horizon must be a positive int, got {horizon!r}")
+        for v in multiplier.outcomes:
             if not is_finite(v):
                 raise ValueError(f"multiplicative factors must be finite, got {v}")
             if v < 0:
                 raise ValueError("multiplicative factors must be nonnegative")
+        self.__dict__.update(initial=initial, multiplier=multiplier, kind=kind,
+                             horizon=horizon)
         mean = self.step_mean()
         # the stopped means are exact, so an exact E[Z] gets no tolerance
         tol = 0 if type(mean) in EXACT_TYPES else TOL
-        if self.kind == MARTINGALE:
+        if kind == MARTINGALE:
             if abs(mean - 1) > tol:
                 raise ValueError(f"martingale needs E[Z] = 1, got {mean}")
-        elif self.kind == SUPERMARTINGALE:
+        elif kind == SUPERMARTINGALE:
             if mean > 1 + tol:
                 raise ValueError(f"supermartingale needs E[Z] <= 1, got {mean}")
-        elif self.kind != EPROCESS:
-            raise ValueError(f"unknown process class {self.kind!r}")
+        elif kind != EPROCESS:
+            raise ValueError(f"unknown process class {kind!r}")
 
     def step_mean(self) -> Number:
         return self.multiplier.expectation(lambda v: v)
 
 
-@dataclass(frozen=True)
-class StoppingRule:
+class StoppingRule(Record):
     """Stop at the first t with ``markov(t, M_t)`` true, capped at the
     horizon.  Every rule is such a predicate on (t, M_t), so every rule is
     evaluated exactly on the state lattice (:func:`stopped_law`)."""
 
     name: str
     markov: Callable[[int, Number], bool]
+
+    def __init__(self, name: str, markov: Callable[[int, Number], bool]):
+        self.__dict__.update(name=name, markov=markov)
 
     @classmethod
     def fixed_time(cls, t: int) -> "StoppingRule":
@@ -271,8 +275,7 @@ def _require_samples(n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-@dataclass(frozen=True)
-class VilleReport:
+class VilleReport(Record):
     rule: str
     kind: str
     n: None  # the mean is exact, drawn from no sample
@@ -283,6 +286,13 @@ class VilleReport:
     detail: str
     method: str  # "exact"
     mean_exact: str  # fmt_number of the exact mean
+
+    def __init__(self, rule: str, kind: str, n: None, mean: float, se: float,
+                 initial: float, valid: bool, detail: str, method: str,
+                 mean_exact: str):
+        self.__dict__.update(rule=rule, kind=kind, n=n, mean=mean, se=se,
+                             initial=initial, valid=valid, detail=detail,
+                             method=method, mean_exact=mean_exact)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -364,8 +374,7 @@ def anytime_validity_check(models, rules: Sequence[StoppingRule],
 # multiple testing
 
 
-@dataclass(frozen=True)
-class TestFamilyCollection:
+class TestFamilyCollection(Record):
     """Finite family of test functions on a common outcome set."""
 
     __test__ = False  # not a pytest class despite the name

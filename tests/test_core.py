@@ -184,6 +184,20 @@ class TestPValueLaw:
         with pytest.raises(ValueError, match="atom locations must be positive"):
             PValueLaw(atoms=[(-INF, F(1, 2)), (1, F(1, 2))])
 
+    def test_rejects_a_nan_atom_mass(self):
+        # the float sum test abs(nan - 1) > TOL is false, so a nan mass was
+        # accepted and the classical check read valid with statistic 0
+        with pytest.raises(ValueError, match="atom masses must be nonnegative"):
+            PValueLaw(atoms=[(F(1, 4), math.nan), (1, 1.0)])
+
+    def test_rejects_a_nan_atom_location(self):
+        with pytest.raises(ValueError, match="atom locations must be positive"):
+            PValueLaw(atoms=[(math.nan, 0.5), (1, 0.5)])
+
+    def test_rejects_a_nan_piece_mass(self):
+        with pytest.raises(ValueError, match="piece masses must be nonnegative"):
+            PValueLaw(atoms=[(2, 1.0)], pieces=[(0.5, 1, math.nan)])
+
     def test_rejects_overlap_and_bad_mass(self):
         with pytest.raises(ValueError):
             PValueLaw(pieces=[(0, 1, F(1, 2)), (F(1, 2), 2, F(1, 2))])

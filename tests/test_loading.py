@@ -1,0 +1,99 @@
+"""``import posthoc`` loads no submodule; each exported name loads its
+submodule on first use, and no module generates code at import.
+
+The module-loading checks run in fresh interpreters, as pytest itself has
+already imported ``dataclasses`` and ``inspect``.
+"""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import posthoc
+
+MODULES = ("_numbers", "_record", "core", "distortion", "calibration",
+           "pfunctions", "merging", "design", "sequential", "cli")
+
+
+def loaded_after(code, *argv):
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``
+    (which sees ``argv`` as ``sys.argv[1:]``)."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(posthoc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, check=True,
+                         env=env).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def posthoc_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "posthoc"}
+
+
+def test_import_loads_no_submodule():
+    modules = loaded_after("import posthoc")
+    assert posthoc_modules(modules) == {"posthoc"}
+    assert "numpy" not in modules
+    assert "dataclasses" not in modules
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    modules = loaded_after("\n".join(f"import posthoc.{m}" for m in MODULES))
+    assert posthoc_modules(modules) == {"posthoc"} | {f"posthoc.{m}" for m in MODULES}
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
+
+
+def test_first_use_loads_only_the_defining_submodules():
+    modules = loaded_after("import posthoc\nposthoc.h_mean")
+    assert posthoc_modules(modules) == {
+        "posthoc", "posthoc._numbers", "posthoc._record", "posthoc.core",
+        "posthoc.calibration"}
+
+
+def test_config_usage_error_loads_no_library_module(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": 7,\n')
+    code = ("import contextlib, io, sys\n"
+            "from posthoc.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert main(['merge', '--config', sys.argv[1]]) == 2\n")
+    assert posthoc_modules(loaded_after(code, str(bad))) == {"posthoc", "posthoc.cli"}
+
+
+def test_every_exported_name_is_its_submodules_object():
+    assert len(set(posthoc.__all__)) == len(posthoc.__all__)
+    for name in posthoc.__all__:
+        module = importlib.import_module(f"posthoc.{posthoc._SUBMODULE[name]}")
+        assert getattr(posthoc, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from posthoc import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(posthoc.__all__)
+    assert all(namespace[name] is getattr(posthoc, name)
+               for name in posthoc.__all__)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(posthoc.__all__) <= set(dir(posthoc))
+    assert "__version__" in dir(posthoc)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        posthoc.no_such_name
+    assert not hasattr(posthoc, "no_such_name")
+
+
+def test_submodules_import_by_name():
+    from posthoc import core, sequential
+
+    assert core.PValueLaw is posthoc.PValueLaw
+    assert sequential.ville_tail is posthoc.ville_tail

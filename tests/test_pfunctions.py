@@ -68,6 +68,19 @@ class TestPCurve:
         with pytest.raises(ValueError):
             PCurve([(F(1, 2), ((1, 0),))])
 
+    def test_rejects_a_nan_coefficient(self):
+        # max(0, nan) kept 0, so such a curve read post-hoc valid
+        with pytest.raises(ValueError, match="term coefficients must be positive"):
+            PCurve([(1, ((math.nan, 0),))])
+
+    def test_rejects_a_nan_power(self):
+        with pytest.raises(ValueError, match="term powers must be nonnegative"):
+            PCurve([(1, ((1, math.nan),))])
+
+    def test_rejects_a_nan_breakpoint(self):
+        with pytest.raises(ValueError, match="breakpoints must strictly increase"):
+            PCurve([(0.5, ((2, 0),)), (math.nan, ((2, 0),)), (1, ((1, 0),))])
+
     def test_statistic_limit_at_zero(self):
         # p(u) = u^2: u/p(u) = 1/u diverges toward u = 0
         assert PCurve.power(1, 2).statistic() == INF
@@ -95,6 +108,16 @@ class TestTCurve:
             TCurve([(F(1, 2), 1, 0), (F(3, 4), F(1, 2), 0)])
         with pytest.raises(ValueError):
             TCurve([(0, 2, 0)])
+
+    def test_rejects_a_nan_breakpoint(self):
+        with pytest.raises(ValueError, match="breakpoints must be nonnegative"):
+            TCurve([(F(1, 2), F(1, 2), 0), (math.nan, 1, 0)])
+
+    @pytest.mark.parametrize("segment", [(0.5, math.nan, 0), (0.5, 1, math.nan)],
+                             ids=["level", "power"])
+    def test_rejects_a_nan_level_or_power(self, segment):
+        with pytest.raises(ValueError, match="nondecreasing in alpha"):
+            TCurve([segment])
 
 
 class TestTransforms:
