@@ -40,10 +40,10 @@ _SUBMODULE = {
             "soft_test_function", "test_function_of", "uniform_randomize",
         ),
         "merging": (
-            "ShapeConditionError", "merge_geometric", "merge_h_mean",
-            "merge_harmonic", "merge_pfunctions_harmonic",
-            "merge_pfunctions_product", "merge_product_independent",
-            "product_merge_failure_witness",
+            "ShapeConditionError", "TestFamilyCollection", "fdr_average",
+            "fwer_merge", "merge_geometric", "merge_h_mean", "merge_harmonic",
+            "merge_pfunctions_harmonic", "merge_pfunctions_product",
+            "merge_product_independent", "product_merge_failure_witness",
         ),
         "design": (
             "SimplePair", "UtilitySpec", "bernoulli_pair",
@@ -55,8 +55,7 @@ _SUBMODULE = {
         ),
         "sequential": (
             "EPROCESS", "MARTINGALE", "ProcessModel", "StoppingRule",
-            "SUPERMARTINGALE", "TestFamilyCollection", "VilleReport",
-            "anytime_validity_check", "fdr_average", "fwer_merge",
+            "SUPERMARTINGALE", "VilleReport", "anytime_validity_check",
             "invalid_eprocess_fixture", "markov_equality_check",
             "martingale_fixture", "mrmw_sandwich", "stopped_law",
             "stopped_mean", "sup_stopped_mean", "supermartingale_fixture",

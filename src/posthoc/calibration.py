@@ -73,6 +73,8 @@ def minimal_h_counterexample(h: Number, q: Number) -> MinimalHCounterexample:
     by generalized-mean monotonicity it is still h-valid, and it is still
     classically invalid.
     """
+    if h != h:
+        raise ValueError("h must be a number, got nan")
     if h >= 1:
         raise ValueError("no counterexample exists for h >= 1")
     if not (0 < q < 1):

@@ -361,6 +361,9 @@ def gaussian_log_optimal_report(alpha: float = 0.05,
     alpha; the reported critical value is the smallest LR in the rejection
     region.  Post-hoc: reject at level alpha iff LR >= 1/alpha.
     """
+    if not (0 < alpha < 1 and alpha * n_cells >= 1):  # also true for nan
+        raise ValueError("need 0 < alpha < 1 and alpha * n_cells >= 1, "
+                         f"got alpha = {alpha}, n_cells = {n_cells}")
     pair = gaussian_shift_pair(n_cells=n_cells)
     p_star = log_optimal(pair)
     lr = {x: recip(p_star[x]) for x in p_star.outcomes}

@@ -2,8 +2,8 @@
 
 A strategy maps the realized p-value to a significance level through a
 piecewise-constant rule on (0, inf].  Conditional size, expected distortion
-and maximum distortion are integrated exactly against a :class:`PValueLaw`;
-a Monte Carlo engine cross-checks the exact integrals.
+and maximum distortion are integrated exactly against a :class:`PValueLaw`,
+in one pass over the pieces; a Monte Carlo engine cross-checks them.
 """
 from __future__ import annotations
 
@@ -58,27 +58,8 @@ class AlphaStrategy(Record):
         raise ValueError(f"p-value {p!r} outside (0, inf]")
 
     def levels(self) -> list:
-        seen = []
-        for _, _, lvl in self.pieces:
-            if lvl not in seen:
-                seen.append(lvl)
-        return seen
-
-    def level_mass(self, p_law: PValueLaw, a: Number) -> Number:
-        """P(level = a) under the p-value law."""
-        return sum(
-            p_law.mass_interval(lo, hi)
-            for lo, hi, lvl in self.pieces
-            if lvl == a
-        )
-
-    def rejection_mass(self, p_law: PValueLaw, a: Number) -> Number:
-        """P(p <= level and level = a)."""
-        total = 0
-        for lo, hi, lvl in self.pieces:
-            if lvl == a and lvl > lo:
-                total += p_law.mass_interval(lo, min(hi, lvl))
-        return total
+        """The distinct levels, in order of first appearance."""
+        return list(dict.fromkeys(lvl for _, _, lvl in self.pieces))
 
 
 class DistortionReport(Record):
@@ -125,46 +106,55 @@ class DistortionReport(Record):
         return buf.getvalue()
 
 
+def _level_table(p_law: PValueLaw, s: AlphaStrategy):
+    """({a: [P(level = a), P(p <= level, level = a)]} in order of first
+    appearance, E[I{p <= level} / level]) in one pass over the pieces.  The
+    expectation adds up per piece: per level, it would round differently
+    on float laws and make ``Fraction`` levels on them floats."""
+    table = {}
+    expected = 0
+    for lo, hi, lvl in s.pieces:
+        entry = table.setdefault(lvl, [0, 0])  # shared by equal levels
+        entry[0] += p_law.mass_interval(lo, hi)
+        if lvl > lo:
+            cell = p_law.mass_interval(lo, min(hi, lvl))
+            entry[1] += cell
+            expected += cell / lvl
+    return table, expected
+
+
+def _rows(table: dict):
+    """(level, mass, size, distortion) rows of the levels of positive mass,
+    and the largest distortion."""
+    rows = []
+    for a, (mass, rejected) in table.items():
+        if mass != 0:  # an essential supremum ignores null levels
+            size = rejected / mass
+            rows.append((a, mass, size, size / a))
+    return rows, max([0] + [row[3] for row in rows])
+
+
 def conditional_size(p_law: PValueLaw, s: AlphaStrategy, a: Number) -> Number:
     """P(p <= level | level = a), exact."""
-    mass = s.level_mass(p_law, a)
+    mass, rejected = _level_table(p_law, s)[0].get(a, (0, 0))
     if mass == 0:
         raise ValueError(f"level {a!r} has zero probability; cannot condition")
-    return s.rejection_mass(p_law, a) / mass
+    return rejected / mass
 
 
 def expected_size_distortion(p_law: PValueLaw, s: AlphaStrategy) -> Number:
     """E[ I{p <= level} / level ], exact; +inf when divergent."""
-    total = 0
-    for lo, hi, lvl in s.pieces:
-        if lvl > lo:
-            total += p_law.mass_interval(lo, min(hi, lvl)) / lvl
-    return total
+    return _level_table(p_law, s)[1]
 
 
 def max_size_distortion(p_law: PValueLaw, s: AlphaStrategy) -> Number:
     """sup over levels in the strategy's support of size(a)/a."""
-    best = 0
-    for a in s.levels():
-        mass = s.level_mass(p_law, a)
-        if mass == 0:
-            continue  # essential-supremum semantics: ignore null levels
-        dist = conditional_size(p_law, s, a) / a
-        if dist > best:
-            best = dist
-    return best
+    return _rows(_level_table(p_law, s)[0])[1]
 
 
 def distortion_report(p_law: PValueLaw, s: AlphaStrategy) -> DistortionReport:
-    rows = []
-    for a in s.levels():
-        mass = s.level_mass(p_law, a)
-        if mass == 0:
-            continue
-        size = conditional_size(p_law, s, a)
-        rows.append((a, mass, size, size / a))
-    expected = expected_size_distortion(p_law, s)
-    maximum = max_size_distortion(p_law, s)
+    table, expected = _level_table(p_law, s)
+    rows, maximum = _rows(table)
     return DistortionReport(tuple(rows), expected, maximum)
 
 

@@ -5,17 +5,22 @@ product-space construction); arbitrarily dependent inputs merge by weighted
 harmonic mean on the p-scale, by product on the geometric (h = 0) scale, or
 by weighted power mean on the e^h scale.  The p-function product requires a
 joint shape condition; its failure for properly randomized inputs is
-witnessed by the smallest diverging copy count.
+witnessed by the smallest diverging copy count.  A family of tests merges
+into its union test (FWER) or its average rejection proportion (FDR).
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import TOL, Number, mul0, power_mean, recip
-from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE
+from ._numbers import TOL, Number, is_inf, mul0, power_mean, recip
+from ._record import Record
+from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, TestFunction
 from .pfunctions import (
     PFunction,
+    RandomizedTestFunction,
+    TCurve,
     harmonic_combine,
     product_combine,
     product_merge_failure_witness,
@@ -31,6 +36,9 @@ __all__ = [
     "merge_pfunctions_product",
     "product_merge_failure_witness",
     "ShapeConditionError",
+    "TestFamilyCollection",
+    "fwer_merge",
+    "fdr_average",
 ]
 
 
@@ -38,7 +46,7 @@ def _check_weights(weights: Sequence[Number], n: int) -> list:
     weights = list(weights)
     if len(weights) != n:
         raise ValueError("one weight per input required")
-    if any(w < 0 for w in weights):
+    if any(not w >= 0 for w in weights):  # also true for nan
         raise ValueError("weights must be nonnegative")
     if sum(weights) != 1 and abs(float(sum(weights)) - 1.0) > TOL:
         raise ValueError("weights must sum to 1")
@@ -185,3 +193,52 @@ def merge_pfunctions_product(pfs: Sequence[PFunction]) -> PFunction:
     return PFunction({
         x: product_combine([pf[x] for pf in pfs]) for x in outcomes
     })
+
+
+# ---------------------------------------------------------------------------
+# test families
+
+
+class TestFamilyCollection(Record):
+    """Finite family of test functions on a common outcome set."""
+
+    __test__ = False  # not a pytest class despite the name
+
+    members: tuple
+
+    def __init__(self, members: Sequence[TestFunction]):
+        members = tuple(members)
+        _common_outcomes([tf.p for tf in members])
+        object.__setattr__(self, "members", members)
+
+    @property
+    def outcomes(self) -> tuple:
+        return self.members[0].p.outcomes
+
+
+def fwer_merge(fam: TestFamilyCollection) -> TestFunction:
+    """Union test phi-bar(alpha) = sup_i phi_i(alpha), i.e. the pointwise
+    minimum p-value (equivalently the pointwise maximum e-value)."""
+    merged = {x: min(tf.p[x] for tf in fam.members) for x in fam.outcomes}
+    return TestFunction(EvidenceVariable(merged, P_SCALE))
+
+
+def fdr_average(fam: TestFamilyCollection,
+                weights: Sequence[Number] | None = None) -> RandomizedTestFunction:
+    """Weighted average phi-tilde(alpha) = sum_i w_i 1{p_i <= alpha}: the
+    expected rejection proportion as a randomized test function."""
+    k = len(fam.members)
+    if weights is None:
+        weights = [Fraction(1, k)] * k
+    weights = _check_weights(weights, k)
+    curves = {}
+    for x in fam.outcomes:
+        segs, level = [], 0
+        for p, w in sorted((tf.p[x], w) for tf, w in zip(fam.members, weights)
+                           if not is_inf(tf.p[x])):
+            level = level + w
+            if segs and segs[-1][0] == p:
+                segs.pop()  # the jumps are sorted: an equal one replaces it
+            segs.append((p, min(level, 1), 0))
+        curves[x] = TCurve(segs)
+    return RandomizedTestFunction(curves)

@@ -281,7 +281,8 @@ class TCurve(Record):
     breakpoints and levels, otherwise the values themselves.  It keeps D,
     or None for a curve checked on its values, as the private, non-field
     attribute ``_denominator``, from which :func:`_tcurve_to_pcurve`
-    rebuilds the level keys.
+    rebuilds the level keys.  :func:`_pcurve_to_tcurve` and ``fdr_average``
+    pass sorted segments with distinct breakpoints, which the sort keeps.
     """
 
     segments: tuple
@@ -401,39 +402,13 @@ def _single_term(terms):
     return terms[0]
 
 
-def _flat_jumps(pc: PCurve) -> list | None:
-    """The segments of the test function of a flat exact p-curve (one term
-    (a, 0) with exact a on each piece up to the first p = inf piece), or
-    None for any other curve.
-
-    The test jumps to u_hi at alpha = 1/a.  As p is nondecreasing (and
-    :class:`PCurve` rejects any exact rise of a), a falls from piece to
-    piece, so the jumps come sorted, and of equal a's, compared as int
-    pairs, the later piece wins.
-    """
-    out, last = [], None
-    for u_hi, terms in pc.segments:
-        if not terms:
-            break  # p = inf: the test never climbs past the last u_hi
-        if len(terms) != 1:
-            return None
-        a, g = terms[0]
-        if type(a) not in EXACT_TYPES or type(g) not in EXACT_TYPES or g:
-            return None
-        ratio = a.as_integer_ratio()
-        if ratio == last:
-            out.pop()  # an equal a: the later piece wins
-        out.append((recip(a), u_hi, 0))
-        last = ratio
-    return out
-
-
 def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
-    """tf(alpha) = sup{u : p(u) <= alpha} of one curve; a flat exact curve
-    takes :func:`_flat_jumps`, which gives equal segments of equal type."""
-    jumps = _flat_jumps(pc)
-    if jumps is not None:
-        return TCurve(jumps)
+    """tf(alpha) = sup{u : p(u) <= alpha} of one curve.
+
+    Each piece adds segments at breakpoints that follow p, so they never
+    fall, save by a float dip within tolerance.  A new segment holds from
+    its breakpoint on: it replaces each earlier one whose breakpoint is at
+    least its own."""
     out = []
     u_lo = 0
     for u_hi, terms in pc.segments:
@@ -441,20 +416,19 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
             break  # p = inf: the test never climbs past u_lo
         a, g = _single_term(terms)
         c = recip(a)  # p(u) = c * u^g
-        if g == 0:
-            # flat piece: jump of the test function up to u_hi at alpha = c
-            out.append((c, u_hi, 0))
-        else:
+        v_hi = c  # p(u_hi), where the test reaches u_hi
+        if g != 0:
+            # inverted piece on [v_lo, v_hi), then flat at u_hi from v_hi
             v_lo = mul0(c, pow_ext(u_lo, g)) if u_lo > 0 else 0
-            v_hi = mul0(c, pow_ext(u_hi, g))
-            # inverted piece on [v_lo, v_hi), then flat at u_hi; a later
-            # piece starting at v_hi overrides the flat via deduplication
+            while out and out[-1][0] >= v_lo:
+                out.pop()
             out.append((v_lo, pow_ext(recip(c), recip(g)), recip(g)))
-            out.append((v_hi, u_hi, 0))
+            v_hi = mul0(c, pow_ext(u_hi, g))
+        while out and out[-1][0] >= v_hi:
+            out.pop()
+        out.append((v_hi, u_hi, 0))
         u_lo = u_hi
-    # deduplicate segments that share a breakpoint (the later one wins)
-    dedup = {alo: (alo, c, m) for alo, c, m in out}
-    return TCurve(sorted(dedup.values()))
+    return TCurve(out)
 
 
 def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
@@ -559,30 +533,23 @@ def p_value_head(pf: PFunction) -> EvidenceVariable:
 # curve combination (used by merging)
 
 
-def _active_terms(curve: PCurve, u_lo, u_hi):
-    prev = 0
-    for hi, terms in curve.segments:
-        if prev <= u_lo and u_hi <= hi:
-            return terms
-        prev = hi
-    raise AssertionError("refinement must align with segment breakpoints")
+def _refine(curves: Sequence[PCurve]):
+    """(u_hi, [each curve's terms on (u_lo, u_hi]]) over the sorted union
+    of the breakpoints, advancing one segment index per curve."""
+    at = [0] * len(curves)
+    for u_hi in sorted({u for c in curves for u in c.breakpoints()}):
+        for k, c in enumerate(curves):
+            while c.segments[at[k]][0] < u_hi:
+                at[k] += 1
+        yield u_hi, [c.segments[i][1] for c, i in zip(curves, at)]
 
 
 def harmonic_combine(curves: Sequence[PCurve], weights: Sequence[Number]) -> PCurve:
     """Pointwise weighted harmonic mean: 1 / sum_i w_i / p_i(u)."""
-    cuts = sorted({u for c in curves for u in c.breakpoints()})
-    out = []
-    u_lo = 0
-    for u_hi in cuts:
-        terms = []
-        for c, w in zip(curves, weights):
-            if w == 0:
-                continue
-            for a, g in _active_terms(c, u_lo, u_hi):
-                terms.append((w * a, g))
-        out.append((u_hi, tuple(terms)))
-        u_lo = u_hi
-    return PCurve(out)
+    return PCurve([
+        (u_hi, tuple((w * a, g) for terms, w in zip(active, weights) if w != 0
+                     for a, g in terms))
+        for u_hi, active in _refine(curves)])
 
 
 def product_combine(curves: Sequence[PCurve]) -> PCurve:
@@ -593,13 +560,10 @@ def product_combine(curves: Sequence[PCurve]) -> PCurve:
     are sorted by power: n copies of a two-term curve give n + 1 terms,
     not 2^n.
     """
-    cuts = sorted({u for c in curves for u in c.breakpoints()})
     out = []
-    u_lo = 0
-    for u_hi in cuts:
+    for u_hi, active in _refine(curves):
         terms = {0: 1}  # power -> coefficient; multiplicative identity p = 1
-        for c in curves:
-            seg = _active_terms(c, u_lo, u_hi)
+        for seg in active:
             if not seg:
                 terms = {}  # p = inf on this piece
                 break
@@ -610,7 +574,6 @@ def product_combine(curves: Sequence[PCurve]) -> PCurve:
                     expanded[g] = expanded.get(g, 0) + a1 * a2
             terms = expanded
         out.append((u_hi, tuple((a, g) for g, a in sorted(terms.items()))))
-        u_lo = u_hi
     return PCurve(out)
 
 

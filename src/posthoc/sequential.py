@@ -1,5 +1,5 @@
 """Discrete-time nonnegative processes, stopping rules, and the Markov and
-Ville equalities, plus familywise / averaged multiple-testing merges.
+Ville equalities; test families merge in :mod:`posthoc.merging`.
 
 Processes are multiplicative with a finite-support i.i.d. factor, so the
 martingale and supermartingale moment conditions are checkable exactly at
@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from ._numbers import (
     EXACT_TYPES,
+    INF,
     TOL,
     Number,
     float_ext,
@@ -33,11 +34,7 @@ from .core import (
     E_SCALE,
     EvidenceVariable,
     Hypothesis,
-    P_SCALE,
-    TestFunction,
 )
-from .merging import _check_weights
-from .pfunctions import RandomizedTestFunction, TCurve
 
 MARTINGALE = "MARTINGALE"
 SUPERMARTINGALE = "SUPERMARTINGALE"
@@ -154,8 +151,8 @@ def markov_equality_check(X: EvidenceVariable, H: Hypothesis):
 def mrmw_sandwich(X: EvidenceVariable, c: Number, H: Hypothesis):
     """(P(X >= 1/c), E[cX AND 1], cE[X]) for the worst hypothesis member;
     asserts the sandwich ordering for every member."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < INF:  # also true for nan
+        raise ValueError(f"c must be positive and finite, got {c}")
     e = X.as_scale(E_SCALE)
     inv_c = recip(c)
     worst = None
@@ -368,65 +365,6 @@ def anytime_validity_check(models, rules: Sequence[StoppingRule],
                 worst = fields["mean"]
     return {"valid": valid, "sup_mean": worst,
             "sup_all_stopping_times": sups, "rows": rows}
-
-
-# ---------------------------------------------------------------------------
-# multiple testing
-
-
-class TestFamilyCollection(Record):
-    """Finite family of test functions on a common outcome set."""
-
-    __test__ = False  # not a pytest class despite the name
-
-    members: tuple
-
-    def __init__(self, members: Sequence[TestFunction]):
-        members = tuple(members)
-        if not members:
-            raise ValueError("family must be nonempty")
-        outcomes = set(members[0].p.outcomes)
-        for tf in members[1:]:
-            if set(tf.p.outcomes) != outcomes:
-                raise ValueError("family members must share an outcome set")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def outcomes(self) -> tuple:
-        return self.members[0].p.outcomes
-
-
-def fwer_merge(fam: TestFamilyCollection) -> TestFunction:
-    """Union test phi-bar(alpha) = sup_i phi_i(alpha), i.e. the pointwise
-    minimum p-value (equivalently the pointwise maximum e-value)."""
-    merged = {
-        x: min(tf.p[x] for tf in fam.members)
-        for x in fam.outcomes
-    }
-    return TestFunction(EvidenceVariable(merged, P_SCALE))
-
-
-def fdr_average(fam: TestFamilyCollection,
-                weights: Sequence[Number] | None = None) -> RandomizedTestFunction:
-    """Weighted average phi-tilde(alpha) = sum_i w_i 1{p_i <= alpha}: the
-    expected rejection proportion as a randomized test function."""
-    k = len(fam.members)
-    if weights is None:
-        weights = [Fraction(1, k)] * k
-    weights = _check_weights(weights, k)
-    curves = {}
-    for x in fam.outcomes:
-        jumps = sorted(
-            (tf.p[x], w) for tf, w in zip(fam.members, weights)
-            if not is_inf(tf.p[x])
-        )
-        segs, level = [], 0
-        for p, w in jumps:
-            level = level + w
-            segs.append((p, min(level, 1), 0))
-        dedup = {alo: (alo, v, m) for alo, v, m in segs}
-        curves[x] = TCurve(sorted(dedup.values()))
-    return RandomizedTestFunction(curves)
 
 
 # ---------------------------------------------------------------------------

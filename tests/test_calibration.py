@@ -135,6 +135,10 @@ class TestMinimalHCounterexample:
         with pytest.raises(ValueError):
             minimal_h_counterexample(2, F(1, 2))
 
+    def test_rejects_nan_h(self):
+        with pytest.raises(ValueError, match="nan"):
+            minimal_h_counterexample(math.nan, F(1, 4))
+
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             minimal_h_counterexample(F(1, 2), 0)

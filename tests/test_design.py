@@ -423,3 +423,13 @@ class TestGaussianExample:
         assert abs(rep["classical_critical"] - math.exp(1.6449 - 0.5)) <= 0.01
         assert rep["posthoc_threshold"] == 20.0
         assert rep["posthoc_power"] < rep["classical_power"]
+
+    @pytest.mark.parametrize("alpha, n_cells", [
+        (0.01, 50),     # alpha * n_cells < 1: an empty classical region
+        (1.0, 2001),    # no cell outside the region
+        (0.0, 2001),
+        (math.nan, 2001),
+    ])
+    def test_rejects_alpha_outside_the_grid(self, alpha, n_cells):
+        with pytest.raises(ValueError, match=r"alpha \* n_cells >= 1"):
+            gaussian_log_optimal_report(alpha=alpha, n_cells=n_cells)

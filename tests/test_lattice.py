@@ -500,6 +500,68 @@ def test_two_terms_on_a_piece_still_raise():
     assert got[0] == want[0] == "ValueError" and got[1] == want[1]
 
 
+# float dips: PCurve lets p fall by a relative 1e-9, and the transform
+# gives tf(alpha) = sup{u : p(u) <= alpha} even so
+
+
+def step_test(curve, alpha):
+    """tf(alpha) of a step curve by brute force: the largest u_hi of a
+    piece whose value is at most alpha."""
+    return max((u for u in curve.breakpoints() if curve.value(u) <= alpha),
+               default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 63), max_size=4, unique=True),
+       st.lists(st.floats(1 / 64, 2), min_size=5, max_size=5),
+       st.lists(st.sampled_from([0, 0, 1e-13, 1e-12, 1e-10, 5e-10]),
+                min_size=5, max_size=5),
+       st.booleans())
+def test_float_step_curves_with_dips_give_the_test_function(raw, lv, dips, back):
+    cuts = [F(c, 64) for c in sorted(raw)] + [1]
+    lv = sorted(lv)[:len(cuts)]
+    for i in range(1, len(lv)):
+        if dips[i]:
+            lv[i] = lv[i - 1] * (1 - dips[i])  # p falls within tolerance
+            if back and i + 1 < len(lv):
+                lv[i + 1] = lv[i - 1]  # and comes back to where it fell from
+    curve = PCurve.steps(list(zip(cuts, lv)))
+    got = _pcurve_to_tcurve(curve)
+    values = [curve.value(u) for u in cuts]
+    for v in values:
+        for alpha in (v, math.nextafter(v, 0), math.nextafter(v, 3)):
+            assert got.value(alpha) == step_test(curve, alpha)
+    # where the reference holds, it agrees
+    ref = outcome(reference_to_tcurve, curve.segments)
+    if ref[0] == "ok":
+        assert same(got.segments, ref[1])
+
+
+def test_a_float_dip_that_comes_back_keeps_the_reference_segments():
+    curve = PCurve.steps([(F(1, 4), .5), (F(1, 2), .5 - 1e-12), (1, .5)])
+    want = ((0.499999999999, F(1, 2), 0), (0.5, 1, 0))
+    assert same(_pcurve_to_tcurve(curve).segments, want)
+    assert same(reference_to_tcurve(curve.segments), want)
+
+
+def test_a_float_dip_that_stays_gives_the_test_function():
+    # the reference sorted the earlier, higher jump after the dip and
+    # raised "test function must be nondecreasing in alpha"
+    curve = PCurve.steps([(F(1, 2), .5), (1, .5 - 1e-12)])
+    assert same(_pcurve_to_tcurve(curve).segments, ((0.499999999999, 1, 0),))
+
+
+def test_a_float_dip_after_a_power_piece_keeps_its_inverse():
+    # p(u) = u / 4 on (0, 1/2], then u / (4 + 4e-12): p(0.8) = 0.2, so
+    # tf(0.2) = 0.8; the reference kept the flat 1/2 from 1/8 on
+    curve = PCurve([(F(1, 2), ((F(4), 1),)), (1, ((4.000000000004, 1),))])
+    tc = _pcurve_to_tcurve(curve)
+    assert math.isclose(tc.value(0.2), 0.8, rel_tol=1e-9)
+    assert same(tc.segments, ((0, F(4), F(1)),
+                              (0.12499999999987499, 4.000000000004, F(1)),
+                              (0.24999999999974998, 1, 0)))
+
+
 exact_points = st.one_of(st.fractions(-1, 2, max_denominator=8), st.integers(-1, 2))
 
 

@@ -65,6 +65,17 @@ def test_config_usage_error_loads_no_library_module(tmp_path):
     assert posthoc_modules(loaded_after(code, str(bad))) == {"posthoc", "posthoc.cli"}
 
 
+@pytest.mark.parametrize("command", ["ville", "sequential"])
+def test_sequential_runs_load_no_merging_or_pfunctions(command):
+    code = ("import contextlib, io, sys\n"
+            "from posthoc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n")
+    modules = loaded_after(code, command, "--n", "10")
+    assert "posthoc.sequential" in modules
+    assert not {"posthoc.merging", "posthoc.pfunctions"} & modules
+
+
 def test_every_exported_name_is_its_submodules_object():
     assert len(set(posthoc.__all__)) == len(posthoc.__all__)
     for name in posthoc.__all__:

@@ -152,6 +152,16 @@ class TestHMeanMerge:
         assert check_h_validity(merged, 1, hyp)
         assert merged[0] == F(7, 8) and merged[1] == F(9, 8)
 
+    @pytest.mark.parametrize("merge", [
+        lambda evs, w: merge_h_mean(evs, w, float("inf")),
+        lambda evs, w: merge_h_mean(evs, w, 1),
+        lambda evs, w: merge_harmonic([dual(ev) for ev in evs], w),
+    ], ids=["h_mean-inf", "h_mean-1", "harmonic"])
+    def test_rejects_a_nan_weight(self, merge):
+        e1 = EvidenceVariable({0: F(3, 2), 1: F(1, 2)}, "e")
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            merge([e1, e1], [float("nan"), 1.0])
+
     def test_geometric_case_matches_weighted_product(self):
         e1 = EvidenceVariable({0: 4, 1: F(1, 4)}, "e")
         merged = merge_h_mean([e1, e1], [F(1, 2), F(1, 2)], 0)

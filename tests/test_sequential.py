@@ -157,6 +157,13 @@ class TestMrmwSandwich:
         with pytest.raises(ValueError):
             mrmw_sandwich(ev, 0, hyp)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_rejects_a_c_that_is_not_finite(self, c):
+        # an atom at 0 made an inf c read as a violated sandwich
+        ev, hyp = ev_on([0, 2])
+        with pytest.raises(ValueError, match="positive and finite"):
+            mrmw_sandwich(ev, c, hyp)
+
 
 class TestVille:
     def test_immediate_stop_is_exact(self):
