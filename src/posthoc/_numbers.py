@@ -20,6 +20,8 @@ INF = math.inf
 #: needs none but shares the comparison code.
 TOL = 1e-12
 
+EXACT_TYPES = frozenset((int, Fraction))
+
 
 def is_inf(x: Number) -> bool:
     return isinstance(x, float) and math.isinf(x)
@@ -47,11 +49,14 @@ def recip(x: Number) -> Number:
 
 
 def at_most(x: Number, bound: Number) -> bool:
-    """x <= bound, with the result of Python's comparison.  A ``Fraction``
-    against a finite float is compared as int pairs, without the ABC checks
-    of ``Fraction``'s operators and the ``Fraction`` they build from the
-    float."""
-    if type(x) is Fraction and type(bound) is float and math.isfinite(bound):
+    """x <= bound, with the result of Python's comparison: the one exact
+    comparison.  A ``Fraction`` against an exact number or a finite float,
+    or an int against a ``Fraction``, is compared as int pairs, without the
+    ABC checks of ``Fraction``'s operators and the ``Fraction`` they build
+    from a float."""
+    tx, tb = type(x), type(bound)
+    if (tx is Fraction and (tb in EXACT_TYPES or tb is float and math.isfinite(bound))
+            or tx is int and tb is Fraction):
         n, d = x.as_integer_ratio()
         bn, bd = bound.as_integer_ratio()
         return n * bd <= bn * d
@@ -136,9 +141,6 @@ def pow_ext(base: Number, expo: Number) -> Number:
         return INF
 
 
-EXACT_TYPES = frozenset((int, Fraction))
-
-
 def common_denominator(values) -> tuple | None:
     """(D, [x * D for x in values]) with D the least common denominator, so
     every x * D is an int; None when some value is not an int or a
@@ -147,11 +149,9 @@ def common_denominator(values) -> tuple | None:
     Exact kernels compare and add these ints instead of ``Fraction``s, whose
     operators pay for ABC checks and normalisation on every call.
     """
-    pairs = []
-    for x in values:
-        if type(x) not in EXACT_TYPES:
-            return None
-        pairs.append(x.as_integer_ratio())
+    if not EXACT_TYPES.issuperset(map(type, values)):
+        return None
+    pairs = [x.as_integer_ratio() for x in values]
     d = math.lcm(*[k for _, k in pairs])
     return d, [n * (d // k) for n, k in pairs]
 

@@ -420,7 +420,10 @@ def _resolve_options(args) -> dict:
         "strategy": "decreasing_alpha",
         "out": None,
     }
-    opts.update({k: v for k, v in config.items() if k in opts})
+    unknown = sorted(k for k in config if k not in opts)
+    if unknown:
+        raise CliError(f"unknown config keys {unknown}; choose from {list(opts)}")
+    opts.update(config)
     if os.environ.get(ENV_SEED):
         try:
             opts["seed"] = int(os.environ[ENV_SEED])

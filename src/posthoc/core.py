@@ -231,10 +231,11 @@ class PValueLaw(Record):
 
     The constructor checks and sorts them once (:func:`_checked_sorted`),
     on keys that compare as the values do: the ints x * D over the least
-    common denominator D when every location, endpoint and mass is an int
-    or a ``Fraction``, else the values themselves.  When every mass is a
-    ``Fraction`` it keeps the sorted ints as the private, non-field
-    attribute ``_lattice``, on which :meth:`cdf`, :meth:`expect_recip` and
+    common denominator D (:func:`common_denominator`) when every location,
+    endpoint and mass is an int or a ``Fraction``, else the values
+    themselves.  When no mass is an int, so every one is a ``Fraction``, it
+    keeps the sorted ints as the private, non-field attribute ``_lattice``,
+    on which :meth:`cdf`, :meth:`expect_recip` and
     :func:`check_classical_validity` sweep with int ratios and build one
     ``Fraction`` for the value they return.  The integrals keep a second,
     ``Fraction``/float formulation for other laws (a float, an inf atom or
@@ -254,13 +255,12 @@ class PValueLaw(Record):
         common = common_denominator(values)
         atoms, pieces, lattice = _checked_sorted(atoms, pieces, *(common or (1, values)))
         # an int mass can make a sum an int, so only Fraction masses keep
-        # the lattice
-        kinds = {type(m) for _, m in atoms} | {type(p[2]) for p in pieces}
-        if common is None or not kinds <= {Fraction}:
+        # the lattice (on a common denominator a mass is an int or a Fraction)
+        k = 2 * len(atoms)
+        if common is None or (int in map(type, values[1:k:2])
+                              or int in map(type, values[k + 2::3])):
             lattice = None
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_lattice", lattice)  # not a field
+        self.__dict__.update(atoms=atoms, pieces=pieces, _lattice=lattice)
 
     # -- exact integration ------------------------------------------------
 
@@ -279,6 +279,8 @@ class PValueLaw(Record):
             num, q, added = _lattice_piece_cdf(pieces, total, top, scale)
             # a sum of Fraction masses is a Fraction; of none, the int 0
             return Fraction(num, q * d) if seen or added else 0
+        if alpha != alpha:  # nan; an exact alpha on the lattice never is
+            raise ValueError("alpha must be a number, got nan")
         total = 0
         for loc, m in self.atoms:
             if loc > alpha:
@@ -465,29 +467,30 @@ def _checked_sorted(atoms: tuple, pieces: tuple, d: int, keys: list) -> tuple:
             raise ValueError("atom locations must be positive")
         if not m >= 0:
             raise ValueError("atom masses must be nonnegative")
-    spans = list(zip(keys[k::3], keys[k + 1::3], keys[k + 2::3], range(len(pieces))))
-    for (a, b, _), (ka, kb, km, _) in zip(pieces, spans):
-        # a float and an exact endpoint can differ by less than an ulp: then
-        # b - a is 0.0 and the uniform density on (a, b] is undefined
-        if not (0 <= ka < kb) or kb - ka == 0:
-            raise ValueError(f"bad piece interval ({a}, {b}]")
-        if is_inf(kb):
-            raise ValueError("pieces must be bounded")
-        if not km >= 0:
-            raise ValueError("piece masses must be nonnegative")
-    spans.sort()
-    for s1, s2 in zip(spans, spans[1:]):
-        if s2[0] < s1[1]:
-            raise ValueError("piece intervals must be disjoint")
+    spans = []
+    if pieces:
+        spans = list(zip(keys[k::3], keys[k + 1::3], keys[k + 2::3], pieces))
+        for ka, kb, km, (a, b, _) in spans:
+            # a float and an exact endpoint can differ by less than an ulp:
+            # then b - a is 0.0 and the uniform density on (a, b] is undefined
+            if not (0 <= ka < kb) or kb - ka == 0:
+                raise ValueError(f"bad piece interval ({a}, {b}]")
+            if is_inf(kb):
+                raise ValueError("pieces must be bounded")
+            if not km >= 0:
+                raise ValueError("piece masses must be nonnegative")
+        spans.sort()
+        for s1, s2 in zip(spans, spans[1:]):
+            if s2[0] < s1[1]:
+                raise ValueError("piece intervals must be disjoint")
     total = sum(masses) + sum(keys[k + 2::3])
     # a float mass makes the sum a float, checked within the tolerance
     if abs(total - d) > TOL if isinstance(total, float) else total != d:
         total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
         raise ValueError(f"masses must sum to 1, got {total}")
-    # locations are distinct and disjoint pieces start apart, so the sorts
-    # never compare past the first key
+    # locations are distinct, so the sort never compares past the first key
     by_loc = sorted(zip(locs, masses, atoms))
-    return (tuple([t[2] for t in by_loc]), tuple([pieces[s[3]] for s in spans]),
+    return (tuple([t[2] for t in by_loc]), tuple([s[3] for s in spans]),
             (d, [t[:2] for t in by_loc], [s[:3] for s in spans]))
 
 

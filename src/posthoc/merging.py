@@ -21,10 +21,10 @@ from .pfunctions import (
     PFunction,
     RandomizedTestFunction,
     TCurve,
+    _shape_and_product,
     harmonic_combine,
     product_combine,
     product_merge_failure_witness,
-    product_shape_condition,
 )
 
 __all__ = [
@@ -185,14 +185,15 @@ def merge_pfunctions_product(pfs: Sequence[PFunction]) -> PFunction:
     u in (0, 1] and every outcome; violated inputs are rejected with a
     witness u.
     """
-    outcomes = _common_outcomes(pfs)
-    for x in outcomes:
-        ok, witness, worst = product_shape_condition([pf[x] for pf in pfs])
+    products = {}
+    for x in _common_outcomes(pfs):
+        curves = [pf[x] for pf in pfs]
+        ok, witness, worst, prod = _shape_and_product(curves)
         if not ok:
             raise ShapeConditionError(witness, worst)
-    return PFunction({
-        x: product_combine([pf[x] for pf in pfs]) for x in outcomes
-    })
+        # the check's product, unless a curve inf at 1 dropped out of it
+        products[x] = product_combine(curves) if prod is None else prod
+    return PFunction(products)
 
 
 # ---------------------------------------------------------------------------

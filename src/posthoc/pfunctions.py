@@ -278,19 +278,17 @@ class TCurve(Record):
     the final segment extending to infinity.  The constructor sorts and
     checks the pieces once, on keys that compare as the values do: the ints
     of :func:`_flat_tkeys` when every piece is flat (m = 0) with exact
-    breakpoints and levels, otherwise the values themselves.  It keeps D,
-    or None for a curve checked on its values, as the private, non-field
-    attribute ``_denominator``, from which :func:`_tcurve_to_pcurve`
-    rebuilds the level keys.  :func:`_pcurve_to_tcurve` and ``fdr_average``
-    pass sorted segments with distinct breakpoints, which the sort keeps.
+    breakpoints and levels, otherwise the values themselves; the keys are
+    not kept.  ``fdr_average`` passes sorted segments with distinct
+    breakpoints, which the sort keeps.
     """
 
     segments: tuple
 
     def __init__(self, segments: Iterable):
         segs = [(alo, c, m) for alo, c, m in segments]
-        flat = _flat_tkeys(segs)
-        d, akeys, ckeys = flat or (1, [s[0] for s in segs], [s[1] for s in segs])
+        d, akeys, ckeys = _flat_tkeys(segs) or (1, [s[0] for s in segs],
+                                                [s[1] for s in segs])
         order = sorted(range(len(segs)), key=akeys.__getitem__)
         segs = [segs[i] for i in order]
         prev_end = 0
@@ -312,7 +310,6 @@ class TCurve(Record):
                 raise ValueError("test function values must stay within [0, 1]")
             prev_end = end
         object.__setattr__(self, "segments", tuple(segs))
-        object.__setattr__(self, "_denominator", d if flat else None)  # not a field
 
     @classmethod
     def indicator(cls, p: Number) -> "TCurve":
@@ -322,7 +319,7 @@ class TCurve(Record):
         return cls([(p, 1, 0)])
 
     def value(self, alpha: Number) -> Number:
-        if alpha <= 0:
+        if not alpha > 0:  # also true for nan
             raise ValueError("alpha must be positive")
         current = 0
         for alo, c, m in self.segments:
@@ -402,15 +399,28 @@ def _single_term(terms):
     return terms[0]
 
 
+def _built(cls, segments):
+    """A ``PCurve`` or ``TCurve`` on a transform's segments without the
+    constructor's re-check, which cannot fail on a flat output: the input
+    passed it, the loop keeps breakpoints strictly increasing, and the
+    levels are the input's own breakpoints or levels."""
+    curve = object.__new__(cls)
+    object.__setattr__(curve, "segments", tuple(segments))
+    return curve
+
+
 def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
     """tf(alpha) = sup{u : p(u) <= alpha} of one curve.
 
     Each piece adds segments at breakpoints that follow p, so they never
     fall, save by a float dip within tolerance.  A new segment holds from
     its breakpoint on: it replaces each earlier one whose breakpoint is at
-    least its own."""
+    least its own (:func:`at_most`).  A flat curve's output is
+    :func:`_built`; a power piece keeps the check, which a rounded float
+    power can fail."""
     out = []
     u_lo = 0
+    unchecked = True
     for u_hi, terms in pc.segments:
         if not terms:
             break  # p = inf: the test never climbs past u_lo
@@ -419,54 +429,52 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
         v_hi = c  # p(u_hi), where the test reaches u_hi
         if g != 0:
             # inverted piece on [v_lo, v_hi), then flat at u_hi from v_hi
+            unchecked = False
             v_lo = mul0(c, pow_ext(u_lo, g)) if u_lo > 0 else 0
-            while out and out[-1][0] >= v_lo:
+            while out and at_most(v_lo, out[-1][0]):
                 out.pop()
             out.append((v_lo, pow_ext(recip(c), recip(g)), recip(g)))
             v_hi = mul0(c, pow_ext(u_hi, g))
-        while out and out[-1][0] >= v_hi:
+        while out and at_most(v_hi, out[-1][0]):
             out.pop()
         out.append((v_hi, u_hi, 0))
         u_lo = u_hi
-    return TCurve(out)
+    return _built(TCurve, out) if unchecked else TCurve(out)
 
 
 def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
     """p(u) = inf{alpha : tf(alpha) >= u} of one curve.
 
-    Each level above the last one adds a piece.  The levels are compared
-    as keys: on a flat exact curve the ints c * D of :func:`_flat_tkeys`,
-    with the D that :class:`TCurve` kept, on any other curve the values
-    themselves.
+    Each level above the last one (:func:`at_most`) adds a piece.  A flat
+    curve's output is :func:`_built`; a power piece, whose float level can
+    round past 1, and a jump at alpha = inf (1/inf = 0) keep the check.
     """
-    d = tc._denominator
-    one = 1 if d is None else d  # the key of the level 1
     out = []
-    u_cur = 0  # the last level, as a key
+    u_cur = 0  # the last level
+    unchecked = not (tc.segments and is_inf(tc.segments[-1][0]))
     for i, (alo, c, m) in enumerate(tc.segments):
         if m == 0:
-            kc = c if d is None else c.numerator * (d // c.denominator)
-            # the level min(c, 1) and its key
-            level, k = (c, kc) if kc <= one else (1, one)
-            if k > u_cur:
+            level = c if at_most(c, 1) else 1  # min(c, 1)
+            if not at_most(level, u_cur):
                 out.append((level, ((recip(alo), 0),)))
-                u_cur = k
-        else:  # not a flat curve, so keys are values
+                u_cur = level
+        else:
+            unchecked = False
             v_lo = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
-            if v_lo > u_cur:
+            if not at_most(v_lo, u_cur):
                 # jump of the test at alo covers p(u) = alo on (u_cur, v_lo]
                 out.append((v_lo, ((recip(alo), 0),)))
                 u_cur = v_lo
             a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
             v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
-            if v_hi > u_cur:
+            if not at_most(v_hi, u_cur):
                 # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m)
                 coef = pow_ext(recip(c), recip(m))
                 out.append((v_hi, ((recip(coef), recip(m)),)))
                 u_cur = v_hi
-    if u_cur < one:
+    if not at_most(1, u_cur):
         out.append((1, ()))  # never reached: p(u) = inf above the max level
-    return PCurve(out)
+    return _built(PCurve, out) if unchecked else PCurve(out)
 
 
 def pfunction_of(tf) -> PFunction:
@@ -594,6 +602,12 @@ def product_shape_condition(curves: Sequence[PCurve], tol: float = TOL):
     1 + tol, the witness is a point 2^-k of the first piece where the term
     of the largest power alone exceeds 1 + tol (None below 2^-65536).
     """
+    return _shape_and_product(curves, tol)[:3]
+
+
+def _shape_and_product(curves: Sequence[PCurve], tol: float = TOL):
+    """:func:`product_shape_condition` and the product of all the curves,
+    or None where it built none or a curve inf at 1 dropped out of it."""
     live, head = [], 1
     for c in curves:
         h = c.head()
@@ -601,7 +615,7 @@ def product_shape_condition(curves: Sequence[PCurve], tol: float = TOL):
             live.append(c)
             head *= h
         elif any(terms for _, terms in c.segments):
-            return False, min(u for c in curves for u in c.breakpoints()), INF
+            return False, min(u for c in curves for u in c.breakpoints()), INF, None
     prod = product_combine(live) if live else PCurve.constant(1)
     worst, witness = 0, None
     u_lo = 0
@@ -621,7 +635,8 @@ def product_shape_condition(curves: Sequence[PCurve], tol: float = TOL):
         bound = (math.log1p(tol) - log_ha) / (float(g - 1) * math.log(2))
         k = max(math.ceil(-math.log2(u_hi)), math.floor(bound) + 1) + 1
         witness = Fraction(1, 1 << k) if k <= 1 << 16 else None
-    return worst <= 1 + tol, witness, worst
+    full = prod if live and len(live) == len(curves) else None
+    return worst <= 1 + tol, witness, worst, full
 
 
 def product_merge_failure_witness(pf: PFunction, max_n: int = 64,

@@ -213,6 +213,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps(config))
         assert_usage_error(capsys, "merge", "--config", str(cfg))
 
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        # an ignored key would be an option that does nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 2, "seed": 1, "beta": 0}))
+        assert_usage_error(capsys, "optimal", "--config", str(cfg))
+        main(["optimal", "--config", str(cfg)])
+        assert "unknown config keys ['alpha', 'beta']" in capsys.readouterr().err
+
     def test_negative_seed_flag_exits_2(self, capsys):
         assert_usage_error(capsys, "merge", "--seed", "-1")
 

@@ -198,6 +198,16 @@ class TestPValueLaw:
         with pytest.raises(ValueError, match="piece masses must be nonnegative"):
             PValueLaw(atoms=[(2, 1.0)], pieces=[(0.5, 1, math.nan)])
 
+    @pytest.mark.parametrize("law", [
+        PValueLaw(atoms=[(F(1, 2), F(1, 3)), (2, F(2, 3))]),
+        PValueLaw(atoms=[(0.5, 0.25)], pieces=[(0, 1, 0.75)]),
+    ], ids=["lattice", "float"])
+    def test_cdf_rejects_nan(self, law):
+        # loc > nan is false, so cdf(nan) summed every atom and piece and
+        # returned 1 (1.0 on the float law)
+        with pytest.raises(ValueError, match="alpha must be a number, got nan"):
+            law.cdf(math.nan)
+
     def test_rejects_overlap_and_bad_mass(self):
         with pytest.raises(ValueError):
             PValueLaw(pieces=[(0, 1, F(1, 2)), (F(1, 2), 2, F(1, 2))])

@@ -232,17 +232,26 @@ def p_laws(draw):
                      pieces=[(a, b, m) for (a, b), m in zip(spans, ms[len(locs):])])
 
 
-levels = st.one_of(st.integers(1, 100).map(lambda k: F(1, k)),
-                   st.fractions(F(1, 97), 2, max_denominator=97),
-                   st.floats(0.003, 2))
+exact_levels = st.one_of(st.integers(1, 100).map(lambda k: F(1, k)),
+                         st.fractions(F(1, 97), 2, max_denominator=97))
+levels = st.one_of(exact_levels, st.floats(0.003, 2))
 
 
 @st.composite
-def strategies(draw):
+def strategies(draw, levels=levels):
     cuts = sorted(set(draw(st.lists(st.fractions(F(1, 50), 2, max_denominator=50),
                                     max_size=4))))
     edges = [0] + cuts + [INF]
     return AlphaStrategy([(lo, hi, draw(levels)) for lo, hi in zip(edges, edges[1:])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_laws(), strategies(exact_levels))
+def test_no_strategy_beats_the_mean_reciprocal(law, s):
+    """1{p <= level}/level <= 1/p pointwise, so every data-dependent level
+    has expected size distortion at most E[1/p]: the bound behind "reject
+    at level p"."""
+    assert expected_size_distortion(law, s) <= law.expect_recip()
 
 
 def assert_matches_oracle(sampler, s, n, seed):

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from posthoc import (
     INF,
@@ -560,6 +560,124 @@ def test_a_float_dip_after_a_power_piece_keeps_its_inverse():
     assert same(tc.segments, ((0, F(4), F(1)),
                               (0.12499999999987499, 4.000000000004, F(1)),
                               (0.24999999999974998, 1, 0)))
+
+
+# the transforms build a flat output without the constructor's check: it
+# must be what the checked constructor makes of the same segments
+
+
+def assert_rebuilds_alike(curve):
+    """The checked constructor, given a transform's segments, makes the
+    same curve: equal, with equal types all the way down and equal reprs."""
+    rebuilt = type(curve)(curve.segments)
+    assert rebuilt == curve and repr(rebuilt) == repr(curve)
+    assert same(rebuilt.segments, curve.segments)
+
+
+def assert_transforms_build_as_checked(curve):
+    got_t = outcome(lambda: _pcurve_to_tcurve(curve).segments)
+    ref_t = outcome(reference_to_tcurve, curve.segments)
+    if ref_t[0] == "ok":  # the reference raises on some float dips
+        assert same_outcome(got_t, ref_t)
+    if got_t[0] != "ok":
+        return
+    tc = _pcurve_to_tcurve(curve)
+    assert_rebuilds_alike(tc)
+    assert not hasattr(tc, "_denominator")
+    got_p = outcome(lambda: _tcurve_to_pcurve(tc).segments)
+    assert same_outcome(got_p, outcome(reference_to_pcurve, tc.segments))
+    if got_p[0] == "ok":
+        assert_rebuilds_alike(_tcurve_to_pcurve(tc))
+
+
+def exact_or_float(draw, x):
+    return draw(st.sampled_from([x, float(x)]))
+
+
+@st.composite
+def galois_inputs(draw):
+    """P-curves with exact, float and mixed breakpoints and levels: steps,
+    float dips within the tolerance, power pieces and p = inf tails."""
+    n = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=n - 1,
+                                max_size=n - 1, unique=True)))
+    cuts = [exact_or_float(draw, F(c, 64)) for c in cuts]
+    cuts.append(draw(st.sampled_from([1, 1.0, F(1)])))
+    lv = sorted(draw(st.lists(st.fractions(F(1, 64), 2, max_denominator=64),
+                              min_size=n, max_size=n)))
+    segs, prev, tail = [], None, False
+    for u_hi, level in zip(cuts, lv):
+        kind = draw(st.sampled_from(["step", "step", "dip", "power", "inf"]))
+        tail = tail or kind == "inf"
+        if tail:
+            segs.append((u_hi, ()))
+            continue
+        if kind == "dip" and prev is not None:
+            level = float(prev) * (1 - draw(st.sampled_from([1e-13, 1e-12, 5e-10])))
+        else:
+            level = exact_or_float(draw, level)
+        if kind == "power":
+            g = draw(st.sampled_from([1, 2, F(1, 2), 0.5]))
+            segs.append((u_hi, ((pow_ext(u_hi, g) / level, g),)))
+        else:
+            segs.append((u_hi, ((recip(level), 0),)))
+        prev = level
+    got = outcome(PCurve, segs)
+    assume(got[0] == "ok")
+    return got[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(galois_inputs())
+def test_transforms_build_what_the_constructors_check(curve):
+    assert_transforms_build_as_checked(curve)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 64), st.integers(1, 64),
+                          st.sampled_from(["exact", "float", "int", "over"])),
+                max_size=4, unique_by=lambda t: t[0]),
+       st.booleans())
+def test_flat_test_functions_build_what_the_constructor_checks(raw, inf_last):
+    """Flat test functions with exact, float and mixed breakpoints and
+    levels, a level within the tolerance above 1 (capped at 1), and a
+    breakpoint at inf, whose coefficient 1/inf = 0 the check rejects."""
+    segs, level = [], F(0)
+    for a, c, kind in sorted(raw):
+        level = max(level, F(c, 64))
+        alpha = F(a, 32)
+        value = {"float": float(level), "over": 1 + 5e-10}.get(kind, level)
+        if kind == "int" and alpha.denominator == 1:
+            alpha = int(alpha)
+        segs.append((float(alpha) if kind in ("float", "over") else alpha, value, 0))
+    if inf_last:
+        segs.append((INF, 1, 0))
+    tc = outcome(TCurve, segs)
+    assume(tc[0] == "ok")
+    tc = tc[1]
+    got = outcome(lambda: _tcurve_to_pcurve(tc).segments)
+    assert same_outcome(got, outcome(reference_to_pcurve, tc.segments))
+    if got[0] == "ok":
+        assert_rebuilds_alike(_tcurve_to_pcurve(tc))
+
+
+@pytest.mark.parametrize("build, message", [
+    # a float power with a small g rounds the inverse past 1
+    (lambda: _pcurve_to_tcurve(PCurve([
+        (0.9, ((11.751222271230494, 0.0034372308726587624),)),
+        (1, ((10.594427965728988, 0),))])),
+     "test function values must stay within"),
+    # a level above 1 within the tolerance becomes a breakpoint past 1
+    (lambda: _tcurve_to_pcurve(TCurve([
+        (0.5, 1.0000000001 / 0.5 ** 1e-12, 1e-12), (0.6, 1, 0)])),
+     "segments must cover"),
+    # a jump at alpha = inf has p-coefficient 1/inf = 0
+    (lambda: _tcurve_to_pcurve(TCurve([(INF, 1, 0)])),
+     "term coefficients must be positive"),
+], ids=["small-power", "power-level-past-1", "inf-breakpoint"])
+def test_outputs_the_check_rejects_still_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 exact_points = st.one_of(st.fractions(-1, 2, max_denominator=8), st.integers(-1, 2))

@@ -24,7 +24,10 @@ from posthoc import (
     merge_product_independent,
     product_merge_failure_witness,
 )
+from posthoc import merging, pfunctions
+from posthoc._numbers import INF
 from posthoc.design import bernoulli_pair, log_optimal
+from posthoc.pfunctions import product_combine
 
 
 def coin(values, probs=None):
@@ -206,6 +209,29 @@ class TestPFunctionMerges:
         merged = merge_pfunctions_product(pfs)
         assert merged[0].value(1) == F(1, 8)
         assert merged[0].value(F(1, 8)) == F(1, 8) * F(1, 8)
+
+    @pytest.mark.parametrize("dead", [False, True], ids=["live", "inf-curve"])
+    def test_product_is_built_once_per_outcome(self, monkeypatch, dead):
+        # the shape check's product is the merge's: 3 product_combine calls
+        # for 3 outcomes, one more where a curve inf at 1 dropped out of it
+        pfs = [PFunction({x: PCurve.power(c, g) for x, c in enumerate(cs)})
+               for cs, g in (([F(1, 2), F(3, 4), 1], F(1, 4)),
+                             ([F(1, 4), F(1, 2), F(2, 3)], F(1, 2)))]
+        if dead:
+            pfs.append(PFunction({0: PCurve.constant(INF),
+                                  1: PCurve.constant(1), 2: PCurve.constant(1)}))
+        want = PFunction({x: pfunctions.product_combine([pf[x] for pf in pfs])
+                          for x in range(3)})
+        calls = []
+
+        def counted(curves):
+            calls.append(len(curves))
+            return product_combine(curves)
+
+        monkeypatch.setattr(pfunctions, "product_combine", counted)
+        monkeypatch.setattr(merging, "product_combine", counted)
+        assert merge_pfunctions_product(pfs) == want
+        assert len(calls) == (4 if dead else 3)
 
     def test_uniform_pair_rejected_with_witness(self):
         pf = PFunction({0: PCurve.power(1, 1)})  # p(u) = u

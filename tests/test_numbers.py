@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from posthoc._numbers import (
-    INF, exp_ext, is_inf, log_ext, mul0, pow_ext, power_mean, recip,
+    INF, at_most, exp_ext, is_inf, log_ext, mul0, pow_ext, power_mean, recip,
     sqrt_fraction,
 )
 
@@ -55,6 +55,20 @@ exponents = st.one_of(
 
 def same(got, want):
     return got == want and type(got) is type(want)
+
+
+comparands = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=64),
+    st.integers(-4, 4),
+    st.floats(allow_nan=True),
+    st.sampled_from([F(1, 2), 0.5, 0, F(0), INF, -INF, math.nan, True]),
+)
+
+
+@given(comparands, comparands)
+def test_at_most_is_the_comparison(x, bound):
+    # int pairs for exact operands and a Fraction against a finite float
+    assert at_most(x, bound) is (x <= bound)
 
 
 @given(bases)

@@ -119,6 +119,12 @@ class TestTCurve:
         with pytest.raises(ValueError, match="nondecreasing in alpha"):
             TCurve([segment])
 
+    def test_value_rejects_nan(self):
+        # alpha <= 0 is false for nan, so value(nan) read past every
+        # breakpoint and returned 1
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            TCurve.indicator(F(1, 20)).value(math.nan)
+
 
 class TestTransforms:
     def test_indicator_becomes_constant(self):
