@@ -16,8 +16,8 @@ Number = Union[int, float, Fraction]
 
 INF = math.inf
 
-#: one-sided tolerance for float-backend validity checks; the exact backend
-#: needs none but shares the comparison code.
+#: one-sided tolerance of a verdict on a float statistic (:func:`within`);
+#: an exact statistic is compared exactly, with none.
 TOL = 1e-12
 
 EXACT_TYPES = frozenset((int, Fraction))
@@ -61,6 +61,31 @@ def at_most(x: Number, bound: Number) -> bool:
         bn, bd = bound.as_integer_ratio()
         return n * bd <= bn * d
     return x <= bound
+
+
+def within(x: Number, bound: Number = 1) -> bool:
+    """The verdict x <= bound, the one rule every validity check uses:
+    exactly (:func:`at_most`) when both are exact, else x <= bound + TOL,
+    which absorbs float rounding.  nan is never within a bound."""
+    if type(x) in EXACT_TYPES and type(bound) in EXACT_TYPES:
+        return at_most(x, bound)
+    return x <= bound + TOL
+
+
+def checked_weights(values, what: str) -> tuple:
+    """``values`` as a tuple, checked as probability weights: each finite
+    and nonnegative, and the sum 1 (exactly for an exact sum, within TOL
+    for a float one).  ``what`` names the values in the messages."""
+    values = tuple(values)
+    for v in values:
+        if not is_finite(v):
+            raise ValueError(f"{what} must be finite, got {v}")
+        if v < 0:
+            raise ValueError(f"{what} must be nonnegative")
+    total = sum(values)
+    if not (within(total) and within(1, total)):
+        raise ValueError(f"{what} must sum to 1, got {total}")
+    return values
 
 
 def mul0(a: Number, b: Number) -> Number:
@@ -239,9 +264,7 @@ def fmt_number(x: Number) -> str:
 
 def parse_number(s) -> Number:
     """Inverse of :func:`fmt_number`; also accepts plain ints/floats."""
-    if isinstance(s, (int, Fraction)):
-        return s
-    if isinstance(s, float):
+    if isinstance(s, (int, float, Fraction)):
         return s
     text = str(s).strip()
     if text in ("inf", "Infinity", "+inf"):
@@ -256,8 +279,4 @@ def parse_number(s) -> Number:
 
 def frac(a, b=None) -> Fraction:
     """Shorthand used by fixtures: frac(1, 100) or frac('.01')."""
-    if b is not None:
-        return Fraction(a, b)
-    if isinstance(a, str):
-        return Fraction(a)
-    return Fraction(a)
+    return Fraction(a) if b is None else Fraction(a, b)

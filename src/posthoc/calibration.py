@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._numbers import TOL, Number, at_most, pow_ext, power_mean, recip
+from ._numbers import Number, pow_ext, power_mean, recip, within
 from ._record import Record
 from .core import (
+    _EVIDENCE_AND_H,
     DiscreteSpace,
     E_SCALE,
     EvidenceVariable,
@@ -20,30 +21,27 @@ from .core import (
     TestFunction,
     check_classical_validity,
     law_of,
+    shared_outcomes,
 )
-
-
-def _rho_h_member(e: EvidenceVariable, h: Number, member: DiscreteSpace) -> Number:
-    return power_mean([e[x] for x in member.outcomes], member.probs, h)
 
 
 def h_mean(ev: EvidenceVariable, h: Number, H: Hypothesis) -> Number:
     """sup over hypothesis members of the h-generalized mean of the e-value."""
+    shared_outcomes([ev, H], _EVIDENCE_AND_H)
     e = ev.as_scale(E_SCALE)
-    return max(_rho_h_member(e, h, m) for m in H.members)
+    return max(power_mean([e[x] for x in m.outcomes], m.probs, h) for m in H.members)
 
 
-def check_h_validity(ev: EvidenceVariable, h: Number, H: Hypothesis,
-                     tol: float = TOL) -> bool:
-    return at_most(h_mean(ev, h, H), 1 + tol)
+def check_h_validity(ev: EvidenceVariable, h: Number, H: Hypothesis) -> bool:
+    return within(h_mean(ev, h, H))
 
 
-def size_difference_validity(tf: TestFunction, H: Hypothesis,
-                             tol: float = TOL) -> bool:
+def size_difference_validity(tf: TestFunction, H: Hypothesis) -> bool:
     """Expected size-difference control: holds iff inf over members of E[p]
     is at least 1, i.e. the e-value is harmonic (h = -1 valid)."""
+    shared_outcomes([tf.p, H], _EVIDENCE_AND_H)
     worst = min(m.expectation(lambda x: tf.p[x]) for m in H.members)
-    return worst >= 1 - tol
+    return within(1, worst)
 
 
 class MinimalHCounterexample(Record):

@@ -74,6 +74,18 @@ def _fixture_hash(law, strategy) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _table(header, rows) -> str:
+    """CSV text: the header, then the rows, each a sequence or a dict keyed
+    by the header."""
+    import csv
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([r[k] for k in header] if isinstance(r, dict) else r for r in rows)
+    return buf.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns report dict + named CSV tables)
 
@@ -102,8 +114,6 @@ def run_distortion(opts):
 
 
 def run_optimal(opts):
-    import csv
-
     from ._numbers import frac
     from .design import (
         UtilitySpec,
@@ -120,6 +130,7 @@ def run_optimal(opts):
     p_star = log_optimal(pair)
     e_star, lam = utility_optimal(pair, UtilitySpec.power(2))
     double = double_posthoc_check(pair)
+    np_half = np_optimal(pair, frac(1, 2))
     report = {
         "gaussian": gauss,
         "bernoulli_log_optimal": {
@@ -128,18 +139,11 @@ def run_optimal(opts):
         "bernoulli_double_posthoc": double,
         "bernoulli_power2_lambda": lam,
         "np_half": {
-            str(x): _fmt(v, opts["backend"])
-            for x, v in ((y, np_optimal(pair, frac(1, 2))[y])
-                         for y in pair.P.outcomes)
+            str(x): _fmt(np_half[x], opts["backend"]) for x in pair.P.outcomes
         },
         "ok": double,
     }
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["quantity", "value"])
-    for k, v in gauss.items():
-        w.writerow([k, v])
-    return report, {"optimal": buf.getvalue()}
+    return report, {"optimal": _table(["quantity", "value"], gauss.items())}
 
 
 def run_merge(opts):
@@ -171,8 +175,6 @@ def run_merge(opts):
 
 
 def run_pfunction(opts):
-    import csv
-
     from ._numbers import frac
     from .core import DiscreteSpace, EvidenceVariable, Hypothesis
     from .pfunctions import (
@@ -199,12 +201,7 @@ def run_pfunction(opts):
         "round_trip_exact": round_trip_ok,
         "ok": rep.valid,
     }
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["outcome", "u", "p"])
-    for row in pf.to_rows():
-        w.writerow(row)
-    return report, {"pfunction": buf.getvalue()}
+    return report, {"pfunction": _table(["outcome", "u", "p"], pf.to_rows())}
 
 
 def run_sequential(opts):
@@ -239,8 +236,6 @@ def run_sequential(opts):
 
 
 def run_ville(opts):
-    import csv
-
     from .sequential import (
         StoppingRule,
         anytime_validity_check,
@@ -269,16 +264,11 @@ def run_ville(opts):
         "verdict": "PASS" if passed else "FAIL",
         "ok": passed,
     }
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
-    return report, {"ville": buf.getvalue()}
+    return report, {"ville": _table(list(rows[0]), rows)}
 
 
 def reproduce_examples(opts=None):
     """Golden-number table for every worked example; raises on mismatch."""
-    import csv
     from fractions import Fraction
     from statistics import NormalDist
 
@@ -358,12 +348,7 @@ def reproduce_examples(opts=None):
     if not ok_crit:
         failures.append("gaussian/classical_critical")
     report = {"rows": rows, "failures": failures, "ok": not failures}
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=["example", "got", "want", "ok"],
-                       lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
-    return report, {"examples": buf.getvalue()}
+    return report, {"examples": _table(["example", "got", "want", "ok"], rows)}
 
 
 RUNNERS = {

@@ -20,23 +20,43 @@ from ._numbers import (
     INF,
     TOL,
     Number,
-    at_most,
+    checked_weights,
     common_denominator,
     fmt_number,
-    is_finite,
     is_inf,
     mul0,
     parse_number,
     recip,
+    within,
 )
 from ._record import Record
 
 E_SCALE = "e"
 P_SCALE = "p"
 
+# the outcome-set message of each check of evidence under a hypothesis
+_EVIDENCE_AND_H = "the evidence and the hypothesis must share an outcome set"
+
 
 # ---------------------------------------------------------------------------
 # spaces and hypotheses
+
+
+def shared_outcomes(items: Sequence, what: str) -> tuple:
+    """The outcomes of the first of ``items``, after checking that every
+    item has the same set of outcomes, in any order.  A mismatch raises
+    ``ValueError`` with the message ``what`` and an outcome that some item
+    lacks; no items raise "at least one input required"."""
+    if not items:
+        raise ValueError("at least one input required")
+    first = items[0].outcomes
+    for item in items[1:]:
+        other = item.outcomes
+        if other != first and set(other) != set(first):
+            missing = next(x for x in (*first, *other)
+                           if (x in first) != (x in other))
+            raise ValueError(f"{what}: outcome {missing!r} is missing from one")
+    return first
 
 
 class DiscreteSpace(Record):
@@ -58,17 +78,7 @@ class DiscreteSpace(Record):
         index = {x: i for i, x in enumerate(outcomes)}
         if len(index) != len(outcomes):
             raise ValueError("outcome ids must be unique")
-        for p in probs:
-            if not is_finite(p):
-                raise ValueError(f"probabilities must be finite, got {p}")
-        if any(p < 0 for p in probs):
-            raise ValueError("probabilities must be nonnegative")
-        total = sum(probs)
-        if all(isinstance(p, (int, Fraction)) for p in probs):
-            if total != 1:
-                raise ValueError(f"probabilities must sum to 1, got {total}")
-        elif abs(total - 1) > TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
+        checked_weights(probs, "probabilities")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_index", index)
@@ -109,10 +119,7 @@ class Hypothesis(Record):
         members = tuple(members)
         if not members:
             raise ValueError("hypothesis must contain at least one distribution")
-        base = members[0].outcomes
-        for m in members[1:]:
-            if m.outcomes != base:
-                raise ValueError("all members must share the same outcome set")
+        shared_outcomes(members, "all members must share the same outcome set")
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -547,6 +554,7 @@ def _place(base: np.ndarray, width: np.ndarray, idx: np.ndarray,
 
 def law_of(ev: EvidenceVariable, space: DiscreteSpace) -> PValueLaw:
     """Push a discrete p-scale evidence variable through a space's law."""
+    shared_outcomes([ev, space], "the evidence and the space must share an outcome set")
     p = ev.as_scale(P_SCALE)
     masses: dict = {}
     for x, w in zip(space.outcomes, space.probs):
@@ -586,7 +594,7 @@ class ValidityReport(Record):
         }
 
 
-def check_classical_validity(p_law: PValueLaw, tol: float = TOL) -> ValidityReport:
+def check_classical_validity(p_law: PValueLaw) -> ValidityReport:
     """sup_a P(p <= a)/a, searched over the law's breakpoints.
 
     Between breakpoints P(p <= a)/a is monotone for piecewise-uniform laws,
@@ -619,7 +627,7 @@ def check_classical_validity(p_law: PValueLaw, tol: float = TOL) -> ValidityRepo
         if limit_ratio > best:
             best, witness = limit_ratio, 1
     return ValidityReport(
-        valid=at_most(best, 1 + tol),
+        valid=within(best),
         statistic=best,
         witness=witness,
         kind="classical",
@@ -662,31 +670,22 @@ def _lattice_classical_sup(d: int, atoms: list, pieces: list) -> tuple:
     return Fraction(best_num, best_den), Fraction(witness, d)
 
 
-def check_posthoc_validity(obj, H: Hypothesis | None = None,
-                           tol: float = TOL) -> ValidityReport:
+def check_posthoc_validity(obj, H: Hypothesis | None = None) -> ValidityReport:
     """E[1/p] (= E[e]) must be at most 1; supremum over hypothesis members."""
     if isinstance(obj, PValueLaw):
-        stat = obj.expect_recip()
-        return ValidityReport(
-            valid=at_most(stat, 1 + tol),
-            statistic=stat,
-            witness=None,
-            kind="posthoc",
-            detail="E[1/p] for the given p-value law",
-        )
-    if not isinstance(obj, EvidenceVariable):
+        stat, worst = obj.expect_recip(), None
+        detail = "E[1/p] for the given p-value law"
+    elif not isinstance(obj, EvidenceVariable):
         raise TypeError("expected an EvidenceVariable or PValueLaw")
-    if H is None:
+    elif H is None:
         raise ValueError("an EvidenceVariable needs a hypothesis to integrate over")
-    e = obj.as_scale(E_SCALE)
-    stat, worst = H.sup_expectation(lambda x: e[x])
-    return ValidityReport(
-        valid=at_most(stat, 1 + tol),
-        statistic=stat,
-        witness=worst,
-        kind="posthoc",
-        detail="sup over members of E[e]",
-    )
+    else:
+        shared_outcomes([obj, H], _EVIDENCE_AND_H)
+        e = obj.as_scale(E_SCALE)
+        stat, worst = H.sup_expectation(lambda x: e[x])
+        detail = "sup over members of E[e]"
+    return ValidityReport(valid=within(stat), statistic=stat, witness=worst,
+                          kind="posthoc", detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +720,7 @@ class EvidenceLattice(Record):
         return self.index(a) <= self.index(b)
 
     def sup(self, items) -> Any:
-        items = list(items)
-        if not items:
-            return self.bottom
-        return max(items, key=self.index)
+        return max(items, key=self.index, default=self.bottom)
 
 
 def posthoc_evidence_of_family(phi: Mapping[Any, Mapping[Any, Any]],

@@ -16,11 +16,13 @@ from fractions import Fraction
 from statistics import NormalDist
 
 from ._numbers import (
-    INF, TOL, Number, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext,
-    recip,
+    INF, Number, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext, recip,
+    within,
 )
 from ._record import Record
-from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, dual
+from .core import (
+    DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, dual, shared_outcomes,
+)
 
 LOG = "LOG"
 POWER = "POWER"
@@ -97,8 +99,7 @@ class SimplePair(Record):
     Q: DiscreteSpace
 
     def __init__(self, P: DiscreteSpace, Q: DiscreteSpace):
-        if set(P.outcomes) != set(Q.outcomes):
-            raise ValueError("P and Q must share an outcome set")
+        shared_outcomes([P, Q], "P and Q must share an outcome set")
         self.__dict__.update(P=P, Q=Q)
 
     def density_ratio(self, outcome) -> Number:
@@ -125,6 +126,7 @@ def log_optimal(pair: SimplePair) -> EvidenceVariable:
 
 def expected_utility(ev: EvidenceVariable, Q: DiscreteSpace,
                      U: UtilitySpec) -> Number:
+    shared_outcomes([ev, Q], "the evidence and Q must share an outcome set")
     e = ev.as_scale(E_SCALE)
     total = 0
     for x, q in zip(Q.outcomes, Q.probs):
@@ -159,7 +161,7 @@ def utility_optimal(pair: SimplePair, U: UtilitySpec):
     if U.kind == LOG:
         return dual(log_optimal(pair)), 1
     if U.kind == NEYMAN_PEARSON:
-        p_star, c = np_optimal(pair, U.param, return_threshold=True)
+        p_star, c = _np_solution(pair, U.param)
         return dual(p_star), c
 
     g = float(U.param)
@@ -177,9 +179,9 @@ def utility_optimal(pair: SimplePair, U: UtilitySpec):
     return EvidenceVariable(values, E_SCALE), exp_ext(g * log_m)
 
 
-def np_optimal(pair: SimplePair, alpha_star: Number,
-               return_threshold: bool = False):
-    """Optimal post-hoc p-value for the utility x -> x AND 1/alpha*.
+def np_optimal(pair: SimplePair, alpha_star: Number) -> EvidenceVariable:
+    """Optimal post-hoc p-value for the utility x -> x AND 1/alpha*; its
+    likelihood-ratio threshold c is the lambda of :func:`utility_optimal`.
 
     Three branches on r = f_P/f_Q: p* = alpha* where r < c, a boundary value
     k in [alpha*, inf] where r = c, and inf where r > c; c is the largest
@@ -193,6 +195,11 @@ def np_optimal(pair: SimplePair, alpha_star: Number,
     ``below``, ``at`` and k are exact; float masses are summed in level
     order, so their rounding can differ from an outcome-order sum.
     """
+    return _np_solution(pair, alpha_star)[0]
+
+
+def _np_solution(pair: SimplePair, alpha_star: Number) -> tuple:
+    """(p*, c) of :func:`np_optimal`."""
     if not (0 < alpha_star < 1):
         raise ValueError("alpha* must lie in (0, 1)")
     ratios = {x: pair.density_ratio(x) for x in pair.P.outcomes}
@@ -229,10 +236,7 @@ def np_optimal(pair: SimplePair, alpha_star: Number,
             values[x] = k
         else:
             values[x] = INF
-    p_star = EvidenceVariable(values, P_SCALE)
-    if return_threshold:
-        return p_star, c
-    return p_star
+    return EvidenceVariable(values, P_SCALE), c
 
 
 def np_rejection_region(pair: SimplePair, alpha_star: Number,
@@ -304,7 +308,7 @@ def brute_force_optimal(pair: SimplePair, U: UtilitySpec,
     return best_ev
 
 
-def double_posthoc_check(pair: SimplePair, tol: float = TOL) -> bool:
+def double_posthoc_check(pair: SimplePair) -> bool:
     """The likelihood ratio is post-hoc valid in both directions:
     E_P[f_Q/f_P] <= 1 and E_Q[f_P/f_Q] <= 1 (both exactly 1 for the LR)."""
     pair.check_mutual_absolute_continuity()
@@ -316,7 +320,7 @@ def double_posthoc_check(pair: SimplePair, tol: float = TOL) -> bool:
         fp for x, fp in zip(pair.P.outcomes, pair.P.probs)
         if pair.Q.prob(x) > 0
     )
-    return forward <= 1 + tol and backward <= 1 + tol
+    return within(forward) and within(backward)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,16 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import TOL, Number, is_inf, mul0, power_mean, recip
+from ._numbers import Number, checked_weights, is_inf, mul0, power_mean
 from ._record import Record
-from .core import DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, TestFunction
+from .core import (
+    DiscreteSpace,
+    E_SCALE,
+    EvidenceVariable,
+    P_SCALE,
+    TestFunction,
+    shared_outcomes,
+)
 from .pfunctions import (
     PFunction,
     RandomizedTestFunction,
@@ -42,27 +49,16 @@ __all__ = [
 ]
 
 
-def _check_weights(weights: Sequence[Number], n: int) -> list:
-    weights = list(weights)
+# the outcome-set message of the merges; their inputs are evidence
+# variables, p-functions or the p-values of tests
+_SHARED = "inputs must share a common outcome set"
+
+
+def _check_weights(weights: Sequence[Number], n: int) -> tuple:
+    weights = tuple(weights)
     if len(weights) != n:
         raise ValueError("one weight per input required")
-    if any(not w >= 0 for w in weights):  # also true for nan
-        raise ValueError("weights must be nonnegative")
-    if sum(weights) != 1 and abs(float(sum(weights)) - 1.0) > TOL:
-        raise ValueError("weights must sum to 1")
-    return weights
-
-
-def _common_outcomes(evs: Sequence) -> tuple:
-    """The outcomes of the first input, which every input must share; the
-    inputs are evidence variables or p-functions."""
-    if not evs:
-        raise ValueError("at least one input required")
-    outcomes = evs[0].outcomes
-    for ev in evs[1:]:
-        if set(ev.outcomes) != set(outcomes):
-            raise ValueError("inputs must share a common outcome set")
-    return outcomes
+    return checked_weights(weights, "weights")
 
 
 def merge_product_independent(components: Sequence):
@@ -76,9 +72,8 @@ def merge_product_independent(components: Sequence):
     components = list(components)
     if not components:
         raise ValueError("at least one component required")
-    for ev, space in components:
-        if set(ev.outcomes) != set(space.outcomes):
-            raise ValueError("evidence variable does not match its space")
+    for component in components:
+        shared_outcomes(component, "evidence variable does not match its space")
     es = [ev.as_scale(E_SCALE) for ev, _ in components]
     spaces = [space for _, space in components]
     outcomes, probs, values = [], [], {}
@@ -101,23 +96,20 @@ def merge_harmonic(evs: Sequence[EvidenceVariable],
     """Weighted harmonic mean on the p-scale: p = 1 / sum_i w_i / p_i.
 
     Valid under arbitrary dependence whenever each input is post-hoc valid.
+    It is :func:`power_mean` at h = -1 on the p-scale.
     """
-    outcomes = _common_outcomes(evs)
+    outcomes = shared_outcomes(evs, _SHARED)
     weights = _check_weights(weights, len(evs))
     ps = [ev.as_scale(P_SCALE) for ev in evs]
-    merged = {}
-    for x in outcomes:
-        total = 0
-        for p, w in zip(ps, weights):
-            total += mul0(w, recip(p[x]))
-        merged[x] = recip(total)
-    return EvidenceVariable(merged, P_SCALE)
+    return EvidenceVariable(
+        {x: power_mean([p[x] for p in ps], weights, -1) for x in outcomes},
+        P_SCALE)
 
 
 def merge_geometric(evs: Sequence[EvidenceVariable]) -> EvidenceVariable:
     """Pointwise product on the e-scale; preserves geometric (h = 0)
     validity under arbitrary dependence."""
-    outcomes = _common_outcomes(evs)
+    outcomes = shared_outcomes(evs, _SHARED)
     es = [ev.as_scale(E_SCALE) for ev in evs]
     merged = {}
     for x in outcomes:
@@ -137,7 +129,7 @@ def merge_h_mean(evs: Sequence[EvidenceVariable], weights: Sequence[Number],
     and inf both carry weight at h = 0).  Preserves h-validity under
     arbitrary dependence.
     """
-    outcomes = _common_outcomes(evs)
+    outcomes = shared_outcomes(evs, _SHARED)
     weights = _check_weights(weights, len(evs))
     es = [ev.as_scale(E_SCALE) for ev in evs]
     return EvidenceVariable(
@@ -149,7 +141,7 @@ def merge_pfunctions_harmonic(pfs: Sequence[PFunction],
                               weights: Sequence[Number]) -> PFunction:
     """Pointwise-in-u weighted harmonic mean of p-functions."""
     weights = _check_weights(weights, len(pfs))
-    outcomes = _common_outcomes(pfs)
+    outcomes = shared_outcomes(pfs, _SHARED)
     return PFunction({
         x: harmonic_combine([pf[x] for pf in pfs], weights)
         for x in outcomes
@@ -186,7 +178,7 @@ def merge_pfunctions_product(pfs: Sequence[PFunction]) -> PFunction:
     witness u.
     """
     products = {}
-    for x in _common_outcomes(pfs):
+    for x in shared_outcomes(pfs, _SHARED):
         curves = [pf[x] for pf in pfs]
         ok, witness, worst, prod = _shape_and_product(curves)
         if not ok:
@@ -209,7 +201,7 @@ class TestFamilyCollection(Record):
 
     def __init__(self, members: Sequence[TestFunction]):
         members = tuple(members)
-        _common_outcomes([tf.p for tf in members])
+        shared_outcomes([tf.p for tf in members], _SHARED)
         object.__setattr__(self, "members", members)
 
     @property

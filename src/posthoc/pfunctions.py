@@ -31,15 +31,18 @@ from ._numbers import (
     mul0,
     pow_ext,
     recip,
+    within,
 )
 from ._record import Record
 from .core import (
+    _EVIDENCE_AND_H,
     E_SCALE,
     EvidenceVariable,
     Hypothesis,
     P_SCALE,
     TestFunction,
     ValidityReport,
+    shared_outcomes,
 )
 
 
@@ -103,24 +106,17 @@ class PCurve(Record):
 
     @classmethod
     def constant(cls, p: Number) -> "PCurve":
-        if is_inf(p):
-            return cls([(1, ())])
-        return cls([(1, ((recip(p), 0),))])
+        return cls([(1, _level_terms(p))])
 
     @classmethod
     def power(cls, coef: Number, power: Number) -> "PCurve":
         """p(u) = coef * u^power on all of (0, 1]."""
-        if is_inf(coef):
-            return cls([(1, ())])
-        return cls([(1, ((recip(coef), power),))])
+        return cls([(1, () if is_inf(coef) else ((recip(coef), power),))])
 
     @classmethod
     def steps(cls, pairs: Sequence) -> "PCurve":
         """Pure step function from (u_hi, level) pairs; last u_hi must be 1."""
-        return cls([
-            (u_hi, (() if is_inf(v) else ((recip(v), 0),)))
-            for u_hi, v in pairs
-        ])
+        return cls([(u_hi, _level_terms(v)) for u_hi, v in pairs])
 
     # -- queries -------------------------------------------------------------
 
@@ -172,6 +168,11 @@ class PCurve(Record):
             (u_hi, tuple((a * inv, g) for a, g in terms))
             for u_hi, terms in self.segments
         ])
+
+
+def _level_terms(p: Number) -> tuple:
+    """The terms of the flat piece p(u) = p: none for p = inf."""
+    return () if is_inf(p) else ((recip(p), 0),)
 
 
 def _close(a: Number, b: Number) -> bool:
@@ -445,25 +446,26 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
 def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
     """p(u) = inf{alpha : tf(alpha) >= u} of one curve.
 
-    Each level above the last one (:func:`at_most`) adds a piece.  A flat
-    curve's output is :func:`_built`; a power piece, whose float level can
-    round past 1, and a jump at alpha = inf (1/inf = 0) keep the check.
+    Each level above the last one (:func:`at_most`) adds a piece, on which
+    p is the jump point; a jump at alpha = inf adds the piece p = inf.  A
+    flat curve's output is :func:`_built`; a power piece, whose float level
+    can round past 1, keeps the check.
     """
     out = []
     u_cur = 0  # the last level
-    unchecked = not (tc.segments and is_inf(tc.segments[-1][0]))
+    unchecked = True
     for i, (alo, c, m) in enumerate(tc.segments):
         if m == 0:
             level = c if at_most(c, 1) else 1  # min(c, 1)
             if not at_most(level, u_cur):
-                out.append((level, ((recip(alo), 0),)))
+                out.append((level, _level_terms(alo)))
                 u_cur = level
         else:
             unchecked = False
             v_lo = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
             if not at_most(v_lo, u_cur):
                 # jump of the test at alo covers p(u) = alo on (u_cur, v_lo]
-                out.append((v_lo, ((recip(alo), 0),)))
+                out.append((v_lo, _level_terms(alo)))
                 u_cur = v_lo
             a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
             v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
@@ -497,13 +499,13 @@ test_function_of.__test__ = False  # not a pytest item despite the name
 # validity and construction
 
 
-def check_pfunction_posthoc(pf: PFunction, H: Hypothesis,
-                            tol: float = TOL) -> ValidityReport:
+def check_pfunction_posthoc(pf: PFunction, H: Hypothesis) -> ValidityReport:
     """E[sup_u u/p(u)] at most 1, supremum over hypothesis members."""
+    shared_outcomes([pf, H], _EVIDENCE_AND_H)
     stats = {x: pf[x].statistic() for x in pf.outcomes}
     worst, worst_i = H.sup_expectation(stats.__getitem__)
     return ValidityReport(
-        valid=at_most(worst, 1 + tol),
+        valid=within(worst),
         statistic=worst,
         witness=worst_i,
         kind="posthoc-pfunction",
@@ -585,7 +587,7 @@ def product_combine(curves: Sequence[PCurve]) -> PCurve:
     return PCurve(out)
 
 
-def product_shape_condition(curves: Sequence[PCurve], tol: float = TOL):
+def product_shape_condition(curves: Sequence[PCurve]):
     """Check prod_i p_i(1)/p_i(u) <= 1/u on (0, 1], exactly.
 
     Returns (ok, witness_u, worst_value): the condition is recast as
@@ -598,14 +600,15 @@ def product_shape_condition(curves: Sequence[PCurve], tol: float = TOL):
     p_i(1).  :func:`_sup_ratio` takes its supremum from the piece ends
     alone (Laguerre's rule of signs: F falls, then rises), and as P is
     nondecreasing the witness is the breakpoint where it is first reached.
-    If F diverges as u -> 0+ and F at the first breakpoint is at most
-    1 + tol, the witness is a point 2^-k of the first piece where the term
-    of the largest power alone exceeds 1 + tol (None below 2^-65536).
+    The verdict sup F <= 1 is :func:`within`: exact for an exact sup F.  If
+    F diverges as u -> 0+ and F at the first breakpoint is within 1, the
+    witness is a point 2^-k of the first piece where the term of the
+    largest power alone exceeds 1 + TOL, and so 1 (None below 2^-65536).
     """
-    return _shape_and_product(curves, tol)[:3]
+    return _shape_and_product(curves)[:3]
 
 
-def _shape_and_product(curves: Sequence[PCurve], tol: float = TOL):
+def _shape_and_product(curves: Sequence[PCurve]):
     """:func:`product_shape_condition` and the product of all the curves,
     or None where it built none or a curve inf at 1 dropped out of it."""
     live, head = [], 1
@@ -625,22 +628,21 @@ def _shape_and_product(curves: Sequence[PCurve], tol: float = TOL):
             worst, witness = v, u_hi
         u_lo = u_hi
     u_hi, first = prod.segments[0]
-    if is_inf(worst) and not head * _ratio_terms(first, u_hi) > 1 + tol:
-        # k (g-1) ln 2 > ln(1 + tol) - ln(head * a), with k one above the
+    if is_inf(worst) and within(head * _ratio_terms(first, u_hi)):
+        # k (g-1) ln 2 > ln(1 + TOL) - ln(head * a), with k one above the
         # float bound: a margin of a factor 2^(g-1)
         a, g = max(first, key=lambda t: t[1])
         ha = head * a
         log_ha = (math.log(ha.numerator) - math.log(ha.denominator)
                   if isinstance(ha, Fraction) else math.log(ha))
-        bound = (math.log1p(tol) - log_ha) / (float(g - 1) * math.log(2))
+        bound = (math.log1p(TOL) - log_ha) / (float(g - 1) * math.log(2))
         k = max(math.ceil(-math.log2(u_hi)), math.floor(bound) + 1) + 1
         witness = Fraction(1, 1 << k) if k <= 1 << 16 else None
     full = prod if live and len(live) == len(curves) else None
-    return worst <= 1 + tol, witness, worst, full
+    return within(worst), witness, worst, full
 
 
-def product_merge_failure_witness(pf: PFunction, max_n: int = 64,
-                                  tol: float = TOL) -> int:
+def product_merge_failure_witness(pf: PFunction, max_n: int = 64) -> int:
     """Smallest n for which the n-fold product of i.i.d. copies of a properly
     randomized p-function has a post-hoc statistic above 1.
 
@@ -657,6 +659,6 @@ def product_merge_failure_witness(pf: PFunction, max_n: int = 64,
             worst = max(worst, prod.statistic())
             if is_inf(worst):
                 break
-        if worst > 1 + tol:
+        if not within(worst):
             return n
     raise RuntimeError(f"no divergence found up to n = {max_n}")

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._numbers import (
-    EXACT_TYPES,
     INF,
     TOL,
     Number,
@@ -27,6 +26,7 @@ from ._numbers import (
     is_inf,
     mul0,
     recip,
+    within,
 )
 from ._record import Record
 from .core import (
@@ -45,11 +45,11 @@ class ProcessModel(Record):
     """M_t = M_0 * Z_1 * ... * Z_t with i.i.d. finite-support Z >= 0.
 
     The declared class is verified against the one-step mean at
-    construction for martingales and supermartingales: exactly when the
-    mean is exact, within ``TOL`` when an input makes it a float.  EPROCESS
-    makes no one-step claim (the contract is about stopped expectations),
-    so it is deliberately unchecked here and certified or refuted by
-    :func:`anytime_validity_check`.
+    construction for martingales and supermartingales by :func:`within`:
+    exactly when the mean is exact, within ``TOL`` when an input makes it a
+    float.  EPROCESS makes no one-step claim (the contract is about stopped
+    expectations), so it is deliberately unchecked here and certified or
+    refuted by :func:`anytime_validity_check`.
     """
 
     initial: Number
@@ -73,13 +73,11 @@ class ProcessModel(Record):
         self.__dict__.update(initial=initial, multiplier=multiplier, kind=kind,
                              horizon=horizon)
         mean = self.step_mean()
-        # the stopped means are exact, so an exact E[Z] gets no tolerance
-        tol = 0 if type(mean) in EXACT_TYPES else TOL
         if kind == MARTINGALE:
-            if abs(mean - 1) > tol:
+            if not (within(mean) and within(1, mean)):
                 raise ValueError(f"martingale needs E[Z] = 1, got {mean}")
         elif kind == SUPERMARTINGALE:
-            if mean > 1 + tol:
+            if not within(mean):
                 raise ValueError(f"supermartingale needs E[Z] <= 1, got {mean}")
         elif kind != EPROCESS:
             raise ValueError(f"unknown process class {kind!r}")
@@ -138,10 +136,8 @@ def markov_equality_check(X: EvidenceVariable, H: Hypothesis):
     for m in H.members:
         lhs = m.expectation(lambda x: _posthoc_sup(e[x], candidates))
         rhs = m.expectation(lambda x: e[x])
-        same = (lhs == rhs) or (
-            not is_inf(lhs) and not is_inf(rhs)
-            and abs(float(lhs) - float(rhs)) <= TOL * max(1.0, abs(float(rhs))))
-        if not same and not (is_inf(lhs) and is_inf(rhs)):
+        if lhs != rhs and not (abs(float(lhs) - float(rhs))
+                               <= TOL * max(1.0, abs(float(rhs)))):
             raise AssertionError(f"Markov equality failed: {lhs} != {rhs}")
         if rhs_w is None or rhs > rhs_w:
             lhs_w, rhs_w = lhs, rhs
@@ -160,7 +156,7 @@ def mrmw_sandwich(X: EvidenceVariable, c: Number, H: Hypothesis):
         a = m.expectation(lambda x: 1 if e[x] >= inv_c else 0)
         b = m.expectation(lambda x: min(mul0(c, e[x]), 1))
         r = mul0(c, m.expectation(lambda x: e[x]))
-        if not (a <= b + TOL and (is_inf(r) or b <= r + TOL)):
+        if not (within(a, b) and within(b, r)):
             raise AssertionError(f"sandwich violated: {a}, {b}, {r}")
         if worst is None or r > worst[2]:
             worst = (a, b, r)

@@ -15,6 +15,7 @@ from posthoc import (
     best_region_exhaustive,
     brute_force_optimal,
     double_posthoc_check,
+    dual,
     expected_utility,
     gaussian_log_optimal_report,
     gaussian_shift_pair,
@@ -307,7 +308,9 @@ class TestNpOptimal:
             st.integers(1, total).map(lambda j: F(j, total))
             .filter(lambda a: a < 1)))
         pair = pair_of(normalized(p_weights), normalized(q_weights))
-        p_star, c = np_optimal(pair, alpha, return_threshold=True)
+        e_star, c = utility_optimal(pair, UtilitySpec.neyman_pearson(alpha))
+        p_star = dual(e_star)
+        assert np_optimal(pair, alpha) == p_star
         want, want_c = np_optimal_quadratic(pair, alpha)
         assert typed(p_star.values) == typed(want)
         assert (type(c), c) == (type(want_c), want_c)
@@ -322,7 +325,9 @@ class TestNpOptimal:
         q = [F(1, 6)] * 4 + [F(1, 12), F(1, 4)]
         pair = pair_of(p, q)
         assert len({float(pair.density_ratio(x)) for x in range(6)}) == 3
-        p_star, c = np_optimal(pair, alpha, return_threshold=True)
+        e_star, c = utility_optimal(pair, UtilitySpec.neyman_pearson(alpha))
+        p_star = dual(e_star)
+        assert np_optimal(pair, alpha) == p_star
         want, want_c = np_optimal_quadratic(pair, alpha)
         assert typed(p_star.values) == typed(want)
         assert (type(c), c) == (type(want_c), want_c)

@@ -140,7 +140,7 @@ class ReferenceLaw:
                 pts.append(b)
         return sorted(set(pts))
 
-    def classical(self, tol=TOL):
+    def classical(self):
         best, witness = 0, None
         for a in [a for a in self.breakpoints() if a < 1]:
             ratio = self.cdf(a) / a
@@ -149,11 +149,18 @@ class ReferenceLaw:
         limit = self.cdf(1) - sum(m for loc, m in self.atoms if loc == 1)
         if limit > best:
             best, witness = limit, 1
-        return best <= 1 + tol, best, witness
+        return reference_verdict(best), best, witness
 
-    def posthoc(self, tol=TOL):
+    def posthoc(self):
         stat = self.expect_recip()
-        return (not is_inf(stat)) and stat <= 1 + tol, stat
+        return reference_verdict(stat), stat
+
+
+def reference_verdict(stat):
+    """stat <= 1: exactly for an exact statistic, within TOL for a float."""
+    if isinstance(stat, (int, F)):
+        return stat <= 1
+    return stat <= 1 + TOL
 
 
 def assert_law_matches(atoms, pieces):
@@ -409,7 +416,8 @@ def reference_to_pcurve(segments):
         if m == 0:
             level = min(c, 1)
             if level > u_cur:
-                out.append((level, ((recip(alo), 0),)))
+                # a jump at alpha = inf leaves p = inf: a piece with no terms
+                out.append((level, () if is_inf(alo) else ((recip(alo), 0),)))
                 u_cur = level
         else:
             v_lo = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
@@ -671,13 +679,24 @@ def test_flat_test_functions_build_what_the_constructor_checks(raw, inf_last):
     (lambda: _tcurve_to_pcurve(TCurve([
         (0.5, 1.0000000001 / 0.5 ** 1e-12, 1e-12), (0.6, 1, 0)])),
      "segments must cover"),
-    # a jump at alpha = inf has p-coefficient 1/inf = 0
-    (lambda: _tcurve_to_pcurve(TCurve([(INF, 1, 0)])),
-     "term coefficients must be positive"),
-], ids=["small-power", "power-level-past-1", "inf-breakpoint"])
+], ids=["small-power", "power-level-past-1"])
 def test_outputs_the_check_rejects_still_raise(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("segments, want", [
+    ([(INF, 1, 0)], [(1, ())]),
+    ([(F(1, 2), F(1, 2), 0), (INF, 1, 0)], [(F(1, 2), ((F(2), 0),)), (1, ())]),
+], ids=["inf-breakpoint", "step-then-inf"])
+def test_a_jump_at_inf_round_trips(segments, want):
+    # a jump at alpha = inf is the p-value inf, a piece with no terms; its
+    # p-coefficient 1/inf = 0 used to fail the check
+    tc = TCurve(segments)
+    pc = _tcurve_to_pcurve(tc)
+    assert same(pc.segments, PCurve(want).segments)
+    assert_rebuilds_alike(pc)
+    assert _pcurve_to_tcurve(pc) == TCurve([s for s in segments if not is_inf(s[0])])
 
 
 exact_points = st.one_of(st.fractions(-1, 2, max_denominator=8), st.integers(-1, 2))

@@ -11,10 +11,13 @@ from posthoc import (
     PCurve,
     PFunction,
     ShapeConditionError,
+    TestFamilyCollection,
+    TestFunction,
     check_h_validity,
     check_pfunction_posthoc,
     check_posthoc_validity,
     dual,
+    fdr_average,
     h_mean,
     merge_geometric,
     merge_h_mean,
@@ -25,7 +28,7 @@ from posthoc import (
     product_merge_failure_witness,
 )
 from posthoc import merging, pfunctions
-from posthoc._numbers import INF
+from posthoc._numbers import INF, mul0, recip
 from posthoc.design import bernoulli_pair, log_optimal
 from posthoc.pfunctions import product_combine
 
@@ -109,6 +112,39 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             merge_harmonic([ev, ev], [F(3, 2), F(-1, 2)])
 
+    @pytest.mark.parametrize("merge", [
+        lambda evs, w: merge_harmonic(evs, w),
+        lambda evs, w: merge_h_mean(evs, w, 2),
+        lambda evs, w: fdr_average(TestFamilyCollection(
+            [TestFunction(ev) for ev in evs]), w),
+    ], ids=["harmonic", "h_mean", "fdr_average"])
+    def test_exact_weights_sum_exactly(self, merge):
+        # the sum 1 + 10^-13 used to pass as a float within the tolerance
+        ev, _ = coin([F(1, 2), 3])
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            merge([ev, ev], [F(1, 2), F(1, 2) + F(1, 10 ** 13)])
+
+    def test_is_the_reciprocal_weighted_mean(self):
+        # the definition p = 1 / sum_i w_i / p_i, with 1/0 = inf and 1/inf = 0,
+        # in value and type on exact p-values, 0 and inf among them
+        rng = random.Random(5)
+        values = [F(1, 3), F(5, 2), 1, 2, 0, INF]
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            raw = [rng.randint(0, 3) for _ in range(k)]
+            if not any(raw):
+                raw[0] = 1
+            weights = [F(r, sum(raw)) for r in raw]
+            evs = [EvidenceVariable({0: rng.choice(values), 1: rng.choice(values)}, "p")
+                   for _ in range(k)]
+            merged = merge_harmonic(evs, weights)
+            for x in (0, 1):
+                total = 0
+                for ev, w in zip(evs, weights):
+                    total += mul0(w, recip(ev[x]))
+                want = recip(total)
+                assert merged[x] == want and type(merged[x]) is type(want)
+
 
 class TestGeometric:
     def test_ones(self):
@@ -162,7 +198,7 @@ class TestHMeanMerge:
     ], ids=["h_mean-inf", "h_mean-1", "harmonic"])
     def test_rejects_a_nan_weight(self, merge):
         e1 = EvidenceVariable({0: F(3, 2), 1: F(1, 2)}, "e")
-        with pytest.raises(ValueError, match="weights must be nonnegative"):
+        with pytest.raises(ValueError, match="weights must be finite, got nan"):
             merge([e1, e1], [float("nan"), 1.0])
 
     def test_geometric_case_matches_weighted_product(self):
