@@ -10,7 +10,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -22,7 +21,6 @@ from . import __version__
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 2026
-ENV_SEED = "EVALID_SEED"
 
 
 def _distortion(name):
@@ -110,7 +108,8 @@ def run_distortion(opts):
         "mc_within_3se": within,
         "ok": within,
     }
-    return report, {"distortion": rep.to_csv(fmt)}
+    return report, {"distortion": _table(["level", "mass", "size", "distortion"],
+                                         rep.to_rows(fmt))}
 
 
 def run_optimal(opts):
@@ -409,16 +408,10 @@ def _resolve_options(args) -> dict:
     if unknown:
         raise CliError(f"unknown config keys {unknown}; choose from {list(opts)}")
     opts.update(config)
-    if os.environ.get(ENV_SEED):
-        try:
-            opts["seed"] = int(os.environ[ENV_SEED])
-        except ValueError:
-            raise CliError(f"{ENV_SEED} must be an integer, "
-                           f"got {os.environ[ENV_SEED]!r}") from None
     for key in ("seed", "n", "backend", "format", "fixture", "strategy", "out"):
         val = getattr(args, key, None)
         if val is not None:
-            opts[key] = val  # flags win over config and environment
+            opts[key] = val  # flags win over config
     for key in ("seed", "n"):
         if not isinstance(opts[key], int) or isinstance(opts[key], bool):
             raise CliError(f"{key} must be an integer, got {opts[key]!r}")

@@ -9,14 +9,12 @@ rejecting at a level chosen after seeing the data.
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ._numbers import (
-    EXACT_TYPES,
     INF,
     TOL,
     Number,
@@ -203,10 +201,6 @@ class TestFunction(Record):
             raise ValueError("p-values must be strictly positive")
         object.__setattr__(self, "p", p)
 
-    @classmethod
-    def from_evidence(cls, ev: EvidenceVariable) -> "TestFunction":
-        return cls(ev.as_scale(P_SCALE))
-
     def __call__(self, alpha: Number, outcome) -> int:
         return 1 if self.p[outcome] <= alpha else 0
 
@@ -242,14 +236,15 @@ class PValueLaw(Record):
     endpoint and mass is an int or a ``Fraction``, else the values
     themselves.  When no mass is an int, so every one is a ``Fraction``, it
     keeps the sorted ints as the private, non-field attribute ``_lattice``,
-    on which :meth:`cdf`, :meth:`expect_recip` and
-    :func:`check_classical_validity` sweep with int ratios and build one
-    ``Fraction`` for the value they return.  The integrals keep a second,
-    ``Fraction``/float formulation for other laws (a float, an inf atom or
-    an int mass): a comparison is the same on keys and values, but a sum
-    is not, as a float law summed on ints would round differently and an
-    int mass must give an int sum where the lattice gives a ``Fraction``.
-    Both formulations give equal values of equal type.
+    on which :meth:`expect_recip` and :func:`check_classical_validity`
+    sweep with int ratios and build one ``Fraction`` for the value they
+    return.  They keep a second, ``Fraction``/float formulation for other
+    laws (a float, an inf atom or an int mass): a comparison is the same on
+    keys and values, but a sum is not, as a float law summed on ints would
+    round differently and an int mass must give an int sum where the
+    lattice gives a ``Fraction``.  Both formulations give equal values of
+    equal type.  :meth:`cdf` runs on the values alone: exact masses give
+    the exact sum either way.
     """
 
     atoms: tuple
@@ -273,20 +268,7 @@ class PValueLaw(Record):
 
     def cdf(self, alpha: Number) -> Number:
         """P(p <= alpha)."""
-        if self._lattice is not None and type(alpha) in EXACT_TYPES:
-            d, atoms, pieces = self._lattice
-            # compare each x * d (an int) with alpha * d = top / scale
-            top, scale = alpha.numerator * d, alpha.denominator
-            total, seen = 0, False
-            for loc, m in atoms:
-                if loc * scale > top:
-                    break  # atoms are sorted by location
-                total += m
-                seen = True
-            num, q, added = _lattice_piece_cdf(pieces, total, top, scale)
-            # a sum of Fraction masses is a Fraction; of none, the int 0
-            return Fraction(num, q * d) if seen or added else 0
-        if alpha != alpha:  # nan; an exact alpha on the lattice never is
+        if alpha != alpha:  # nan
             raise ValueError("alpha must be a number, got nan")
         total = 0
         for loc, m in self.atoms:
@@ -343,10 +325,7 @@ class PValueLaw(Record):
         for loc, m in self.atoms:
             if m == 0:  # masses are nonnegative
                 continue
-            if isinstance(loc, Fraction) and not isinstance(m, float):
-                total += m / loc  # exact, so equal to m * (1 / loc)
-            else:
-                total += mul0(m, recip(loc))
+            total += mul0(m, recip(loc))
             if is_inf(total):
                 return INF
         for a, b, m in self.pieces:
@@ -385,25 +364,18 @@ class PValueLaw(Record):
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, n: int, rng) -> np.ndarray:
-        """n i.i.d. float draws via inverse-mixture sampling: n uniforms
-        pick the components as ``Generator.choice`` does, then n more
-        place the draws within them."""
-        masses, base, width = self._mixture()
-        out = rng.random(n)
-        idx = _finite_index(masses, out)
-        return _place(base, width, idx, rng.random(n), out)
-
     def sample_blocks(self, n: int, seed: int):
-        """The draws of ``sample(n, Generator(Philox(key=seed)))`` in stream
+        """n i.i.d. float draws by inverse-mixture sampling, in stream
         order, as blocks of at most ``SAMPLE_BLOCK`` draws.
 
-        Each block is a view of one reused buffer, valid until the next
-        block is drawn, so memory does not grow with n.  ``sample`` draws
-        the n component uniforms, then the n position uniforms; a Philox
-        counter yields four 64-bit words and a double takes one, so a
-        second Philox on the same key, advanced n // 4 counters and n % 4
-        words, streams the position uniforms alongside the first.
+        The draws are those of ``rng = Generator(Philox(key=seed))`` when
+        n uniforms of ``rng`` pick the components as ``rng.choice`` does
+        and n more place the draws within them.  Each block is a view of
+        one reused buffer, valid until the next block is drawn, so memory
+        does not grow with n.  A Philox counter yields four 64-bit words
+        and a double takes one, so a second Philox on the same key,
+        advanced n // 4 counters and n % 4 words, streams the position
+        uniforms alongside the first.
         """
         import numpy as np
 
@@ -526,8 +498,8 @@ def _finite_index(masses, u: np.ndarray) -> np.ndarray:
     As u < 1 = cdf[-1], that index is the count of j < k-1 with
     u >= cdf[j], so k-1 vector comparisons replace the binary search (cdf
     is nondecreasing, so zero masses and ties count alike).  The index has
-    the smallest integer type that holds k-1.  :meth:`PValueLaw.sample`
-    and :meth:`PValueLaw.sample_blocks` pick their components with it.
+    the smallest integer type that holds k-1.
+    :meth:`PValueLaw.sample_blocks` picks its components with it.
     """
     import numpy as np
 
@@ -582,16 +554,6 @@ class ValidityReport(Record):
 
     def __bool__(self) -> bool:
         return self.valid
-
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "statistic": fmt_number(self.statistic),
-            "witness": self.witness if not isinstance(self.witness, Fraction)
-            else fmt_number(self.witness),
-            "kind": self.kind,
-            "detail": self.detail,
-        }
 
 
 def check_classical_validity(p_law: PValueLaw) -> ValidityReport:
@@ -751,15 +713,3 @@ def family_of_evidence(epsilon: Mapping[Any, Any], L: EvidenceLattice) -> dict:
         d: {x: (d if L.leq(d, epsilon[x]) else L.bottom) for x in epsilon}
         for d in L.elements
     }
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers shared by the CLI
-
-
-def to_json(obj) -> str:
-    return json.dumps(obj.to_dict(), indent=2, sort_keys=True)
-
-
-def from_json(cls, text: str):
-    return cls.from_dict(json.loads(text))

@@ -16,8 +16,7 @@ from fractions import Fraction
 from statistics import NormalDist
 
 from ._numbers import (
-    INF, Number, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext, recip,
-    within,
+    INF, Number, exp_ext, float_ext, is_inf, log_ext, mul0, recip, within,
 )
 from ._record import Record
 from .core import (
@@ -27,6 +26,9 @@ from .core import (
 LOG = "LOG"
 POWER = "POWER"
 NEYMAN_PEARSON = "NEYMAN_PEARSON"
+
+# |x| bound on the quantile midpoints of gaussian_shift_pair's cells
+CLIP = 8.0
 
 
 class UtilitySpec(Record):
@@ -81,15 +83,6 @@ class UtilitySpec(Record):
             return (float(x) ** (1.0 - g) - 1.0) / (1.0 - g)
         cap = recip(self.param)
         return min(x, cap)
-
-    def inv_derivative(self, y: Number) -> Number:
-        """(U')^{-1}(y), the generalized inverse of the marginal utility."""
-        if self.kind == LOG:
-            return recip(y)
-        if self.kind == POWER:
-            g = self.param
-            return pow_ext(y, -1.0 / float(g))
-        raise ValueError("truncated-linear utility has a kink; use np_optimal")
 
 
 class SimplePair(Record):
@@ -239,12 +232,9 @@ def _np_solution(pair: SimplePair, alpha_star: Number) -> tuple:
     return EvidenceVariable(values, P_SCALE), c
 
 
-def np_rejection_region(pair: SimplePair, alpha_star: Number,
-                        p_star: EvidenceVariable | None = None) -> frozenset:
+def np_rejection_region(pair: SimplePair, alpha_star: Number) -> frozenset:
     """Outcomes with p*(x) <= alpha*: the induced non-randomized test."""
-    if p_star is None:
-        p_star = np_optimal(pair, alpha_star)
-    p = p_star.as_scale(P_SCALE)
+    p = np_optimal(pair, alpha_star)
     return frozenset(x for x in p.outcomes if p[x] <= alpha_star)
 
 
@@ -335,16 +325,16 @@ def bernoulli_pair(p0=Fraction(1, 2), p1=Fraction(3, 4)) -> SimplePair:
     )
 
 
-def gaussian_shift_pair(n_cells: int = 2001, clip: float = 8.0) -> SimplePair:
+def gaussian_shift_pair(n_cells: int = 2001) -> SimplePair:
     """N(0,1) versus N(1,1) discretized into P-equiprobable quantile cells.
 
-    Cells are represented by the P-quantile midpoints clipped to [-clip,
-    clip]; the alternative mass is proportional to the shift likelihood
+    Cells are represented by the P-quantile midpoints clipped to [-CLIP,
+    CLIP]; the alternative mass is proportional to the shift likelihood
     ratio exp(x - 1/2) and renormalized.
     """
     inv_cdf = NormalDist().inv_cdf
     centers = [
-        min(max(inv_cdf((i + 0.5) / n_cells), -clip), clip)
+        min(max(inv_cdf((i + 0.5) / n_cells), -CLIP), CLIP)
         for i in range(n_cells)
     ]
     p_mass = Fraction(1, n_cells)

@@ -7,15 +7,12 @@ in one pass over the pieces; a Monte Carlo engine cross-checks them.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
 from typing import Iterable
 
 from ._numbers import INF, Number, fmt_number, frac, is_inf, recip, sqrt_fraction
 from ._record import Record
-from .core import SAMPLE_BLOCK, PValueLaw
+from .core import PValueLaw
 
 
 class AlphaStrategy(Record):
@@ -87,24 +84,6 @@ class DistortionReport(Record):
             for lvl, mass, size, dist in self.per_level
         ]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "per_level": self.to_rows(),
-                "expected_distortion": fmt_number(self.expected_distortion),
-                "max_distortion": fmt_number(self.max_distortion),
-            },
-            indent=2,
-        )
-
-    def to_csv(self, fmt=fmt_number) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["level", "mass", "size", "distortion"],
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(self.to_rows(fmt))
-        return buf.getvalue()
-
 
 def _level_table(p_law: PValueLaw, s: AlphaStrategy):
     """({a: [P(level = a), P(p <= level, level = a)]} in order of first
@@ -158,30 +137,22 @@ def distortion_report(p_law: PValueLaw, s: AlphaStrategy) -> DistortionReport:
     return DistortionReport(tuple(rows), expected, maximum)
 
 
-def monte_carlo_distortion(sampler, s: AlphaStrategy, n: int, seed: int):
+def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int):
     """Unbiased MC estimate of the expected size distortion, with its SE.
 
-    ``sampler`` is a PValueLaw or a callable (n, rng) -> array of n floats.
-    Deterministic for a fixed seed (counter-based Philox stream).  A law's
-    draws are made in blocks (:meth:`PValueLaw.sample_blocks`, bit-identical
-    to ``sample``) and a callable's array is read in blocks of the same
-    size; each block only adds to the count of draws at or below each edge
-    of the strategy's cells.  The estimate is the exact mean of the per-draw
+    Deterministic for a fixed seed (counter-based Philox stream).  The
+    law's n draws are made in blocks (:meth:`PValueLaw.sample_blocks`), and
+    each block only adds to the count of draws at or below each edge of the
+    strategy's cells.  The estimate is the exact mean of the per-draw
     values 1.0/level and the SE the correctly rounded root of the exact
     sample variance over n, both computed from those counts.
     """
     import numpy as np
 
+    if not isinstance(p_law, PValueLaw):
+        raise TypeError(f"expected a PValueLaw, got {type(p_law).__name__}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(sampler, PValueLaw):
-        blocks = sampler.sample_blocks(n, seed)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        draws = np.asarray(sampler(n, rng), dtype=float)
-        if draws.shape != (n,):
-            raise ValueError(f"sampler must return {n} draws, got shape {draws.shape}")
-        blocks = (draws[i:i + SAMPLE_BLOCK] for i in range(0, n, SAMPLE_BLOCK))
     # a draw scores 1.0/level in its cell (lo, min(hi, level)], else 0
     cells = []
     for lo, hi, lvl in s.pieces:
@@ -189,11 +160,11 @@ def monte_carlo_distortion(sampler, s: AlphaStrategy, n: int, seed: int):
         if top > lo:
             cells.append((lo, top, Fraction(1.0 / float(lvl))))
     at_most = dict.fromkeys({0.0, INF}.union(*(c[:2] for c in cells)), 0)
-    for block in blocks:
+    for block in p_law.sample_blocks(n, seed):
         for x in at_most:
             at_most[x] += int(np.count_nonzero(block <= x))
     if at_most[INF] - at_most[0.0] != n:
-        raise ValueError("sampler produced p-values outside (0, inf]")
+        raise ValueError("the law's draws fell outside (0, inf]")
     total = squares = Fraction(0)
     for lo, top, v in cells:
         count = at_most[top] - at_most[lo]

@@ -642,7 +642,11 @@ def _shape_and_product(curves: Sequence[PCurve]):
     return within(worst), witness, worst, full
 
 
-def product_merge_failure_witness(pf: PFunction, max_n: int = 64) -> int:
+# the largest n that product_merge_failure_witness tries
+WITNESS_MAX_N = 64
+
+
+def product_merge_failure_witness(pf: PFunction) -> int:
     """Smallest n for which the n-fold product of i.i.d. copies of a properly
     randomized p-function has a post-hoc statistic above 1.
 
@@ -652,7 +656,7 @@ def product_merge_failure_witness(pf: PFunction, max_n: int = 64) -> int:
     """
     if not pf.is_randomized():
         raise ValueError("a non-randomized p-function admits no witness")
-    for n in range(2, max_n + 1):
+    for n in range(2, WITNESS_MAX_N + 1):
         worst = 0
         for x in pf.outcomes:
             prod = product_combine([pf[x]] * n)
@@ -661,4 +665,4 @@ def product_merge_failure_witness(pf: PFunction, max_n: int = 64) -> int:
                 break
         if not within(worst):
             return n
-    raise RuntimeError(f"no divergence found up to n = {max_n}")
+    raise RuntimeError(f"no divergence found up to n = {WITNESS_MAX_N}")

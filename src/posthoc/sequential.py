@@ -30,10 +30,12 @@ from ._numbers import (
 )
 from ._record import Record
 from .core import (
+    _EVIDENCE_AND_H,
     DiscreteSpace,
     E_SCALE,
     EvidenceVariable,
     Hypothesis,
+    shared_outcomes,
 )
 
 MARTINGALE = "MARTINGALE"
@@ -130,6 +132,7 @@ def markov_equality_check(X: EvidenceVariable, H: Hypothesis):
     right side is the plain mean.  Returns the worst-case (lhs, rhs) over
     hypothesis members; raises if any member breaks the equality.
     """
+    shared_outcomes([X, H], _EVIDENCE_AND_H)
     e = X.as_scale(E_SCALE)
     candidates = [e[x] for x in e.outcomes]
     lhs_w = rhs_w = None
@@ -149,6 +152,7 @@ def mrmw_sandwich(X: EvidenceVariable, c: Number, H: Hypothesis):
     asserts the sandwich ordering for every member."""
     if not 0 < c < INF:  # also true for nan
         raise ValueError(f"c must be positive and finite, got {c}")
+    shared_outcomes([X, H], _EVIDENCE_AND_H)
     e = X.as_scale(E_SCALE)
     inv_c = recip(c)
     worst = None

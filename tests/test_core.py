@@ -25,16 +25,20 @@ from posthoc import (
     valid_hacking_law,
 )
 from posthoc._numbers import is_inf, mul0, recip
-from posthoc.core import from_json, to_json
 
 
 def philox(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def law_sample(law, n, seed):
+    """All n draws of ``law.sample_blocks(n, seed)`` as one array."""
+    return np.concatenate([b.copy() for b in law.sample_blocks(n, seed)])
+
+
 def reference_law_sample(law, n, rng):
-    """The ``rng.choice`` formulation of :meth:`PValueLaw.sample`: reference
-    for its component index kernel."""
+    """The ``rng.choice`` formulation of :meth:`PValueLaw.sample_blocks`:
+    reference for its component index kernel."""
     comps = [(float(m), ("atom", float(loc))) for loc, m in law.atoms]
     comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in law.pieces]
     weights = np.array([w for w, _ in comps])
@@ -135,7 +139,7 @@ class TestEvidenceVariable:
 
     def test_json_roundtrip(self):
         ev = EvidenceVariable({"a": F(1, 3), "b": INF}, "p")
-        assert from_json(EvidenceVariable, to_json(ev)) == ev
+        assert EvidenceVariable.from_dict(json.loads(json.dumps(ev.to_dict()))) == ev
 
 
 class TestTestFunction:
@@ -218,8 +222,7 @@ class TestPValueLaw:
 
     def test_sampling_support(self):
         law = PValueLaw(atoms=[(2, F(1, 2))], pieces=[(0, 1, F(1, 2))])
-        rng = np.random.Generator(np.random.Philox(key=7))
-        draws = law.sample(500, rng)
+        draws = law_sample(law, 500, 7)
         assert ((draws == 2.0) | ((draws > 0) & (draws <= 1))).all()
 
     @pytest.mark.parametrize("law", [
@@ -229,12 +232,12 @@ class TestPValueLaw:
     ], ids=["uniform", "valid_hacking", "three_atoms_and_a_piece"])
     def test_sampling_matches_rng_choice(self, law):
         for n in (1, 1000):
-            assert np.array_equal(law.sample(n, philox(11)),
+            assert np.array_equal(law_sample(law, n, 11),
                                   reference_law_sample(law, n, philox(11)))
 
     def test_json_roundtrip(self):
         law = PValueLaw(atoms=[(F(1, 2), F(1, 4))], pieces=[(0, 1, F(3, 4))])
-        assert from_json(PValueLaw, to_json(law)) == law
+        assert PValueLaw.from_dict(json.loads(json.dumps(law.to_dict()))) == law
 
 
 class TestValidity:

@@ -119,12 +119,6 @@ class TestUtilitySpec:
         assert UtilitySpec.power(F(1, 2)).value(0) == -2.0
         assert UtilitySpec.neyman_pearson(F(1, 4)).value(100) == 4
 
-    def test_inverse_marginal(self):
-        assert UtilitySpec.log().inv_derivative(F(1, 4)) == 4
-        assert UtilitySpec.power(2).inv_derivative(4) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            UtilitySpec.neyman_pearson(F(1, 4)).inv_derivative(1)
-
 
 class TestLogOptimal:
     def test_equal_distributions(self):

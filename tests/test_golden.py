@@ -10,7 +10,6 @@ and records the old and new values.
 """
 import contextlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -46,14 +45,12 @@ def _stdout(argv) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_stdout_matches_golden(name, monkeypatch):
-    monkeypatch.delenv("EVALID_SEED", raising=False)
+def test_stdout_matches_golden(name):
     want = (GOLDEN / f"{name}.stdout").read_text()
     assert _stdout(COMMANDS[name]) == want
 
 
 if __name__ == "__main__":
-    os.environ.pop("EVALID_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
         (GOLDEN / f"{name}.stdout").write_text(_stdout(argv))

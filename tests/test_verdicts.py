@@ -24,6 +24,8 @@ from posthoc import (
     expected_utility,
     h_mean,
     law_of,
+    markov_equality_check,
+    mrmw_sandwich,
     size_difference_validity,
 )
 from posthoc._numbers import TOL, within
@@ -125,8 +127,10 @@ class TestMissingOutcomesAreNamed:
         lambda ev, sp, H: size_difference_validity(TestFunction(ev.as_scale("p")), H),
         lambda ev, sp, H: law_of(ev, sp),
         lambda ev, sp, H: expected_utility(ev, sp, UtilitySpec.log()),
+        lambda ev, sp, H: markov_equality_check(ev, H),
+        lambda ev, sp, H: mrmw_sandwich(ev, 1, H),
     ], ids=["posthoc", "pfunction", "h_mean", "size_difference", "law_of",
-            "expected_utility"])
+            "expected_utility", "markov_equality", "mrmw_sandwich"])
     def test_evidence_lacking_an_outcome(self, check):
         # these used to raise a bare KeyError: 'b'
         with pytest.raises(ValueError, match="share an outcome set: outcome 'b'"):
@@ -160,6 +164,10 @@ def _public_callables():
                     yield f"{name}.{attr}", member
 
 
+# a tolerance, a flag, or a knob that no caller set
+FORBIDDEN = ("tol", "return_threshold", "clip", "max_n", "p_star")
+
+
 def test_no_public_callable_takes_a_tolerance_or_a_threshold_flag():
     found = []
     for name, obj in _public_callables():
@@ -167,5 +175,5 @@ def test_no_public_callable_takes_a_tolerance_or_a_threshold_flag():
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):  # no signature to read
             continue
-        found += [f"{name}({p})" for p in params if p in ("tol", "return_threshold")]
+        found += [f"{name}({p})" for p in params if p in FORBIDDEN]
     assert found == []
