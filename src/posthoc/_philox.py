@@ -1,0 +1,75 @@
+"""numpy's Philox stream and ``Generator.choice`` cdf in plain Python.
+
+Philox4x64-10 (Salmon et al. 2011, "Parallel random numbers: as easy as
+1, 2, 3") maps a 256-bit counter and a 128-bit key to four 64-bit words by
+ten rounds of two 64x64 -> 128-bit multiplies.  ``numpy.random.Philox``
+starts its counter at 0 and bumps it before each block, so word w of its
+stream is lane w % 4 of counter w // 4 + 1, and a double is the top 53
+bits of one word.  :func:`philox_doubles` computes those words without
+numpy, bit for bit, so a small draw need not import it.
+"""
+from __future__ import annotations
+
+from itertools import accumulate
+
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # Weyl key bumps
+_MASK = (1 << 64) - 1
+
+
+def philox_words(key: int, offset: int, count: int) -> list:
+    """Words ``offset`` .. ``offset + count - 1`` of the raw stream of
+    ``numpy.random.Philox(key=key)``; a key outside [0, 2**128) raises
+    numpy's ``ValueError``."""
+    key = int(key)  # as numpy converts a scalar key
+    if not 0 <= key < 1 << 128:
+        raise ValueError("key must be positive and less than 2**128.")
+    lo, hi = key & _MASK, key >> 64
+    keys = [((lo + i * _W0) & _MASK, (hi + i * _W1) & _MASK) for i in range(10)]
+    words = []
+    for c in range(offset // 4 + 1, (offset + count + 3) // 4 + 1):
+        x0, x1, x2, x3 = c & _MASK, c >> 64 & _MASK, c >> 128 & _MASK, c >> 192
+        for k0, k1 in keys:
+            p, q = _M0 * x0, _M1 * x2
+            x0, x1, x2, x3 = q >> 64 ^ x1 ^ k0, q & _MASK, p >> 64 ^ x3 ^ k1, p & _MASK
+        words += (x0, x1, x2, x3)
+    skip = offset % 4
+    return words[skip:skip + count]
+
+
+def philox_doubles(key: int, offset: int, count: int) -> list:
+    """The doubles in [0, 1) that ``Generator(Philox(key=key)).random``
+    makes of the same words: (w >> 11) * 2**-53."""
+    return [(w >> 11) * 2.0 ** -53 for w in philox_words(key, offset, count)]
+
+
+def pairwise_sum(xs: list) -> float:
+    """``numpy.sum`` of a float64 vector, in its order: a plain loop below
+    8 terms, eight running sums up to 128, halves (cut at a multiple of 8)
+    above."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
+    r = xs[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r = [s + x for s, x in zip(r, xs[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        total += x
+    return total
+
+
+def choice_cdf(masses: list) -> list:
+    """The cdf by which ``Generator.choice(k, p=masses / masses.sum())``
+    picks: ``cdf = p.cumsum(); cdf /= cdf[-1]``.  A uniform u in [0, 1)
+    picks ``bisect_right(cdf, u)``."""
+    total = pairwise_sum(masses)
+    cdf = list(accumulate(m / total for m in masses))
+    return [c / cdf[-1] for c in cdf]

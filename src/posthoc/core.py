@@ -10,8 +10,10 @@ rejecting at a level chosen after seeing the data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ._numbers import (
@@ -220,6 +222,9 @@ def p_value(tf: TestFunction, outcome) -> Number:
 
 
 SAMPLE_BLOCK = 1 << 16  # draws per block of PValueLaw.sample_blocks: 512 KB
+# the most draws PValueLaw.sample_blocks makes without numpy: a stdlib draw
+# costs 3-6 us, so 2^14 of them take less than the ~0.14 s import of numpy
+STDLIB_DRAWS = 1 << 14
 
 
 class PValueLaw(Record):
@@ -370,41 +375,54 @@ class PValueLaw(Record):
 
         The draws are those of ``rng = Generator(Philox(key=seed))`` when
         n uniforms of ``rng`` pick the components as ``rng.choice`` does
-        and n more place the draws within them.  Each block is a view of
-        one reused buffer, valid until the next block is drawn, so memory
-        does not grow with n.  A Philox counter yields four 64-bit words
-        and a double takes one, so a second Philox on the same key,
-        advanced n // 4 counters and n % 4 words, streams the position
-        uniforms alongside the first.
+        and the next n place the draws within them, as ``width * u +
+        base``.  Both come from one stream, words 0 .. n-1 and n .. 2n-1.
+        Up to ``STDLIB_DRAWS`` draws are computed without numpy, by the
+        stdlib kernel :func:`posthoc._philox.philox_doubles`, and come as
+        lists of floats.  More come from numpy's Philox as views of one
+        reused buffer, valid until the next block is drawn, so memory does
+        not grow with n.  Both paths read this one stream and pick with
+        one cdf, :func:`posthoc._philox.choice_cdf`, so they give equal
+        draws.
         """
+        from ._philox import choice_cdf, philox_doubles
+
+        # the components, atoms then pieces: an atom is its location with
+        # width 0, a piece (a, b] is a with width b - a
+        comps = [(float(m), float(loc), 0.0) for loc, m in self.atoms]
+        comps += [(float(m), float(a), float(b) - float(a))
+                  for a, b, m in self.pieces]
+        masses, base, width = (list(col) for col in zip(*comps))
+        cdf = choice_cdf(masses)
+        size = SAMPLE_BLOCK
+        if n <= STDLIB_DRAWS:
+            for start in range(0, n, size):
+                count = min(size, n - start)
+                # one component needs no uniform to pick it
+                picks = ([bisect_right(cdf, u) for u in philox_doubles(seed, start, count)]
+                         if len(cdf) > 1 else [0] * count)
+                pos = philox_doubles(seed, n + start, count)
+                yield [width[i] * v + base[i] for i, v in zip(picks, pos)]
+            return
         import numpy as np
 
-        masses, base, width = self._mixture()
+        base, width = np.array(base), np.array(width)
         comp = np.random.Generator(np.random.Philox(key=seed))
+        # a Philox counter yields four 64-bit words and a double takes one,
+        # so a second Philox on the key, advanced n // 4 counters and
+        # n % 4 words, streams the position uniforms alongside the first
         bits = np.random.Philox(key=seed)
         bits.advance(n // 4)
         bits.random_raw(n % 4)
         pos = np.random.Generator(bits)
-        size = SAMPLE_BLOCK
         out, u = np.empty(min(n, size)), np.empty(min(n, size))
         for start in range(0, n, size):
             o, v = out[: n - start], u[: n - start]
-            if len(masses) > 1:  # one component needs no uniform to pick it
+            if len(cdf) > 1:
                 comp.random(out=o)
-            idx = _finite_index(masses, o)
+            idx = _finite_index(cdf, o)
             pos.random(out=v)
             yield _place(base, width, idx, v, o)
-
-    def _mixture(self) -> tuple:
-        """(masses, base, width) float arrays over the components, atoms
-        then pieces: an atom is its location with width 0, a piece (a, b]
-        is a with width b - a."""
-        import numpy as np
-
-        comps = [(float(m), float(loc), 0.0) for loc, m in self.atoms]
-        comps += [(float(m), float(a), float(b) - float(a))
-                  for a, b, m in self.pieces]
-        return tuple(np.array(col) for col in zip(*comps))
 
     # -- serialization -------------------------------------------------------
 
@@ -491,22 +509,19 @@ def _lattice_piece_cdf(pieces: list, total: int, top: int, scale: int) -> tuple:
     return num, q, added
 
 
-def _finite_index(masses, u: np.ndarray) -> np.ndarray:
-    """The component index of each uniform u in [0, 1), as numpy's
-    ``Generator.choice`` picks it: ``cdf.searchsorted(u, side="right")``
-    with ``cdf = p.cumsum(); cdf /= cdf[-1]`` for p = masses / sum(masses).
-    As u < 1 = cdf[-1], that index is the count of j < k-1 with
-    u >= cdf[j], so k-1 vector comparisons replace the binary search (cdf
-    is nondecreasing, so zero masses and ties count alike).  The index has
-    the smallest integer type that holds k-1.
-    :meth:`PValueLaw.sample_blocks` picks its components with it.
+def _finite_index(cdf: list, u: np.ndarray) -> np.ndarray:
+    """The component index of each uniform u in [0, 1) by the cdf of
+    :func:`posthoc._philox.choice_cdf`, as numpy's ``Generator.choice``
+    picks it: ``cdf.searchsorted(u, side="right")``.  As u < 1 = cdf[-1], that
+    index is the count of j < k-1 with u >= cdf[j], so k-1 vector
+    comparisons replace the binary search (cdf is nondecreasing, so zero
+    masses and ties count alike).  The index has the smallest integer type
+    that holds k-1.  The numpy path of :meth:`PValueLaw.sample_blocks`
+    (above ``STDLIB_DRAWS`` draws) picks its components with it; the
+    stdlib path bisects the same cdf.
     """
     import numpy as np
 
-    p = np.asarray(masses, dtype=float)
-    p = p / p.sum()  # exact masses may not be float-normalized
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
     idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
     for c in cdf[:-1]:
         idx += u >= c
@@ -692,18 +707,15 @@ def posthoc_evidence_of_family(phi: Mapping[Any, Mapping[Any, Any]],
     ``phi[d][x]`` must be either the lattice bottom or ``d``; the result maps
     each outcome to the strongest evidence any test in the family returns.
     """
-    outcomes = None
+    if not phi:
+        raise ValueError("empty test family")
     for d, test in phi.items():
-        for x, v in test.items():
+        for v in test.values():
             if v != L.bottom and v != d:
                 raise ValueError(f"test at {d!r} returns {v!r}, not bottom or {d!r}")
-        outs = set(test)
-        if outcomes is None:
-            outcomes = outs
-        elif outs != outcomes:
-            raise ValueError("tests must share one outcome set")
-    if outcomes is None:
-        raise ValueError("empty test family")
+    outcomes = shared_outcomes([SimpleNamespace(outcomes=tuple(test))
+                                for test in phi.values()],
+                               "tests must share one outcome set")
     return {x: L.sup(test[x] for test in phi.values()) for x in outcomes}
 
 

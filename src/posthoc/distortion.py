@@ -7,9 +7,12 @@ in one pass over the pieces; a Monte Carlo engine cross-checks them.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
+from . import core
 from ._numbers import INF, Number, fmt_number, frac, is_inf, recip, sqrt_fraction
 from ._record import Record
 from .core import PValueLaw
@@ -141,14 +144,15 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     """Unbiased MC estimate of the expected size distortion, with its SE.
 
     Deterministic for a fixed seed (counter-based Philox stream).  The
-    law's n draws are made in blocks (:meth:`PValueLaw.sample_blocks`), and
-    each block only adds to the count of draws at or below each edge of the
-    strategy's cells.  The estimate is the exact mean of the per-draw
-    values 1.0/level and the SE the correctly rounded root of the exact
-    sample variance over n, both computed from those counts.
+    law's n draws come from :meth:`PValueLaw.sample_blocks`, and only the
+    count of draws at or below each edge of the strategy's cells is kept:
+    up to ``core.STDLIB_DRAWS`` draws are counted by bisecting their
+    sorted list, without importing numpy, and more are counted block by
+    block with numpy, in O(block) memory.  Both paths draw one stream, so
+    they give the same counts.  The estimate is the exact mean of the
+    per-draw values 1.0/level and the SE the correctly rounded root of
+    the exact sample variance over n, both computed from those counts.
     """
-    import numpy as np
-
     if not isinstance(p_law, PValueLaw):
         raise TypeError(f"expected a PValueLaw, got {type(p_law).__name__}")
     if n < 1:
@@ -160,9 +164,16 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
         if top > lo:
             cells.append((lo, top, Fraction(1.0 / float(lvl))))
     at_most = dict.fromkeys({0.0, INF}.union(*(c[:2] for c in cells)), 0)
-    for block in p_law.sample_blocks(n, seed):
+    if n <= core.STDLIB_DRAWS:
+        draws = sorted(chain.from_iterable(p_law.sample_blocks(n, seed)))
         for x in at_most:
-            at_most[x] += int(np.count_nonzero(block <= x))
+            at_most[x] = bisect_right(draws, x)
+    else:
+        import numpy as np
+
+        for block in p_law.sample_blocks(n, seed):
+            for x in at_most:
+                at_most[x] += int(np.count_nonzero(block <= x))
     if at_most[INF] - at_most[0.0] != n:
         raise ValueError("the law's draws fell outside (0, inf]")
     total = squares = Fraction(0)

@@ -247,16 +247,16 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-def numpy_modules(argv):
+def numpy_modules(argv, code=0):
     """The numpy modules loaded by ``import posthoc`` and, with ``argv``, by
-    one CLI run in a fresh interpreter."""
-    code = ("import io, sys, contextlib, posthoc, posthoc.cli\n"
-            "if sys.argv[1:]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert posthoc.cli.main(sys.argv[1:]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    one CLI run in a fresh interpreter, which must exit with ``code``."""
+    script = ("import io, sys, contextlib, posthoc, posthoc.cli\n"
+              "if sys.argv[2:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert posthoc.cli.main(sys.argv[2:]) == int(sys.argv[1])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(posthoc.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", code, *argv],
+    return subprocess.run([sys.executable, "-c", script, str(code), *argv],
                           capture_output=True, text=True, check=True,
                           env=env).stdout.strip()
 
@@ -266,9 +266,17 @@ def numpy_modules(argv):
                          ids=["import", "ville", "sequential", "examples",
                               "optimal", "merge", "pfunction"])
 def test_exact_commands_do_not_load_numpy(argv):
-    # numpy is imported only by the Monte Carlo distortion estimate
     assert numpy_modules(argv) == "[]"
 
 
-def test_monte_carlo_distortion_loads_numpy():
-    assert "'numpy'" in numpy_modules(["distortion", "--n", "100"])
+@pytest.mark.parametrize("argv, code", [
+    (["distortion", "--fixture", "valid_hacking", "--strategy", "decreasing_alpha"], 0),
+    (["distortion", "--n", "2"], 1),
+], ids=["readme", "n2"])
+def test_small_monte_carlo_draws_do_not_load_numpy(argv, code):
+    # up to STDLIB_DRAWS draws come from the stdlib Philox kernel
+    assert numpy_modules(argv, code) == "[]"
+
+
+def test_large_monte_carlo_draws_load_numpy():
+    assert "'numpy'" in numpy_modules(["distortion", "--n", "100000"])

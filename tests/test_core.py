@@ -378,3 +378,17 @@ class TestEvidenceLattice:
         lat = EvidenceLattice((0, 1, 2))
         with pytest.raises(ValueError):
             posthoc_evidence_of_family({1: {"x": 2}}, lat)
+
+    @pytest.mark.parametrize("phi", [
+        {1: {"x": 1, "y": 0}, 2: {"x": 2}},
+        {1: {"x": 1}, 2: {"x": 2, "y": 0}},
+    ], ids=["second-lacks-y", "first-lacks-y"])
+    def test_tests_lacking_an_outcome(self, phi):
+        # the one outcome-set check names the outcome that one test lacks
+        with pytest.raises(ValueError,
+                           match="tests must share one outcome set: outcome 'y' is missing"):
+            posthoc_evidence_of_family(phi, EvidenceLattice((0, 1, 2)))
+
+    def test_rejects_an_empty_family(self):
+        with pytest.raises(ValueError, match="empty test family"):
+            posthoc_evidence_of_family({}, EvidenceLattice((0, 1, 2)))

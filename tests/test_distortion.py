@@ -26,6 +26,7 @@ from posthoc import (
     valid_hacking_law,
 )
 from posthoc import core
+from posthoc._philox import choice_cdf, pairwise_sum, philox_doubles, philox_words
 from posthoc.core import SAMPLE_BLOCK
 from test_core import philox, reference_law_sample
 
@@ -157,7 +158,8 @@ class TestMonteCarlo:
 
     def test_law_path_memory_is_one_block(self):
         law, s = valid_hacking_law(), decreasing_alpha_strategy()
-        monte_carlo_distortion(law, s, 10, seed=1)  # imports and caches
+        # the numpy path imports and caches
+        monte_carlo_distortion(law, s, core.STDLIB_DRAWS + 1, seed=1)
         tracemalloc.start()
         try:
             monte_carlo_distortion(law, s, 10 ** 6, seed=1)
@@ -203,10 +205,12 @@ SIZES = [1, 2, 3, 4, 5, B - 1, B, B + 1, 2 * B + 3]
 
 
 @st.composite
-def p_laws(draw):
-    """Atoms (one may sit at inf), pieces, zero masses, sums exactly 1."""
+def p_laws(draw, min_atoms=0, max_atoms=4, floats=False):
+    """Atoms (one may sit at inf), pieces, zero masses; the masses sum
+    exactly to 1, or are the floats w / sum(w) with ``floats``."""
     locs = draw(st.lists(st.one_of(st.fractions(F(1, 64), 2, max_denominator=64),
-                                   st.just(INF)), max_size=4, unique=True))
+                                   st.just(INF)),
+                         min_size=min_atoms, max_size=max_atoms, unique=True))
     cuts = sorted(set(draw(st.lists(st.fractions(0, 2, max_denominator=32),
                                     max_size=6))))
     spans = list(zip(cuts[::2], cuts[1::2]))
@@ -214,7 +218,7 @@ def p_laws(draw):
     if k == 0:
         locs, k = [F(1, 2)], 1
     weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
-    ms = [F(w, sum(weights)) for w in weights]
+    ms = [w / sum(weights) if floats else F(w, sum(weights)) for w in weights]
     return PValueLaw(atoms=list(zip(locs, ms)),
                      pieces=[(a, b, m) for (a, b), m in zip(spans, ms[len(locs):])])
 
@@ -270,9 +274,13 @@ class TestBlockedEstimator:
     @settings(max_examples=60, deadline=None)
     @given(p_laws(), st.integers(1, 40), st.integers(1, 9), seeds)
     def test_small_blocks_concatenate_to_sample(self, law, n, size, seed):
-        with mock.patch.object(core, "SAMPLE_BLOCK", size):
-            got = np.concatenate([b.copy() for b in law.sample_blocks(n, seed)])
-        assert np.array_equal(got, reference_law_sample(law, n, philox(seed)))
+        want = reference_law_sample(law, n, philox(seed))
+        for cutoff in (0, n):  # the numpy path, then the stdlib path
+            with mock.patch.object(core, "SAMPLE_BLOCK", size), \
+                    mock.patch.object(core, "STDLIB_DRAWS", cutoff):
+                blocks = [b.copy() for b in law.sample_blocks(n, seed)]
+            assert all(1 <= len(b) <= size for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), want)
 
     @settings(max_examples=80, deadline=None)
     @given(p_laws(), strategies(), st.sampled_from(SIZES), seeds)
@@ -285,6 +293,88 @@ class TestBlockedEstimator:
             for s in (decreasing_alpha_strategy(), conservative_strategy()):
                 assert_matches_oracle(law, s, n, seed=2026)
 
+
+# ---------------------------------------------------------------------------
+# the stdlib Philox stream against numpy's
+
+
+any_p_laws = st.one_of(p_laws(), p_laws(floats=True),
+                       p_laws(min_atoms=9, max_atoms=16, floats=True))
+keys = st.integers(0, 2 ** 128 - 1)
+
+
+def numpy_words(key, offset, count):
+    """Words offset .. offset + count - 1 of numpy's Philox stream, reached
+    as ``sample_blocks`` reaches the position uniforms."""
+    bits = np.random.Philox(key=key)
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return bits.random_raw(count).tolist()
+
+
+class TestStdlibStream:
+    @pytest.mark.parametrize("key", [0, 2 ** 64, 2 ** 128 - 1])
+    @pytest.mark.parametrize("offset", range(9))
+    def test_words_match_numpy(self, key, offset):
+        for count in (0, 1, 4, 7):
+            assert philox_words(key, offset, count) == numpy_words(key, offset, count)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys, st.integers(0, 2 ** 70), st.integers(0, 9))
+    def test_words_match_numpy_at_any_offset(self, key, offset, count):
+        assert philox_words(key, offset, count) == numpy_words(key, offset, count)
+
+    @pytest.mark.parametrize("key", [0, 2 ** 64, 2 ** 128 - 1])
+    def test_doubles_match_generator_random(self, key):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        assert philox_doubles(key, 0, 9) == rng.random(9).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 1e6), max_size=300))
+    def test_pairwise_sum_matches_numpy(self, xs):
+        assert pairwise_sum(xs) == np.array(xs, dtype=float).sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 4), min_size=1, max_size=40).filter(any))
+    def test_choice_cdf_matches_numpy(self, masses):
+        p = np.array(masses) / np.array(masses).sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        assert choice_cdf(masses) == cdf.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_p_laws, st.integers(1, 200), keys)
+    def test_stdlib_draws_match_rng_choice(self, law, n, seed):
+        blocks = list(law.sample_blocks(n, seed))
+        assert all(isinstance(b, list) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks),
+                              reference_law_sample(law, n, philox(seed)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_p_laws, strategies(), st.integers(1, 200), keys)
+    def test_estimate_is_the_same_on_both_sides_of_the_cutoff(self, law, s, n, seed):
+        with mock.patch.object(core, "STDLIB_DRAWS", n - 1):
+            above = monte_carlo_distortion(law, s, n, seed)
+        with mock.patch.object(core, "STDLIB_DRAWS", n):
+            at = monte_carlo_distortion(law, s, n, seed)
+        assert at == above
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    @pytest.mark.parametrize("cutoff", [0, 10], ids=["numpy", "stdlib"])
+    def test_out_of_range_seed_raises_on_both_paths(self, seed, cutoff):
+        with mock.patch.object(core, "STDLIB_DRAWS", cutoff), \
+                pytest.raises(ValueError, match="key must be positive and less than 2"):
+            monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(),
+                                   10, seed)
+
+    def test_the_cutoff_itself_draws_in_the_stdlib(self):
+        law, s, n = valid_hacking_law(), decreasing_alpha_strategy(), core.STDLIB_DRAWS
+        blocks = list(law.sample_blocks(n, 2026))
+        assert [type(b) for b in blocks] == [list]
+        assert np.array_equal(blocks[0], reference_law_sample(law, n, philox(2026)))
+        with mock.patch.object(core, "STDLIB_DRAWS", n - 1):
+            above = monte_carlo_distortion(law, s, n, 2026)
+        assert monte_carlo_distortion(law, s, n, 2026) == above
 
 
 class TestImpossibility:

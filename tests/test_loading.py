@@ -15,7 +15,7 @@ import pytest
 
 import posthoc
 
-MODULES = ("_numbers", "_record", "core", "distortion", "calibration",
+MODULES = ("_numbers", "_philox", "_record", "core", "distortion", "calibration",
            "pfunctions", "merging", "design", "sequential", "cli")
 
 
