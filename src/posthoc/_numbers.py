@@ -72,20 +72,42 @@ def within(x: Number, bound: Number = 1) -> bool:
     return x <= bound + TOL
 
 
+def is_unit_mass(total: Number, d: int = 1) -> bool:
+    """The one rule for a sum of probability masses, ``total`` in units of
+    1/d: ``within`` in both directions, so an exact total must equal d and
+    a float one lie within TOL of 1.  An int total (the sum of
+    :func:`lattice_keys` on exact masses) is compared with d directly."""
+    if type(total) is int:
+        return total == d
+    return within(total, d) and within(d, total)
+
+
 def checked_weights(values, what: str) -> tuple:
     """``values`` as a tuple, checked as probability weights: each finite
-    and nonnegative, and the sum 1 (exactly for an exact sum, within TOL
-    for a float one).  ``what`` names the values in the messages."""
+    and nonnegative, and the sum 1 by :func:`is_unit_mass`.  Exact values
+    are checked and summed on the ints of :func:`lattice_keys`, so no
+    ``Fraction`` is compared or added.  ``what`` names the values in the
+    messages, which show the sum as ``sum`` gives it."""
     values = tuple(values)
-    for v in values:
+    d, keys = lattice_keys(values)
+    for v, key in zip(values, keys):
         if not is_finite(v):
             raise ValueError(f"{what} must be finite, got {v}")
-        if v < 0:
+        if key < 0:
             raise ValueError(f"{what} must be nonnegative")
-    total = sum(values)
-    if not (within(total) and within(1, total)):
-        raise ValueError(f"{what} must sum to 1, got {total}")
+    if not is_unit_mass(sum(keys), d):
+        raise ValueError(f"{what} must sum to 1, got {sum(values)}")
     return values
+
+
+def check_seed(seed) -> None:
+    """The one check of a seed: an int, not a bool, in [0, 2**128), the
+    range of a Philox key.  Any other type raises ``TypeError``, and an
+    int outside the range numpy's ``ValueError``."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError("key must be positive and less than 2**128.")
 
 
 def mul0(a: Number, b: Number) -> Number:
@@ -106,17 +128,21 @@ def float_ext(x: Number) -> float:
 def log_ext(x: Number) -> float:
     """ln x on [0, inf], with ln 0 = -inf and ln inf = inf.  An exact x
     outside the normal float range, where ``float(x)`` would be 0.0, a
-    subnormal or an OverflowError, is taken on its int pair."""
-    if x == 0:
-        return -INF
-    if is_inf(x):
-        return INF
+    subnormal or an OverflowError, is taken on its int pair.  The float
+    of an exact x is its int pair's true division, which is how ``float``
+    converts a ``Fraction``."""
     if isinstance(x, float):
-        return math.log(x)
-    f = float_ext(x)
+        return math.log(x) if x else -INF  # math.log(inf) is inf
+    n, d = x.as_integer_ratio()
+    if n == 0:
+        return -INF
+    try:
+        f = n / d
+    except OverflowError:
+        f = INF
     if sys.float_info.min <= f < INF:
         return math.log(f)
-    return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(n) - math.log(d)
 
 
 def exp_ext(t: float) -> float:
@@ -179,6 +205,15 @@ def common_denominator(values) -> tuple | None:
     pairs = [x.as_integer_ratio() for x in values]
     d = math.lcm(*[k for _, k in pairs])
     return d, [n * (d // k) for n, k in pairs]
+
+
+def lattice_keys(values) -> tuple:
+    """(d, keys), the one exact-sum routine: on exact values the ints
+    x * d of :func:`common_denominator`, else d = 1 and the values
+    themselves.  Keys compare as the values do, and sum(keys) / d is
+    ``sum(values)``: on the lattice an int sum, with no ``Fraction``
+    arithmetic, that is exact like the ``Fraction`` sum."""
+    return common_denominator(values) or (1, values)
 
 
 def power_mean(values, weights, h: Number) -> Number:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 
+from ._numbers import check_seed
+
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # Weyl key bumps
 _MASK = (1 << 64) - 1
@@ -22,8 +24,7 @@ def philox_words(key: int, offset: int, count: int) -> list:
     ``numpy.random.Philox(key=key)``; a key outside [0, 2**128) raises
     numpy's ``ValueError``."""
     key = int(key)  # as numpy converts a scalar key
-    if not 0 <= key < 1 << 128:
-        raise ValueError("key must be positive and less than 2**128.")
+    check_seed(key)
     lo, hi = key & _MASK, key >> 64
     keys = [((lo + i * _W0) & _MASK, (hi + i * _W1) & _MASK) for i in range(10)]
     words = []

@@ -17,7 +17,8 @@ from pathlib import Path
 from . import __version__
 
 # Each runner imports the library modules it uses, so a run loads and
-# compiles only those, and a usage error loads none.
+# compiles only those, and a usage error loads none but _numbers, whose
+# seed check the options share with the library.
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 2026
@@ -415,8 +416,12 @@ def _resolve_options(args) -> dict:
     for key in ("seed", "n"):
         if not isinstance(opts[key], int) or isinstance(opts[key], bool):
             raise CliError(f"{key} must be an integer, got {opts[key]!r}")
-    if not 0 <= opts["seed"] < 2 ** 128:  # the Philox key range
-        raise CliError(f"seed must lie in [0, 2**128), got {opts['seed']}")
+    from ._numbers import check_seed
+
+    try:
+        check_seed(opts["seed"])  # the library's seed check: here the range
+    except ValueError:
+        raise CliError(f"seed must lie in [0, 2**128), got {opts['seed']}") from None
     if opts["n"] < 1:
         raise CliError("n must be at least 1")
     for key, allowed in (("backend", ("exact", "float")),

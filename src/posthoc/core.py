@@ -18,12 +18,12 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ._numbers import (
     INF,
-    TOL,
     Number,
     checked_weights,
     common_denominator,
     fmt_number,
     is_inf,
+    is_unit_mass,
     mul0,
     parse_number,
     recip,
@@ -480,9 +480,7 @@ def _checked_sorted(atoms: tuple, pieces: tuple, d: int, keys: list) -> tuple:
         for s1, s2 in zip(spans, spans[1:]):
             if s2[0] < s1[1]:
                 raise ValueError("piece intervals must be disjoint")
-    total = sum(masses) + sum(keys[k + 2::3])
-    # a float mass makes the sum a float, checked within the tolerance
-    if abs(total - d) > TOL if isinstance(total, float) else total != d:
+    if not is_unit_mass(sum(masses) + sum(keys[k + 2::3]), d):
         total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
         raise ValueError(f"masses must sum to 1, got {total}")
     # locations are distinct, so the sort never compares past the first key

@@ -16,7 +16,8 @@ from fractions import Fraction
 from statistics import NormalDist
 
 from ._numbers import (
-    INF, Number, exp_ext, float_ext, is_inf, log_ext, mul0, recip, within,
+    INF, Number, at_most, exp_ext, float_ext, is_inf, lattice_keys, log_ext,
+    mul0, recip, within,
 )
 from ._record import Record
 from .core import (
@@ -86,25 +87,39 @@ class UtilitySpec(Record):
 
 
 class SimplePair(Record):
-    """Simple null P versus simple alternative Q on a common outcome set."""
+    """Simple null P versus simple alternative Q on a common outcome set.
+
+    The constructor derives each outcome's likelihood ratio f_P/f_Q once
+    (0/0 is 1, f_Q = 0 is inf) and keeps it, with Q's masses, as private
+    non-field tuples aligned with ``P.outcomes``: ``_ratios`` and ``_q``
+    (``Q.probs`` itself when Q lists the outcomes in P's order).  The
+    design functions read these tables instead of looking masses up per
+    outcome; equality, hashing and ``repr`` see only P and Q.
+    """
 
     P: DiscreteSpace
     Q: DiscreteSpace
 
     def __init__(self, P: DiscreteSpace, Q: DiscreteSpace):
         shared_outcomes([P, Q], "P and Q must share an outcome set")
-        self.__dict__.update(P=P, Q=Q)
+        q = (Q.probs if Q.outcomes == P.outcomes
+             else tuple(map(Q.prob, P.outcomes)))
+        ratios = tuple([
+            (1 if fp == 0 else INF) if fq == 0 else mul0(fp, recip(fq))
+            for fp, fq in zip(P.probs, q)])
+        self.__dict__.update(P=P, Q=Q, _ratios=ratios, _q=q)
 
     def density_ratio(self, outcome) -> Number:
-        """f_P/f_Q; 0/0 is reported as 1 (the outcome is null under both)."""
-        fp, fq = self.P.prob(outcome), self.Q.prob(outcome)
-        if fp == 0 and fq == 0:
-            return 1
-        return mul0(fp, recip(fq)) if fq > 0 else INF
+        """f_P/f_Q from the pair's table; 0/0 is reported as 1 (the outcome
+        is null under both).  An outcome outside the pair is a
+        ``ValueError``."""
+        try:
+            return self._ratios[self.P._index[outcome]]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown outcome {outcome!r}") from None
 
     def check_mutual_absolute_continuity(self):
-        for x in self.P.outcomes:
-            fp, fq = self.P.prob(x), self.Q.prob(x)
+        for x, fp, fq in zip(self.P.outcomes, self.P.probs, self._q):
             if (fp == 0) != (fq == 0):
                 raise ValueError(
                     f"absolute continuity fails at outcome {x!r}: "
@@ -113,8 +128,7 @@ class SimplePair(Record):
 
 def log_optimal(pair: SimplePair) -> EvidenceVariable:
     """Log-utility optimum: p*(x) = f_P(x)/f_Q(x)."""
-    return EvidenceVariable(
-        {x: pair.density_ratio(x) for x in pair.P.outcomes}, P_SCALE)
+    return EvidenceVariable(dict(zip(pair.P.outcomes, pair._ratios)), P_SCALE)
 
 
 def expected_utility(ev: EvidenceVariable, Q: DiscreteSpace,
@@ -158,17 +172,16 @@ def utility_optimal(pair: SimplePair, U: UtilitySpec):
         return dual(p_star), c
 
     g = float(U.param)
-    a = {x: -log_ext(pair.density_ratio(x)) / g for x in pair.P.outcomes}
+    a = [-log_ext(r) / g for r in pair._ratios]
     # ln(f_P r^(-1/gamma)) on the P-support
-    b = [log_ext(fp) + a[x]
-         for x, fp in zip(pair.P.outcomes, pair.P.probs) if fp != 0]
+    b = [log_ext(fp) + ax for fp, ax in zip(pair.P.probs, a) if fp != 0]
     top = max(b)
     if top == -INF:
         # f_Q = 0 on the whole P-support: e*_lambda = 0 there for every lambda
         raise RuntimeError(
             "no normalization constant: P and Q are mutually singular")
     log_m = top + math.log(math.fsum(math.exp(v - top) for v in b))
-    values = {x: exp_ext(ax - log_m) for x, ax in a.items()}
+    values = {x: exp_ext(ax - log_m) for x, ax in zip(pair.P.outcomes, a)}
     return EvidenceVariable(values, E_SCALE), exp_ext(g * log_m)
 
 
@@ -181,12 +194,15 @@ def np_optimal(pair: SimplePair, alpha_star: Number) -> EvidenceVariable:
     value with P(r < c) <= alpha* and k makes E_P[1/p*] = 1 (k = inf when
     the sub-boundary mass already equals alpha*).
 
-    O(n log n): P-mass is grouped by ratio level in one pass, the levels are
-    sorted once by ``float`` and walked with a running prefix sum.  Levels
-    equal as floats share one strictly-below mass, and the boundary branch
-    takes the ratios exactly equal to c.  With exact (``Fraction``) masses
-    ``below``, ``at`` and k are exact; float masses are summed in level
-    order, so their rounding can differ from an outcome-order sum.
+    O(n log n) on the pair's likelihood-ratio table: P-mass is grouped by
+    ratio level in one pass, the levels are sorted once by ``float`` and
+    walked with a running prefix sum.  Levels equal as floats share one
+    strictly-below mass, and the boundary branch takes the ratios exactly
+    equal to c.  Exact (int and ``Fraction``) masses are grouped and summed
+    as the ints of :func:`lattice_keys`, numerators over one denominator d
+    compared with alpha* d, so ``below``, ``at`` and k are exact; float
+    masses are summed in level order, so their rounding can differ from an
+    outcome-order sum.
     """
     return _np_solution(pair, alpha_star)[0]
 
@@ -195,17 +211,18 @@ def _np_solution(pair: SimplePair, alpha_star: Number) -> tuple:
     """(p*, c) of :func:`np_optimal`."""
     if not (0 < alpha_star < 1):
         raise ValueError("alpha* must lie in (0, 1)")
-    ratios = {x: pair.density_ratio(x) for x in pair.P.outcomes}
+    ratios = pair._ratios
+    d, keys = lattice_keys(pair.P.probs)
+    bound = Fraction(alpha_star) * d  # alpha* in units of 1/d, exactly
     mass = {}
-    for x, fp in zip(pair.P.outcomes, pair.P.probs):
-        r = ratios[x]
-        mass[r] = mass.get(r, 0) + fp
-    levels = sorted(set(ratios.values()), key=float)
+    for r, m in zip(ratios, keys):
+        mass[r] = mass.get(r, 0) + m
+    levels = sorted(set(ratios), key=float)
 
     # c is the last level whose strictly-below mass is <= alpha*; levels
     # equal as floats share that mass, so c is the last of its float group
     c, below, running, i = levels[0], 0, 0, 0
-    while i < len(levels) and running <= alpha_star:
+    while i < len(levels) and at_most(running, bound):
         c, below = levels[i], running
         group = float(c)
         while i < len(levels) and float(levels[i]) == group:
@@ -213,16 +230,17 @@ def _np_solution(pair: SimplePair, alpha_star: Number) -> tuple:
             running += mass[c]
             i += 1
     at = mass[c]
-    if below == alpha_star or at == 0:
+    if below == bound or at == 0:
         k = INF
     else:
+        if keys is not pair.P.probs:  # a lattice numerator back to a mass
+            at = Fraction(at, d)
         # the gap is taken exactly: a float ``below`` within an ulp of an
         # exact alpha* makes the mixed float subtraction 0 or far off
-        k = mul0(alpha_star, at) / (Fraction(alpha_star) - Fraction(below))
+        k = mul0(alpha_star, at) / ((bound - Fraction(below)) / d)
     values = {}
     c_float = float(c)
-    for x in pair.P.outcomes:
-        r = ratios[x]
+    for x, r in zip(pair.P.outcomes, ratios):
         if float(r) < c_float:
             values[x] = alpha_star
         elif r == c:
@@ -244,22 +262,23 @@ def best_region_exhaustive(pair: SimplePair, alpha_star: Number) -> frozenset:
     Ties in Q-power are broken toward the region preferred by likelihood
     ratio: highest f_Q/f_P first, then fewer outcomes, then lexicographic.
     """
-    outcomes = list(pair.P.outcomes)
+    outcomes = pair.P.outcomes
     if len(outcomes) > 12:
         raise ValueError("exhaustive search limited to 12 outcomes")
-    order = {x: i for i, x in enumerate(sorted(
-        outcomes, key=lambda x: (-float(recip(pair.density_ratio(x))),
-                                 str(x))))}
+    cells = range(len(outcomes))
+    rank = sorted(cells, key=lambda i: (-float(recip(pair._ratios[i])),
+                                        str(outcomes[i])))
+    order = {i: j for j, i in enumerate(rank)}
     best, best_key = frozenset(), None
     for mask in range(1 << len(outcomes)):
-        region = [x for i, x in enumerate(outcomes) if mask >> i & 1]
-        p_mass = sum(pair.P.prob(x) for x in region)
+        region = [i for i in cells if mask >> i & 1]
+        p_mass = sum(pair.P.probs[i] for i in region)
         if p_mass > alpha_star:
             continue
-        q_mass = sum(pair.Q.prob(x) for x in region)
-        key = (-float(q_mass), len(region), sorted(order[x] for x in region))
+        q_mass = sum(pair._q[i] for i in region)
+        key = (-float(q_mass), len(region), sorted(order[i] for i in region))
         if best_key is None or key < best_key:
-            best, best_key = frozenset(region), key
+            best, best_key = frozenset(outcomes[i] for i in region), key
     return best
 
 
@@ -300,17 +319,16 @@ def brute_force_optimal(pair: SimplePair, U: UtilitySpec,
 
 def double_posthoc_check(pair: SimplePair) -> bool:
     """The likelihood ratio is post-hoc valid in both directions:
-    E_P[f_Q/f_P] <= 1 and E_Q[f_P/f_Q] <= 1 (both exactly 1 for the LR)."""
+    E_P[f_Q/f_P] <= 1 and E_Q[f_P/f_Q] <= 1 (both exactly 1 for the LR),
+    each summed exactly on the ints of :func:`lattice_keys`."""
     pair.check_mutual_absolute_continuity()
-    forward = sum(
-        fq for x, fq in zip(pair.Q.outcomes, pair.Q.probs)
-        if pair.P.prob(x) > 0
-    )
-    backward = sum(
-        fp for x, fp in zip(pair.P.outcomes, pair.P.probs)
-        if pair.Q.prob(x) > 0
-    )
-    return within(forward) and within(backward)
+    # the supports agree now, so E_P[f_Q/f_P] is Q's mass on its own
+    # support and E_Q[f_P/f_Q] P's
+    for space in (pair.Q, pair.P):
+        d, keys = lattice_keys([m for m in space.probs if m != 0])
+        if not within(sum(keys), d):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +359,9 @@ def gaussian_shift_pair(n_cells: int = 2001) -> SimplePair:
     lr = [math.exp(x - 0.5) for x in centers]
     total = sum(lr)
     q_probs = tuple(v / total for v in lr)
-    return SimplePair(
-        P=DiscreteSpace(tuple(range(n_cells)), (p_mass,) * n_cells),
-        Q=DiscreteSpace(tuple(range(n_cells)), q_probs),
-    )
+    cells = tuple(range(n_cells))
+    return SimplePair(P=DiscreteSpace(cells, (p_mass,) * n_cells),
+                      Q=DiscreteSpace(cells, q_probs))
 
 
 def gaussian_log_optimal_report(alpha: float = 0.05,
@@ -359,20 +376,16 @@ def gaussian_log_optimal_report(alpha: float = 0.05,
         raise ValueError("need 0 < alpha < 1 and alpha * n_cells >= 1, "
                          f"got alpha = {alpha}, n_cells = {n_cells}")
     pair = gaussian_shift_pair(n_cells=n_cells)
-    p_star = log_optimal(pair)
-    lr = {x: recip(p_star[x]) for x in p_star.outcomes}
-    by_lr = sorted(p_star.outcomes, key=lambda x: -float(lr[x]))
+    lr = [float(recip(r)) for r in pair._ratios]
+    by_lr = sorted(range(n_cells), key=lambda i: -lr[i])
     k = int(alpha * n_cells)  # equiprobable cells: top-k region has size k/n
-    region = by_lr[:k]
     # critical value at the cell boundary: geometric midpoint between the
     # smallest rejected and the largest accepted likelihood ratio
-    classical_critical = math.sqrt(
-        float(lr[by_lr[k - 1]]) * float(lr[by_lr[k]]))
-    classical_power = float(sum(pair.Q.prob(x) for x in region))
+    classical_critical = math.sqrt(lr[by_lr[k - 1]] * lr[by_lr[k]])
+    classical_power = float(sum(pair._q[i] for i in by_lr[:k]))
     threshold = recip(alpha)
-    posthoc_power = float(sum(
-        pair.Q.prob(x) for x in p_star.outcomes
-        if float(lr[x]) >= float(threshold)))
+    cut = float(threshold)
+    posthoc_power = float(sum(fq for fq, v in zip(pair._q, lr) if v >= cut))
     return {
         "alpha": alpha,
         "classical_critical": classical_critical,

@@ -13,7 +13,9 @@ from itertools import chain
 from typing import Iterable
 
 from . import core
-from ._numbers import INF, Number, fmt_number, frac, is_inf, recip, sqrt_fraction
+from ._numbers import (
+    INF, Number, check_seed, fmt_number, frac, is_inf, recip, sqrt_fraction,
+)
 from ._record import Record
 from .core import PValueLaw
 
@@ -143,7 +145,9 @@ def distortion_report(p_law: PValueLaw, s: AlphaStrategy) -> DistortionReport:
 def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int):
     """Unbiased MC estimate of the expected size distortion, with its SE.
 
-    Deterministic for a fixed seed (counter-based Philox stream).  The
+    Deterministic for a fixed seed (counter-based Philox stream), which
+    must be an int in [0, 2**128): another type, a bool included, is a
+    ``TypeError`` and an int out of range a ``ValueError``.  The
     law's n draws come from :meth:`PValueLaw.sample_blocks`, and only the
     count of draws at or below each edge of the strategy's cells is kept:
     up to ``core.STDLIB_DRAWS`` draws are counted by bisecting their
@@ -157,6 +161,7 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
         raise TypeError(f"expected a PValueLaw, got {type(p_law).__name__}")
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_seed(seed)  # before any draw: numpy and int() would take 2.5 as 2
     # a draw scores 1.0/level in its cell (lo, min(hi, level)], else 0
     cells = []
     for lo, hi, lvl in s.pieces:

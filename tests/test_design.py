@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from posthoc import (
     INF,
     DiscreteSpace,
+    EvidenceVariable,
     SimplePair,
     UtilitySpec,
     bernoulli_pair,
@@ -24,7 +25,7 @@ from posthoc import (
     np_rejection_region,
     utility_optimal,
 )
-from posthoc._numbers import mul0
+from posthoc._numbers import exp_ext, log_ext, mul0, recip, within
 
 
 def pair_of(p_probs, q_probs):
@@ -432,3 +433,241 @@ class TestGaussianExample:
     def test_rejects_alpha_outside_the_grid(self, alpha, n_cells):
         with pytest.raises(ValueError, match=r"alpha \* n_cells >= 1"):
             gaussian_log_optimal_report(alpha=alpha, n_cells=n_cells)
+
+
+# ---------------------------------------------------------------------------
+# the per-call formulations: every call looks each cell's f_P and f_Q up
+# again.  SimplePair now derives its likelihood-ratio table once; these are
+# the oracles it must match, value for value and type for type.
+
+
+def ratio_per_call(pair, outcome):
+    """SimplePair.density_ratio as first written."""
+    fp, fq = pair.P.prob(outcome), pair.Q.prob(outcome)
+    if fp == 0 and fq == 0:
+        return 1
+    return mul0(fp, recip(fq)) if fq > 0 else INF
+
+
+def log_optimal_per_call(pair):
+    return EvidenceVariable(
+        {x: ratio_per_call(pair, x) for x in pair.P.outcomes}, "p")
+
+
+def power_optimal_per_call(pair, gamma):
+    g = float(gamma)
+    a = {x: -log_ext(ratio_per_call(pair, x)) / g for x in pair.P.outcomes}
+    b = [log_ext(fp) + a[x]
+         for x, fp in zip(pair.P.outcomes, pair.P.probs) if fp != 0]
+    top = max(b)
+    if top == -INF:
+        raise RuntimeError(
+            "no normalization constant: P and Q are mutually singular")
+    log_m = top + math.log(math.fsum(math.exp(v - top) for v in b))
+    values = {x: exp_ext(ax - log_m) for x, ax in a.items()}
+    return EvidenceVariable(values, "e"), exp_ext(g * log_m)
+
+
+def np_solution_per_call(pair, alpha_star):
+    """The O(n log n) three-branch rule as first written: ratios and
+    P-masses grouped and prefix-summed as they are, ``Fraction``s
+    included."""
+    ratios = {x: ratio_per_call(pair, x) for x in pair.P.outcomes}
+    mass = {}
+    for x, fp in zip(pair.P.outcomes, pair.P.probs):
+        r = ratios[x]
+        mass[r] = mass.get(r, 0) + fp
+    levels = sorted(set(ratios.values()), key=float)
+    c, below, running, i = levels[0], 0, 0, 0
+    while i < len(levels) and running <= alpha_star:
+        c, below = levels[i], running
+        group = float(c)
+        while i < len(levels) and float(levels[i]) == group:
+            c = levels[i]
+            running += mass[c]
+            i += 1
+    at = mass[c]
+    if below == alpha_star or at == 0:
+        k = INF
+    else:
+        k = mul0(alpha_star, at) / (F(alpha_star) - F(below))
+    values = {}
+    for x in pair.P.outcomes:
+        r = ratios[x]
+        if float(r) < float(c):
+            values[x] = alpha_star
+        elif r == c:
+            values[x] = k
+        else:
+            values[x] = INF
+    return EvidenceVariable(values, "p"), c
+
+
+def utility_optimal_per_call(pair, U):
+    if U.kind == "LOG":
+        return dual(log_optimal_per_call(pair)), 1
+    if U.kind == "NEYMAN_PEARSON":
+        p_star, c = np_solution_per_call(pair, U.param)
+        return dual(p_star), c
+    return power_optimal_per_call(pair, U.param)
+
+
+def double_posthoc_check_per_call(pair):
+    for x in pair.P.outcomes:
+        fp, fq = pair.P.prob(x), pair.Q.prob(x)
+        if (fp == 0) != (fq == 0):
+            raise ValueError(
+                f"absolute continuity fails at outcome {x!r}: "
+                f"f_P = {fp}, f_Q = {fq}")
+    forward = sum(fq for x, fq in zip(pair.Q.outcomes, pair.Q.probs)
+                  if pair.P.prob(x) > 0)
+    backward = sum(fp for x, fp in zip(pair.P.outcomes, pair.P.probs)
+                   if pair.Q.prob(x) > 0)
+    return within(forward) and within(backward)
+
+
+def gaussian_report_per_call(alpha, n_cells):
+    pair = gaussian_shift_pair(n_cells=n_cells)
+    p_star = log_optimal_per_call(pair)
+    lr = {x: recip(p_star[x]) for x in p_star.outcomes}
+    by_lr = sorted(p_star.outcomes, key=lambda x: -float(lr[x]))
+    k = int(alpha * n_cells)
+    region = by_lr[:k]
+    threshold = recip(alpha)
+    return {
+        "alpha": alpha,
+        "classical_critical": math.sqrt(
+            float(lr[by_lr[k - 1]]) * float(lr[by_lr[k]])),
+        "posthoc_threshold": float(threshold),
+        "classical_power": float(sum(pair.Q.prob(x) for x in region)),
+        "posthoc_power": float(sum(
+            pair.Q.prob(x) for x in p_star.outcomes
+            if float(lr[x]) >= float(threshold))),
+        "classical_size": k / n_cells,
+    }
+
+
+def result_of(f, *args):
+    """(kind, value): a result, typed where it is a number or an evidence
+    variable, or the error's type and message."""
+    try:
+        got = f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", typed_result(got)
+
+
+def typed_result(got):
+    if isinstance(got, tuple):
+        return tuple(typed_result(v) for v in got)
+    if isinstance(got, EvidenceVariable):
+        return got.scale, typed(got.values)
+    return type(got), got
+
+
+@st.composite
+def masses(draw, n):
+    """n probability masses of one kind: Fractions, ints (one cell holds
+    all), floats, or a mix of Fractions, floats and int zeros and ones.
+    Small weights make zero masses, tied ratios and 0/0 cells common."""
+    kind = draw(st.sampled_from(["fraction", "int", "float", "mixed"]))
+    if kind == "int":
+        one = draw(st.integers(0, n - 1))
+        return [int(i == one) for i in range(n)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                   .filter(any))
+    total = sum(weights)
+    if kind == "float":
+        return [w / total for w in weights]
+    exact = [F(w, total) for w in weights]
+    if kind == "fraction":
+        return exact
+    return [draw(st.sampled_from(
+        [m, float(m)] + ([int(m)] if m.denominator == 1 else [])))
+        for m in exact]
+
+
+@st.composite
+def simple_pairs(draw):
+    """A pair with P and Q listing the outcomes in their own orders."""
+    n = draw(st.integers(1, 7))
+    outcomes = [f"x{i}" for i in range(n)]
+    p, q = draw(masses(n)), draw(masses(n))
+    order = draw(st.permutations(range(n)))
+    return SimplePair(
+        P=DiscreteSpace(outcomes, p),
+        Q=DiscreteSpace([outcomes[i] for i in order], [q[i] for i in order]))
+
+
+np_levels = st.one_of(levels_in_unit, st.sampled_from([0.05, 0.5, 0.3]))
+
+
+class TestRatioTable:
+    """The table-reading design functions against the per-call oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(simple_pairs(), np_levels, st.sampled_from([2, F(1, 2), 0.7, 3]))
+    def test_design_matches_the_per_call_oracles(self, pair, alpha, gamma):
+        for x in pair.P.outcomes:
+            got, want = pair.density_ratio(x), ratio_per_call(pair, x)
+            assert (type(got), got) == (type(want), want)
+        cases = [(log_optimal, log_optimal_per_call, ()),
+                 (double_posthoc_check, double_posthoc_check_per_call, ()),
+                 (np_optimal, lambda pr, a: np_solution_per_call(pr, a)[0],
+                  (alpha,))]
+        for U in (UtilitySpec.log(), UtilitySpec.power(gamma),
+                  UtilitySpec.neyman_pearson(alpha)):
+            cases.append((utility_optimal, utility_optimal_per_call, (U,)))
+        for mine, oracle, args in cases:
+            assert result_of(mine, pair, *args) == result_of(oracle, pair, *args)
+
+    @pytest.mark.parametrize("n_cells", [401, 1201, 2001])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_gaussian_report_matches_the_per_call_oracle(self, alpha, n_cells):
+        got = gaussian_log_optimal_report(alpha, n_cells=n_cells)
+        want = gaussian_report_per_call(alpha, n_cells)
+        assert typed(got) == typed(want)
+
+    def test_null_cells_and_reordered_outcomes(self):
+        # 0/0 at "c", f_Q = 0 at "b", f_P = 0 at "d"; Q lists them reversed
+        pair = SimplePair(
+            P=DiscreteSpace("abcd", (F(1, 2), F(1, 2), 0, 0)),
+            Q=DiscreteSpace("dcba", (0.25, 0, 0, 0.75)))
+        assert [pair.density_ratio(x) for x in "abcd"] == \
+            [0.5 * (1 / 0.75), INF, 1, 0]
+        assert [type(pair.density_ratio(x)) for x in "abcd"] == \
+            [float, float, int, int]
+
+    @pytest.mark.parametrize("outcome", [7, "x", (0,), [0]])
+    def test_unknown_outcome_raises(self, outcome):
+        with pytest.raises(ValueError, match="unknown outcome"):
+            bernoulli_pair().density_ratio(outcome)
+
+    def test_table_is_no_field(self):
+        a, b = bernoulli_pair(), bernoulli_pair()
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"SimplePair(P={a.P!r}, Q={a.Q!r})"
+        with pytest.raises(AttributeError):
+            a._ratios = ()
+
+    def test_design_functions_make_no_prob_calls(self, monkeypatch):
+        """The table is derived once: no design function looks a mass up
+        per outcome on a built pair."""
+        pairs = [gaussian_shift_pair(401),
+                 SimplePair(P=DiscreteSpace("abc", (F(1, 4), F(1, 4), F(1, 2))),
+                            Q=DiscreteSpace("cab", (F(1, 6), F(1, 3), F(1, 2))))]
+        calls = []
+        prob = DiscreteSpace.prob
+        monkeypatch.setattr(DiscreteSpace, "prob",
+                            lambda self, x: calls.append(x) or prob(self, x))
+        for pair in pairs:
+            log_optimal(pair)
+            for U in (UtilitySpec.log(), UtilitySpec.power(2),
+                      UtilitySpec.neyman_pearson(F(1, 20))):
+                utility_optimal(pair, U)
+            np_optimal(pair, F(1, 20))
+            assert double_posthoc_check(pair)
+        gaussian_log_optimal_report(0.05, n_cells=401)
+        assert calls == []
+        pairs[1].P.prob("a")  # the counter counts
+        assert calls == ["a"]

@@ -367,6 +367,21 @@ class TestStdlibStream:
             monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(),
                                    10, seed)
 
+    @pytest.mark.parametrize("seed, error", [
+        (2.5, TypeError), (True, TypeError), ("3", TypeError), (None, TypeError),
+        (F(3), TypeError), (-1, ValueError), (2 ** 128, ValueError)])
+    @pytest.mark.parametrize("cutoff", [0, 10], ids=["numpy", "stdlib"])
+    def test_bad_seed_raises_before_any_draw(self, seed, error, cutoff):
+        # numpy's Philox and int() once took 2.5, True and '3' as keys 2, 1, 3
+        def no_draws(law, n, seed):
+            raise AssertionError("drew with a bad seed")
+
+        with mock.patch.object(core, "STDLIB_DRAWS", cutoff), \
+                mock.patch.object(PValueLaw, "sample_blocks", no_draws), \
+                pytest.raises(error, match="seed must be an integer|key must be"):
+            monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(),
+                                   10, seed)
+
     def test_the_cutoff_itself_draws_in_the_stdlib(self):
         law, s, n = valid_hacking_law(), decreasing_alpha_strategy(), core.STDLIB_DRAWS
         blocks = list(law.sample_blocks(n, 2026))

@@ -9,13 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from posthoc import (
     INF,
+    DiscreteSpace,
     PCurve,
     PValueLaw,
     TCurve,
     check_classical_validity,
     check_posthoc_validity,
 )
-from posthoc._numbers import TOL, common_denominator, is_inf, mul0, pow_ext, recip
+from posthoc._numbers import (
+    TOL, common_denominator, is_inf, is_unit_mass, mul0, pow_ext, recip,
+)
 from posthoc.pfunctions import (
     _close,
     _eval_terms,
@@ -81,7 +84,7 @@ class ReferenceLaw:
         if exact:
             if total != 1:
                 raise ValueError(f"masses must sum to 1, got {total}")
-        elif abs(total - 1) > TOL:
+        elif not (total <= 1 + TOL and 1 <= total + TOL):
             raise ValueError(f"masses must sum to 1, got {total}")
         self.atoms = tuple(sorted(atoms))
         self.pieces = tuple(sorted(pieces))
@@ -315,6 +318,27 @@ def test_invalid_laws_raise_the_oracle_message(atoms, pieces):
     got, want = outcome(PValueLaw, atoms, pieces), outcome(ReferenceLaw, atoms, pieces)
     assert got[0] == want[0] == "ValueError"
     assert got[1] == want[1]
+
+
+ULP = 2.0 ** -52
+
+
+@pytest.mark.parametrize("total", [
+    1 + 4503 * ULP, 1 + 4504 * ULP, 1 + 4505 * ULP,
+    1 - 9007 * ULP / 2, 1 - 9008 * ULP / 2, 1.0])
+@pytest.mark.parametrize("split", [False, True], ids=["atom", "atom+piece"])
+def test_laws_and_spaces_share_one_mass_sum_rule(total, split):
+    """A law's masses and a space's probabilities meet one rule,
+    ``is_unit_mass``; at 1 + 4504 ulps a law was once rejected by
+    |total - 1| > TOL where a space with the same total was accepted."""
+    if split:
+        law = outcome(PValueLaw, [(F(1, 2), 0.5)], [(0, F(1, 4), total - 0.5)])
+        space = outcome(DiscreteSpace, "ab", (0.5, total - 0.5))
+        total = 0.5 + (total - 0.5)
+    else:
+        law = outcome(PValueLaw, [(F(1, 2), total)])
+        space = outcome(DiscreteSpace, "a", (total,))
+    assert (law[0] == "ok") == (space[0] == "ok") == is_unit_mass(total)
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from posthoc._numbers import (
-    INF, at_most, exp_ext, is_inf, log_ext, mul0, pow_ext, power_mean, recip,
-    sqrt_fraction,
+    INF, TOL, at_most, checked_weights, exp_ext, is_finite, is_inf,
+    is_unit_mass, log_ext, mul0, pow_ext, power_mean, recip, sqrt_fraction,
+    within,
 )
 
 
@@ -142,6 +143,34 @@ def test_log_ext_matches_decimal(x):
         q = F(x)
         want = (Decimal(q.numerator) / Decimal(q.denominator)).ln()
     assert math.isclose(log_ext(x), float(want), rel_tol=1e-15)
+
+
+def log_ext_reference(x):
+    """log_ext as first written: through ``float(x)``."""
+    if x == 0:
+        return -INF
+    if is_inf(x):
+        return INF
+    if isinstance(x, float):
+        return math.log(x)
+    try:
+        f = float(x)
+    except OverflowError:
+        f = INF
+    if sys.float_info.min <= f < INF:
+        return math.log(f)
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+@given(st.one_of(
+    st.fractions(min_value=0, max_denominator=10 ** 6),
+    st.builds(F, st.integers(0, 10 ** 700), st.integers(1, 10 ** 700)),
+    st.integers(0, 10 ** 400),
+    st.floats(min_value=0),
+    st.sampled_from([0, 0.0, F(0), True, INF, 5e-324, F(1, 2 ** 1074)]),
+))
+def test_log_ext_matches_the_reference(x):
+    assert same(log_ext(x), log_ext_reference(x))
 
 
 def test_log_ext_and_exp_ext_at_the_ends():
@@ -302,3 +331,70 @@ def test_sqrt_fraction_of_squares_is_exact():
     for k in (1, 3, 2 ** 26 + 1, 10 ** 7):
         assert sqrt_fraction(F(k * k)) == k
         assert sqrt_fraction(F(k * k, 4)) == k / 2
+
+
+# ---------------------------------------------------------------------------
+# checked_weights: the sum on lattice ints against the plain sum
+
+
+def checked_weights_by_sum(values, what):
+    """checked_weights as first written: ``sum`` over the values."""
+    values = tuple(values)
+    for v in values:
+        if not is_finite(v):
+            raise ValueError(f"{what} must be finite, got {v}")
+        if v < 0:
+            raise ValueError(f"{what} must be nonnegative")
+    total = sum(values)
+    if not (within(total) and within(1, total)):
+        raise ValueError(f"{what} must sum to 1, got {total}")
+    return values
+
+
+TINY = F(1, 10 ** 30)
+ULP = 2.0 ** -52
+
+
+@pytest.mark.parametrize("values", [
+    (1,), (1, 0), (0, 0, 1), (0,), (), (1, 1), (2, -1),
+    (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2) + TINY), (F(1, 2), F(1, 2) - TINY),
+    (F(1, 2) + TINY, F(1, 2) - TINY), (F(3, 2), F(-1, 2)), (F(1), 0),
+    (0.5, 0.5), (0.1,) * 10, (1 + 4503 * ULP,), (1 + 4504 * ULP,),
+    (1 + 4505 * ULP,), (1 - 9007 * ULP / 2,), (1 - 9008 * ULP / 2,),
+    (0.5, 0.5 + 2e-12), (0.5, -0.5, 1.0),
+    (True,), (True, False), (True, True), (False,), (F(1, 2), True, -F(1, 2)),
+    (F(1, 2), 0.5), (F(1, 3), 0, 0.6666666666666666), (1, 0.0), (F(1, 2), 1),
+    (F(1, 2), INF), (math.nan, 1), (-1, INF), (F(1, 2), -0.0, F(1, 2)),
+])
+def test_checked_weights_matches_the_plain_sum(values):
+    got = outcome(checked_weights, values, "weights")
+    want = outcome(checked_weights_by_sum, values, "weights")
+    assert got[0] == want[0] and (same(got[1], want[1]) if got[0] == "ok"
+                                  else got[1] == want[1])
+
+
+weight_values = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=12),
+    st.integers(-1, 2),
+    st.floats(-1, 1.5),
+    st.booleans(),
+    st.sampled_from([F(1, 2), 0.5, F(1, 3), F(2, 3), TINY, INF, math.nan]),
+)
+
+
+@given(st.lists(weight_values, max_size=6))
+def test_checked_weights_matches_the_plain_sum_on_random_mixes(values):
+    got = outcome(checked_weights, values, "w")
+    want = outcome(checked_weights_by_sum, values, "w")
+    assert got[0] == want[0] and (same(got[1], want[1]) if got[0] == "ok"
+                                  else got[1] == want[1])
+
+
+def test_one_mass_sum_rule_at_the_tolerance():
+    # 1 + 4504 ulps prints as 1.000000000001: within(x) reads x <= 1 + TOL
+    # in float arithmetic, and 1 + TOL rounds up to it
+    assert 1 + TOL == 1 + 4504 * ULP
+    assert is_unit_mass(1 + 4504 * ULP) and not is_unit_mass(1 + 4505 * ULP)
+    assert is_unit_mass(1 - 9007 * ULP / 2) and not is_unit_mass(1 - 9008 * ULP / 2)
+    assert is_unit_mass(F(3, 3)) and not is_unit_mass(1 + TINY)
+    assert is_unit_mass(6, 6) and not is_unit_mass(7, 6)
