@@ -82,21 +82,33 @@ def is_unit_mass(total: Number, d: int = 1) -> bool:
     return within(total, d) and within(d, total)
 
 
-def checked_weights(values, what: str) -> tuple:
-    """``values`` as a tuple, checked as probability weights: each finite
-    and nonnegative, and the sum 1 by :func:`is_unit_mass`.  Exact values
-    are checked and summed on the ints of :func:`lattice_keys`, so no
-    ``Fraction`` is compared or added.  ``what`` names the values in the
-    messages, which show the sum as ``sum`` gives it."""
-    values = tuple(values)
+def checked_lattice(values: tuple, what: str) -> tuple:
+    """(d, keys) of :func:`lattice_keys`, after checking ``values`` as
+    probability weights: each finite and nonnegative, and the sum 1 by
+    :func:`is_unit_mass`.  Exact values are checked and summed on the
+    ints, so no ``Fraction`` is compared or added; float keys are
+    ``values`` itself.  ``what`` names the values in the messages, which
+    show the sum as ``sum`` gives it."""
     d, keys = lattice_keys(values)
-    for v, key in zip(values, keys):
-        if not is_finite(v):
-            raise ValueError(f"{what} must be finite, got {v}")
-        if key < 0:
+    if keys is not values:  # exact values, each finite
+        if min(keys, default=0) < 0:
             raise ValueError(f"{what} must be nonnegative")
+    else:
+        for v in values:
+            if not is_finite(v):
+                raise ValueError(f"{what} must be finite, got {v}")
+            if v < 0:
+                raise ValueError(f"{what} must be nonnegative")
     if not is_unit_mass(sum(keys), d):
         raise ValueError(f"{what} must sum to 1, got {sum(values)}")
+    return d, keys
+
+
+def checked_weights(values, what: str) -> tuple:
+    """``values`` as a tuple, checked as probability weights by
+    :func:`checked_lattice`."""
+    values = tuple(values)
+    checked_lattice(values, what)
     return values
 
 

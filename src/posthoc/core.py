@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ._numbers import (
     INF,
     Number,
-    checked_weights,
+    checked_lattice,
     common_denominator,
     fmt_number,
     is_inf,
@@ -63,8 +63,11 @@ class DiscreteSpace(Record):
     """Finite outcome set with one probability weight per outcome.
 
     Outcomes are indexed once at construction, so :meth:`prob` is an O(1)
-    dict lookup.  The index is not a field: equality, hashing and
-    :meth:`to_dict` see only ``outcomes`` and ``probs``.
+    dict lookup.  The weight check's ``(d, keys)`` of :func:`lattice_keys`
+    is kept as ``_lattice``, so the design functions sum and test masses
+    on its ints without deriving them again.  Neither is a field:
+    equality, hashing, ``repr`` and :meth:`to_dict` see only ``outcomes``
+    and ``probs``.
     """
 
     outcomes: tuple
@@ -78,10 +81,9 @@ class DiscreteSpace(Record):
         index = {x: i for i, x in enumerate(outcomes)}
         if len(index) != len(outcomes):
             raise ValueError("outcome ids must be unique")
-        checked_weights(probs, "probabilities")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_index", index)
+        lattice = checked_lattice(probs, "probabilities")
+        self.__dict__.update(outcomes=outcomes, probs=probs, _index=index,
+                             _lattice=lattice)
 
     def prob(self, outcome) -> Number:
         try:

@@ -12,12 +12,13 @@ Neyman-Pearson test.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from statistics import NormalDist
 
 from ._numbers import (
-    INF, Number, at_most, exp_ext, float_ext, is_inf, lattice_keys, log_ext,
-    mul0, recip, within,
+    INF, Number, at_most, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext,
+    recip,
 )
 from ._record import Record
 from .core import (
@@ -69,19 +70,19 @@ class UtilitySpec(Record):
         return cls(NEYMAN_PEARSON, alpha_star)
 
     def value(self, x: Number) -> float:
+        """U(x) for an e-value x in [0, inf].  An exact x past the float
+        range or below its normal range, and a float x whose power
+        overflows, are taken by :func:`log_ext` and :func:`pow_ext`, so
+        the result is a float or +-inf, never an error."""
         if self.kind == LOG:
-            if x == 0:
-                return -math.inf
-            if is_inf(x):
-                return math.inf
-            return math.log(float(x))
+            return log_ext(x)
         if self.kind == POWER:
             g = float(self.param)
             if x == 0:
                 return -math.inf if g > 1 else -1.0 / (1.0 - g)
             if is_inf(x):
                 return 1.0 / (g - 1.0) if g > 1 else math.inf
-            return (float(x) ** (1.0 - g) - 1.0) / (1.0 - g)
+            return (pow_ext(x, 1.0 - g) - 1.0) / (1.0 - g)
         cap = recip(self.param)
         return min(x, cap)
 
@@ -95,6 +96,12 @@ class SimplePair(Record):
     (``Q.probs`` itself when Q lists the outcomes in P's order).  The
     design functions read these tables instead of looking masses up per
     outcome; equality, hashing and ``repr`` see only P and Q.
+
+    A nonzero f_P over a nonzero float f_Q is taken as
+    ``f_P * (1.0 / f_Q)`` with a ``Fraction`` f_P converted on its int
+    pair: the float that ``mul0(f_P, recip(f_Q))`` gives through
+    ``Fraction.__mul__``, without its ABC dispatch.  Other types take
+    ``mul0``.
     """
 
     P: DiscreteSpace
@@ -104,10 +111,8 @@ class SimplePair(Record):
         shared_outcomes([P, Q], "P and Q must share an outcome set")
         q = (Q.probs if Q.outcomes == P.outcomes
              else tuple(map(Q.prob, P.outcomes)))
-        ratios = tuple([
-            (1 if fp == 0 else INF) if fq == 0 else mul0(fp, recip(fq))
-            for fp, fq in zip(P.probs, q)])
-        self.__dict__.update(P=P, Q=Q, _ratios=ratios, _q=q)
+        self.__dict__.update(P=P, Q=Q, _ratios=tuple(map(_ratio, P.probs, q)),
+                             _q=q)
 
     def density_ratio(self, outcome) -> Number:
         """f_P/f_Q from the pair's table; 0/0 is reported as 1 (the outcome
@@ -119,11 +124,30 @@ class SimplePair(Record):
             raise ValueError(f"unknown outcome {outcome!r}") from None
 
     def check_mutual_absolute_continuity(self):
-        for x, fp, fq in zip(self.P.outcomes, self.P.probs, self._q):
-            if (fp == 0) != (fq == 0):
+        # a lattice key of P is 0 exactly where its mass is
+        for x, key, fp, fq in zip(self.P.outcomes, self.P._lattice[1],
+                                  self.P.probs, self._q):
+            if (key == 0) != (fq == 0):
                 raise ValueError(
                     f"absolute continuity fails at outcome {x!r}: "
                     f"f_P = {fp}, f_Q = {fq}")
+
+
+def _ratio(fp: Number, fq: Number) -> Number:
+    """f_P/f_Q of one cell for :class:`SimplePair`; masses are finite, so a
+    nonzero float f_Q has a float reciprocal."""
+    if fq == 0:
+        return 1 if fp == 0 else INF
+    if type(fq) is float:
+        tp = type(fp)
+        if tp is Fraction:
+            # float(fp) as Fraction.__mul__ takes it: its int pair's division
+            n, d = fp.as_integer_ratio()
+            if n:
+                return (n / d) * (1.0 / fq)
+        elif (tp is int or tp is float) and fp:
+            return fp * (1.0 / fq)
+    return mul0(fp, recip(fq))
 
 
 def log_optimal(pair: SimplePair) -> EvidenceVariable:
@@ -164,6 +188,8 @@ def utility_optimal(pair: SimplePair, U: UtilitySpec):
     (``math.fsum``), lambda = exp(gamma ln m) and e*(x) = exp(a_x - ln m).
     Taking f_P into the exponent keeps P-masses below the float range.
     r_x = 0 gives e* = inf, and lambda or e* past the float range is inf.
+    The support and ln f_P are read off P's lattice ints: ln(key/d) is the
+    float :func:`log_ext` gives wherever key/d is a normal float.
     """
     if U.kind == LOG:
         return dual(log_optimal(pair)), 1
@@ -174,7 +200,13 @@ def utility_optimal(pair: SimplePair, U: UtilitySpec):
     g = float(U.param)
     a = [-log_ext(r) / g for r in pair._ratios]
     # ln(f_P r^(-1/gamma)) on the P-support
-    b = [log_ext(fp) + ax for fp, ax in zip(pair.P.probs, a) if fp != 0]
+    d, keys = pair.P._lattice
+    normal = sys.float_info.min  # a mass is at most 1: no upper bound
+    b = []
+    for key, fp, ax in zip(keys, pair.P.probs, a):
+        if key != 0:
+            f = key / d
+            b.append((math.log(f) if f >= normal else log_ext(fp)) + ax)
     top = max(b)
     if top == -INF:
         # f_Q = 0 on the whole P-support: e*_lambda = 0 there for every lambda
@@ -199,10 +231,10 @@ def np_optimal(pair: SimplePair, alpha_star: Number) -> EvidenceVariable:
     walked with a running prefix sum.  Levels equal as floats share one
     strictly-below mass, and the boundary branch takes the ratios exactly
     equal to c.  Exact (int and ``Fraction``) masses are grouped and summed
-    as the ints of :func:`lattice_keys`, numerators over one denominator d
-    compared with alpha* d, so ``below``, ``at`` and k are exact; float
-    masses are summed in level order, so their rounding can differ from an
-    outcome-order sum.
+    as the ints of P's lattice (``DiscreteSpace._lattice``), numerators
+    over one denominator d compared with alpha* d, so ``below``, ``at``
+    and k are exact; float masses are summed in level order, so their
+    rounding can differ from an outcome-order sum.
     """
     return _np_solution(pair, alpha_star)[0]
 
@@ -212,7 +244,7 @@ def _np_solution(pair: SimplePair, alpha_star: Number) -> tuple:
     if not (0 < alpha_star < 1):
         raise ValueError("alpha* must lie in (0, 1)")
     ratios = pair._ratios
-    d, keys = lattice_keys(pair.P.probs)
+    d, keys = pair.P._lattice
     bound = Fraction(alpha_star) * d  # alpha* in units of 1/d, exactly
     mass = {}
     for r, m in zip(ratios, keys):
@@ -319,15 +351,15 @@ def brute_force_optimal(pair: SimplePair, U: UtilitySpec,
 
 def double_posthoc_check(pair: SimplePair) -> bool:
     """The likelihood ratio is post-hoc valid in both directions:
-    E_P[f_Q/f_P] <= 1 and E_Q[f_P/f_Q] <= 1 (both exactly 1 for the LR),
-    each summed exactly on the ints of :func:`lattice_keys`."""
+    E_P[f_Q/f_P] <= 1 and E_Q[f_P/f_Q] <= 1 (both exactly 1 for the LR).
+
+    Only mutual absolute continuity is checked, and a failure raises
+    ``ValueError``.  Once the supports agree, E_P[f_Q/f_P] is Q's total
+    mass and E_Q[f_P/f_Q] is P's, and each ``DiscreteSpace`` already held
+    its total to :func:`~posthoc._numbers.is_unit_mass`; so nothing is
+    summed again and the result is True.
+    """
     pair.check_mutual_absolute_continuity()
-    # the supports agree now, so E_P[f_Q/f_P] is Q's mass on its own
-    # support and E_Q[f_P/f_Q] P's
-    for space in (pair.Q, pair.P):
-        d, keys = lattice_keys([m for m in space.probs if m != 0])
-        if not within(sum(keys), d):
-            return False
     return True
 
 
@@ -369,15 +401,23 @@ def gaussian_log_optimal_report(alpha: float = 0.05,
     """Classical-versus-post-hoc comparison on the unit-shift Gaussian pair.
 
     Classical: reject for the largest likelihood ratios subject to size
-    alpha; the reported critical value is the smallest LR in the rejection
-    region.  Post-hoc: reject at level alpha iff LR >= 1/alpha.
+    alpha; the cell boundary falls between two likelihood ratios, so the
+    reported critical value is the geometric mean of the smallest LR in
+    the rejection region and the largest LR outside it.  Post-hoc: reject
+    at level alpha iff LR >= 1/alpha.
+
+    The LR of a cell is 1/r for its float ratio r = f_P/f_Q (the
+    ``float(recip(r))`` of an exact ratio, as the two round differently
+    on a ``Fraction``).
     """
     if not (0 < alpha < 1 and alpha * n_cells >= 1):  # also true for nan
         raise ValueError("need 0 < alpha < 1 and alpha * n_cells >= 1, "
                          f"got alpha = {alpha}, n_cells = {n_cells}")
     pair = gaussian_shift_pair(n_cells=n_cells)
-    lr = [float(recip(r)) for r in pair._ratios]
-    by_lr = sorted(range(n_cells), key=lambda i: -lr[i])
+    lr = [1.0 / r if type(r) is float else float(recip(r))
+          for r in pair._ratios]
+    # stable under reverse, so ties keep the cell order
+    by_lr = sorted(range(n_cells), key=lr.__getitem__, reverse=True)
     k = int(alpha * n_cells)  # equiprobable cells: top-k region has size k/n
     # critical value at the cell boundary: geometric midpoint between the
     # smallest rejected and the largest accepted likelihood ratio

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -119,6 +120,49 @@ class TestUtilitySpec:
         assert UtilitySpec.power(2).value(0) == -math.inf
         assert UtilitySpec.power(F(1, 2)).value(0) == -2.0
         assert UtilitySpec.neyman_pearson(F(1, 4)).value(100) == 4
+
+    LN_BIG = 400 * math.log(10)  # ln 10^400 = 921.034...
+
+    @pytest.mark.parametrize("U, x, want", [
+        (UtilitySpec.log(), F(10**400), LN_BIG),
+        (UtilitySpec.log(), F(1, 10**400), -LN_BIG),
+        (UtilitySpec.power(2), F(10**400), 1.0),
+        (UtilitySpec.power(2), F(1, 10**400), -math.inf),
+        (UtilitySpec.power(2), 5e-324, -math.inf),
+        (UtilitySpec.power(2), 1e-310, -math.inf),
+        (UtilitySpec.power(F(1, 2)), F(10**400), 2 * math.exp(LN_BIG / 2)),
+    ], ids=["log-big", "log-tiny", "power2-big", "power2-tiny",
+            "power2-least-subnormal", "power2-subnormal", "power-half-big"])
+    def test_value_outside_the_float_range(self, U, x, want):
+        got = U.value(x)
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def value_by_float(U, x):
+        """UtilitySpec.value as first written: the float of x."""
+        if U.kind == "LOG":
+            return math.log(float(x))
+        g = float(U.param)
+        return (float(x) ** (1.0 - g) - 1.0) / (1.0 - g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(min_value=sys.float_info.min, max_value=1e300),
+                     st.integers(1, 10**300),
+                     st.fractions(min_value=F(1, 10**300), max_value=10**300)),
+           st.sampled_from([UtilitySpec.log(), UtilitySpec.power(2),
+                            UtilitySpec.power(F(1, 2)), UtilitySpec.power(0.7),
+                            UtilitySpec.power(3)]))
+    def test_value_in_range_is_unchanged(self, x, U):
+        """Bit-identical where the float of x gave a value; where its power
+        overflowed, the infinity on that side."""
+        try:
+            want = self.value_by_float(U, x)
+        except OverflowError:
+            assert math.isinf(U.value(x))
+        else:
+            got = U.value(x)
+            assert (type(got), got) == (float, want)
 
 
 class TestLogOptimal:
@@ -637,6 +681,35 @@ class TestRatioTable:
             [0.5 * (1 / 0.75), INF, 1, 0]
         assert [type(pair.density_ratio(x)) for x in "abcd"] == \
             [float, float, int, int]
+
+    @pytest.mark.parametrize("p, q", [
+        # subnormal f_Q: the reciprocal overflows to inf, or stays finite
+        ((F(1, 2), F(1, 2)), (5e-324, 1.0)),
+        ((F(1, 3), F(2, 3)), (1e-308, 1.0)),
+        # f_Q next to 1, on both sides
+        ((F(1, 3), F(2, 3)), (1 - 2**-53, 2**-53)),
+        ((F(1, 3), F(2, 3)), (1 + 2**-52, 0.0)),
+        # an f_P whose float underflows: 0.0, and 0.0 * inf = nan
+        ((F(1, 10**400), 1 - F(1, 10**400)), (0.5, 0.5)),
+        ((F(1, 10**400), 1 - F(1, 10**400)), (5e-324, 1.0)),
+        # int, float, mixed and bool f_P over float f_Q
+        ((1, 0), (0.75, 0.25)),
+        ((0.25, 0.75), (0.5, 0.5)),
+        ((F(1, 4), 0.75), (0.5, 0.5)),
+        ((True, False), (0.5, 0.5)),
+        # an exact Q against a float or exact P
+        ((0.5, 0.5), (F(1, 3), F(2, 3))),
+        ((F(1, 2), F(1, 2)), (F(1, 3), 0.6666666666666667)),
+    ], ids=["subnormal-overflow", "subnormal-finite", "near-one-below",
+            "near-one-above", "underflowing-p", "underflowing-p-nan",
+            "int-p", "float-p", "mixed-p", "bool-p", "exact-q-float-p",
+            "mixed-q"])
+    def test_ratio_kernel_edges_match_the_per_call_ratio(self, p, q):
+        pair = pair_of(p, q)
+        for x in pair.P.outcomes:
+            got, want = pair.density_ratio(x), ratio_per_call(pair, x)
+            # repr tells nan, -0.0 and each float apart
+            assert (type(got), repr(got)) == (type(want), repr(want))
 
     @pytest.mark.parametrize("outcome", [7, "x", (0,), [0]])
     def test_unknown_outcome_raises(self, outcome):

@@ -6,14 +6,17 @@ change that means to alter the output regenerates the copies with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and records the old and new values.
+and records the old and new values.  The same comparison runs without
+pytest, on the standard library alone, with
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which names each differing file and exits 1 if any differs.
 """
 import contextlib
 import io
 import sys
 from pathlib import Path
-
-import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -44,13 +47,32 @@ def _stdout(argv) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+def pytest_generate_tests(metafunc):
+    # parametrized by hook, so the module imports without pytest
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(COMMANDS))
+
+
 def test_stdout_matches_golden(name):
     want = (GOLDEN / f"{name}.stdout").read_text()
     assert _stdout(COMMANDS[name]) == want
 
 
+def check() -> int:
+    """0 when every stdout matches its golden file, else 1."""
+    differing = [name for name in sorted(COMMANDS)
+                 if _stdout(COMMANDS[name])
+                 != (GOLDEN / f"{name}.stdout").read_text()]
+    for name in differing:
+        sys.stderr.write(f"differs: {name}.stdout\n")
+    sys.stderr.write(f"{len(COMMANDS) - len(differing)} of {len(COMMANDS)} "
+                     "golden files match\n")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
         (GOLDEN / f"{name}.stdout").write_text(_stdout(argv))

@@ -19,6 +19,7 @@ from posthoc import (
     martingale_fixture,
     ville_equality_check,
 )
+from posthoc._numbers import fmt_number, lattice_keys
 
 
 # literal reprs of the dataclass versions of these classes
@@ -80,6 +81,25 @@ def test_private_attributes_are_not_fields():
     exact, other = PValueLaw(atoms=[(1, F(1))]), PValueLaw(atoms=[(1, 1)])
     assert exact._lattice is not None and other._lattice is None
     assert exact == other and hash(exact) == hash(other)
+
+
+@pytest.mark.parametrize("probs", [
+    (F(1, 8), F(3, 4), F(1, 8), 0), (0, 1), (0.25, 0.75), (F(1, 2), 0.5)],
+    ids=["fractions", "ints", "floats", "mixed"])
+def test_discrete_space_keeps_its_lattice_as_no_field(probs):
+    space = DiscreteSpace(range(len(probs)), probs)
+    d, keys = lattice_keys(space.probs)
+    assert space._lattice[0] == d and list(space._lattice[1]) == list(keys)
+    # float and mixed masses keep the masses themselves as keys
+    assert (space._lattice[1] is space.probs) == (keys is space.probs)
+    assert repr(space) == (f"DiscreteSpace(outcomes={space.outcomes!r}, "
+                           f"probs={space.probs!r})")
+    assert space.to_dict() == {"outcomes": list(space.outcomes),
+                               "probs": [fmt_number(p) for p in probs]}
+    # dyadic masses equal their floats: equal spaces, unequal lattices
+    other = DiscreteSpace(space.outcomes, [float(p) for p in probs])
+    assert space == other and hash(space) == hash(other)
+    assert other._lattice == (1, other.probs)
 
 
 @pytest.mark.parametrize("obj, field", [
