@@ -97,11 +97,10 @@ class SimplePair(Record):
     design functions read these tables instead of looking masses up per
     outcome; equality, hashing and ``repr`` see only P and Q.
 
-    A nonzero f_P over a nonzero float f_Q is taken as
-    ``f_P * (1.0 / f_Q)`` with a ``Fraction`` f_P converted on its int
-    pair: the float that ``mul0(f_P, recip(f_Q))`` gives through
-    ``Fraction.__mul__``, without its ABC dispatch.  Other types take
-    ``mul0``.
+    A nonzero ``Fraction`` f_P over a nonzero float f_Q is taken as
+    ``f_P * (1.0 / f_Q)`` with f_P converted on its int pair: the float
+    that ``mul0(f_P, recip(f_Q))`` gives through ``Fraction.__mul__``,
+    without its ABC dispatch.  Other types take ``mul0``.
     """
 
     P: DiscreteSpace
@@ -124,10 +123,8 @@ class SimplePair(Record):
             raise ValueError(f"unknown outcome {outcome!r}") from None
 
     def check_mutual_absolute_continuity(self):
-        # a lattice key of P is 0 exactly where its mass is
-        for x, key, fp, fq in zip(self.P.outcomes, self.P._lattice[1],
-                                  self.P.probs, self._q):
-            if (key == 0) != (fq == 0):
+        for x, fp, fq in zip(self.P.outcomes, self.P.probs, self._q):
+            if (fp == 0) != (fq == 0):
                 raise ValueError(
                     f"absolute continuity fails at outcome {x!r}: "
                     f"f_P = {fp}, f_Q = {fq}")
@@ -138,15 +135,11 @@ def _ratio(fp: Number, fq: Number) -> Number:
     nonzero float f_Q has a float reciprocal."""
     if fq == 0:
         return 1 if fp == 0 else INF
-    if type(fq) is float:
-        tp = type(fp)
-        if tp is Fraction:
-            # float(fp) as Fraction.__mul__ takes it: its int pair's division
-            n, d = fp.as_integer_ratio()
-            if n:
-                return (n / d) * (1.0 / fq)
-        elif (tp is int or tp is float) and fp:
-            return fp * (1.0 / fq)
+    if type(fq) is float and type(fp) is Fraction:
+        # float(fp) as Fraction.__mul__ takes it: its int pair's division
+        n, d = fp.as_integer_ratio()
+        if n:
+            return (n / d) * (1.0 / fq)
     return mul0(fp, recip(fq))
 
 
@@ -404,18 +397,14 @@ def gaussian_log_optimal_report(alpha: float = 0.05,
     alpha; the cell boundary falls between two likelihood ratios, so the
     reported critical value is the geometric mean of the smallest LR in
     the rejection region and the largest LR outside it.  Post-hoc: reject
-    at level alpha iff LR >= 1/alpha.
-
-    The LR of a cell is 1/r for its float ratio r = f_P/f_Q (the
-    ``float(recip(r))`` of an exact ratio, as the two round differently
-    on a ``Fraction``).
+    at level alpha iff LR >= 1/alpha.  The LR of a cell is 1/r for its
+    float ratio r = f_P/f_Q.
     """
     if not (0 < alpha < 1 and alpha * n_cells >= 1):  # also true for nan
         raise ValueError("need 0 < alpha < 1 and alpha * n_cells >= 1, "
                          f"got alpha = {alpha}, n_cells = {n_cells}")
     pair = gaussian_shift_pair(n_cells=n_cells)
-    lr = [1.0 / r if type(r) is float else float(recip(r))
-          for r in pair._ratios]
+    lr = [1.0 / r for r in pair._ratios]
     # stable under reverse, so ties keep the cell order
     by_lr = sorted(range(n_cells), key=lr.__getitem__, reverse=True)
     k = int(alpha * n_cells)  # equiprobable cells: top-k region has size k/n
