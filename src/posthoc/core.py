@@ -10,6 +10,7 @@ rejecting at a level chosen after seeing the data.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
@@ -20,10 +21,10 @@ from ._numbers import (
     INF,
     Number,
     checked_lattice,
-    common_denominator,
     fmt_number,
     is_inf,
     is_unit_mass,
+    lattice_keys,
     mul0,
     parse_number,
     recip,
@@ -229,6 +230,13 @@ SAMPLE_BLOCK = 1 << 16  # draws per block of PValueLaw.sample_blocks: 512 KB
 STDLIB_DRAWS = 1 << 14
 
 
+def _stdlib_draws(n: int) -> bool:
+    """Whether n draws (:meth:`PValueLaw.sample_blocks`) and their counts
+    (``monte_carlo_distortion``) skip numpy: up to ``STDLIB_DRAWS`` while
+    numpy is not loaded, as its path is the faster at any n once it is."""
+    return n <= STDLIB_DRAWS and "numpy" not in sys.modules
+
+
 class PValueLaw(Record):
     """Distribution of a p-value: point masses plus uniform-density intervals.
 
@@ -237,21 +245,16 @@ class PValueLaw(Record):
     uniform density on the half-open interval (a, b].  Both are stored
     sorted by location.
 
-    The constructor checks and sorts them once (:func:`_checked_sorted`),
-    on keys that compare as the values do: the ints x * D over the least
-    common denominator D (:func:`common_denominator`) when every location,
-    endpoint and mass is an int or a ``Fraction``, else the values
-    themselves.  When no mass is an int, so every one is a ``Fraction``, it
-    keeps the sorted ints as the private, non-field attribute ``_lattice``,
-    on which :meth:`expect_recip` and :func:`check_classical_validity`
-    sweep with int ratios and build one ``Fraction`` for the value they
-    return.  They keep a second, ``Fraction``/float formulation for other
-    laws (a float, an inf atom or an int mass): a comparison is the same on
-    keys and values, but a sum is not, as a float law summed on ints would
-    round differently and an int mass must give an int sum where the
-    lattice gives a ``Fraction``.  Both formulations give equal values of
-    equal type.  :meth:`cdf` runs on the values alone: exact masses give
-    the exact sum either way.
+    A law of ints and ``Fraction``s is checked and sorted on the ints
+    x * D over their least common denominator D (:func:`_exact_sorted`);
+    any other law, or one that fails a check, on its values
+    (:func:`_checked_sorted`), which names the failing check.  When every
+    mass is a ``Fraction`` the sorted ints are kept as the private,
+    non-field ``_lattice``, on which :meth:`expect_recip` and
+    :func:`check_classical_validity` sweep with int ratios.  Other laws keep
+    a ``Fraction``/float formulation, as a float law summed on ints would
+    round differently and an int mass must give an int sum; both give
+    equal values of equal type.
     """
 
     atoms: tuple
@@ -260,15 +263,11 @@ class PValueLaw(Record):
     def __init__(self, atoms: Iterable = (), pieces: Iterable = ()):
         atoms = tuple([(loc, m) for loc, m in atoms])
         pieces = tuple([(a, b, m) for a, b, m in pieces])
-        values = list(chain(*atoms, *pieces))
-        common = common_denominator(values)
-        atoms, pieces, lattice = _checked_sorted(atoms, pieces, *(common or (1, values)))
-        # an int mass can make a sum an int, so only Fraction masses keep
-        # the lattice (on a common denominator a mass is an int or a Fraction)
-        k = 2 * len(atoms)
-        if common is None or (int in map(type, values[1:k:2])
-                              or int in map(type, values[k + 2::3])):
-            lattice = None
+        checked = _exact_sorted(atoms, pieces)
+        if checked is None:
+            atoms, pieces, lattice = *_checked_sorted(atoms, pieces), None
+        else:
+            atoms, pieces, lattice = checked
         self.__dict__.update(atoms=atoms, pieces=pieces, _lattice=lattice)
 
     # -- exact integration ------------------------------------------------
@@ -312,15 +311,17 @@ class PValueLaw(Record):
         if self._lattice is not None:
             d, atoms, pieces = self._lattice
             # sum of m / loc = (m * d) / (loc * d) over the lcm of the locs
-            num, den, seen = 0, 1, False
-            for loc, m in atoms:
+            num, den = 0, 1
+            for loc, m, _ in atoms:
                 if m:
                     g = math.gcd(den, loc)
                     num = num * (loc // g) + m * (den // g)
                     den = den // g * loc
-                    seen = True
-            total = Fraction(num, den) if seen else 0
-            for a, b, m in pieces:
+            # a piece of positive mass adds a float, and a Fraction plus a
+            # float is the float of the Fraction's int pair plus that float
+            total = 0 if not num else (
+                num / den if any(p[2] for p in pieces) else Fraction(num, den))
+            for a, b, m, _ in pieces:
                 if m == 0:
                     continue
                 if a == 0:
@@ -379,13 +380,13 @@ class PValueLaw(Record):
         n uniforms of ``rng`` pick the components as ``rng.choice`` does
         and the next n place the draws within them, as ``width * u +
         base``.  Both come from one stream, words 0 .. n-1 and n .. 2n-1.
-        Up to ``STDLIB_DRAWS`` draws are computed without numpy, by the
-        stdlib kernel :func:`posthoc._philox.philox_doubles`, and come as
-        lists of floats.  More come from numpy's Philox as views of one
-        reused buffer, valid until the next block is drawn, so memory does
-        not grow with n.  Both paths read this one stream and pick with
-        one cdf, :func:`posthoc._philox.choice_cdf`, so they give equal
-        draws.
+        Up to ``STDLIB_DRAWS`` draws while numpy is not loaded
+        (:func:`_stdlib_draws`) come from the stdlib kernel
+        :func:`posthoc._philox.philox_doubles`, as lists of floats.  The
+        rest come from numpy's Philox as views of one reused buffer, valid
+        until the next block is drawn, so memory does not grow with n.
+        Both paths read this one stream and pick with one cdf
+        (:func:`posthoc._philox.choice_cdf`), so they give equal draws.
         """
         from ._philox import choice_cdf, philox_doubles
 
@@ -397,7 +398,7 @@ class PValueLaw(Record):
         masses, base, width = (list(col) for col in zip(*comps))
         cdf = choice_cdf(masses)
         size = SAMPLE_BLOCK
-        if n <= STDLIB_DRAWS:
+        if _stdlib_draws(n):
             for start in range(0, n, size):
                 count = min(size, n - start)
                 # one component needs no uniform to pick it
@@ -447,66 +448,85 @@ class PValueLaw(Record):
         return cls(atoms, pieces)
 
 
-def _checked_sorted(atoms: tuple, pieces: tuple, d: int, keys: list) -> tuple:
-    """Check a law's atoms and pieces and return them sorted, with their
-    keys sorted alike as (d, [(loc, m)], [(a, b, m)]).
+def _exact_sorted(atoms: tuple, pieces: tuple) -> tuple | None:
+    """(atoms, pieces, lattice), sorted, of a law whose values are all
+    ints or ``Fraction``s and pass every check of :func:`_checked_sorted`;
+    None for any other law.  One pass takes the values' int pairs, and the
+    checks and the sort run on the ints x * d over their lcm d.  The
+    lattice is (d, [(loc, m, atom)], [(a, b, m, piece)]), each row of ints
+    with the values it came from, or None when some mass is an int."""
+    pairs = []
+    for x in chain(*atoms, *pieces):
+        if type(x) is not Fraction and type(x) is not int:
+            return None  # a float, inf, bool or subclass
+        pairs.append(x.as_integer_ratio())
+    d = math.lcm(*[q for _, q in pairs])
+    keys = iter([n * (d // q) for n, q in pairs])
+    by_loc = sorted([(next(keys), next(keys), atom) for atom in atoms])
+    spans = pieces and sorted([(next(keys), next(keys), next(keys), piece)
+                               for piece in pieces])
+    total = last = 0
+    for loc, m, _ in by_loc:
+        if not last < loc or m < 0:  # positive and distinct locations
+            return None
+        total, last = total + m, loc
+    last = 0
+    for a, b, m, _ in spans:
+        if not last <= a < b or m < 0:  # from 0 on, after the last piece
+            return None
+        total, last = total + m, b
+    if total != d:
+        return None
+    int_mass = int in [type(t[-1]) for t in chain(atoms, pieces)]
+    return (tuple([t[2] for t in by_loc]), tuple([s[3] for s in spans]),
+            None if int_mass else (d, by_loc, spans))
 
-    ``keys`` are the values of ``chain(*atoms, *pieces)`` as ints x * d on
-    one common denominator d, or the values themselves with d = 1: every
-    check and the sort only compare and add them, so both run the same
-    code and raise the same messages.  The sign checks are written so that
-    nan fails them.
-    """
-    k = 2 * len(atoms)
-    locs, masses = keys[0:k:2], keys[1:k:2]
+
+def _checked_sorted(atoms: tuple, pieces: tuple) -> tuple:
+    """(atoms, pieces) of a law checked on its values and sorted, or
+    ``ValueError`` naming the first failing check; nan fails the signs."""
+    locs = [loc for loc, _ in atoms]
     if len(set(locs)) != len(locs):
         raise ValueError("atom locations must be distinct")
-    for loc, m in zip(locs, masses):
+    for loc, m in atoms:
         if not loc > 0:
             raise ValueError("atom locations must be positive")
         if not m >= 0:
             raise ValueError("atom masses must be nonnegative")
-    spans = []
-    if pieces:
-        spans = list(zip(keys[k::3], keys[k + 1::3], keys[k + 2::3], pieces))
-        for ka, kb, km, (a, b, _) in spans:
-            # a float and an exact endpoint can differ by less than an ulp:
-            # then b - a is 0.0 and the uniform density on (a, b] is undefined
-            if not (0 <= ka < kb) or kb - ka == 0:
-                raise ValueError(f"bad piece interval ({a}, {b}]")
-            if is_inf(kb):
-                raise ValueError("pieces must be bounded")
-            if not km >= 0:
-                raise ValueError("piece masses must be nonnegative")
-        spans.sort()
-        for s1, s2 in zip(spans, spans[1:]):
-            if s2[0] < s1[1]:
-                raise ValueError("piece intervals must be disjoint")
-    if not is_unit_mass(sum(masses) + sum(keys[k + 2::3]), d):
+    for a, b, m in pieces:
+        # a float and an exact endpoint can differ by less than an ulp:
+        # then b - a is 0.0 and the uniform density on (a, b] is undefined
+        if not (0 <= a < b) or b - a == 0:
+            raise ValueError(f"bad piece interval ({a}, {b}]")
+        if is_inf(b):
+            raise ValueError("pieces must be bounded")
+        if not m >= 0:
+            raise ValueError("piece masses must be nonnegative")
+    spans = sorted(pieces)
+    for (_, b1, _), (a2, _, _) in zip(spans, spans[1:]):
+        if a2 < b1:
+            raise ValueError("piece intervals must be disjoint")
+    # exact masses are summed on their lattice ints, floats as they are
+    d, keys = lattice_keys([m for _, m in atoms] + [m for _, _, m in pieces])
+    if not is_unit_mass(sum(keys[:len(atoms)]) + sum(keys[len(atoms):]), d):
         total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
         raise ValueError(f"masses must sum to 1, got {total}")
     # locations are distinct, so the sort never compares past the first key
-    by_loc = sorted(zip(locs, masses, atoms))
-    return (tuple([t[2] for t in by_loc]), tuple([s[3] for s in spans]),
-            (d, [t[:2] for t in by_loc], [s[:3] for s in spans]))
+    return tuple(sorted(atoms)), tuple(spans)
 
 
-def _lattice_piece_cdf(pieces: list, total: int, top: int, scale: int) -> tuple:
-    """(num, q, added): total plus the mass of a lattice's pieces at or
-    below alpha = top / (scale * d), as the ratio num / q in units of 1/d,
-    and whether some piece added mass."""
-    num, q, added = total, 1, False
-    for a, b, m in pieces:
-        if top >= b * scale:
+def _lattice_piece_cdf(pieces: list, total: int, top: int) -> tuple:
+    """(num, q): total plus the mass of a lattice's pieces at or below
+    alpha = top / d, as the ratio num / q in units of 1/d."""
+    num, q = total, 1
+    for a, b, m, _ in pieces:
+        if top >= b:
             num += m * q
-            added = True
-        elif top > a * scale:
+        elif top > a:
             # m (alpha - a) / (b - a) in units of 1/d
-            w = scale * (b - a)
-            num = num * w + m * (top - a * scale) * q
-            q *= w
-            added = True
-    return num, q, added
+            num = num * (b - a) + m * (top - a) * q
+            q *= b - a
+    return num, q
 
 
 def _finite_index(cdf: list, u: np.ndarray) -> np.ndarray:
@@ -564,8 +584,12 @@ class ValidityReport(Record):
 
     def __init__(self, valid: bool, statistic: Number, witness: Any = None,
                  kind: str = "", detail: str = ""):
-        self.__dict__.update(valid=valid, statistic=statistic, witness=witness,
-                             kind=kind, detail=detail)
+        # set one by one, the fields stay inline: no __dict__ to collect
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -580,9 +604,7 @@ def check_classical_validity(p_law: PValueLaw) -> ValidityReport:
     search runs over a < 1 plus the left-limit at 1.  One sweep visits the
     candidates in increasing order with a running sum of the atom masses at
     or below them, which :meth:`PValueLaw.cdf` would add up the same way.
-    On a law with a lattice (see :class:`PValueLaw`) the sweep runs on its
-    ints, compares ratios by cross-multiplication, and builds ``Fraction``s
-    only for the statistic and the witness.
+    On a law with a lattice it runs on the ints (:func:`_lattice_classical_sup`).
     """
     if p_law._lattice is not None:
         best, witness = _lattice_classical_sup(*p_law._lattice)
@@ -603,48 +625,55 @@ def check_classical_validity(p_law: PValueLaw) -> ValidityReport:
         limit_ratio = p_law.cdf(1) - atom_at_one
         if limit_ratio > best:
             best, witness = limit_ratio, 1
-    return ValidityReport(
-        valid=within(best),
-        statistic=best,
-        witness=witness,
-        kind="classical",
-        detail="sup over alpha of P(p <= alpha)/alpha",
-    )
+    return ValidityReport(within(best), best, witness, "classical",
+                          "sup over alpha of P(p <= alpha)/alpha")
 
 
 def _lattice_classical_sup(d: int, atoms: list, pieces: list) -> tuple:
     """(statistic, witness) of the classical sweep on a law's lattice.
 
-    With every mass a ``Fraction``, each ratio P(p <= a)/a at a breakpoint
-    a < 1 is a ``Fraction``, and so is the left limit at 1 when it beats a
-    positive best: the statistic stays the int 0 only when nothing beats 0.
+    The statistic is a ``Fraction``, or the int 0 when nothing beats 0; the
+    witness is a breakpoint's own value a < 1, a ``Fraction``, or 1 for the
+    left limit.  Without pieces the breakpoints are the sorted atoms, and
+    P(p <= a) is a running sum of their masses.
     """
-    cands = {loc for loc, m in atoms if m > 0}
-    for a, b, m in pieces:
-        if m > 0:
-            cands.add(b)
-            if a > 0:
-                cands.add(a)
     best_num, best_den, witness = 0, 1, None
-    i, below = 0, 0
-    for c in sorted(cands):
-        if c >= d:
-            break
-        while i < len(atoms) and atoms[i][0] <= c:
-            below += atoms[i][1]
-            i += 1
-        # P(p <= a) / a = (num / q / d) / (c / d) = num / (q c)
-        num, q, _ = _lattice_piece_cdf(pieces, below, c, 1)
-        if num * best_den > best_num * q * c:
-            best_num, best_den, witness = num, q * c, c
-    # left-limit at 1: the atoms below 1 and the pieces' mass up to 1
-    below = sum(m for loc, m in atoms if loc < d)
-    num, q, _ = _lattice_piece_cdf(pieces, below, d, 1)
+    if not pieces:
+        num, q = 0, 1
+        for loc, m, atom in atoms:
+            if loc >= d:
+                break
+            num += m
+            if m and num * best_den > best_num * loc:
+                best_num, best_den, witness = num, loc, atom[0]
+    else:
+        # each breakpoint's key and value
+        cands = {loc: atom[0] for loc, m, atom in atoms if m > 0}
+        for a, b, m, piece in pieces:
+            if m > 0:
+                cands[b] = piece[1]
+                if a > 0:
+                    cands[a] = piece[0]
+        i, below = 0, 0
+        for c in sorted(cands):
+            if c >= d:
+                break
+            while i < len(atoms) and atoms[i][0] <= c:
+                below += atoms[i][1]
+                i += 1
+            # P(p <= a) / a = (num / q / d) / (c / d) = num / (q c)
+            num, q = _lattice_piece_cdf(pieces, below, c)
+            if num * best_den > best_num * q * c:
+                best_num, best_den, witness = num, q * c, cands[c]
+        # the atoms below 1 and the pieces' mass up to 1
+        below = sum(m for loc, m, _ in atoms if loc < d)
+        num, q = _lattice_piece_cdf(pieces, below, d)
+    # left-limit at 1: the cdf just below 1 excludes an atom sitting at 1
     if num * best_den > best_num * q * d:
         return Fraction(num, q * d), 1
     if witness is None:
         return 0, None
-    return Fraction(best_num, best_den), Fraction(witness, d)
+    return Fraction(best_num, best_den), witness
 
 
 def check_posthoc_validity(obj, H: Hypothesis | None = None) -> ValidityReport:
@@ -661,8 +690,7 @@ def check_posthoc_validity(obj, H: Hypothesis | None = None) -> ValidityReport:
         e = obj.as_scale(E_SCALE)
         stat, worst = H.sup_expectation(lambda x: e[x])
         detail = "sup over members of E[e]"
-    return ValidityReport(valid=within(stat), statistic=stat, witness=worst,
-                          kind="posthoc", detail=detail)
+    return ValidityReport(within(stat), stat, worst, "posthoc", detail)
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,9 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     law's n draws come from :meth:`PValueLaw.sample_blocks`, and only the
     count of draws at or below each edge of the strategy's cells is kept:
     up to ``core.STDLIB_DRAWS`` draws are counted by bisecting their
-    sorted list, without importing numpy, and more are counted block by
-    block with numpy, in O(block) memory.  Both paths draw one stream, so
+    sorted list, without importing numpy unless it is loaded
+    (``core._stdlib_draws``), and more are counted block by block with
+    numpy, in O(block) memory.  Both paths draw one stream, so
     they give the same counts.  The estimate is the exact mean of the
     per-draw values 1.0/level and the SE the correctly rounded root of
     the exact sample variance over n, both computed from those counts.
@@ -169,7 +170,7 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
         if top > lo:
             cells.append((lo, top, Fraction(1.0 / float(lvl))))
     at_most = dict.fromkeys({0.0, INF}.union(*(c[:2] for c in cells)), 0)
-    if n <= core.STDLIB_DRAWS:
+    if core._stdlib_draws(n):
         draws = sorted(chain.from_iterable(p_law.sample_blocks(n, seed)))
         for x in at_most:
             at_most[x] = bisect_right(draws, x)

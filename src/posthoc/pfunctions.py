@@ -26,7 +26,6 @@ from ._numbers import (
     TOL,
     Number,
     at_most,
-    common_denominator,
     is_inf,
     mul0,
     pow_ext,
@@ -54,11 +53,9 @@ class PCurve(Record):
     """One outcome's p-function on (0, 1]: nondecreasing, and
     left-continuous on each piece (u_lo, u_hi].
 
-    The constructor sorts the pieces and checks them once, on keys that
-    compare as the values do: when every piece is flat (g = 0) with int or
-    ``Fraction`` breakpoints and coefficients, the ints of
-    :func:`_flat_pkeys`; otherwise the breakpoints themselves and p at the
-    ends of each piece.  The keys are not kept.
+    The constructor sorts the pieces by breakpoint and checks that p, at
+    the ends of each piece, never falls (within :func:`_close`); a power
+    piece must also have a float inverse (:func:`_inverse_piece`).
     """
 
     segments: tuple  # ((u_hi, terms), ...); terms = ((a, g), ...)
@@ -77,29 +74,25 @@ class PCurve(Record):
             segs.append((u_hi, terms))
         if not segs:
             raise ValueError("p-curve needs at least one segment")
-        d, ukeys, pkeys = _flat_pkeys(segs) or (1, [u_hi for u_hi, _ in segs], None)
-        order = sorted(range(len(segs)), key=ukeys.__getitem__)
-        if ukeys[order[-1]] != d:
+        segs.sort(key=lambda s: s[0])
+        if segs[-1][0] != 1:
             raise ValueError("segments must cover (0, 1]")
         u_lo = 0
-        for i in order:
-            if not ukeys[i] > u_lo:  # also true for nan
+        for u_hi, _ in segs:
+            if not u_hi > u_lo:  # also true for nan
                 raise ValueError("segment breakpoints must strictly increase")
-            u_lo = ukeys[i]
+            u_lo = u_hi
         prev_end = None
         u_lo = 0
-        for i in order:
-            u_hi, terms = segs[i]
-            if pkeys is not None:  # a flat piece has one value
-                start = end = pkeys[i]
-            else:
-                start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
-                end = _eval_terms(terms, u_hi)
+        for u_hi, terms in segs:
+            start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
+            end = _eval_terms(terms, u_hi)
             if prev_end is not None and start < prev_end and not _close(start, prev_end):
                 raise ValueError("p-curve must be nondecreasing in u")
+            if len(terms) == 1 and terms[0][1] != 0:  # a power piece
+                _inverse_piece(recip(terms[0][0]), terms[0][1], u_lo, u_hi)
             prev_end = end
             u_lo = u_hi
-        segs = [segs[i] for i in order]
         object.__setattr__(self, "segments", tuple(segs))
 
     # -- constructors ------------------------------------------------------
@@ -185,52 +178,6 @@ def _close(a: Number, b: Number) -> bool:
     return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(b)))
 
 
-def _flat_pkeys(segs: list) -> tuple | None:
-    """(D, [u_hi * D], [-s * D]) over one common denominator D of the
-    breakpoints and coefficients, with s the sum of a piece's coefficients
-    (the key inf for no terms); None unless every piece is flat (every g an
-    exact 0) with exact u_hi and coefficients.
-
-    A flat piece has p = 1 / s at both ends, so p rises exactly where -s
-    does; exact values get no tolerance, as in :func:`_close`.
-    """
-    vals = []
-    for u_hi, terms in segs:
-        vals.append(u_hi)
-        for a, g in terms:
-            if type(g) not in EXACT_TYPES or g:
-                return None
-            vals.append(a)
-    common = common_denominator(vals)
-    if common is None:
-        return None
-    d, keys = common
-    ukeys, pkeys, k = [], [], 0
-    for _, terms in segs:
-        n = len(terms)
-        ukeys.append(keys[k])
-        pkeys.append(-sum(keys[k + 1:k + 1 + n]) if n else INF)
-        k += 1 + n
-    return d, ukeys, pkeys
-
-
-def _flat_tkeys(segs) -> tuple | None:
-    """(D, [alpha_lo * D], [c * D]) over one common denominator D of the
-    breakpoints and levels; None unless every piece is flat (every m an
-    exact 0) with exact alpha_lo and levels.  A flat piece's value is its
-    level c at both ends."""
-    vals = []
-    for alo, c, m in segs:
-        if type(m) not in EXACT_TYPES or m:
-            return None
-        vals += (alo, c)
-    common = common_denominator(vals)
-    if common is None:
-        return None
-    d, keys = common
-    return d, keys[::2], keys[1::2]
-
-
 def _eval_terms(terms, u: Number) -> Number:
     """p(u) = 1 / sum a * u^(-g); the sum starts at its first term, as
     0 + Fraction takes Fraction's slow reflected addition."""
@@ -276,39 +223,35 @@ class TCurve(Record):
 
     Segments are (alpha_lo, coef, power): value coef * alpha^power on
     [alpha_lo, next alpha_lo), with value 0 before the first breakpoint and
-    the final segment extending to infinity.  The constructor sorts and
-    checks the pieces once, on keys that compare as the values do: the ints
-    of :func:`_flat_tkeys` when every piece is flat (m = 0) with exact
-    breakpoints and levels, otherwise the values themselves; the keys are
-    not kept.  ``fdr_average`` passes sorted segments with distinct
-    breakpoints, which the sort keeps.
+    the final segment extending to infinity.  The constructor sorts them
+    and checks that the value never falls and stays in [0, 1] (within
+    :func:`_close`) and that a power piece has a float inverse
+    (:func:`_inverse_piece`).
     """
 
     segments: tuple
 
     def __init__(self, segments: Iterable):
-        segs = [(alo, c, m) for alo, c, m in segments]
-        d, akeys, ckeys = _flat_tkeys(segs) or (1, [s[0] for s in segs],
-                                                [s[1] for s in segs])
-        order = sorted(range(len(segs)), key=akeys.__getitem__)
-        segs = [segs[i] for i in order]
+        segs = sorted([(alo, c, m) for alo, c, m in segments], key=lambda s: s[0])
         prev_end = 0
-        for j, (i, (alo, c, m)) in enumerate(zip(order, segs)):
+        for j, (alo, c, m) in enumerate(segs):
             # written so that nan fails the sign checks
-            if not akeys[i] >= 0:
+            if not alo >= 0:
                 raise ValueError("alpha breakpoints must be nonnegative")
-            if not (ckeys[i] >= 0 and m >= 0):
+            if not (c >= 0 and m >= 0):
                 raise ValueError("segment value must be nondecreasing in alpha")
             if m == 0:  # flat piece: no powers to take
-                start = end = ckeys[i]
+                start = end = c
             else:
                 a_hi = segs[j + 1][0] if j + 1 < len(segs) else INF
                 start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
                 end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
             if start < prev_end and not _close(start, prev_end):
                 raise ValueError("test function must be nondecreasing in alpha")
-            if end > d and not _close(end, d):
+            if end > 1 and not _close(end, 1):
                 raise ValueError("test function values must stay within [0, 1]")
+            if m != 0 and c > 0:  # the power piece that the transform inverts
+                _inverse_piece(c, m, alo, a_hi)
             prev_end = end
         object.__setattr__(self, "segments", tuple(segs))
 
@@ -400,13 +343,32 @@ def _single_term(terms):
     return terms[0]
 
 
-def _built(cls, segments):
+def _inverse_piece(c: Number, g: Number, u_lo: Number, u_hi: Number) -> tuple:
+    """(v_lo, v_hi, coef, power): v = c u^g at the ends of a power piece,
+    and its inverse (v / c)^(1/g) as coef * v^power.  In floats the inverse
+    scales the rounding of v by 1/g, and coef can pass the float range:
+    ``ValueError`` unless it gives both ends back within :func:`_close`,
+    as a test function (coef * v^power) and as a p-curve evaluates it."""
+    v_lo = mul0(c, pow_ext(u_lo, g)) if u_lo > 0 else 0
+    v_hi = mul0(c, pow_ext(u_hi, g))
+    coef, power = pow_ext(recip(c), recip(g)), recip(g)
+    for v, u in ((v_lo, u_lo), (v_hi, u_hi)):
+        if u > 0 and not (_close(mul0(coef, pow_ext(v, power)), u)
+                          and _close(_eval_terms(((recip(coef), power),), v), u)):
+            raise ValueError("a power piece has no inverse within float rounding")
+    return v_lo, v_hi, coef, power
+
+
+def _built(cls, segments, inverse=None):
     """A ``PCurve`` or ``TCurve`` on a transform's segments without the
     constructor's re-check, which cannot fail on a flat output: the input
     passed it, the loop keeps breakpoints strictly increasing, and the
-    levels are the input's own breakpoints or levels."""
+    levels are the input's own.  ``inverse``, if any, is kept as the
+    private, non-field ``_inverse`` (:func:`_pcurve_to_tcurve`)."""
     curve = object.__new__(cls)
     object.__setattr__(curve, "segments", tuple(segments))
+    if inverse is not None:
+        object.__setattr__(curve, "_inverse", inverse)
     return curve
 
 
@@ -417,30 +379,36 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
     fall, save by a float dip within tolerance.  A new segment holds from
     its breakpoint on: it replaces each earlier one whose breakpoint is at
     least its own (:func:`at_most`).  A flat curve's output is
-    :func:`_built`; a power piece keeps the check, which a rounded float
-    power can fail."""
+    :func:`_built`; a power piece keeps the check.  When every piece is
+    (u_hi, ((a, 0),)) with a ``Fraction`` a and no segment is replaced,
+    the transform back gives exactly ``pc``, as 1/(1/a) == a: the output
+    keeps it as its ``_inverse``, so the round trip builds no new curve."""
     out = []
     u_lo = 0
     unchecked = True
+    inverse = pc
     for u_hi, terms in pc.segments:
         if not terms:
+            inverse = None
             break  # p = inf: the test never climbs past u_lo
         a, g = _single_term(terms)
         c = recip(a)  # p(u) = c * u^g
         v_hi = c  # p(u_hi), where the test reaches u_hi
+        if type(a) is not Fraction or type(g) is not int:
+            inverse = None  # 1/(1/a) may differ from a in value or type
         if g != 0:
             # inverted piece on [v_lo, v_hi), then flat at u_hi from v_hi
             unchecked = False
-            v_lo = mul0(c, pow_ext(u_lo, g)) if u_lo > 0 else 0
+            v_lo, v_hi, coef, power = _inverse_piece(c, g, u_lo, u_hi)
             while out and at_most(v_lo, out[-1][0]):
                 out.pop()
-            out.append((v_lo, pow_ext(recip(c), recip(g)), recip(g)))
-            v_hi = mul0(c, pow_ext(u_hi, g))
+            out.append((v_lo, coef, power))
         while out and at_most(v_hi, out[-1][0]):
             out.pop()
+            inverse = None
         out.append((v_hi, u_hi, 0))
         u_lo = u_hi
-    return _built(TCurve, out) if unchecked else TCurve(out)
+    return _built(TCurve, out, inverse) if unchecked else TCurve(out)
 
 
 def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
@@ -448,9 +416,12 @@ def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
 
     Each level above the last one (:func:`at_most`) adds a piece, on which
     p is the jump point; a jump at alpha = inf adds the piece p = inf.  A
-    flat curve's output is :func:`_built`; a power piece, whose float level
-    can round past 1, keeps the check.
+    flat curve's output is :func:`_built`, or the p-curve whose transform
+    it is (its ``_inverse``); a power piece, whose float level can round
+    past 1, keeps the check.
     """
+    if (inverse := getattr(tc, "_inverse", None)) is not None:
+        return inverse
     out = []
     u_cur = 0  # the last level
     unchecked = True
@@ -460,19 +431,19 @@ def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
             if not at_most(level, u_cur):
                 out.append((level, _level_terms(alo)))
                 u_cur = level
-        else:
+        elif c:  # a power piece; a zero one adds no level
             unchecked = False
-            v_lo = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
+            a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
+            # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m); a level past 1
+            # is within the check's tolerance, and capping it only lowers tf
+            v_lo, v_hi, coef, power = _inverse_piece(c, m, alo, a_hi)
+            v_lo, v_hi = min(v_lo, 1), min(v_hi, 1)
             if not at_most(v_lo, u_cur):
                 # jump of the test at alo covers p(u) = alo on (u_cur, v_lo]
                 out.append((v_lo, _level_terms(alo)))
                 u_cur = v_lo
-            a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
-            v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
             if not at_most(v_hi, u_cur):
-                # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m)
-                coef = pow_ext(recip(c), recip(m))
-                out.append((v_hi, ((recip(coef), recip(m)),)))
+                out.append((v_hi, ((recip(coef), power),)))
                 u_cur = v_hi
     if not at_most(1, u_cur):
         out.append((1, ()))  # never reached: p(u) = inf above the max level

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -29,6 +30,12 @@ from posthoc import core
 from posthoc._philox import choice_cdf, pairwise_sum, philox_doubles, philox_words
 from posthoc.core import SAMPLE_BLOCK
 from test_core import philox, reference_law_sample
+
+
+def on_path(stdlib):
+    """Draw and count on the stdlib path (True) or the numpy path (False),
+    whatever n and whether numpy is loaded, as it is in this module."""
+    return mock.patch.object(core, "_stdlib_draws", lambda n: stdlib)
 
 
 class TestAlphaStrategy:
@@ -275,9 +282,8 @@ class TestBlockedEstimator:
     @given(p_laws(), st.integers(1, 40), st.integers(1, 9), seeds)
     def test_small_blocks_concatenate_to_sample(self, law, n, size, seed):
         want = reference_law_sample(law, n, philox(seed))
-        for cutoff in (0, n):  # the numpy path, then the stdlib path
-            with mock.patch.object(core, "SAMPLE_BLOCK", size), \
-                    mock.patch.object(core, "STDLIB_DRAWS", cutoff):
+        for stdlib in (False, True):
+            with mock.patch.object(core, "SAMPLE_BLOCK", size), on_path(stdlib):
                 blocks = [b.copy() for b in law.sample_blocks(n, seed)]
             assert all(1 <= len(b) <= size for b in blocks)
             assert np.array_equal(np.concatenate(blocks), want)
@@ -345,7 +351,8 @@ class TestStdlibStream:
     @settings(max_examples=150, deadline=None)
     @given(any_p_laws, st.integers(1, 200), keys)
     def test_stdlib_draws_match_rng_choice(self, law, n, seed):
-        blocks = list(law.sample_blocks(n, seed))
+        with on_path(True):
+            blocks = list(law.sample_blocks(n, seed))
         assert all(isinstance(b, list) for b in blocks)
         assert np.array_equal(np.concatenate(blocks),
                               reference_law_sample(law, n, philox(seed)))
@@ -353,16 +360,16 @@ class TestStdlibStream:
     @settings(max_examples=150, deadline=None)
     @given(any_p_laws, strategies(), st.integers(1, 200), keys)
     def test_estimate_is_the_same_on_both_sides_of_the_cutoff(self, law, s, n, seed):
-        with mock.patch.object(core, "STDLIB_DRAWS", n - 1):
+        with on_path(False):
             above = monte_carlo_distortion(law, s, n, seed)
-        with mock.patch.object(core, "STDLIB_DRAWS", n):
+        with on_path(True):
             at = monte_carlo_distortion(law, s, n, seed)
         assert at == above
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
-    @pytest.mark.parametrize("cutoff", [0, 10], ids=["numpy", "stdlib"])
-    def test_out_of_range_seed_raises_on_both_paths(self, seed, cutoff):
-        with mock.patch.object(core, "STDLIB_DRAWS", cutoff), \
+    @pytest.mark.parametrize("stdlib", [False, True], ids=["numpy", "stdlib"])
+    def test_out_of_range_seed_raises_on_both_paths(self, seed, stdlib):
+        with on_path(stdlib), \
                 pytest.raises(ValueError, match="key must be positive and less than 2"):
             monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(),
                                    10, seed)
@@ -370,26 +377,41 @@ class TestStdlibStream:
     @pytest.mark.parametrize("seed, error", [
         (2.5, TypeError), (True, TypeError), ("3", TypeError), (None, TypeError),
         (F(3), TypeError), (-1, ValueError), (2 ** 128, ValueError)])
-    @pytest.mark.parametrize("cutoff", [0, 10], ids=["numpy", "stdlib"])
-    def test_bad_seed_raises_before_any_draw(self, seed, error, cutoff):
+    @pytest.mark.parametrize("stdlib", [False, True], ids=["numpy", "stdlib"])
+    def test_bad_seed_raises_before_any_draw(self, seed, error, stdlib):
         # numpy's Philox and int() once took 2.5, True and '3' as keys 2, 1, 3
         def no_draws(law, n, seed):
             raise AssertionError("drew with a bad seed")
 
-        with mock.patch.object(core, "STDLIB_DRAWS", cutoff), \
+        with on_path(stdlib), \
                 mock.patch.object(PValueLaw, "sample_blocks", no_draws), \
                 pytest.raises(error, match="seed must be an integer|key must be"):
             monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(),
                                    10, seed)
 
     def test_the_cutoff_itself_draws_in_the_stdlib(self):
-        law, s, n = valid_hacking_law(), decreasing_alpha_strategy(), core.STDLIB_DRAWS
-        blocks = list(law.sample_blocks(n, 2026))
+        n = core.STDLIB_DRAWS
+        with mock.patch.dict("sys.modules"):
+            del sys.modules["numpy"]  # as in a fresh process
+            assert core._stdlib_draws(n) and not core._stdlib_draws(n + 1)
+        law, s = valid_hacking_law(), decreasing_alpha_strategy()
+        with on_path(True):
+            blocks = list(law.sample_blocks(n, 2026))
+            at = monte_carlo_distortion(law, s, n, 2026)
         assert [type(b) for b in blocks] == [list]
         assert np.array_equal(blocks[0], reference_law_sample(law, n, philox(2026)))
-        with mock.patch.object(core, "STDLIB_DRAWS", n - 1):
-            above = monte_carlo_distortion(law, s, n, 2026)
-        assert monte_carlo_distortion(law, s, n, 2026) == above
+        with on_path(False):
+            assert monte_carlo_distortion(law, s, n, 2026) == at
+
+    def test_loaded_numpy_draws_small_samples(self):
+        # once numpy is loaded its path is the faster at any n, and both
+        # paths give the same estimate
+        law, s = valid_hacking_law(), decreasing_alpha_strategy()
+        assert not core._stdlib_draws(1)
+        assert [type(b) for b in law.sample_blocks(10, 2026)] == [np.ndarray]
+        with on_path(True):
+            want = monte_carlo_distortion(law, s, 10, 2026)
+        assert monte_carlo_distortion(law, s, 10, 2026) == want
 
 
 class TestImpossibility:

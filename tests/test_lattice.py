@@ -1,6 +1,7 @@
 """The integer-lattice paths of PValueLaw and of the step-curve Galois
 transforms against the Fraction/float formulations they replace, kept here
 as oracles: equal values of equal type, or the same ValueError message."""
+import gc
 import math
 from fractions import Fraction as F
 
@@ -11,14 +12,18 @@ from posthoc import (
     INF,
     DiscreteSpace,
     PCurve,
+    PFunction,
     PValueLaw,
     TCurve,
     check_classical_validity,
     check_posthoc_validity,
+    pfunction_of,
+    test_function_of,
 )
 from posthoc._numbers import (
     TOL, common_denominator, is_inf, is_unit_mass, mul0, pow_ext, recip,
 )
+from posthoc.core import _lattice_classical_sup
 from posthoc.pfunctions import (
     _close,
     _eval_terms,
@@ -355,8 +360,215 @@ def test_broken_laws_raise_the_oracle_message(law, where, shift):
 
 
 # ---------------------------------------------------------------------------
+# the one-pass constructor and the prefix-sum classical sweep against the
+# keyed constructor and the candidate-set sweep they replace, copied here
+
+
+def keyed_checked_sorted(atoms, pieces, d, keys):
+    """The former _checked_sorted: checks and sort on keys that are the
+    ints x * d of exact values, or the values themselves with d = 1."""
+    k = 2 * len(atoms)
+    locs, masses = keys[0:k:2], keys[1:k:2]
+    if len(set(locs)) != len(locs):
+        raise ValueError("atom locations must be distinct")
+    for loc, m in zip(locs, masses):
+        if not loc > 0:
+            raise ValueError("atom locations must be positive")
+        if not m >= 0:
+            raise ValueError("atom masses must be nonnegative")
+    spans = []
+    if pieces:
+        spans = list(zip(keys[k::3], keys[k + 1::3], keys[k + 2::3], pieces))
+        for ka, kb, km, (a, b, _) in spans:
+            if not (0 <= ka < kb) or kb - ka == 0:
+                raise ValueError(f"bad piece interval ({a}, {b}]")
+            if is_inf(kb):
+                raise ValueError("pieces must be bounded")
+            if not km >= 0:
+                raise ValueError("piece masses must be nonnegative")
+        spans.sort()
+        for s1, s2 in zip(spans, spans[1:]):
+            if s2[0] < s1[1]:
+                raise ValueError("piece intervals must be disjoint")
+    if not is_unit_mass(sum(masses) + sum(keys[k + 2::3]), d):
+        total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
+        raise ValueError(f"masses must sum to 1, got {total}")
+    by_loc = sorted(zip(locs, masses, atoms))
+    return (tuple([t[2] for t in by_loc]), tuple([s[3] for s in spans]),
+            (d, [t[:2] for t in by_loc], [s[:3] for s in spans]))
+
+
+def keyed_law(atoms, pieces):
+    """(atoms, pieces, lattice) of the former PValueLaw constructor."""
+    atoms = tuple([(loc, m) for loc, m in atoms])
+    pieces = tuple([(a, b, m) for a, b, m in pieces])
+    values = [x for t in atoms + pieces for x in t]
+    common = common_denominator(values)
+    atoms, pieces, lattice = keyed_checked_sorted(atoms, pieces, *(common or (1, values)))
+    k = 2 * len(atoms)
+    if common is None or (int in map(type, values[1:k:2])
+                          or int in map(type, values[k + 2::3])):
+        lattice = None
+    return atoms, pieces, lattice
+
+
+def keyed_piece_cdf(pieces, total, top):
+    num, q = total, 1
+    for a, b, m in pieces:
+        if top >= b:
+            num += m * q
+        elif top > a:
+            num = num * (b - a) + m * (top - a) * q
+            q *= b - a
+    return num, q
+
+
+def candidate_classical_sup(d, atoms, pieces):
+    """The former _lattice_classical_sup: a sorted candidate set."""
+    cands = {loc for loc, m in atoms if m > 0}
+    for a, b, m in pieces:
+        if m > 0:
+            cands.add(b)
+            if a > 0:
+                cands.add(a)
+    best_num, best_den, witness = 0, 1, None
+    i, below = 0, 0
+    for c in sorted(cands):
+        if c >= d:
+            break
+        while i < len(atoms) and atoms[i][0] <= c:
+            below += atoms[i][1]
+            i += 1
+        num, q = keyed_piece_cdf(pieces, below, c)
+        if num * best_den > best_num * q * c:
+            best_num, best_den, witness = num, q * c, c
+    below = sum(m for loc, m in atoms if loc < d)
+    num, q = keyed_piece_cdf(pieces, below, d)
+    if num * best_den > best_num * q * d:
+        return F(num, q * d), 1
+    if witness is None:
+        return 0, None
+    return F(best_num, best_den), F(witness, d)
+
+
+one_pass_values = st.one_of(st.integers(0, 3), st.fractions(0, 3, max_denominator=12),
+                            st.floats(0, 3), st.just(INF))
+
+
+@st.composite
+def one_pass_laws(draw):
+    """(atoms, pieces) with 1-6 atoms and 0-3 pieces, mostly valid, of
+    int, Fraction, float and inf values; some are broken by a nan, a
+    negative value, a duplicate location, an overlap or a mass off 1."""
+    n, n_pieces = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["exact", "exact", "exact", "float", "mixed"]))
+    locs = draw(st.lists(st.fractions(F(1, 16), 3, max_denominator=16), min_size=n,
+                         max_size=n, unique=True))
+    cuts = sorted(draw(st.lists(st.fractions(0, 2, max_denominator=16),
+                                min_size=2 * n_pieces, max_size=2 * n_pieces,
+                                unique=True)))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n + n_pieces,
+                            max_size=n + n_pieces).filter(any))
+    masses = [F(w, sum(weights)) for w in weights]
+    if kind == "float":
+        masses = [float(m) for m in masses]
+        locs, cuts = [float(x) for x in locs], [float(x) for x in cuts]
+    elif kind == "mixed":
+        locs = [draw(st.sampled_from([x, float(x), INF])) for x in locs]
+        masses = [m if m.denominator > 1 or draw(st.booleans()) else int(m)
+                  for m in masses]
+    values = locs + cuts + masses
+    fault = draw(st.sampled_from([None] * 4 + ["nan", "negative", "duplicate",
+                                               "overlap", "off-unit", "any"]))
+    i = draw(st.integers(0, len(values) - 1))
+    if fault == "nan":
+        values[i] = math.nan
+    elif fault == "negative":
+        values[i] = -values[i] if values[i] else -1
+    elif fault == "duplicate" and n > 1:
+        values[1] = values[0]
+    elif fault == "overlap" and n_pieces > 1:
+        values[n + 1], values[n + 2] = values[n + 2], values[n + 1]
+    elif fault == "off-unit":
+        values[-1] += F(1, 7)
+    elif fault == "any":
+        values[i] = draw(one_pass_values)
+    locs, cuts, masses = values[:n], values[n:n + 2 * n_pieces], values[n + 2 * n_pieces:]
+    draw(st.randoms()).shuffle(locs)
+    atoms = list(zip(locs, masses))
+    pieces = [(a, b, m) for a, b, m in zip(cuts[::2], cuts[1::2], masses[n:])]
+    return atoms, pieces
+
+
+@settings(max_examples=600, deadline=None)
+@given(one_pass_laws())
+def test_one_pass_constructor_and_sweep_match_the_keyed_ones(law):
+    """Equal atoms, pieces and lattice keys, the same message, and the
+    same classical statistic and witness, of equal type."""
+    got, want = outcome(PValueLaw, *law), outcome(keyed_law, *law)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    new, (atoms, pieces, lattice) = got[1], want[1]
+    assert same(new.atoms, atoms) and same(new.pieces, pieces)
+    assert (new._lattice is None) == (lattice is None)
+    if lattice is not None:
+        d, rows, spans = new._lattice
+        assert d == lattice[0]
+        assert [r[:2] for r in rows] == lattice[1] and [s[:3] for s in spans] == lattice[2]
+        assert [r[2] for r in rows] == list(atoms) and [s[3] for s in spans] == list(pieces)
+        assert same(_lattice_classical_sup(*new._lattice), candidate_classical_sup(*lattice))
+        rep = check_classical_validity(new)
+        assert same((rep.statistic, rep.witness), candidate_classical_sup(*lattice))
+
+
+@pytest.mark.parametrize("a", [F(51, 7), 7.285714285714286, 7], ids=["exact", "float", "int"])
+def test_a_round_trip_gives_the_p_curve_back_only_when_that_is_exact(a):
+    # the transform back of a step curve's own transform is the curve
+    # itself only for Fraction coefficients: 1.0 / (1.0 / a) != a for this
+    # float a, and the int 7 comes back as Fraction(7)
+    pc = PCurve([(F(1, 2), ((a, 0),)), (1, ((F(1), 0),))])
+    tc = _pcurve_to_tcurve(pc)
+    back = _tcurve_to_pcurve(tc)
+    assert same(back.segments, reference_to_pcurve(tc.segments))
+    assert (back is pc) == (type(a) is F)
+
+
+def test_flat_round_trips_keep_few_tracked_objects():
+    """1000 kept round trips of two-piece step p-functions leave at most
+    15 objects each for the cyclic collector (11 on CPython 3.11-3.13,
+    14 on 3.10, where every instance has a dict; 21 and 25 before the
+    test function kept its p-curve)."""
+    pfs = [PFunction({0: PCurve.steps([(F(1, 4), F(i + 1, 4096)), (1, F(1, 2))])})
+           for i in range(1000)]
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = [(tf, pfunction_of(tf)) for tf in map(test_function_of, pfs)]
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 15 * len(kept)
+    assert all(back == pf for (_, back), pf in zip(kept, pfs))
+
+
+# ---------------------------------------------------------------------------
 # step-curve Galois transforms: the oracle is the general code before the
 # lattice, with the PCurve / TCurve checks it triggered
+
+
+def reference_inverse_ok(c, g, lo, hi):
+    """The float inverse (v / c)^(1/g) of v = c x^g gives x back at the
+    ends of a power piece (x = 0 needs no check), evaluated as coef * v^h
+    and as the p-curve 1 / ((1 / coef) v^-h), with h = 1/g."""
+    coef, h = pow_ext(recip(c), recip(g)), recip(g)
+    for x in (lo, hi):
+        v = mul0(c, pow_ext(x, g))
+        if x > 0 and not (_close(mul0(coef, pow_ext(v, h)), x)
+                          and _close(_eval_terms(((recip(coef), h),), v), x)):
+            return False
+    return True
+
+
+NO_INVERSE = "a power piece has no inverse within float rounding"
 
 
 def reference_pcurve(segments):
@@ -385,6 +597,9 @@ def reference_pcurve(segments):
         start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
         if prev_end is not None and start < prev_end and not _close(start, prev_end):
             raise ValueError("p-curve must be nondecreasing in u")
+        if len(terms) == 1 and terms[0][1] != 0 and \
+                not reference_inverse_ok(recip(terms[0][0]), terms[0][1], u_lo, u_hi):
+            raise ValueError(NO_INVERSE)
         prev_end = _eval_terms(terms, u_hi)
         u_lo = u_hi
     return tuple(segs)
@@ -408,6 +623,8 @@ def reference_tcurve(segments):
             raise ValueError("test function must be nondecreasing in alpha")
         if end > 1 and not _close(end, 1):
             raise ValueError("test function values must stay within [0, 1]")
+        if m != 0 and c > 0 and not reference_inverse_ok(c, m, alo, a_hi):
+            raise ValueError(NO_INVERSE)
         prev_end = end
     return tuple(segs)
 
@@ -444,7 +661,7 @@ def reference_to_pcurve(segments):
                 out.append((level, () if is_inf(alo) else ((recip(alo), 0),)))
                 u_cur = level
         else:
-            v_lo = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
+            v_lo = min(mul0(c, pow_ext(alo, m)), 1) if alo > 0 else 0
             if v_lo > u_cur:
                 out.append((v_lo, ((recip(alo), 0),)))
                 u_cur = v_lo
@@ -693,20 +910,67 @@ def test_flat_test_functions_build_what_the_constructor_checks(raw, inf_last):
         assert_rebuilds_alike(_tcurve_to_pcurve(tc))
 
 
-@pytest.mark.parametrize("build, message", [
-    # a float power with a small g rounds the inverse past 1
-    (lambda: _pcurve_to_tcurve(PCurve([
-        (0.9, ((11.751222271230494, 0.0034372308726587624),)),
-        (1, ((10.594427965728988, 0),))])),
-     "test function values must stay within"),
-    # a level above 1 within the tolerance becomes a breakpoint past 1
-    (lambda: _tcurve_to_pcurve(TCurve([
-        (0.5, 1.0000000001 / 0.5 ** 1e-12, 1e-12), (0.6, 1, 0)])),
-     "segments must cover"),
-], ids=["small-power", "power-level-past-1"])
-def test_outputs_the_check_rejects_still_raise(build, message):
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("build", [
+    # p(u) = u^g / a with g = 0.0034: the inverse coefficient a^(1/g)
+    # passes the float range, which the transform's output check reported
+    # as "test function values must stay within [0, 1]"
+    lambda: PCurve([(0.9, ((11.751222271230494, 0.0034372308726587624),)),
+                    (1, ((10.594427965728988, 0),))]),
+    # tf(alpha) = c alpha^(1e-12): the inverse power is 10^12, and the
+    # transform raised "segments must cover (0, 1]"
+    lambda: TCurve([(0.5, 1.0000000001 / 0.5 ** 1e-12, 1e-12), (0.6, 1, 0)]),
+    lambda: TCurve([(0.62, 0.289, 0.242), (1.497, 0.7545, 5.68e-05), (1.658, 0.884, 0)]),
+    # coef * v^143 gives both ends back, but the p-curve's u^-143 overflows
+    lambda: TCurve([(0.02, 0.007152365498832552, 0.006993163411685472), (0.04, 1, 0)]),
+], ids=["small-power", "power-level-past-1", "small-test-power", "p-curve-overflow"])
+def test_a_power_piece_without_a_float_inverse_is_refused(build):
+    with pytest.raises(ValueError, match="no inverse within float rounding"):
         build()
+
+
+def test_a_power_level_past_1_within_the_tolerance_round_trips():
+    # tf(1/2) = 1 + 5e-10 is within the constructor's tolerance; the
+    # transform made it a breakpoint past 1 and raised "segments must
+    # cover (0, 1]", and now caps it at 1
+    tc = TCurve([(0.5, 2.000000001, 1), (0.5000000001, 1, 0)])
+    pc = _tcurve_to_pcurve(tc)
+    assert same(pc.segments, ((1, ((2.0, 0),)),))
+    assert_rebuilds_alike(pc)
+    assert _pcurve_to_tcurve(pc) == TCurve([(0.5, 1, 0)])
+
+
+@st.composite
+def float_power_curves(draw):
+    """(PCurve segments, TCurve segments) with float power pieces whose
+    powers reach 1e-4, whose inverses pass the float range."""
+    cuts = sorted(draw(st.lists(st.integers(1, 99), max_size=2, unique=True)))
+    powers = st.one_of(st.just(0), st.floats(1e-4, 3), st.floats(1e-4, 0.01))
+    psegs, level = [], 0.0
+    for u in [c / 100 for c in cuts] + [1]:
+        g = draw(powers)
+        level += draw(st.floats(0.01, 1))
+        psegs.append((u, ((u ** g / level, g),)))
+    alos = [k / 50 for k in sorted(draw(st.lists(st.integers(0, 100), min_size=1,
+                                                  max_size=3, unique=True)))]
+    tsegs, level = [], 0.0
+    for alo, a_hi in zip(alos, alos[1:]):
+        m = draw(powers)
+        level = min(1.0, level + draw(st.floats(0, 0.5)))
+        tsegs.append((alo, level / a_hi ** m, m))
+    tsegs.append((alos[-1], 1, 0))
+    return psegs, tsegs
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_power_curves())
+def test_every_curve_a_constructor_accepts_has_a_transform(segs):
+    """The Galois pair is total on single-term curves: a curve the
+    constructor accepts transforms, and the output passes the check."""
+    for cls, transform in ((PCurve, _pcurve_to_tcurve), (TCurve, _tcurve_to_pcurve)):
+        curve = outcome(cls, segs[cls is TCurve])
+        if curve[0] == "ok":
+            out = transform(curve[1])
+            assert type(out)(out.segments) == out
 
 
 @pytest.mark.parametrize("segments, want", [
