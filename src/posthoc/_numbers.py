@@ -268,13 +268,16 @@ def power_mean(values, weights, h: Number) -> Number:
             tn, td = wn * vn ** abs(h), wd * vd ** abs(h)
             g = math.gcd(den, td)
             num, den = num * (td // g) + tn * (den // g), den // g * td
-        moment = Fraction(num, den) if num else 0
-    else:
-        moment = 0
-        for v, w in pairs:
-            moment = moment + mul0(w, pow_ext(v, h))
-            if is_inf(moment):
-                return INF if h > 0 else 0
+        if not num:
+            return 0 if h > 0 else INF
+        if abs(h) == 1:  # the moment, or its reciprocal, as a ratio
+            return Fraction(num, den) if h == 1 else Fraction(den, num)
+        return pow_ext(Fraction(num, den), 1 / h)  # 1 / h is float(Fraction(1, h))
+    moment = 0
+    for v, w in pairs:
+        moment = moment + mul0(w, pow_ext(v, h))
+        if is_inf(moment):
+            return INF if h > 0 else 0
     if moment == 0:
         return 0 if h > 0 else INF
     return pow_ext(moment, recip(h) if isinstance(h, (int, Fraction)) else 1.0 / h)

@@ -233,8 +233,10 @@ STDLIB_DRAWS = 1 << 14
 def _stdlib_draws(n: int) -> bool:
     """Whether n draws (:meth:`PValueLaw.sample_blocks`) and their counts
     (``monte_carlo_distortion``) skip numpy: up to ``STDLIB_DRAWS`` while
-    numpy is not loaded, as its path is the faster at any n once it is."""
-    return n <= STDLIB_DRAWS and "numpy" not in sys.modules
+    numpy is not loaded, as its path is the faster at any n once it is.  A
+    ``None`` entry in ``sys.modules``, which blocks the import, counts as
+    not loaded."""
+    return n <= STDLIB_DRAWS and sys.modules.get("numpy") is None
 
 
 class PValueLaw(Record):
@@ -384,7 +386,8 @@ class PValueLaw(Record):
         (:func:`_stdlib_draws`) come from the stdlib kernel
         :func:`posthoc._philox.philox_doubles`, as lists of floats.  The
         rest come from numpy's Philox as views of one reused buffer, valid
-        until the next block is drawn, so memory does not grow with n.
+        until the next block is drawn, so memory does not grow with n.  So
+        the type of a block depends on whether numpy is already loaded.
         Both paths read this one stream and pick with one cdf
         (:func:`posthoc._philox.choice_cdf`), so they give equal draws.
         """

@@ -55,7 +55,7 @@ class PCurve(Record):
 
     The constructor sorts the pieces by breakpoint and checks that p, at
     the ends of each piece, never falls (within :func:`_close`); a power
-    piece must also have a float inverse (:func:`_inverse_piece`).
+    piece must also have a float inverse (:func:`_check_inverse`).
     """
 
     segments: tuple  # ((u_hi, terms), ...); terms = ((a, g), ...)
@@ -90,7 +90,7 @@ class PCurve(Record):
             if prev_end is not None and start < prev_end and not _close(start, prev_end):
                 raise ValueError("p-curve must be nondecreasing in u")
             if len(terms) == 1 and terms[0][1] != 0:  # a power piece
-                _inverse_piece(recip(terms[0][0]), terms[0][1], u_lo, u_hi)
+                _check_inverse(recip(terms[0][0]), terms[0][1], u_lo, u_hi)
             prev_end = end
             u_lo = u_hi
         object.__setattr__(self, "segments", tuple(segs))
@@ -226,7 +226,7 @@ class TCurve(Record):
     the final segment extending to infinity.  The constructor sorts them
     and checks that the value never falls and stays in [0, 1] (within
     :func:`_close`) and that a power piece has a float inverse
-    (:func:`_inverse_piece`).
+    (:func:`_check_inverse`).
     """
 
     segments: tuple
@@ -251,7 +251,7 @@ class TCurve(Record):
             if end > 1 and not _close(end, 1):
                 raise ValueError("test function values must stay within [0, 1]")
             if m != 0 and c > 0:  # the power piece that the transform inverts
-                _inverse_piece(c, m, alo, a_hi)
+                _check_inverse(c, m, alo, a_hi)
             prev_end = end
         object.__setattr__(self, "segments", tuple(segs))
 
@@ -343,32 +343,33 @@ def _single_term(terms):
     return terms[0]
 
 
-def _inverse_piece(c: Number, g: Number, u_lo: Number, u_hi: Number) -> tuple:
-    """(v_lo, v_hi, coef, power): v = c u^g at the ends of a power piece,
-    and its inverse (v / c)^(1/g) as coef * v^power.  In floats the inverse
-    scales the rounding of v by 1/g, and coef can pass the float range:
-    ``ValueError`` unless it gives both ends back within :func:`_close`,
-    as a test function (coef * v^power) and as a p-curve evaluates it."""
-    v_lo = mul0(c, pow_ext(u_lo, g)) if u_lo > 0 else 0
-    v_hi = mul0(c, pow_ext(u_hi, g))
-    coef, power = pow_ext(recip(c), recip(g)), recip(g)
-    for v, u in ((v_lo, u_lo), (v_hi, u_hi)):
+def _inverse(c: Number, g: Number) -> tuple:
+    """(coef, power) of the inverse (v / c)^(1/g) = coef * v^power of the
+    power piece v = c * u^g."""
+    power = recip(g)
+    return pow_ext(recip(c), power), power
+
+
+def _check_inverse(c: Number, g: Number, u_lo: Number, u_hi: Number) -> None:
+    """``ValueError`` unless the :func:`_inverse` of v = c * u^g on (u_lo,
+    u_hi] gives both ends back within :func:`_close`, as a test function
+    and as a p-curve evaluates it: in floats it scales the rounding of v by
+    1/g, and coef can overflow.  Run by the constructors, not the transforms."""
+    coef, power = _inverse(c, g)
+    for u in (u_lo, u_hi):
+        v = mul0(c, pow_ext(u, g))
         if u > 0 and not (_close(mul0(coef, pow_ext(v, power)), u)
                           and _close(_eval_terms(((recip(coef), power),), v), u)):
             raise ValueError("a power piece has no inverse within float rounding")
-    return v_lo, v_hi, coef, power
 
 
-def _built(cls, segments, inverse=None):
+def _built(cls, segments):
     """A ``PCurve`` or ``TCurve`` on a transform's segments without the
     constructor's re-check, which cannot fail on a flat output: the input
     passed it, the loop keeps breakpoints strictly increasing, and the
-    levels are the input's own.  ``inverse``, if any, is kept as the
-    private, non-field ``_inverse`` (:func:`_pcurve_to_tcurve`)."""
+    levels are the input's own breakpoints or levels."""
     curve = object.__new__(cls)
     object.__setattr__(curve, "segments", tuple(segments))
-    if inverse is not None:
-        object.__setattr__(curve, "_inverse", inverse)
     return curve
 
 
@@ -379,36 +380,30 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
     fall, save by a float dip within tolerance.  A new segment holds from
     its breakpoint on: it replaces each earlier one whose breakpoint is at
     least its own (:func:`at_most`).  A flat curve's output is
-    :func:`_built`; a power piece keeps the check.  When every piece is
-    (u_hi, ((a, 0),)) with a ``Fraction`` a and no segment is replaced,
-    the transform back gives exactly ``pc``, as 1/(1/a) == a: the output
-    keeps it as its ``_inverse``, so the round trip builds no new curve."""
+    :func:`_built`; a power piece keeps the check, which a rounded float
+    power can fail."""
     out = []
     u_lo = 0
     unchecked = True
-    inverse = pc
     for u_hi, terms in pc.segments:
         if not terms:
-            inverse = None
             break  # p = inf: the test never climbs past u_lo
         a, g = _single_term(terms)
         c = recip(a)  # p(u) = c * u^g
         v_hi = c  # p(u_hi), where the test reaches u_hi
-        if type(a) is not Fraction or type(g) is not int:
-            inverse = None  # 1/(1/a) may differ from a in value or type
         if g != 0:
             # inverted piece on [v_lo, v_hi), then flat at u_hi from v_hi
             unchecked = False
-            v_lo, v_hi, coef, power = _inverse_piece(c, g, u_lo, u_hi)
+            v_lo = mul0(c, pow_ext(u_lo, g)) if u_lo > 0 else 0
             while out and at_most(v_lo, out[-1][0]):
                 out.pop()
-            out.append((v_lo, coef, power))
+            out.append((v_lo, *_inverse(c, g)))
+            v_hi = mul0(c, pow_ext(u_hi, g))
         while out and at_most(v_hi, out[-1][0]):
             out.pop()
-            inverse = None
         out.append((v_hi, u_hi, 0))
         u_lo = u_hi
-    return _built(TCurve, out, inverse) if unchecked else TCurve(out)
+    return _built(TCurve, out) if unchecked else TCurve(out)
 
 
 def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
@@ -416,12 +411,9 @@ def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
 
     Each level above the last one (:func:`at_most`) adds a piece, on which
     p is the jump point; a jump at alpha = inf adds the piece p = inf.  A
-    flat curve's output is :func:`_built`, or the p-curve whose transform
-    it is (its ``_inverse``); a power piece, whose float level can round
-    past 1, keeps the check.
+    flat curve's output is :func:`_built`; a power piece, whose float level
+    can round past 1, keeps the check.
     """
-    if (inverse := getattr(tc, "_inverse", None)) is not None:
-        return inverse
     out = []
     u_cur = 0  # the last level
     unchecked = True
@@ -433,16 +425,18 @@ def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
                 u_cur = level
         elif c:  # a power piece; a zero one adds no level
             unchecked = False
-            a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
-            # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m); a level past 1
-            # is within the check's tolerance, and capping it only lowers tf
-            v_lo, v_hi, coef, power = _inverse_piece(c, m, alo, a_hi)
-            v_lo, v_hi = min(v_lo, 1), min(v_hi, 1)
+            # a level past 1 is within the constructor's tolerance, and
+            # capping it only lowers tf
+            v_lo = min(mul0(c, pow_ext(alo, m)), 1) if alo > 0 else 0
             if not at_most(v_lo, u_cur):
                 # jump of the test at alo covers p(u) = alo on (u_cur, v_lo]
                 out.append((v_lo, _level_terms(alo)))
                 u_cur = v_lo
+            a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
+            v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
             if not at_most(v_hi, u_cur):
+                # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m)
+                coef, power = _inverse(c, m)
                 out.append((v_hi, ((recip(coef), power),)))
                 u_cur = v_hi
     if not at_most(1, u_cur):

@@ -403,6 +403,15 @@ class TestStdlibStream:
         with on_path(False):
             assert monte_carlo_distortion(law, s, n, 2026) == at
 
+    def test_blocked_numpy_draws_small_samples_in_the_stdlib(self):
+        # a None entry blocks the import: numpy is not loaded
+        law, s = valid_hacking_law(), decreasing_alpha_strategy()
+        with on_path(True):
+            want = monte_carlo_distortion(law, s, 10, 2026)
+        with mock.patch.dict("sys.modules", {"numpy": None}):
+            assert [type(b) for b in law.sample_blocks(10, 2026)] == [list]
+            assert monte_carlo_distortion(law, s, 10, 2026) == want
+
     def test_loaded_numpy_draws_small_samples(self):
         # once numpy is loaded its path is the faster at any n, and both
         # paths give the same estimate
