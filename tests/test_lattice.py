@@ -551,7 +551,8 @@ def test_flat_round_trips_keep_only_their_results():
     kept = [(tf, pfunction_of(tf)) for tf in map(test_function_of, pfs)]
     gc.collect()
     per_trip = 9 + 6 * 2 + (4 if sys.version_info < (3, 11) else 0)
-    assert len(gc.get_objects()) - before <= per_trip * len(kept) + 1  # + kept
+    # the list itself, and slack far below one object per round trip
+    assert len(gc.get_objects()) - before <= per_trip * len(kept) + 8
     assert all(back == pf for (_, back), pf in zip(kept, pfs))
 
 
