@@ -85,8 +85,8 @@ class PCurve(Record):
         prev_end = None
         u_lo = 0
         for u_hi, terms in segs:
-            start = _eval_terms(terms, u_hi if u_lo == 0 else u_lo)
             end = _eval_terms(terms, u_hi)
+            start = end if u_lo == 0 else _eval_terms(terms, u_lo)
             if prev_end is not None and start < prev_end and not _close(start, prev_end):
                 raise ValueError("p-curve must be nondecreasing in u")
             if len(terms) == 1 and terms[0][1] != 0:  # a power piece
