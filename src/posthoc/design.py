@@ -391,35 +391,27 @@ def gaussian_shift_pair(n_cells: int = 2001) -> SimplePair:
 
 def gaussian_log_optimal_report(alpha: float = 0.05,
                                 n_cells: int = 2001) -> dict:
-    """Classical-versus-post-hoc comparison on the unit-shift Gaussian pair.
+    """Classical-versus-post-hoc comparison for N(0,1) against N(1,1), from
+    the closed forms of the unit shift, whose likelihood ratio is exp(x - 1/2).
 
-    Classical: reject for the largest likelihood ratios subject to size
-    alpha; the cell boundary falls between two likelihood ratios, so the
-    reported critical value is the geometric mean of the smallest LR in
-    the rejection region and the largest LR outside it.  Post-hoc: reject
-    at level alpha iff LR >= 1/alpha.  The LR of a cell is 1/r for its
-    float ratio r = f_P/f_Q.
+    Classical: the size s = floor(alpha n)/n of the top floor(alpha n) of n
+    equiprobable cells and z = Phi^-1(1 - s) give the critical likelihood
+    ratio exp(z - 1/2) and the power 1 - Phi(z - 1).  Post-hoc: reject at
+    level alpha iff the ratio is >= 1/alpha, with power
+    1 - Phi(ln(1/alpha) - 1/2).  :func:`gaussian_shift_pair` is the
+    discretised pair these values are cross-checked against.
     """
     if not (0 < alpha < 1 and alpha * n_cells >= 1):  # also true for nan
         raise ValueError("need 0 < alpha < 1 and alpha * n_cells >= 1, "
                          f"got alpha = {alpha}, n_cells = {n_cells}")
-    pair = gaussian_shift_pair(n_cells=n_cells)
-    lr = [1.0 / r for r in pair._ratios]
-    # stable under reverse, so ties keep the cell order
-    by_lr = sorted(range(n_cells), key=lr.__getitem__, reverse=True)
-    k = int(alpha * n_cells)  # equiprobable cells: top-k region has size k/n
-    # critical value at the cell boundary: geometric midpoint between the
-    # smallest rejected and the largest accepted likelihood ratio
-    classical_critical = math.sqrt(lr[by_lr[k - 1]] * lr[by_lr[k]])
-    classical_power = float(sum(pair._q[i] for i in by_lr[:k]))
-    threshold = recip(alpha)
-    cut = float(threshold)
-    posthoc_power = float(sum(fq for fq, v in zip(pair._q, lr) if v >= cut))
+    normal = NormalDist()
+    size = int(alpha * n_cells) / n_cells
+    z = normal.inv_cdf(1 - size)
     return {
         "alpha": alpha,
-        "classical_critical": classical_critical,
-        "posthoc_threshold": float(threshold),
-        "classical_power": classical_power,
-        "posthoc_power": posthoc_power,
-        "classical_size": k / n_cells,
+        "classical_critical": math.exp(z - 0.5),
+        "posthoc_threshold": float(1 / alpha),
+        "classical_power": 1 - normal.cdf(z - 1),
+        "posthoc_power": 1 - normal.cdf(math.log(1 / alpha) - 0.5),
+        "classical_size": size,
     }

@@ -244,8 +244,8 @@ class TCurve(Record):
                 start = end = c
             else:
                 a_hi = segs[j + 1][0] if j + 1 < len(segs) else INF
-                start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
-                end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
+                start = mul0(c, pow_ext(alo, m))
+                end = mul0(c, pow_ext(a_hi, m))
             if start < prev_end and not _close(start, prev_end):
                 raise ValueError("test function must be nondecreasing in alpha")
             if end > 1 and not _close(end, 1):
@@ -427,13 +427,13 @@ def _tcurve_to_pcurve(tc: TCurve) -> PCurve:
             unchecked = False
             # a level past 1 is within the constructor's tolerance, and
             # capping it only lowers tf
-            v_lo = min(mul0(c, pow_ext(alo, m)), 1) if alo > 0 else 0
+            v_lo = min(mul0(c, pow_ext(alo, m)), 1)
             if not at_most(v_lo, u_cur):
                 # jump of the test at alo covers p(u) = alo on (u_cur, v_lo]
                 out.append((v_lo, _level_terms(alo)))
                 u_cur = v_lo
             a_hi = tc.segments[i + 1][0] if i + 1 < len(tc.segments) else INF
-            v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
+            v_hi = min(mul0(c, pow_ext(a_hi, m)), 1)
             if not at_most(v_hi, u_cur):
                 # invert u = c * alpha^m  =>  alpha = (u/c)^(1/m)
                 coef, power = _inverse(c, m)

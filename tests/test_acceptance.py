@@ -7,6 +7,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from statistics import NormalDist
 
 import pytest
 
@@ -180,14 +181,18 @@ def test_criterion_06_gaussian_log_optimal():
     rep = gaussian_log_optimal_report(alpha=0.05)
     elapsed = time.monotonic() - start
     anchor = math.exp(1.6448536269514722 - 0.5)  # exp(z_.95 - 1/2) = 3.1420
+    # the post-hoc test rejects iff exp(x - 1/2) >= 20: power 1 - Phi(ln 20 - 1/2)
+    posthoc_power = 1 - NormalDist().cdf(math.log(20) - 0.5)
     ok = (
         abs(rep["classical_critical"] - anchor) <= 0.01
         and rep["posthoc_threshold"] == 20.0
-        and rep["posthoc_power"] < rep["classical_power"]
+        and 0 < rep["posthoc_power"] < rep["classical_power"]
+        and abs(rep["posthoc_power"] - posthoc_power) <= 1e-12
         and elapsed < 5.0
     )
     verdict(6, ok, f"classical critical {rep['classical_critical']:.4f} "
-                   f"vs post-hoc threshold 20 in {elapsed:.2f}s")
+                   f"vs post-hoc threshold 20, post-hoc power "
+                   f"{rep['posthoc_power']:.6f} in {elapsed:.2f}s")
 
 
 def _small_pairs():

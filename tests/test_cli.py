@@ -46,6 +46,7 @@ class TestExamples:
         assert "decreasing_alpha/expected" in ids
         assert "minimal_h/classical_sup" in ids
         assert "gaussian/classical_critical" in ids
+        assert "gaussian/posthoc_power" in ids
 
 
 class TestDeterminism:
@@ -114,8 +115,7 @@ class TestOutputs:
         rows = list(csv.DictReader(io.StringIO(floats)))
         columns = (["level", "mass", "size", "distortion"] if command == "distortion"
                    else ["got", "want"])
-        cells = [row[c] for row in rows for c in columns
-                 if row.get("example") != "gaussian/classical_critical"]
+        cells = [row[c] for row in rows for c in columns]
         assert cells and not any("/" in cell for cell in cells)
         assert all(cell in ("True", "False") or isinstance(float(cell), float)
                    for cell in cells)
@@ -194,6 +194,21 @@ class TestExitCodes:
         code, out = run(capsys, "distortion", "--n", "2")
         report = json.loads(out)["report"]
         assert report["ok"] is report["mc_within_3se"] is False
+        assert code == 1
+
+    def test_wrong_log_optimal_fails_optimal(self, capsys, monkeypatch):
+        """The optimal verdict is E_P[1/p*] = 1 for the Bernoulli p*, so a
+        p* off at one outcome makes it fail."""
+        import posthoc.design
+        from posthoc import EvidenceVariable
+
+        monkeypatch.setattr(
+            posthoc.design, "log_optimal",
+            lambda pair: EvidenceVariable({0: 1, 1: Fraction(2, 3)}, "p"))
+        code, out = run(capsys, "optimal")
+        report = json.loads(out)["report"]
+        assert report["bernoulli_log_optimal_recip_mean"] == "5/4"
+        assert report["ok"] is False
         assert code == 1
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],

@@ -466,7 +466,32 @@ class TestGaussianExample:
         assert elapsed < 5.0
         assert abs(rep["classical_critical"] - math.exp(1.6449 - 0.5)) <= 0.01
         assert rep["posthoc_threshold"] == 20.0
-        assert rep["posthoc_power"] < rep["classical_power"]
+        assert 0 < rep["posthoc_power"] < rep["classical_power"]
+
+    @pytest.mark.parametrize("n_cells", [401, 1201, 2001, 8001])
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1])
+    def test_grid_lies_within_a_cell_of_the_closed_forms(self, alpha, n_cells):
+        """The discretised pair's tail powers sit within the Q-mass of its
+        most extreme cell of the closed forms, on either side: the grid is
+        not monotone in n (its post-hoc power at .05 is 0.0 up to 2001
+        cells and above the closed form at 32001)."""
+        got = gaussian_log_optimal_report(alpha, n_cells=n_cells)
+        grid = gaussian_report_per_call(alpha, n_cells)
+        bound = max(gaussian_shift_pair(n_cells).Q.probs)
+        for key in ("classical_power", "posthoc_power"):
+            assert abs(grid[key] - got[key]) <= bound, key
+        for key in ("alpha", "posthoc_threshold", "classical_size"):
+            assert grid[key] == got[key], key
+
+    def test_report_builds_no_pair(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report built a SimplePair")
+
+        monkeypatch.setattr(SimplePair, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            gaussian_shift_pair(401)  # the patch is live
+        for alpha in (0.01, 0.05):
+            gaussian_log_optimal_report(alpha, n_cells=2001)
 
     @pytest.mark.parametrize("alpha, n_cells", [
         (0.01, 50),     # alpha * n_cells < 1: an empty classical region
@@ -571,6 +596,8 @@ def double_posthoc_check_per_call(pair):
 
 
 def gaussian_report_per_call(alpha, n_cells):
+    """The Gaussian report as first written, on the discretised pair: the
+    cross-check of the closed forms."""
     pair = gaussian_shift_pair(n_cells=n_cells)
     p_star = log_optimal_per_call(pair)
     lr = {x: recip(p_star[x]) for x in p_star.outcomes}
@@ -664,13 +691,6 @@ class TestRatioTable:
             cases.append((utility_optimal, utility_optimal_per_call, (U,)))
         for mine, oracle, args in cases:
             assert result_of(mine, pair, *args) == result_of(oracle, pair, *args)
-
-    @pytest.mark.parametrize("n_cells", [401, 1201, 2001])
-    @pytest.mark.parametrize("alpha", [0.05, 0.01])
-    def test_gaussian_report_matches_the_per_call_oracle(self, alpha, n_cells):
-        got = gaussian_log_optimal_report(alpha, n_cells=n_cells)
-        want = gaussian_report_per_call(alpha, n_cells)
-        assert typed(got) == typed(want)
 
     def test_null_cells_and_reordered_outcomes(self):
         # 0/0 at "c", f_Q = 0 at "b", f_P = 0 at "d"; Q lists them reversed

@@ -623,8 +623,10 @@ def reference_tcurve(segments):
         if m == 0:
             start = end = c
         else:
-            start = mul0(c, pow_ext(alo, m)) if alo > 0 else 0
-            end = INF if is_inf(a_hi) else mul0(c, pow_ext(a_hi, m))
+            # c alpha^m at the piece's ends, with 0 * inf = 0: the zero
+            # piece 0 * alpha ends at 0, not at inf
+            start = mul0(c, pow_ext(alo, m))
+            end = mul0(c, pow_ext(a_hi, m))
         if start < prev_end and not _close(start, prev_end):
             raise ValueError("test function must be nondecreasing in alpha")
         if end > 1 and not _close(end, 1):
@@ -667,11 +669,11 @@ def reference_to_pcurve(segments):
                 out.append((level, () if is_inf(alo) else ((recip(alo), 0),)))
                 u_cur = level
         else:
-            v_lo = min(mul0(c, pow_ext(alo, m)), 1) if alo > 0 else 0
+            v_lo = min(mul0(c, pow_ext(alo, m)), 1)
             if v_lo > u_cur:
                 out.append((v_lo, ((recip(alo), 0),)))
                 u_cur = v_lo
-            v_hi = min(mul0(c, pow_ext(a_hi, m)) if not is_inf(a_hi) else INF, 1)
+            v_hi = min(mul0(c, pow_ext(a_hi, m)), 1)
             if v_hi > u_cur:
                 coef = pow_ext(recip(c), recip(m))
                 out.append((v_hi, ((recip(coef), recip(m)),)))

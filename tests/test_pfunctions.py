@@ -119,6 +119,14 @@ class TestTCurve:
         with pytest.raises(ValueError, match="nondecreasing in alpha"):
             TCurve([segment])
 
+    def test_zero_power_piece_is_the_zero_test(self):
+        # 0 * alpha on [1/2, inf): the end at alpha = inf is 0 * inf = 0,
+        # not inf, so the curve stays within [0, 1]
+        c = TCurve([(0.5, 0, 1)])
+        assert all(c.value(a) == 0 for a in (F(1, 4), 0.5, 1, 10**6, INF))
+        assert pfunction_of(RandomizedTestFunction({"x": c})) == \
+            PFunction({"x": PCurve([(1, ())])})
+
     def test_value_rejects_nan(self):
         # alpha <= 0 is false for nan, so value(nan) read past every
         # breakpoint and returned 1
