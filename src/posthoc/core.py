@@ -225,18 +225,54 @@ def p_value(tf: TestFunction, outcome) -> Number:
 
 
 SAMPLE_BLOCK = 1 << 16  # draws per block of PValueLaw.sample_blocks: 512 KB
-# the most draws PValueLaw.sample_blocks makes without numpy: a stdlib draw
-# costs 3-6 us, so 2^14 of them take less than the ~0.14 s import of numpy
+# the most draws PValueLaw.sample_blocks makes, and monte_carlo_distortion
+# counts, without numpy: 2^14 of them take about 10 ms either way (CPython
+# 3.11), far less than the ~0.12 s import of numpy
 STDLIB_DRAWS = 1 << 14
 
 
 def _stdlib_draws(n: int) -> bool:
-    """Whether n draws (:meth:`PValueLaw.sample_blocks`) and their counts
-    (``monte_carlo_distortion``) skip numpy: up to ``STDLIB_DRAWS`` while
-    numpy is not loaded, as its path is the faster at any n once it is.  A
-    ``None`` entry in ``sys.modules``, which blocks the import, counts as
-    not loaded."""
+    """Whether n draws take their words from the stdlib Philox kernel, as
+    lists of ints, rather than from numpy's (:func:`_word_blocks`): for
+    the floats of :meth:`PValueLaw.sample_blocks` and for the integer
+    counts of ``monte_carlo_distortion`` alike.  Up to ``STDLIB_DRAWS``
+    draws while numpy is not loaded, as its path is the faster at any n
+    once it is.  A ``None`` entry in ``sys.modules``, which blocks the
+    import, counts as not loaded."""
     return n <= STDLIB_DRAWS and sys.modules.get("numpy") is None
+
+
+def _word_blocks(n: int, seed: int, picks: bool, stdlib: bool, size: int):
+    """The words of ``Philox(key=seed)`` that n draws take, as blocks of
+    at most ``size`` pairs (component words, position words):
+    words 0 .. n-1 pick the draws' components and words n .. 2n-1 place
+    them.  A law of one component needs no pick (``picks`` false): its
+    component words are None and its stream starts at word n all the
+    same.  With ``stdlib`` the words are lists of ints from
+    :func:`posthoc._philox.philox_words`, else uint64 arrays of
+    ``numpy.random.Philox.random_raw``; both read this one stream.
+    :meth:`PValueLaw.sample_blocks` and ``monte_carlo_distortion`` draw
+    from it alone."""
+    if stdlib:
+        from ._philox import philox_words
+
+        for start in range(0, n, size):
+            count = min(size, n - start)
+            yield (philox_words(seed, start, count) if picks else None,
+                   philox_words(seed, n + start, count))
+        return
+    import numpy as np
+
+    comp = np.random.Philox(key=seed)
+    # a Philox counter yields four 64-bit words, so a second Philox on the
+    # key, advanced n // 4 counters and n % 4 words, streams the position
+    # words alongside the first
+    pos = np.random.Philox(key=seed)
+    pos.advance(n // 4)
+    pos.random_raw(n % 4)
+    for start in range(0, n, size):
+        count = min(size, n - start)
+        yield comp.random_raw(count) if picks else None, pos.random_raw(count)
 
 
 class PValueLaw(Record):
@@ -374,6 +410,26 @@ class PValueLaw(Record):
 
     # -- sampling ----------------------------------------------------------
 
+    def _components(self) -> tuple:
+        """(cuts, base, width) of the law's components, atoms then pieces.
+        An atom is its location with width 0, a piece (a, b] is a with
+        width b - a, and a draw in component j is ``width[j] * u + base[j]``
+        for a uniform u.  A component word w picks component j when
+        cuts[j-1] <= w < cuts[j] (no bound past either end): cuts[j] =
+        ceil(cdf[j] * 2**53) << 11 is the least word whose double
+        (w >> 11) * 2**-53 is at least cdf[j], so the pick is
+        ``bisect_right(cdf, u)`` on the cdf of ``Generator.choice``
+        (:func:`posthoc._philox.choice_cdf`).  A law of one component has
+        no cuts."""
+        from ._philox import choice_cdf
+
+        comps = [(float(m), float(loc), 0.0) for loc, m in self.atoms]
+        comps += [(float(m), float(a), float(b) - float(a))
+                  for a, b, m in self.pieces]
+        masses, base, width = (list(col) for col in zip(*comps))
+        cuts = [math.ceil(c * 2.0 ** 53) << 11 for c in choice_cdf(masses)[:-1]]
+        return cuts, base, width
+
     def sample_blocks(self, n: int, seed: int):
         """n i.i.d. float draws by inverse-mixture sampling, in stream
         order, as blocks of at most ``SAMPLE_BLOCK`` draws.
@@ -381,54 +437,34 @@ class PValueLaw(Record):
         The draws are those of ``rng = Generator(Philox(key=seed))`` when
         n uniforms of ``rng`` pick the components as ``rng.choice`` does
         and the next n place the draws within them, as ``width * u +
-        base``.  Both come from one stream, words 0 .. n-1 and n .. 2n-1.
-        Up to ``STDLIB_DRAWS`` draws while numpy is not loaded
-        (:func:`_stdlib_draws`) come from the stdlib kernel
-        :func:`posthoc._philox.philox_doubles`, as lists of floats.  The
-        rest come from numpy's Philox as views of one reused buffer, valid
-        until the next block is drawn, so memory does not grow with n.  So
-        the type of a block depends on whether numpy is already loaded.
-        Both paths read this one stream and pick with one cdf
-        (:func:`posthoc._philox.choice_cdf`), so they give equal draws.
+        base``: the words of :func:`_word_blocks`, picked by the integer
+        cuts of :meth:`_components`, each position word made the double
+        u = (w >> 11) * 2**-53.  Up to ``STDLIB_DRAWS`` draws while numpy
+        is not loaded (:func:`_stdlib_draws`) come as lists of floats.  The
+        rest come as views of one reused numpy buffer, valid until the next
+        block is drawn, so memory does not grow with n.  So the type of a
+        block depends on whether numpy is already loaded; its draws do not.
+        ``monte_carlo_distortion`` counts the same words without making
+        these draws.
         """
-        from ._philox import choice_cdf, philox_doubles
-
-        # the components, atoms then pieces: an atom is its location with
-        # width 0, a piece (a, b] is a with width b - a
-        comps = [(float(m), float(loc), 0.0) for loc, m in self.atoms]
-        comps += [(float(m), float(a), float(b) - float(a))
-                  for a, b, m in self.pieces]
-        masses, base, width = (list(col) for col in zip(*comps))
-        cdf = choice_cdf(masses)
-        size = SAMPLE_BLOCK
-        if _stdlib_draws(n):
-            for start in range(0, n, size):
-                count = min(size, n - start)
-                # one component needs no uniform to pick it
-                picks = ([bisect_right(cdf, u) for u in philox_doubles(seed, start, count)]
-                         if len(cdf) > 1 else [0] * count)
-                pos = philox_doubles(seed, n + start, count)
-                yield [width[i] * v + base[i] for i, v in zip(picks, pos)]
+        cuts, base, width = self._components()
+        stdlib = _stdlib_draws(n)
+        blocks = _word_blocks(n, seed, bool(cuts), stdlib, SAMPLE_BLOCK)
+        if stdlib:
+            for comp, pos in blocks:
+                picks = ([bisect_right(cuts, w) for w in comp] if comp is not None
+                         else [0] * len(pos))
+                yield [width[i] * ((w >> 11) * 2.0 ** -53) + base[i]
+                       for i, w in zip(picks, pos)]
             return
         import numpy as np
 
         base, width = np.array(base), np.array(width)
-        comp = np.random.Generator(np.random.Philox(key=seed))
-        # a Philox counter yields four 64-bit words and a double takes one,
-        # so a second Philox on the key, advanced n // 4 counters and
-        # n % 4 words, streams the position uniforms alongside the first
-        bits = np.random.Philox(key=seed)
-        bits.advance(n // 4)
-        bits.random_raw(n % 4)
-        pos = np.random.Generator(bits)
-        out, u = np.empty(min(n, size)), np.empty(min(n, size))
-        for start in range(0, n, size):
-            o, v = out[: n - start], u[: n - start]
-            if len(cdf) > 1:
-                comp.random(out=o)
-            idx = _finite_index(cdf, o)
-            pos.random(out=v)
-            yield _place(base, width, idx, v, o)
+        out, u = np.empty(min(n, SAMPLE_BLOCK)), np.empty(min(n, SAMPLE_BLOCK))
+        for comp, pos in blocks:
+            o, v = out[:len(pos)], u[:len(pos)]
+            np.multiply(np.right_shift(pos, np.uint64(11), out=pos), 2.0 ** -53, out=v)
+            yield _place(base, width, _finite_index(cuts, comp, len(pos)), v, o)
 
     # -- serialization -------------------------------------------------------
 
@@ -532,22 +568,23 @@ def _lattice_piece_cdf(pieces: list, total: int, top: int) -> tuple:
     return num, q
 
 
-def _finite_index(cdf: list, u: np.ndarray) -> np.ndarray:
-    """The component index of each uniform u in [0, 1) by the cdf of
-    :func:`posthoc._philox.choice_cdf`, as numpy's ``Generator.choice``
-    picks it: ``cdf.searchsorted(u, side="right")``.  As u < 1 = cdf[-1], that
-    index is the count of j < k-1 with u >= cdf[j], so k-1 vector
-    comparisons replace the binary search (cdf is nondecreasing, so zero
-    masses and ties count alike).  The index has the smallest integer type
-    that holds k-1.  The numpy path of :meth:`PValueLaw.sample_blocks`
-    (above ``STDLIB_DRAWS`` draws) picks its components with it; the
-    stdlib path bisects the same cdf.
+def _finite_index(cuts: list, words, size: int) -> np.ndarray:
+    """The component index of each of ``size`` component words (None
+    when there are no cuts) by the integer cuts of
+    :meth:`PValueLaw._components`: the count of cuts at or below the word,
+    one vector comparison per cut (cuts are nondecreasing, so zero masses
+    and ties count alike; a cut of 2**64 is past every word).  The index
+    has the smallest integer type that holds len(cuts).  The numpy path of
+    :meth:`PValueLaw.sample_blocks` picks its components with it; the
+    stdlib path bisects the same cuts.
     """
     import numpy as np
 
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
-    for c in cdf[:-1]:
-        idx += u >= c
+    idx = np.zeros(size, dtype=np.min_scalar_type(len(cuts)))
+    for c in cuts:
+        if c >> 64:
+            break
+        idx += words >= np.uint64(c)
     return idx
 
 

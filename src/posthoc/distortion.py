@@ -7,15 +7,14 @@ in one pass over the pieces; a Monte Carlo engine cross-checks them.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 from . import core
 from ._numbers import (
     INF, Number, check_seed, fmt_number, frac, is_inf, recip, sqrt_fraction,
 )
+from ._philox import CHUNK_WORDS
 from ._record import Record
 from .core import PValueLaw
 
@@ -142,24 +141,56 @@ def distortion_report(p_law: PValueLaw, s: AlphaStrategy) -> DistortionReport:
     return DistortionReport(tuple(rows), expected, maximum)
 
 
+_LAST_WORD = (1 << 64) - 1
+
+
+def _last_k(base: float, width: float, x: float) -> int:
+    """The largest K in [0, 2**53) with ``width * (K * 2**-53) + base <=
+    x`` in floats, or -1 if none.  Float products and sums are monotone,
+    so the draw ``width * u + base`` is nondecreasing in u and the K for
+    which it holds are 0 .. K: found by bisection."""
+    def at_most(k):
+        return width * (k * 2.0 ** -53) + base <= x
+
+    if not at_most(0):
+        return -1
+    lo, hi = 0, 1 << 53  # at_most(lo) holds; hi is past the last K
+    if at_most(hi - 1):
+        return hi - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int):
     """Unbiased MC estimate of the expected size distortion, with its SE.
 
     Deterministic for a fixed seed (counter-based Philox stream), which
-    must be an int in [0, 2**128): another type, a bool included, is a
-    ``TypeError`` and an int out of range a ``ValueError``.  The
-    law's n draws come from :meth:`PValueLaw.sample_blocks`, and only the
-    count of draws at or below each edge of the strategy's cells is kept:
-    up to ``core.STDLIB_DRAWS`` draws are counted by bisecting their
-    sorted list, without importing numpy unless it is loaded
-    (``core._stdlib_draws``), and more are counted block by block with
-    numpy, in O(block) memory.  Both paths draw one stream, so
-    they give the same counts.  The estimate is the exact mean of the
-    per-draw values 1.0/level and the SE the correctly rounded root of
-    the exact sample variance over n, both computed from those counts.
+    must be an int in [0, 2**128), and n an int of at least 1: another
+    type, a bool included, is a ``TypeError`` and an int out of range a
+    ``ValueError``, raised before any draw.  The estimate is that of the n
+    draws of :meth:`PValueLaw.sample_blocks`, but no draw is made: only the
+    count of draws at or below each edge of the strategy's cells is kept,
+    and a draw is at or below an edge x exactly when its position word is
+    at most an integer cut, ``_last_k(base, width, x) << 11 | 2047`` of its
+    component, which its component word picks by the integer cuts of
+    :meth:`PValueLaw._components`.  So each block of words
+    (``core._word_blocks``) is counted with integer comparisons: lists of
+    ints from the stdlib Philox kernel up to ``core.STDLIB_DRAWS`` draws
+    while numpy is not loaded (``core._stdlib_draws``), uint64 arrays of
+    numpy's Philox, in O(block) memory, above.  Both paths read one
+    stream, so they give the same counts.  The estimate is the exact mean
+    of the per-draw values 1.0/level and the SE the correctly rounded root
+    of the exact sample variance over n, both computed from those counts.
     """
     if not isinstance(p_law, PValueLaw):
         raise TypeError(f"expected a PValueLaw, got {type(p_law).__name__}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     check_seed(seed)  # before any draw: numpy and int() would take 2.5 as 2
@@ -169,19 +200,70 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
         lo, top = float(lo), min(float(hi), float(lvl))
         if top > lo:
             cells.append((lo, top, Fraction(1.0 / float(lvl))))
-    at_most = dict.fromkeys({0.0, INF}.union(*(c[:2] for c in cells)), 0)
-    if core._stdlib_draws(n):
-        draws = sorted(chain.from_iterable(p_law.sample_blocks(n, seed)))
-        for x in at_most:
-            at_most[x] = bisect_right(draws, x)
+    # every draw is at most inf (no law draws nan), so only the finite
+    # edges are counted
+    edges = sorted({0.0}.union(*(c[:2] for c in cells)) - {INF})
+    cuts, base, width = p_law._components()
+    # per component of positive mass with a draw at or below some edge: the
+    # span of component words that pick it, the edges at or below which all
+    # its draws lie, and the last position word of a draw at or below each
+    # edge that splits its draws
+    comps = []
+    for lo, hi, b, w in zip([0] + cuts, cuts + [1 << 64], base, width):
+        lasts = [_last_k(b, w, x) << 11 | 0x7FF for x in edges]
+        full = [e for e, last in enumerate(lasts) if last == _LAST_WORD]
+        partial = [(e, last) for e, last in enumerate(lasts) if 0 <= last < _LAST_WORD]
+        if lo < hi and (full or partial):
+            comps.append((lo, hi, full, partial))
+    # a component's words: a list of its position words on the stdlib
+    # path; the block's position words and a mask of the component's
+    # (None for all) on numpy's, as a mask is cheaper than a compress
+    stdlib = core._stdlib_draws(n)
+    if stdlib:
+        block = CHUNK_WORDS  # a kernel chunk at a time: lists of ints are large
+
+        def pick(comp, pos, lo, hi):
+            if lo == 0 and hi >> 64:
+                return pos
+            return [w for c, w in zip(comp, pos) if lo <= c < hi]
+
+        size = len
+
+        def at_or_below(words, last):
+            return sum(w <= last for w in words)
     else:
         import numpy as np
 
-        for block in p_law.sample_blocks(n, seed):
-            for x in at_most:
-                at_most[x] += int(np.count_nonzero(block <= x))
-    if at_most[INF] - at_most[0.0] != n:
+        block = core.SAMPLE_BLOCK
+
+        def pick(comp, pos, lo, hi):
+            if lo == 0:
+                return pos, None if hi >> 64 else comp < np.uint64(hi)
+            if hi >> 64:
+                return pos, comp >= np.uint64(lo)
+            return pos, (comp >= np.uint64(lo)) & (comp < np.uint64(hi))
+
+        def size(words):
+            pos, keep = words
+            return len(pos) if keep is None else int(np.count_nonzero(keep))
+
+        def at_or_below(words, last):
+            pos, keep = words
+            below = pos <= np.uint64(last)
+            return int(np.count_nonzero(below if keep is None else below & keep))
+    at_most = [0] * len(edges)
+    for comp, pos in core._word_blocks(n, seed, bool(cuts), stdlib, block):
+        for lo, hi, full, partial in comps:
+            words = pick(comp, pos, lo, hi)
+            if full:
+                picked = size(words)
+                for e in full:
+                    at_most[e] += picked
+            for e, last in partial:
+                at_most[e] += at_or_below(words, last)
+    if at_most[0]:  # edges[0] is 0.0
         raise ValueError("the law's draws fell outside (0, inf]")
+    at_most = dict(zip(edges + [INF], at_most + [n]))
     total = squares = Fraction(0)
     for lo, top, v in cells:
         count = at_most[top] - at_most[lo]

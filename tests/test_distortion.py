@@ -27,9 +27,10 @@ from posthoc import (
     valid_hacking_law,
 )
 from posthoc import core
-from posthoc._philox import choice_cdf, pairwise_sum, philox_doubles, philox_words
+from posthoc._philox import choice_cdf, pairwise_sum, philox_words
 from posthoc.core import SAMPLE_BLOCK
-from test_core import philox, reference_law_sample
+from test_core import law_sample, philox, reference_law_sample
+from test_word_counts import counted_estimate, float_draws, laws_at_edges, planted, thirds_law
 
 
 def on_path(stdlib):
@@ -140,19 +141,27 @@ class TestMonteCarlo:
             monte_carlo_distortion(lambda n, rng: rng.random(n) + 0.5,
                                    decreasing_alpha_strategy(), 5, seed=2)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, -math.inf])
+    # a position word below 2**11 makes u = 0.0, so the uniform law's piece
+    # from 0 draws 0.0: the one draw outside (0, inf] a valid law can make
+    @pytest.mark.parametrize("bad", [0.0])
     @pytest.mark.parametrize("where", [0, SAMPLE_BLOCK + 2])
     def test_rejects_draws_outside_the_half_line(self, bad, where):
-        def sample_blocks(law, n, seed):
-            draws = philox(seed).random(n) + 0.5
-            draws[where] = bad
-            for i in range(0, n, SAMPLE_BLOCK):
-                yield draws[i:i + SAMPLE_BLOCK]
+        for stdlib in (False, True):
+            with on_path(stdlib), planted(pos={where: 2 ** 11 - 1}), \
+                    pytest.raises(ValueError, match="outside"):
+                monte_carlo_distortion(uniform_p_law(), decreasing_alpha_strategy(),
+                                       SAMPLE_BLOCK + 3, seed=2)
+        with planted(pos={where: 2 ** 11 - 1}):
+            assert law_sample(uniform_p_law(), SAMPLE_BLOCK + 3, 2)[where] == bad
 
-        with mock.patch.object(PValueLaw, "sample_blocks", sample_blocks), \
-                pytest.raises(ValueError, match="outside"):
-            monte_carlo_distortion(uniform_p_law(), decreasing_alpha_strategy(),
-                                   SAMPLE_BLOCK + 3, seed=2)
+    @pytest.mark.parametrize("stdlib", [False, True], ids=["numpy", "stdlib"])
+    def test_a_component_word_on_a_cut_picks_the_next_component(self, stdlib):
+        law, comp = thirds_law()
+        s = decreasing_alpha_strategy()
+        want = float_draws(law, 8, 5, comp=comp)
+        with on_path(stdlib), planted(comp=comp):
+            assert np.concatenate([b.copy() for b in law.sample_blocks(8, 5)]).tolist() == want
+            assert monte_carlo_distortion(law, s, 8, 5) == counted_estimate(want, s)
 
     def test_mc_paths_keys_keep_their_estimates(self):
         # the estimates of the default decreasing-alpha runs at 5 * 10^6
@@ -293,6 +302,18 @@ class TestBlockedEstimator:
     def test_law_estimate_matches_the_oracle(self, law, s, n, seed):
         assert_matches_oracle(law, s, n, seed)
 
+    @pytest.mark.parametrize("n", [1, 2 ** 14, 2 ** 14 + 1, B - 1, B + 1, 3 * B + 5])
+    @settings(max_examples=6, deadline=None)
+    @given(laws_at_edges(), seeds)
+    def test_counts_match_the_counted_draws(self, n, law_and_s, seed):
+        # the word counter on both paths against the float draws of the
+        # rng.choice formulation, counted at the cell edges
+        law, s = law_and_s
+        want = counted_estimate(reference_law_sample(law, n, philox(seed)).tolist(), s)
+        for stdlib in (False, True):
+            with on_path(stdlib):
+                assert monte_carlo_distortion(law, s, n, seed) == want
+
     @pytest.mark.parametrize("n", SIZES)
     def test_fixtures_match_the_oracle(self, n):
         for law in (uniform_p_law(), valid_hacking_law()):
@@ -332,8 +353,12 @@ class TestStdlibStream:
 
     @pytest.mark.parametrize("key", [0, 2 ** 64, 2 ** 128 - 1])
     def test_doubles_match_generator_random(self, key):
+        # the uniform law's draws are its position doubles, words 9 .. 17:
+        # 1.0 * u + 0.0
         rng = np.random.Generator(np.random.Philox(key=key))
-        assert philox_doubles(key, 0, 9) == rng.random(9).tolist()
+        with on_path(True):
+            assert list(uniform_p_law().sample_blocks(9, key)) == \
+                [rng.random(18)[9:].tolist()]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0, 1e6), max_size=300))
@@ -380,11 +405,11 @@ class TestStdlibStream:
     @pytest.mark.parametrize("stdlib", [False, True], ids=["numpy", "stdlib"])
     def test_bad_seed_raises_before_any_draw(self, seed, error, stdlib):
         # numpy's Philox and int() once took 2.5, True and '3' as keys 2, 1, 3
-        def no_draws(law, n, seed):
+        def no_draws(*args):
             raise AssertionError("drew with a bad seed")
 
         with on_path(stdlib), \
-                mock.patch.object(PValueLaw, "sample_blocks", no_draws), \
+                mock.patch.object(core, "_word_blocks", no_draws), \
                 pytest.raises(error, match="seed must be an integer|key must be"):
             monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(),
                                    10, seed)
