@@ -6,8 +6,9 @@ ten rounds of two 64x64 -> 128-bit multiplies.  ``numpy.random.Philox``
 starts its counter at 0 and bumps it before each block, so word w of its
 stream is lane w % 4 of counter w // 4 + 1, and a double is the top 53
 bits of one word.  :func:`philox_words` computes those words without
-numpy, bit for bit, so a small sample need not import it; the Monte Carlo
-distortion counts them against integer cuts and never makes a double.
+numpy, bit for bit, so a small sample need not import it; their one
+reader, ``distortion.monte_carlo_distortion``, counts them against integer
+cuts and never makes a double.
 """
 from __future__ import annotations
 

@@ -10,8 +10,6 @@ rejecting at a level chosen after seeing the data.
 from __future__ import annotations
 
 import math
-import sys
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
@@ -224,57 +222,6 @@ def p_value(tf: TestFunction, outcome) -> Number:
 # p-value laws (atoms + uniform-density pieces)
 
 
-SAMPLE_BLOCK = 1 << 16  # draws per block of PValueLaw.sample_blocks: 512 KB
-# the most draws PValueLaw.sample_blocks makes, and monte_carlo_distortion
-# counts, without numpy: 2^14 of them take about 10 ms either way (CPython
-# 3.11), far less than the ~0.12 s import of numpy
-STDLIB_DRAWS = 1 << 14
-
-
-def _stdlib_draws(n: int) -> bool:
-    """Whether n draws take their words from the stdlib Philox kernel, as
-    lists of ints, rather than from numpy's (:func:`_word_blocks`): for
-    the floats of :meth:`PValueLaw.sample_blocks` and for the integer
-    counts of ``monte_carlo_distortion`` alike.  Up to ``STDLIB_DRAWS``
-    draws while numpy is not loaded, as its path is the faster at any n
-    once it is.  A ``None`` entry in ``sys.modules``, which blocks the
-    import, counts as not loaded."""
-    return n <= STDLIB_DRAWS and sys.modules.get("numpy") is None
-
-
-def _word_blocks(n: int, seed: int, picks: bool, stdlib: bool, size: int):
-    """The words of ``Philox(key=seed)`` that n draws take, as blocks of
-    at most ``size`` pairs (component words, position words):
-    words 0 .. n-1 pick the draws' components and words n .. 2n-1 place
-    them.  A law of one component needs no pick (``picks`` false): its
-    component words are None and its stream starts at word n all the
-    same.  With ``stdlib`` the words are lists of ints from
-    :func:`posthoc._philox.philox_words`, else uint64 arrays of
-    ``numpy.random.Philox.random_raw``; both read this one stream.
-    :meth:`PValueLaw.sample_blocks` and ``monte_carlo_distortion`` draw
-    from it alone."""
-    if stdlib:
-        from ._philox import philox_words
-
-        for start in range(0, n, size):
-            count = min(size, n - start)
-            yield (philox_words(seed, start, count) if picks else None,
-                   philox_words(seed, n + start, count))
-        return
-    import numpy as np
-
-    comp = np.random.Philox(key=seed)
-    # a Philox counter yields four 64-bit words, so a second Philox on the
-    # key, advanced n // 4 counters and n % 4 words, streams the position
-    # words alongside the first
-    pos = np.random.Philox(key=seed)
-    pos.advance(n // 4)
-    pos.random_raw(n % 4)
-    for start in range(0, n, size):
-        count = min(size, n - start)
-        yield comp.random_raw(count) if picks else None, pos.random_raw(count)
-
-
 class PValueLaw(Record):
     """Distribution of a p-value: point masses plus uniform-density intervals.
 
@@ -292,7 +239,9 @@ class PValueLaw(Record):
     :func:`check_classical_validity` sweep with int ratios.  Other laws keep
     a ``Fraction``/float formulation, as a float law summed on ints would
     round differently and an int mass must give an int sum; both give
-    equal values of equal type.
+    equal values of equal type.  A law is not sampled here: the Monte
+    Carlo cross-check, ``distortion.monte_carlo_distortion``, reads its
+    components and counts random words against them.
     """
 
     atoms: tuple
@@ -408,64 +357,6 @@ class PValueLaw(Record):
                 pts.append(b)
         return sorted(set(pts))
 
-    # -- sampling ----------------------------------------------------------
-
-    def _components(self) -> tuple:
-        """(cuts, base, width) of the law's components, atoms then pieces.
-        An atom is its location with width 0, a piece (a, b] is a with
-        width b - a, and a draw in component j is ``width[j] * u + base[j]``
-        for a uniform u.  A component word w picks component j when
-        cuts[j-1] <= w < cuts[j] (no bound past either end): cuts[j] =
-        ceil(cdf[j] * 2**53) << 11 is the least word whose double
-        (w >> 11) * 2**-53 is at least cdf[j], so the pick is
-        ``bisect_right(cdf, u)`` on the cdf of ``Generator.choice``
-        (:func:`posthoc._philox.choice_cdf`).  A law of one component has
-        no cuts."""
-        from ._philox import choice_cdf
-
-        comps = [(float(m), float(loc), 0.0) for loc, m in self.atoms]
-        comps += [(float(m), float(a), float(b) - float(a))
-                  for a, b, m in self.pieces]
-        masses, base, width = (list(col) for col in zip(*comps))
-        cuts = [math.ceil(c * 2.0 ** 53) << 11 for c in choice_cdf(masses)[:-1]]
-        return cuts, base, width
-
-    def sample_blocks(self, n: int, seed: int):
-        """n i.i.d. float draws by inverse-mixture sampling, in stream
-        order, as blocks of at most ``SAMPLE_BLOCK`` draws.
-
-        The draws are those of ``rng = Generator(Philox(key=seed))`` when
-        n uniforms of ``rng`` pick the components as ``rng.choice`` does
-        and the next n place the draws within them, as ``width * u +
-        base``: the words of :func:`_word_blocks`, picked by the integer
-        cuts of :meth:`_components`, each position word made the double
-        u = (w >> 11) * 2**-53.  Up to ``STDLIB_DRAWS`` draws while numpy
-        is not loaded (:func:`_stdlib_draws`) come as lists of floats.  The
-        rest come as views of one reused numpy buffer, valid until the next
-        block is drawn, so memory does not grow with n.  So the type of a
-        block depends on whether numpy is already loaded; its draws do not.
-        ``monte_carlo_distortion`` counts the same words without making
-        these draws.
-        """
-        cuts, base, width = self._components()
-        stdlib = _stdlib_draws(n)
-        blocks = _word_blocks(n, seed, bool(cuts), stdlib, SAMPLE_BLOCK)
-        if stdlib:
-            for comp, pos in blocks:
-                picks = ([bisect_right(cuts, w) for w in comp] if comp is not None
-                         else [0] * len(pos))
-                yield [width[i] * ((w >> 11) * 2.0 ** -53) + base[i]
-                       for i, w in zip(picks, pos)]
-            return
-        import numpy as np
-
-        base, width = np.array(base), np.array(width)
-        out, u = np.empty(min(n, SAMPLE_BLOCK)), np.empty(min(n, SAMPLE_BLOCK))
-        for comp, pos in blocks:
-            o, v = out[:len(pos)], u[:len(pos)]
-            np.multiply(np.right_shift(pos, np.uint64(11), out=pos), 2.0 ** -53, out=v)
-            yield _place(base, width, _finite_index(cuts, comp, len(pos)), v, o)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -566,37 +457,6 @@ def _lattice_piece_cdf(pieces: list, total: int, top: int) -> tuple:
             num = num * (b - a) + m * (top - a) * q
             q *= b - a
     return num, q
-
-
-def _finite_index(cuts: list, words, size: int) -> np.ndarray:
-    """The component index of each of ``size`` component words (None
-    when there are no cuts) by the integer cuts of
-    :meth:`PValueLaw._components`: the count of cuts at or below the word,
-    one vector comparison per cut (cuts are nondecreasing, so zero masses
-    and ties count alike; a cut of 2**64 is past every word).  The index
-    has the smallest integer type that holds len(cuts).  The numpy path of
-    :meth:`PValueLaw.sample_blocks` picks its components with it; the
-    stdlib path bisects the same cuts.
-    """
-    import numpy as np
-
-    idx = np.zeros(size, dtype=np.min_scalar_type(len(cuts)))
-    for c in cuts:
-        if c >> 64:
-            break
-        idx += words >= np.uint64(c)
-    return idx
-
-
-def _place(base: np.ndarray, width: np.ndarray, idx: np.ndarray,
-           u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Draws within the components ``idx``, written into ``out`` (``u`` is
-    overwritten): base + width * u, which is an atom's location (width 0)
-    or a + (b - a) u on a piece (a, b]."""
-    width.take(idx, out=out, mode="clip")
-    out *= u
-    out += base.take(idx, out=u, mode="clip")
-    return out
 
 
 def law_of(ev: EvidenceVariable, space: DiscreteSpace) -> PValueLaw:

@@ -7,14 +7,16 @@ in one pass over the pieces; a Monte Carlo engine cross-checks them.
 """
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import Iterable
 
-from . import core
 from ._numbers import (
-    INF, Number, check_seed, fmt_number, frac, is_inf, recip, sqrt_fraction,
+    INF, Number, check_seed, float_ext, fmt_number, frac, is_inf, recip,
+    sqrt_fraction,
 )
-from ._philox import CHUNK_WORDS
+from ._philox import CHUNK_WORDS, choice_cdf, philox_words
 from ._record import Record
 from .core import PValueLaw
 
@@ -141,6 +143,77 @@ def distortion_report(p_law: PValueLaw, s: AlphaStrategy) -> DistortionReport:
     return DistortionReport(tuple(rows), expected, maximum)
 
 
+# ---------------------------------------------------------------------------
+# Monte Carlo: the words of one Philox stream counted against integer cuts
+
+
+SAMPLE_BLOCK = 1 << 16  # words per block on numpy's path: 512 KB a stream
+# the most draws counted without numpy: a CLI run of 2^16 draws takes
+# 0.15-0.18 s against 0.28-0.29 s with numpy's import, and at 2^18
+# draws numpy's path is the faster on a two-component law (CPython 3.11
+# on a 2-core x86-64 Xeon)
+STDLIB_DRAWS = 1 << 16
+
+
+def _stdlib_draws(n: int) -> bool:
+    """Whether n draws take their words from the stdlib Philox kernel, as
+    lists of ints, rather than from numpy's (:func:`_word_blocks`).  Up to
+    ``STDLIB_DRAWS`` draws while numpy is not loaded, as its path is the
+    faster at any n once it is.  A ``None`` entry in ``sys.modules``, which
+    blocks the import, counts as not loaded."""
+    return n <= STDLIB_DRAWS and sys.modules.get("numpy") is None
+
+
+def _word_blocks(n: int, seed: int, picks: bool, stdlib: bool):
+    """The words of ``Philox(key=seed)`` that n draws take, as blocks of
+    pairs (component words, position words): words 0 .. n-1 pick the
+    draws' components and words n .. 2n-1 place them.  A law of one
+    component needs no pick (``picks`` false): its component words are
+    None and its stream starts at word n all the same.  With ``stdlib``
+    the words are lists of ints from :func:`posthoc._philox.philox_words`,
+    ``CHUNK_WORDS`` at a time, as lists of ints are large; else uint64
+    arrays of ``numpy.random.Philox.random_raw``, ``SAMPLE_BLOCK`` at a
+    time.  Both read this one stream."""
+    if stdlib:
+        for start in range(0, n, CHUNK_WORDS):
+            count = min(CHUNK_WORDS, n - start)
+            yield (philox_words(seed, start, count) if picks else None,
+                   philox_words(seed, n + start, count))
+        return
+    import numpy as np
+
+    comp = np.random.Philox(key=seed)
+    # a Philox counter yields four 64-bit words, so a second Philox on the
+    # key, advanced n // 4 counters and n % 4 words, streams the position
+    # words alongside the first
+    pos = np.random.Philox(key=seed)
+    pos.advance(n // 4)
+    pos.random_raw(n % 4)
+    for start in range(0, n, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, n - start)
+        yield comp.random_raw(count) if picks else None, pos.random_raw(count)
+
+
+def _components(p_law: PValueLaw) -> tuple:
+    """(cuts, base, width) of the law's components, atoms then pieces.
+    An atom is its location with width 0, a piece (a, b] is a with
+    width b - a, and a draw in component j is ``width[j] * u + base[j]``
+    for a uniform u; a location past the float range is inf
+    (:func:`posthoc._numbers.float_ext`).  A component word w picks
+    component j when cuts[j-1] <= w < cuts[j] (no bound past either end):
+    cuts[j] = ceil(cdf[j] * 2**53) << 11 is the least word whose double
+    (w >> 11) * 2**-53 is at least cdf[j], so the pick is
+    ``bisect_right(cdf, u)`` on the cdf of ``Generator.choice``
+    (:func:`posthoc._philox.choice_cdf`).  A law of one component has
+    no cuts."""
+    comps = [(float(m), float_ext(loc), 0.0) for loc, m in p_law.atoms]
+    comps += [(float(m), float_ext(a), float_ext(b) - float_ext(a))
+              for a, b, m in p_law.pieces]
+    masses, base, width = (list(col) for col in zip(*comps))
+    cuts = [math.ceil(c * 2.0 ** 53) << 11 for c in choice_cdf(masses)[:-1]]
+    return cuts, base, width
+
+
 _LAST_WORD = (1 << 64) - 1
 
 
@@ -172,20 +245,24 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     Deterministic for a fixed seed (counter-based Philox stream), which
     must be an int in [0, 2**128), and n an int of at least 1: another
     type, a bool included, is a ``TypeError`` and an int out of range a
-    ``ValueError``, raised before any draw.  The estimate is that of the n
-    draws of :meth:`PValueLaw.sample_blocks`, but no draw is made: only the
-    count of draws at or below each edge of the strategy's cells is kept,
-    and a draw is at or below an edge x exactly when its position word is
-    at most an integer cut, ``_last_k(base, width, x) << 11 | 2047`` of its
-    component, which its component word picks by the integer cuts of
-    :meth:`PValueLaw._components`.  So each block of words
-    (``core._word_blocks``) is counted with integer comparisons: lists of
-    ints from the stdlib Philox kernel up to ``core.STDLIB_DRAWS`` draws
-    while numpy is not loaded (``core._stdlib_draws``), uint64 arrays of
-    numpy's Philox, in O(block) memory, above.  Both paths read one
-    stream, so they give the same counts.  The estimate is the exact mean
-    of the per-draw values 1.0/level and the SE the correctly rounded root
-    of the exact sample variance over n, both computed from those counts.
+    ``ValueError``, raised before any draw.  The estimate is that of n
+    float draws ``width * u + base`` of the law's components
+    (:func:`_components`), picked and placed by the doubles u = (w >> 11)
+    * 2**-53 of the words of ``Generator(Philox(key=seed))``, as
+    ``rng.choice`` then ``rng.random`` would; but no draw is made.  Only
+    the count of draws at or below each edge of the strategy's cells is
+    kept, and a draw is at or below an edge x exactly when its position
+    word is at most an integer cut, ``_last_k(base, width, x) << 11 |
+    2047`` of its component, which its component word picks by the
+    integer cuts of :func:`_components`.  So each block of words
+    (:func:`_word_blocks`) is counted with integer comparisons: lists of
+    ints from the stdlib Philox kernel up to ``STDLIB_DRAWS`` draws while
+    numpy is not loaded (:func:`_stdlib_draws`), uint64 arrays of numpy's
+    Philox, in O(block) memory, above.  Both paths read one stream, so
+    they give the same counts.  Levels, edges and locations past the
+    float range count as inf.  The estimate is the exact mean of the
+    per-draw values 1.0/level and the SE the correctly rounded root of
+    the exact sample variance over n, both computed from those counts.
     """
     if not isinstance(p_law, PValueLaw):
         raise TypeError(f"expected a PValueLaw, got {type(p_law).__name__}")
@@ -197,13 +274,14 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     # a draw scores 1.0/level in its cell (lo, min(hi, level)], else 0
     cells = []
     for lo, hi, lvl in s.pieces:
-        lo, top = float(lo), min(float(hi), float(lvl))
+        lo, lvl = float_ext(lo), float_ext(lvl)
+        top = min(float_ext(hi), lvl)
         if top > lo:
-            cells.append((lo, top, Fraction(1.0 / float(lvl))))
-    # every draw is at most inf (no law draws nan), so only the finite
-    # edges are counted
+            cells.append((lo, top, Fraction(1.0 / lvl)))
+    # every draw is at most inf, so only the finite edges are counted; the
+    # nan of u = 0 on a piece past the float range (inf * 0) is at none
     edges = sorted({0.0}.union(*(c[:2] for c in cells)) - {INF})
-    cuts, base, width = p_law._components()
+    cuts, base, width = _components(p_law)
     # per component of positive mass with a draw at or below some edge: the
     # span of component words that pick it, the edges at or below which all
     # its draws lie, and the last position word of a draw at or below each
@@ -218,10 +296,8 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     # a component's words: a list of its position words on the stdlib
     # path; the block's position words and a mask of the component's
     # (None for all) on numpy's, as a mask is cheaper than a compress
-    stdlib = core._stdlib_draws(n)
+    stdlib = _stdlib_draws(n)
     if stdlib:
-        block = CHUNK_WORDS  # a kernel chunk at a time: lists of ints are large
-
         def pick(comp, pos, lo, hi):
             if lo == 0 and hi >> 64:
                 return pos
@@ -233,8 +309,6 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
             return sum(w <= last for w in words)
     else:
         import numpy as np
-
-        block = core.SAMPLE_BLOCK
 
         def pick(comp, pos, lo, hi):
             if lo == 0:
@@ -252,7 +326,7 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
             below = pos <= np.uint64(last)
             return int(np.count_nonzero(below if keep is None else below & keep))
     at_most = [0] * len(edges)
-    for comp, pos in core._word_blocks(n, seed, bool(cuts), stdlib, block):
+    for comp, pos in _word_blocks(n, seed, bool(cuts), stdlib):
         for lo, hi, full, partial in comps:
             words = pick(comp, pos, lo, hi)
             if full:

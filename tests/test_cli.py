@@ -287,9 +287,11 @@ def test_exact_commands_do_not_load_numpy(argv):
 @pytest.mark.parametrize("argv, code", [
     (["distortion", "--fixture", "valid_hacking", "--strategy", "decreasing_alpha"], 0),
     (["distortion", "--n", "2"], 1),
-], ids=["readme", "n2"])
+    (["distortion", "--n", "65536"], 0),
+], ids=["readme", "n2", "cutoff"])
 def test_small_monte_carlo_draws_do_not_load_numpy(argv, code):
-    # up to STDLIB_DRAWS draws come from the stdlib Philox kernel
+    # up to distortion.STDLIB_DRAWS = 2^16 draws come from the stdlib Philox
+    # kernel
     assert numpy_modules(argv, code) == "[]"
 
 

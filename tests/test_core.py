@@ -2,7 +2,6 @@ import json
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,39 +20,8 @@ from posthoc import (
     law_of,
     p_value,
     posthoc_evidence_of_family,
-    uniform_p_law,
-    valid_hacking_law,
 )
 from posthoc._numbers import is_inf, mul0, recip
-
-
-def philox(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
-def law_sample(law, n, seed):
-    """All n draws of ``law.sample_blocks(n, seed)`` as one array."""
-    return np.concatenate([b.copy() for b in law.sample_blocks(n, seed)])
-
-
-def reference_law_sample(law, n, rng):
-    """The ``rng.choice`` formulation of :meth:`PValueLaw.sample_blocks`:
-    reference for its component index kernel."""
-    comps = [(float(m), ("atom", float(loc))) for loc, m in law.atoms]
-    comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in law.pieces]
-    weights = np.array([w for w, _ in comps])
-    weights = weights / weights.sum()
-    idx = rng.choice(len(comps), size=n, p=weights)
-    u = rng.random(n)
-    out = np.empty(n)
-    for i, (_, spec) in enumerate(comps):
-        sel = idx == i
-        if spec[0] == "atom":
-            out[sel] = spec[1]
-        else:
-            a, b = spec[1], spec[2]
-            out[sel] = a + (b - a) * u[sel]
-    return out
 
 
 class TestDiscreteSpace:
@@ -219,21 +187,6 @@ class TestPValueLaw:
             PValueLaw(atoms=[(1, F(1, 2))])
         with pytest.raises(ValueError):
             PValueLaw(atoms=[(0, 1)])
-
-    def test_sampling_support(self):
-        law = PValueLaw(atoms=[(2, F(1, 2))], pieces=[(0, 1, F(1, 2))])
-        draws = law_sample(law, 500, 7)
-        assert ((draws == 2.0) | ((draws > 0) & (draws <= 1))).all()
-
-    @pytest.mark.parametrize("law", [
-        uniform_p_law(), valid_hacking_law(),
-        PValueLaw(atoms=[(F(1, 20), F(1, 3)), (F(1, 2), F(1, 6)), (INF, 0)],
-                  pieces=[(F(1, 4), 1, F(1, 2))]),
-    ], ids=["uniform", "valid_hacking", "three_atoms_and_a_piece"])
-    def test_sampling_matches_rng_choice(self, law):
-        for n in (1, 1000):
-            assert np.array_equal(law_sample(law, n, 11),
-                                  reference_law_sample(law, n, philox(11)))
 
     def test_json_roundtrip(self):
         law = PValueLaw(atoms=[(F(1, 2), F(1, 4))], pieces=[(0, 1, F(3, 4))])

@@ -26,17 +26,44 @@ from posthoc import (
     uniform_p_law,
     valid_hacking_law,
 )
-from posthoc import core
+from posthoc import distortion
 from posthoc._philox import choice_cdf, pairwise_sum, philox_words
-from posthoc.core import SAMPLE_BLOCK
-from test_core import law_sample, philox, reference_law_sample
-from test_word_counts import counted_estimate, float_draws, laws_at_edges, planted, thirds_law
+from posthoc.distortion import SAMPLE_BLOCK
+from test_word_counts import (
+    counted_estimate, doubles, float_draws, laws_at_edges, planted, taken_paths, thirds_law,
+)
 
 
 def on_path(stdlib):
     """Draw and count on the stdlib path (True) or the numpy path (False),
     whatever n and whether numpy is loaded, as it is in this module."""
-    return mock.patch.object(core, "_stdlib_draws", lambda n: stdlib)
+    return mock.patch.object(distortion, "_stdlib_draws", lambda n: stdlib)
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def reference_law_sample(law, n, rng):
+    """n draws of ``law`` by ``rng.choice`` of the components, then
+    ``rng.random`` within them: the draws whose counts at the cell edges
+    ``monte_carlo_distortion(law, s, n, seed)`` takes from
+    ``rng = philox(seed)``, the reference for its word counter."""
+    comps = [(float(m), ("atom", float(loc))) for loc, m in law.atoms]
+    comps += [(float(m), ("piece", float(a), float(b))) for a, b, m in law.pieces]
+    weights = np.array([w for w, _ in comps])
+    weights = weights / weights.sum()
+    idx = rng.choice(len(comps), size=n, p=weights)
+    u = rng.random(n)
+    out = np.empty(n)
+    for i, (_, spec) in enumerate(comps):
+        sel = idx == i
+        if spec[0] == "atom":
+            out[sel] = spec[1]
+        else:
+            a, b = spec[1], spec[2]
+            out[sel] = a + (b - a) * u[sel]
+    return out
 
 
 class TestAlphaStrategy:
@@ -151,8 +178,8 @@ class TestMonteCarlo:
                     pytest.raises(ValueError, match="outside"):
                 monte_carlo_distortion(uniform_p_law(), decreasing_alpha_strategy(),
                                        SAMPLE_BLOCK + 3, seed=2)
-        with planted(pos={where: 2 ** 11 - 1}):
-            assert law_sample(uniform_p_law(), SAMPLE_BLOCK + 3, 2)[where] == bad
+        assert float_draws(uniform_p_law(), SAMPLE_BLOCK + 3, 2,
+                           pos={where: 2 ** 11 - 1})[where] == bad
 
     @pytest.mark.parametrize("stdlib", [False, True], ids=["numpy", "stdlib"])
     def test_a_component_word_on_a_cut_picks_the_next_component(self, stdlib):
@@ -160,8 +187,28 @@ class TestMonteCarlo:
         s = decreasing_alpha_strategy()
         want = float_draws(law, 8, 5, comp=comp)
         with on_path(stdlib), planted(comp=comp):
-            assert np.concatenate([b.copy() for b in law.sample_blocks(8, 5)]).tolist() == want
             assert monte_carlo_distortion(law, s, 8, 5) == counted_estimate(want, s)
+
+    @pytest.mark.parametrize("law, s", [
+        (uniform_p_law(), AlphaStrategy.constant(10 ** 400)),
+        (uniform_p_law(), AlphaStrategy([(0, F(1, 2), F(1, 2)),
+                                         (F(1, 2), 10 ** 400, F(1, 10)),
+                                         (10 ** 400, INF, 1)])),
+        (PValueLaw(atoms=[(10 ** 400, F(1, 2))], pieces=[(0, 1, F(1, 2))]),
+         decreasing_alpha_strategy()),
+        (PValueLaw(pieces=[(0, 10 ** 400, 1)]), decreasing_alpha_strategy()),
+    ], ids=["level", "edge", "atom", "piece"])
+    def test_numbers_past_the_float_range_count_as_inf(self, law, s):
+        # the exact layer takes them; the estimate once raised OverflowError
+        exact = expected_size_distortion(law, s)
+        with on_path(True):
+            est, se = monte_carlo_distortion(law, s, 10_000, seed=7)
+        with on_path(False):
+            assert monte_carlo_distortion(law, s, 10_000, seed=7) == (est, se)
+        if se == 0:  # every draw scores the same
+            assert (est, se) == (float(exact), 0.0)
+        else:
+            assert abs(est - exact) <= 3 * se
 
     def test_mc_paths_keys_keep_their_estimates(self):
         # the estimates of the default decreasing-alpha runs at 5 * 10^6
@@ -175,7 +222,7 @@ class TestMonteCarlo:
     def test_law_path_memory_is_one_block(self):
         law, s = valid_hacking_law(), decreasing_alpha_strategy()
         # the numpy path imports and caches
-        monte_carlo_distortion(law, s, core.STDLIB_DRAWS + 1, seed=1)
+        monte_carlo_distortion(law, s, distortion.STDLIB_DRAWS + 1, seed=1)
         tracemalloc.start()
         try:
             monte_carlo_distortion(law, s, 10 ** 6, seed=1)
@@ -280,22 +327,34 @@ seeds = st.integers(0, 2 ** 64)
 
 class TestBlockedEstimator:
     @settings(max_examples=60, deadline=None)
-    @given(p_laws(), st.sampled_from(SIZES), seeds)
-    def test_blocks_concatenate_to_sample(self, law, n, seed):
-        blocks = [b.copy() for b in law.sample_blocks(n, seed)]
-        assert all(1 <= len(b) <= B for b in blocks)
-        got = np.concatenate(blocks)
-        assert np.array_equal(got, reference_law_sample(law, n, philox(seed)))
+    @given(st.booleans(), st.sampled_from(SIZES), seeds)
+    def test_blocks_concatenate_to_sample(self, picks, n, seed):
+        # numpy's blocks of at most SAMPLE_BLOCK words are words 0 .. n-1
+        # (None without picks) and n .. 2n-1 of one straight read
+        want = np.random.Philox(key=seed).random_raw(2 * n)
+        blocks = list(distortion._word_blocks(n, seed, picks, False))
+        assert all(1 <= len(pos) <= B for _, pos in blocks)
+        assert np.array_equal(np.concatenate([pos for _, pos in blocks]), want[n:])
+        if picks:
+            assert np.array_equal(np.concatenate([comp for comp, _ in blocks]), want[:n])
+        else:
+            assert all(comp is None for comp, _ in blocks)
 
     @settings(max_examples=60, deadline=None)
-    @given(p_laws(), st.integers(1, 40), st.integers(1, 9), seeds)
-    def test_small_blocks_concatenate_to_sample(self, law, n, size, seed):
-        want = reference_law_sample(law, n, philox(seed))
-        for stdlib in (False, True):
-            with mock.patch.object(core, "SAMPLE_BLOCK", size), on_path(stdlib):
-                blocks = [b.copy() for b in law.sample_blocks(n, seed)]
-            assert all(1 <= len(b) <= size for b in blocks)
-            assert np.array_equal(np.concatenate(blocks), want)
+    @given(p_laws(), strategies(), st.integers(1, 40), st.integers(1, 9), seeds)
+    def test_small_blocks_concatenate_to_sample(self, law, s, n, size, seed):
+        # blocks of at most `size` words on either path: the same words,
+        # counted to the same estimate
+        want = np.random.Philox(key=seed).random_raw(2 * n).tolist()
+        estimate = monte_carlo_distortion(law, s, n, seed)
+        for stdlib, name in ((False, "SAMPLE_BLOCK"), (True, "CHUNK_WORDS")):
+            with mock.patch.object(distortion, name, size):
+                blocks = list(distortion._word_blocks(n, seed, True, stdlib))
+                with on_path(stdlib):
+                    assert monte_carlo_distortion(law, s, n, seed) == estimate
+            assert all(1 <= len(pos) <= size for _, pos in blocks)
+            words = [comp for comp, _ in blocks] + [pos for _, pos in blocks]
+            assert [int(w) for block in words for w in block] == want
 
     @settings(max_examples=80, deadline=None)
     @given(p_laws(), strategies(), st.sampled_from(SIZES), seeds)
@@ -332,7 +391,7 @@ keys = st.integers(0, 2 ** 128 - 1)
 
 def numpy_words(key, offset, count):
     """Words offset .. offset + count - 1 of numpy's Philox stream, reached
-    as ``sample_blocks`` reaches the position uniforms."""
+    as ``distortion._word_blocks`` reaches the position words."""
     bits = np.random.Philox(key=key)
     bits.advance(offset // 4)
     bits.random_raw(offset % 4)
@@ -353,12 +412,11 @@ class TestStdlibStream:
 
     @pytest.mark.parametrize("key", [0, 2 ** 64, 2 ** 128 - 1])
     def test_doubles_match_generator_random(self, key):
-        # the uniform law's draws are its position doubles, words 9 .. 17:
-        # 1.0 * u + 0.0
+        # the uniform law's float draws are its position doubles, words
+        # 9 .. 17: 1.0 * u + 0.0
         rng = np.random.Generator(np.random.Philox(key=key))
-        with on_path(True):
-            assert list(uniform_p_law().sample_blocks(9, key)) == \
-                [rng.random(18)[9:].tolist()]
+        assert doubles(philox_words(key, 9, 9)) == float_draws(uniform_p_law(), 9, key) == \
+            rng.random(18)[9:].tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0, 1e6), max_size=300))
@@ -376,11 +434,9 @@ class TestStdlibStream:
     @settings(max_examples=150, deadline=None)
     @given(any_p_laws, st.integers(1, 200), keys)
     def test_stdlib_draws_match_rng_choice(self, law, n, seed):
-        with on_path(True):
-            blocks = list(law.sample_blocks(n, seed))
-        assert all(isinstance(b, list) for b in blocks)
-        assert np.array_equal(np.concatenate(blocks),
-                              reference_law_sample(law, n, philox(seed)))
+        # the numpy-free oracle of the word counter makes the draws of the
+        # rng.choice one
+        assert float_draws(law, n, seed) == reference_law_sample(law, n, philox(seed)).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(any_p_laws, strategies(), st.integers(1, 200), keys)
@@ -409,43 +465,42 @@ class TestStdlibStream:
             raise AssertionError("drew with a bad seed")
 
         with on_path(stdlib), \
-                mock.patch.object(core, "_word_blocks", no_draws), \
+                mock.patch.object(distortion, "_word_blocks", no_draws), \
                 pytest.raises(error, match="seed must be an integer|key must be"):
             monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(),
                                    10, seed)
 
     def test_the_cutoff_itself_draws_in_the_stdlib(self):
-        n = core.STDLIB_DRAWS
+        n = distortion.STDLIB_DRAWS
         with mock.patch.dict("sys.modules"):
             del sys.modules["numpy"]  # as in a fresh process
-            assert core._stdlib_draws(n) and not core._stdlib_draws(n + 1)
+            assert distortion._stdlib_draws(n) and not distortion._stdlib_draws(n + 1)
         law, s = valid_hacking_law(), decreasing_alpha_strategy()
-        with on_path(True):
-            blocks = list(law.sample_blocks(n, 2026))
+        # a None entry blocks the import: numpy is not loaded
+        with mock.patch.dict("sys.modules", {"numpy": None}), taken_paths() as paths:
             at = monte_carlo_distortion(law, s, n, 2026)
-        assert [type(b) for b in blocks] == [list]
-        assert np.array_equal(blocks[0], reference_law_sample(law, n, philox(2026)))
+        assert paths == [True]
         with on_path(False):
             assert monte_carlo_distortion(law, s, n, 2026) == at
 
     def test_blocked_numpy_draws_small_samples_in_the_stdlib(self):
-        # a None entry blocks the import: numpy is not loaded
         law, s = valid_hacking_law(), decreasing_alpha_strategy()
-        with on_path(True):
+        with on_path(False):
             want = monte_carlo_distortion(law, s, 10, 2026)
-        with mock.patch.dict("sys.modules", {"numpy": None}):
-            assert [type(b) for b in law.sample_blocks(10, 2026)] == [list]
+        with mock.patch.dict("sys.modules", {"numpy": None}), taken_paths() as paths:
             assert monte_carlo_distortion(law, s, 10, 2026) == want
+        assert paths == [True]
 
     def test_loaded_numpy_draws_small_samples(self):
         # once numpy is loaded its path is the faster at any n, and both
         # paths give the same estimate
         law, s = valid_hacking_law(), decreasing_alpha_strategy()
-        assert not core._stdlib_draws(1)
-        assert [type(b) for b in law.sample_blocks(10, 2026)] == [np.ndarray]
+        assert not distortion._stdlib_draws(1)
         with on_path(True):
             want = monte_carlo_distortion(law, s, 10, 2026)
-        assert monte_carlo_distortion(law, s, 10, 2026) == want
+        with taken_paths() as paths:
+            assert monte_carlo_distortion(law, s, 10, 2026) == want
+        assert paths == [False]
 
 
 class TestImpossibility:

@@ -48,6 +48,14 @@ def test_no_module_loads_dataclasses_or_inspect():
     assert "inspect" not in modules
 
 
+def test_core_loads_no_random_stream():
+    # core is exact algebra: the Philox words and numpy are distortion's
+    modules = loaded_after("import posthoc.core")
+    assert posthoc_modules(modules) == {
+        "posthoc", "posthoc._numbers", "posthoc._record", "posthoc.core"}
+    assert "numpy" not in modules
+
+
 def test_first_use_loads_only_the_defining_submodules():
     modules = loaded_after("import posthoc\nposthoc.h_mean")
     assert posthoc_modules(modules) == {

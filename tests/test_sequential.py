@@ -34,6 +34,7 @@ from posthoc import (
     ville_equality_check,
     ville_tail,
 )
+from posthoc._numbers import within
 from posthoc.sequential import _posthoc_sup
 
 
@@ -139,7 +140,39 @@ class TestMarkovEquality:
                 (v for v in grid if v <= x), default=0)
 
 
+@st.composite
+def sandwich_inputs(draw):
+    """(X, c, H): X on 1-4 outcomes with int, Fraction and float values,
+    0 and inf among them; c a positive finite int, Fraction or float; H of
+    1-3 members with exact or float masses, zero masses allowed."""
+    k = draw(st.integers(1, 4))
+    values = st.one_of(st.integers(0, 50), st.fractions(0, 50, max_denominator=20),
+                       st.floats(0, 1e6), st.sampled_from([0, 0.0, INF]))
+    X = EvidenceVariable(dict(enumerate(draw(st.lists(values, min_size=k, max_size=k)))),
+                         "e")
+    c = draw(st.one_of(st.integers(1, 20),
+                       st.fractions(F(1, 100), 20, max_denominator=100).filter(bool),
+                       st.floats(1e-3, 20)))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+        exact = draw(st.booleans())
+        members.append(DiscreteSpace(tuple(range(k)), tuple(
+            F(x, sum(w)) if exact else x / sum(w) for x in w)))
+    return X, c, Hypothesis(members)
+
+
 class TestMrmwSandwich:
+    @settings(max_examples=300, deadline=None)
+    @given(sandwich_inputs())
+    def test_the_sandwich_is_ordered(self, inputs):
+        # 1{X >= 1/c} <= min(cX, 1) <= cX pointwise, and expectations keep
+        # the order: on every member, and so on the worst one
+        X, c, H = inputs
+        for hyp in [*map(Hypothesis.simple, H.members), H]:
+            a, b, r = mrmw_sandwich(X, c, hyp)
+            assert within(a, b) and within(b, r)
+
     def test_reference_point(self):
         ev, hyp = ev_on([F(1, 2), F(3, 2)])
         assert mrmw_sandwich(ev, 1, hyp) == (F(1, 2), F(3, 4), 1)

@@ -10,6 +10,7 @@ loop, and float draws materialised and counted against the cell edges.
 import math
 import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction as F
 from unittest import mock
 
@@ -26,10 +27,10 @@ from posthoc import (
     uniform_p_law,
     valid_hacking_law,
 )
-from posthoc import core
+from posthoc import distortion
 from posthoc._numbers import sqrt_fraction
 from posthoc._philox import CHUNK_WORDS, choice_cdf, philox_words
-from posthoc.distortion import _last_k
+from posthoc.distortion import _components, _last_k
 
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
@@ -60,17 +61,31 @@ def no_numpy():
 def on_path(stdlib):
     """Draw and count on the stdlib path (True) or the numpy path (False),
     whatever n."""
-    return mock.patch.object(core, "_stdlib_draws", lambda n: stdlib)
+    return mock.patch.object(distortion, "_stdlib_draws", lambda n: stdlib)
+
+
+@contextmanager
+def taken_paths():
+    """The ``stdlib`` argument of each call of ``distortion._word_blocks``,
+    in a list that fills as the counter draws: the path it took."""
+    real, paths = distortion._word_blocks, []
+
+    def word_blocks(n, seed, picks, stdlib):
+        paths.append(stdlib)
+        return real(n, seed, picks, stdlib)
+
+    with mock.patch.object(distortion, "_word_blocks", word_blocks):
+        yield paths
 
 
 def planted(comp={}, pos={}):
-    """The words of ``core._word_blocks`` with the component and position
-    words at the given stream indices replaced: {index: word}."""
-    real = core._word_blocks
+    """The words of ``distortion._word_blocks`` with the component and
+    position words at the given stream indices replaced: {index: word}."""
+    real = distortion._word_blocks
 
-    def word_blocks(n, seed, picks, stdlib, size):
+    def word_blocks(n, seed, picks, stdlib):
         start = 0
-        for words in real(n, seed, picks, stdlib, size):
+        for words in real(n, seed, picks, stdlib):
             for block, plants in zip(words, (comp, pos)):
                 for i, word in plants.items():
                     if start <= i < start + len(words[1]):
@@ -78,7 +93,7 @@ def planted(comp={}, pos={}):
             start += len(words[1])
             yield words
 
-    return mock.patch.object(core, "_word_blocks", word_blocks)
+    return mock.patch.object(distortion, "_word_blocks", word_blocks)
 
 
 def planted_words(key, offset, count, plants):
@@ -93,10 +108,10 @@ def doubles(words):
 
 
 def float_draws(law, n, seed, comp={}, pos={}):
-    """The n draws of ``law.sample_blocks(n, seed)`` made as floats, with
-    the words of :func:`planted`: the component doubles picked by
-    bisecting ``choice_cdf``, then ``width * u + base`` on the position
-    doubles."""
+    """The n draws whose counts ``monte_carlo_distortion(law, s, n, seed)``
+    takes, made as floats, with the words of :func:`planted`: the
+    component doubles picked by bisecting ``choice_cdf``, then ``width * u
+    + base`` on the position doubles."""
     comps = [(float(m), float(loc), 0.0) for loc, m in law.atoms]
     comps += [(float(m), float(a), float(b) - float(a)) for a, b, m in law.pieces]
     masses, base, width = zip(*comps)
@@ -112,7 +127,7 @@ def thirds_law():
     component words on, and one below, each of their cuts."""
     law = PValueLaw(atoms=[(F(1, 100), F(1, 3)), (F(3, 100), F(1, 3))],
                     pieces=[(0, F(1, 20), F(1, 3))])
-    cuts = law._components()[0]
+    cuts = _components(law)[0]
     words = [cuts[0] - 1, cuts[0], cuts[1] - 1, cuts[1], 0, 2 ** 64 - 1]
     return law, dict(enumerate(words))
 
@@ -206,7 +221,7 @@ class TestLastK:
     @given(laws_at_edges())
     def test_the_draw_holds_at_k_and_fails_past_it(self, law_and_s):
         law, s = law_and_s
-        _, base, width = law._components()
+        _, base, width = _components(law)
         edges = {0.0, INF}.union(*((float(lo), min(float(hi), float(lvl)))
                                    for lo, hi, lvl in s.pieces))
         for b, w in zip(base, width):
@@ -230,7 +245,7 @@ class TestLastK:
 @given(st.lists(st.integers(0, 7), min_size=2, max_size=9).filter(any))
 def test_cuts_are_the_least_words_whose_doubles_reach_the_cdf(weights):
     law = PValueLaw(atoms=[(i + 1, F(w, sum(weights))) for i, w in enumerate(weights)])
-    cuts = law._components()[0]
+    cuts = _components(law)[0]
     cdf = choice_cdf([float(F(w, sum(weights))) for w in weights])
     assert len(cuts) == len(weights) - 1
     for cut, c in zip(cuts, cdf):
@@ -247,7 +262,8 @@ class TestStdlibCounter:
             assert monte_carlo_distortion(law, s, n, seed) == \
                 counted_estimate(float_draws(law, n, seed), s)
 
-    @pytest.mark.parametrize("n", [core.STDLIB_DRAWS, core.STDLIB_DRAWS + 1])
+    @pytest.mark.parametrize("n", [2 ** 14, 2 ** 14 + 1,
+                                   distortion.STDLIB_DRAWS, distortion.STDLIB_DRAWS + 1])
     def test_fixtures_match_the_float_draws(self, n):
         for law in (uniform_p_law(), valid_hacking_law()):
             for s in (decreasing_alpha_strategy(), conservative_strategy()):
@@ -255,17 +271,11 @@ class TestStdlibCounter:
                     assert monte_carlo_distortion(law, s, n, 2026) == \
                         counted_estimate(float_draws(law, n, 2026), s)
 
-    def test_sample_blocks_are_the_float_draws(self):
-        law = valid_hacking_law()
-        with no_numpy():
-            assert list(law.sample_blocks(1000, 9)) == [float_draws(law, 1000, 9)]
-
     def test_a_component_word_on_a_cut_picks_the_next_component(self):
         law, comp = thirds_law()
         s = decreasing_alpha_strategy()
         want = float_draws(law, 8, 5, comp=comp)
         with no_numpy(), planted(comp=comp):
-            assert list(law.sample_blocks(8, 5)) == [want]
             assert monte_carlo_distortion(law, s, 8, 5) == counted_estimate(want, s)
 
     @pytest.mark.parametrize("word", [0, 2 ** 11 - 1])
@@ -291,6 +301,6 @@ def test_bad_n_raises_before_any_draw(n, error, message, stdlib):
         raise AssertionError("drew with a bad n")
 
     with no_numpy(), on_path(stdlib), \
-            mock.patch.object(core, "_word_blocks", no_draws), \
+            mock.patch.object(distortion, "_word_blocks", no_draws), \
             pytest.raises(error, match=message):
         monte_carlo_distortion(valid_hacking_law(), decreasing_alpha_strategy(), n, 1)
