@@ -16,9 +16,10 @@ from pathlib import Path
 
 from . import __version__
 
-# Each runner imports the library modules it uses, so a run loads and
-# compiles only those, and a usage error loads none but _numbers, whose
-# seed check the options share with the library.
+# Each runner imports the library modules it uses, and a usage error loads
+# none but _numbers, whose seed check the options share with the library.
+# Every run also loads distortion and _philox: the envelope's fixture_hash
+# builds the --fixture law and the --strategy pieces, whatever it runs.
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 2026
@@ -60,8 +61,17 @@ def _fmt(x, backend):
 
 def _fixture_hash(law, strategy) -> str:
     """Content hash of what a run computes on: the serialized p-value law,
-    the strategy's pieces and the package version."""
-    import hashlib
+    the strategy's pieces and the package version.  Its SHA-256 is the
+    interpreter's built-in one (``_sha2`` from 3.12, ``_sha256`` before),
+    as ``random`` takes its sha512, so no run loads OpenSSL through
+    ``hashlib``, which is the fallback for a build without either."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     from ._numbers import fmt_number
 
@@ -70,7 +80,7 @@ def _fixture_hash(law, strategy) -> str:
         "strategy": [[fmt_number(x) for x in piece] for piece in strategy.pieces],
         "version": __version__,
     }, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def _table(header, rows) -> str:

@@ -263,6 +263,8 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     float range count as inf.  The estimate is the exact mean of the
     per-draw values 1.0/level and the SE the correctly rounded root of
     the exact sample variance over n, both computed from those counts.
+    A level so small that 1.0/level is inf scores inf, so a draw at or
+    below it makes both inf; a cell no draw falls in adds nothing.
     """
     if not isinstance(p_law, PValueLaw):
         raise TypeError(f"expected a PValueLaw, got {type(p_law).__name__}")
@@ -277,7 +279,7 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
         lo, lvl = float_ext(lo), float_ext(lvl)
         top = min(float_ext(hi), lvl)
         if top > lo:
-            cells.append((lo, top, Fraction(1.0 / lvl)))
+            cells.append((lo, top, 1.0 / lvl))  # inf below about 5.6e-309
     # every draw is at most inf, so only the finite edges are counted; the
     # nan of u = 0 on a piece past the float range (inf * 0) is at none
     edges = sorted({0.0}.union(*(c[:2] for c in cells)) - {INF})
@@ -341,6 +343,11 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     total = squares = Fraction(0)
     for lo, top, v in cells:
         count = at_most[top] - at_most[lo]
+        if not count:
+            continue  # 0 * inf is 0 here: a cell no draw falls in adds nothing
+        if v == INF:
+            return INF, INF
+        v = Fraction(v)
         total += count * v
         squares += count * v * v
     mean = total / n

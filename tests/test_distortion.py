@@ -210,6 +210,24 @@ class TestMonteCarlo:
         else:
             assert abs(est - exact) <= 3 * se
 
+    @pytest.mark.parametrize("level", [1e-300, 1e-310, F(1, 10 ** 310)],
+                             ids=["normal", "float", "fraction"])
+    @pytest.mark.parametrize("stdlib", [False, True], ids=["numpy", "stdlib"])
+    def test_a_level_whose_reciprocal_overflows_scores_nothing_without_draws(
+            self, level, stdlib):
+        # 1.0 / level is inf below about 5.6e-309, and no draw of 1000
+        # falls at or below the level: 0 * inf adds 0, as at 1e-300
+        with on_path(stdlib):
+            assert monte_carlo_distortion(uniform_p_law(), AlphaStrategy.constant(level),
+                                          1000, seed=7) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("stdlib", [False, True], ids=["numpy", "stdlib"])
+    def test_a_draw_at_a_level_whose_reciprocal_overflows_scores_inf(self, stdlib):
+        law = PValueLaw(atoms=[(F(1, 10 ** 320), F(1, 2))], pieces=[(0, 1, F(1, 2))])
+        with on_path(stdlib):
+            assert monte_carlo_distortion(law, AlphaStrategy.constant(1e-310),
+                                          1000, seed=7) == (INF, INF)
+
     def test_mc_paths_keys_keep_their_estimates(self):
         # the estimates of the default decreasing-alpha runs at 5 * 10^6
         # draws; their SEs are the correctly rounded roots

@@ -7,6 +7,8 @@ already imported ``dataclasses`` and ``inspect``.
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 
 import posthoc
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("_numbers", "_philox", "_record", "core", "distortion", "calibration",
            "pfunctions", "merging", "design", "sequential", "cli")
 
@@ -71,6 +74,36 @@ def test_config_usage_error_loads_no_library_module(tmp_path):
             "with contextlib.redirect_stderr(io.StringIO()):\n"
             "    assert main(['merge', '--config', sys.argv[1]]) == 2\n")
     assert posthoc_modules(loaded_after(code, str(bad))) == {"posthoc", "posthoc.cli"}
+
+
+def readme_commands():
+    """The argv of each command in the README's Command line block."""
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```",
+                      (ROOT / "README.md").read_text(), re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_load_no_openssl(argv, tmp_path):
+    # the envelope's fixture_hash takes the interpreter's built-in SHA-256
+    code = ("import contextlib, io, os, sys\n"
+            "from posthoc.cli import main\n"
+            "os.chdir(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[2:]) == 0\n")
+    modules = loaded_after(code, str(tmp_path), *argv)
+    assert not {"_hashlib", "ssl"} & modules
+
+
+def test_fixture_hash_falls_back_to_hashlib(tmp_path):
+    out = tmp_path / "merge.stdout"
+    code = ("import contextlib, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from posthoc.cli import main\n"
+            "with open(sys.argv[1], 'w') as f, contextlib.redirect_stdout(f):\n"
+            "    assert main(['merge']) == 0\n")
+    assert "hashlib" in loaded_after(code, str(out))
+    assert out.read_text() == (ROOT / "tests" / "golden" / "merge.stdout").read_text()
 
 
 @pytest.mark.parametrize("command", ["ville", "sequential"])
