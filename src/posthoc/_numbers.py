@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import reduce
 from typing import Union
 
 Number = Union[int, float, Fraction]
@@ -67,6 +68,9 @@ def within(x: Number, bound: Number = 1) -> bool:
     """The verdict x <= bound, the one rule every validity check uses:
     exactly (:func:`at_most`) when both are exact, else x <= bound + TOL,
     which absorbs float rounding.  nan is never within a bound."""
+    if type(x) is Fraction and type(bound) is int:  # the usual exact verdict
+        n, d = x.as_integer_ratio()
+        return n <= bound * d
     if type(x) in EXACT_TYPES and type(bound) in EXACT_TYPES:
         return at_most(x, bound)
     return x <= bound + TOL
@@ -127,6 +131,22 @@ def mul0(a: Number, b: Number) -> Number:
     if a == 0 or b == 0:
         return 0
     return a * b
+
+
+def product0(values) -> Number:
+    """1 * v_1 * v_2 * ... by :func:`mul0`, left to right.  Exact factors
+    are multiplied as int pairs into one ``Fraction``, or an int when
+    every factor is an int, as ``Fraction``'s operators give it."""
+    values = tuple(values)
+    if not EXACT_TYPES.issuperset(map(type, values)):
+        return reduce(mul0, values, 1)
+    num = den = 1
+    for v in values:
+        n, d = v.as_integer_ratio()
+        if n == 0:
+            return 0
+        num, den = num * n, den * d
+    return Fraction(num, den) if Fraction in map(type, values) else num
 
 
 def float_ext(x: Number) -> float:
@@ -238,11 +258,70 @@ def power_mean(values, weights, h: Number) -> Number:
     raises ``ValueError``: any value would make some validity check pass or
     fail falsely.  For h != 0 a moment of inf or 0 gives inf or 0 on the
     side the sign of h implies, and the root is exact for an int or
-    ``Fraction`` h applied to an exact moment with an integer 1/h.  With an
-    int h and exact values and weights the moment is summed on int pairs,
-    one ``Fraction`` in all rather than one per term.
+    ``Fraction`` h applied to an exact moment with an integer 1/h.
+
+    When every value and weight of positive weight is an int or a
+    ``Fraction`` they are read as int pairs, and no ``Fraction`` operator
+    runs: at h = +-inf the max or min is found by cross-multiplying; at
+    h = 0 each term is float(w) * log(float(v)), with the float of n / d
+    its true division; at an int h the moment is summed on the pairs, one
+    ``Fraction`` in all; at a float h, or a ``Fraction`` h that is not an
+    integer, each term is float(w) * float(v) ** float(h), as
+    :func:`pow_ext` and :func:`mul0` give it (:func:`_float_power_mean`).
+    Other inputs, and an integral ``Fraction`` h, take those two helpers
+    term by term (:func:`_general_power_mean`); both give equal values of
+    equal type.
     """
-    pairs = [(v, w) for v, w in zip(values, weights) if w != 0]
+    values, weights = tuple(values), tuple(weights)
+    if not (EXACT_TYPES.issuperset(map(type, values))
+            and EXACT_TYPES.issuperset(map(type, weights))):
+        pairs = [(v, w) for v, w in zip(values, weights) if w != 0]
+        if not EXACT_TYPES.issuperset([type(x) for pair in pairs for x in pair]):
+            return _general_power_mean(pairs, h)
+        # the terms of positive weight are exact
+        values, weights = [v for v, _ in pairs], [w for _, w in pairs]
+    wrs = [w.as_integer_ratio() for w in weights]
+    if is_inf(h):
+        # the first extreme value of positive weight, as max and min give it
+        side, best = (1 if h > 0 else -1), None
+        for v, (wn, _) in zip(values, wrs):
+            if wn:
+                vn, vd = v.as_integer_ratio()
+                if best is None or side * (vn * bd - bn * vd) > 0:
+                    best, bn, bd = v, vn, vd
+        return (max if h > 0 else min)(()) if best is None else best
+    ratios = [(v.as_integer_ratio(), wr) for v, wr in zip(values, wrs) if wr[0]]
+    if h == 0:
+        if any(vn == 0 for (vn, _), _ in ratios):
+            return 0
+        # the builtin sum, as on the general path
+        return math.exp(sum(wn / wd * math.log(vn / vd)
+                            for (vn, vd), (wn, wd) in ratios))
+    if type(h) is int:
+        # the exact moment on int pairs, with one Fraction for the sum
+        num, den, e = 0, 1, abs(h)
+        for (vn, vd), (wn, wd) in ratios:
+            if h < 0:
+                if vn == 0:
+                    return 0  # v^h = inf makes the moment inf
+                vn, vd = vd, vn
+            tn, td = wn * vn ** e, wd * vd ** e
+            g = math.gcd(den, td)
+            num, den = num * (td // g) + tn * (den // g), den // g * td
+        if not num:
+            return 0 if h > 0 else INF
+        if abs(h) == 1:  # the moment, or its reciprocal, as a ratio
+            return Fraction(num, den) if h == 1 else Fraction(den, num)
+        return _ratio_pow(num, den, 1 / h)  # 1 / h is float(Fraction(1, h))
+    if type(h) is float and h == h or type(h) is Fraction and h.denominator != 1:
+        return _float_power_mean(ratios, h)
+    return _general_power_mean(
+        [(v, w) for v, w, wr in zip(values, weights, wrs) if wr[0]], h)
+
+
+def _general_power_mean(pairs: list, h: Number) -> Number:
+    """:func:`power_mean` of the (value, weight) pairs of positive weight,
+    term by term with :func:`pow_ext` and :func:`mul0`."""
     if is_inf(h):
         return (max if h > 0 else min)(v for v, _ in pairs)
     if h == 0:
@@ -255,24 +334,6 @@ def power_mean(values, weights, h: Number) -> Number:
         if has_zero:
             return 0
         return math.exp(sum(float(w) * math.log(float(v)) for v, w in pairs))
-    if type(h) is int and all(type(v) in EXACT_TYPES and type(w) in EXACT_TYPES
-                              for v, w in pairs):
-        # the exact moment on int pairs, with one Fraction for the sum
-        num, den = 0, 1
-        for v, w in pairs:
-            (vn, vd), (wn, wd) = v.as_integer_ratio(), w.as_integer_ratio()
-            if h < 0:
-                if vn == 0:
-                    return 0  # v^h = inf makes the moment inf
-                vn, vd = vd, vn
-            tn, td = wn * vn ** abs(h), wd * vd ** abs(h)
-            g = math.gcd(den, td)
-            num, den = num * (td // g) + tn * (den // g), den // g * td
-        if not num:
-            return 0 if h > 0 else INF
-        if abs(h) == 1:  # the moment, or its reciprocal, as a ratio
-            return Fraction(num, den) if h == 1 else Fraction(den, num)
-        return pow_ext(Fraction(num, den), 1 / h)  # 1 / h is float(Fraction(1, h))
     moment = 0
     for v, w in pairs:
         moment = moment + mul0(w, pow_ext(v, h))
@@ -281,6 +342,56 @@ def power_mean(values, weights, h: Number) -> Number:
     if moment == 0:
         return 0 if h > 0 else INF
     return pow_ext(moment, recip(h) if isinstance(h, (int, Fraction)) else 1.0 / h)
+
+
+def _float_power_mean(ratios: list, h: Number) -> Number:
+    """:func:`power_mean` of exact values and weights at a finite h != 0
+    that is a float or a ``Fraction`` with a denominator: the float moment
+    of :func:`mul0` and :func:`pow_ext`, added left to right, and its root
+    1 / h, all on int pairs.  A base outside the normal float range takes
+    :func:`pow_ext`'s log domain."""
+    hn, hd = h.as_integer_ratio()
+    e = hn / hd  # float(h)
+    moment = 0
+    for (vn, vd), (wn, wd) in ratios:
+        if vn == 0:
+            if hn < 0:
+                return 0  # v^h = inf makes the moment inf
+            continue  # v^h = 0 adds nothing
+        t = _ratio_pow(vn, vd, e)
+        if t:  # mul0: w * 0 is 0
+            moment = moment + wn / wd * t
+            if moment == INF:
+                return INF if hn > 0 else 0
+    if moment == 0:
+        return 0 if hn > 0 else INF
+    if type(h) is float:
+        root = 1.0 / h
+    elif abs(hn) == 1:  # recip(h) is an integer
+        root = hd if hn > 0 else -hd
+    else:
+        root = hd / hn  # float(recip(h))
+    try:
+        return moment ** root
+    except OverflowError:
+        return INF
+
+
+def _ratio_pow(n: int, d: int, e: float) -> float:
+    """:func:`pow_ext` of the base n / d > 0 and a float exponent e, on
+    the int pair: (n / d) ** e, where the true division n / d is
+    float(Fraction(n, d)), or in the log domain outside the normal float
+    range."""
+    try:
+        f = n / d
+    except OverflowError:
+        f = INF
+    if not sys.float_info.min <= f < INF:
+        return exp_ext(e * log_ext(Fraction(n, d)))
+    try:
+        return f ** e
+    except OverflowError:
+        return INF
 
 
 def sqrt_fraction(x: Fraction) -> float:

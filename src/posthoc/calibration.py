@@ -28,8 +28,8 @@ from .core import (
 def h_mean(ev: EvidenceVariable, h: Number, H: Hypothesis) -> Number:
     """sup over hypothesis members of the h-generalized mean of the e-value."""
     shared_outcomes([ev, H], _EVIDENCE_AND_H)
-    e = ev.as_scale(E_SCALE)
-    return max(power_mean([e[x] for x in m.outcomes], m.probs, h) for m in H.members)
+    e = ev.as_scale(E_SCALE).values
+    return max([power_mean([e[x] for x in m.outcomes], m.probs, h) for m in H.members])
 
 
 def check_h_validity(ev: EvidenceVariable, h: Number, H: Hypothesis) -> bool:

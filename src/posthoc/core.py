@@ -30,6 +30,10 @@ from ._numbers import (
 )
 from ._record import Record
 
+# the one setter past Record's frozen __setattr__, looked up once
+_set = object.__setattr__
+_FLOATS, _FRACTIONS = frozenset((float,)), frozenset((Fraction,))
+
 E_SCALE = "e"
 P_SCALE = "p"
 
@@ -155,11 +159,19 @@ class EvidenceVariable(Record):
         if scale not in (E_SCALE, P_SCALE):
             raise ValueError(f"unknown scale {scale!r}")
         vals = dict(values)
-        for x, v in vals.items():
-            if not v >= 0:  # also false for nan
-                raise ValueError(f"evidence value {v!r} at {x!r} is not in [0, inf]")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "scale", scale)
+        # the outcomes whose value is not 0 <= v (nan included); where the
+        # first value is a Fraction, a Fraction is tested by its numerator's
+        # sign, without the ABC checks of its comparison, and other values,
+        # floats above all, compare directly
+        if type(next(iter(vals.values()), None)) is Fraction:
+            bad = [x for x, v in vals.items()
+                   if not (v.numerator >= 0 if type(v) is Fraction else v >= 0)]
+        else:
+            bad = [x for x, v in vals.items() if not v >= 0]
+        if bad:
+            raise ValueError(f"evidence value {vals[bad[0]]!r} at {bad[0]!r} is not in [0, inf]")
+        _set(self, "values", vals)
+        _set(self, "scale", scale)
 
     def __getitem__(self, outcome) -> Number:
         return self.values[outcome]
@@ -236,12 +248,19 @@ class PValueLaw(Record):
     (:func:`_checked_sorted`), which names the failing check.  When every
     mass is a ``Fraction`` the sorted ints are kept as the private,
     non-field ``_lattice``, on which :meth:`expect_recip` and
-    :func:`check_classical_validity` sweep with int ratios.  Other laws keep
-    a ``Fraction``/float formulation, as a float law summed on ints would
+    :func:`check_classical_validity` sweep with int ratios.  Other laws
+    keep a Fraction/float formulation, as a float law summed on ints would
     round differently and an int mass must give an int sum; both give
-    equal values of equal type.  A law is not sampled here: the Monte
-    Carlo cross-check, ``distortion.monte_carlo_distortion``, reads its
-    components and counts random words against them.
+    equal values of equal type.  In that formulation a law whose masses
+    are all ``Fraction``s and whose locations and endpoints are all floats
+    keeps its masses as the ints m * D over their own least common
+    denominator D, the private ``_masses`` (D, atom keys, piece keys): the
+    two sweeps add those ints and take a sum or a mass as the float
+    key / D only where a float joins it, as ``Fraction`` with ``float``
+    arithmetic converts; other laws read their masses as they are.  A law
+    is not sampled here: the Monte Carlo cross-check,
+    ``distortion.monte_carlo_distortion``, reads its components and counts
+    random words against them.
     """
 
     atoms: tuple
@@ -252,10 +271,12 @@ class PValueLaw(Record):
         pieces = tuple([(a, b, m) for a, b, m in pieces])
         checked = _exact_sorted(atoms, pieces)
         if checked is None:
-            atoms, pieces, lattice = *_checked_sorted(atoms, pieces), None
+            atoms, pieces, masses = _checked_sorted(atoms, pieces)
+            lattice = None
         else:
-            atoms, pieces, lattice = checked
-        self.__dict__.update(atoms=atoms, pieces=pieces, _lattice=lattice)
+            (atoms, pieces, lattice), masses = checked, None
+        self.__dict__.update(atoms=atoms, pieces=pieces, _lattice=lattice,
+                             _masses=masses)
 
     # -- exact integration ------------------------------------------------
 
@@ -268,16 +289,8 @@ class PValueLaw(Record):
             if loc > alpha:
                 break  # atoms are sorted by location
             total += m
-        return self._add_piece_cdf(total, alpha)
-
-    def _add_piece_cdf(self, total: Number, alpha: Number) -> Number:
-        """total plus the mass of the pieces at or below alpha."""
-        for a, b, m in self.pieces:
-            if alpha >= b:
-                total += m
-            elif alpha > a:
-                total += m * (alpha - a) / (b - a)
-        return total
+        return _keyed_piece_cdf(self.pieces, [p[2] for p in self.pieces], 1, False,
+                                total, alpha)
 
     def mass_interval(self, lo: Number, hi: Number) -> Number:
         """P(p in (lo, hi])."""
@@ -307,7 +320,8 @@ class PValueLaw(Record):
             # a piece of positive mass adds a float, and a Fraction plus a
             # float is the float of the Fraction's int pair plus that float
             total = 0 if not num else (
-                num / den if any(p[2] for p in pieces) else Fraction(num, den))
+                num / den if pieces and any(p[2] for p in pieces)
+                else Fraction(num, den))
             for a, b, m, _ in pieces:
                 if m == 0:
                     continue
@@ -316,19 +330,27 @@ class PValueLaw(Record):
                 # the float terms below, from correctly rounded int ratios
                 total += (m / d) * (math.log(b / d) - math.log(a / d)) / ((b - a) / d)
             return total
+        d, akeys, pkeys = self._masses or _mass_values(self)
+        keyed = self._masses is not None
         total = 0
-        for loc, m in self.atoms:
-            if m == 0:  # masses are nonnegative
+        for (loc, m), k in zip(self.atoms, akeys):
+            if k == 0:  # masses are nonnegative
                 continue
-            total += mul0(m, recip(loc))
+            if not keyed:
+                total += mul0(m, recip(loc))
+            elif loc != INF:  # an atom at inf adds 0
+                # m * (1.0 / loc): a Fraction times a float is the float
+                # of its int pair, k / d, times the float
+                total += k / d * (1.0 / loc)
             if is_inf(total):
                 return INF
-        for a, b, m in self.pieces:
-            if m == 0:
+        for (a, b, m), k in zip(self.pieces, pkeys):
+            if k == 0:
                 continue
             if a == 0:
                 return INF
-            total += m * (math.log(float(b)) - math.log(float(a))) / float(b - a)
+            total += (k / d if keyed else m) * (
+                math.log(float(b)) - math.log(float(a))) / float(b - a)
         return total
 
     def expect_identity(self) -> Number:
@@ -349,9 +371,12 @@ class PValueLaw(Record):
         return min(cands) if cands else INF
 
     def support_breakpoints(self) -> list:
-        pts = [loc for loc, m in self.atoms if m > 0 and not is_inf(loc)]
-        for a, b, m in self.pieces:
-            if m > 0:
+        """The finite atom locations and piece endpoints above 0 of positive
+        mass, sorted; a mass is tested on its key (:func:`_mass_values`)."""
+        _, akeys, pkeys = self._masses or _mass_values(self)
+        pts = [loc for (loc, _), k in zip(self.atoms, akeys) if k > 0 and not is_inf(loc)]
+        for (a, b, _), k in zip(self.pieces, pkeys):
+            if k > 0:
                 if a > 0:
                     pts.append(a)
                 pts.append(b)
@@ -385,10 +410,12 @@ def _exact_sorted(atoms: tuple, pieces: tuple) -> tuple | None:
     checks and the sort run on the ints x * d over their lcm d.  The
     lattice is (d, [(loc, m, atom)], [(a, b, m, piece)]), each row of ints
     with the values it came from, or None when some mass is an int."""
-    pairs = []
+    pairs, ints = [], False
     for x in chain(*atoms, *pieces):
-        if type(x) is not Fraction and type(x) is not int:
-            return None  # a float, inf, bool or subclass
+        if type(x) is not Fraction:
+            if type(x) is not int:
+                return None  # a float, inf, bool or subclass
+            ints = True
         pairs.append(x.as_integer_ratio())
     d = math.lcm(*[q for _, q in pairs])
     keys = iter([n * (d // q) for n, q in pairs])
@@ -407,42 +434,59 @@ def _exact_sorted(atoms: tuple, pieces: tuple) -> tuple | None:
         total, last = total + m, b
     if total != d:
         return None
-    int_mass = int in [type(t[-1]) for t in chain(atoms, pieces)]
+    int_mass = ints and int in [type(t[-1]) for t in chain(atoms, pieces)]
     return (tuple([t[2] for t in by_loc]), tuple([s[3] for s in spans]),
             None if int_mass else (d, by_loc, spans))
 
 
 def _checked_sorted(atoms: tuple, pieces: tuple) -> tuple:
-    """(atoms, pieces) of a law checked on its values and sorted, or
-    ``ValueError`` naming the first failing check; nan fails the signs."""
+    """(atoms, pieces, masses) of a law checked on its values and sorted,
+    or ``ValueError`` naming the first failing check; nan fails the signs.
+    Masses are checked and summed on their :func:`lattice_keys`.  ``masses``
+    is the law's ``_masses``: (d, atom keys, piece keys) in the sorted
+    order when every mass is a ``Fraction`` and every location and
+    endpoint a float, else None."""
+    n = len(atoms)
     locs = [loc for loc, _ in atoms]
+    values = [m for _, m in atoms] + [m for _, _, m in pieces]
+    d, keys = lattice_keys(values)
     if len(set(locs)) != len(locs):
         raise ValueError("atom locations must be distinct")
-    for loc, m in atoms:
+    for loc, k in zip(locs, keys):
         if not loc > 0:
             raise ValueError("atom locations must be positive")
-        if not m >= 0:
+        if not k >= 0:
             raise ValueError("atom masses must be nonnegative")
-    for a, b, m in pieces:
+    for (a, b, _), k in zip(pieces, keys[n:]):
         # a float and an exact endpoint can differ by less than an ulp:
         # then b - a is 0.0 and the uniform density on (a, b] is undefined
         if not (0 <= a < b) or b - a == 0:
             raise ValueError(f"bad piece interval ({a}, {b}]")
         if is_inf(b):
             raise ValueError("pieces must be bounded")
-        if not m >= 0:
+        if not k >= 0:
             raise ValueError("piece masses must be nonnegative")
-    spans = sorted(pieces)
-    for (_, b1, _), (a2, _, _) in zip(spans, spans[1:]):
+    # locations are distinct, so the sort compares locations alone; equal
+    # pieces overlap, and fail below whatever their keys
+    by_loc = sorted(zip(locs, keys, atoms))
+    spans = sorted(zip(pieces, keys[n:]))
+    for ((_, b1, _), _), ((a2, _, _), _) in zip(spans, spans[1:]):
         if a2 < b1:
             raise ValueError("piece intervals must be disjoint")
-    # exact masses are summed on their lattice ints, floats as they are
-    d, keys = lattice_keys([m for _, m in atoms] + [m for _, _, m in pieces])
-    if not is_unit_mass(sum(keys[:len(atoms)]) + sum(keys[len(atoms):]), d):
+    if not is_unit_mass(sum(keys[:n]) + sum(keys[n:]), d):
         total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
         raise ValueError(f"masses must sum to 1, got {total}")
-    # locations are distinct, so the sort never compares past the first key
-    return tuple(sorted(atoms)), tuple(spans)
+    _, akeys, atoms = zip(*by_loc) if by_loc else ((), (), ())
+    pieces, pkeys = zip(*spans) if spans else ((), ())
+    keyed = (_FRACTIONS.issuperset(map(type, values)) and _FLOATS.issuperset(map(type, locs))
+             and all([type(a) is float is type(b) for a, b, _ in pieces]))
+    return atoms, pieces, (d, akeys, pkeys) if keyed else None
+
+
+def _mass_values(law: PValueLaw) -> tuple:
+    """(1, atom masses, piece masses): the mass keys of a law without
+    ``_masses``, its masses as they are."""
+    return 1, [m for _, m in law.atoms], [m for _, _, m in law.pieces]
 
 
 def _lattice_piece_cdf(pieces: list, total: int, top: int) -> tuple:
@@ -485,11 +529,11 @@ class ValidityReport(Record):
     def __init__(self, valid: bool, statistic: Number, witness: Any = None,
                  kind: str = "", detail: str = ""):
         # set one by one, the fields stay inline: no __dict__ to collect
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "statistic", statistic)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detail", detail)
+        _set(self, "valid", valid)
+        _set(self, "statistic", statistic)
+        _set(self, "witness", witness)
+        _set(self, "kind", kind)
+        _set(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -504,29 +548,72 @@ def check_classical_validity(p_law: PValueLaw) -> ValidityReport:
     search runs over a < 1 plus the left-limit at 1.  One sweep visits the
     candidates in increasing order with a running sum of the atom masses at
     or below them, which :meth:`PValueLaw.cdf` would add up the same way.
-    On a law with a lattice it runs on the ints (:func:`_lattice_classical_sup`).
+    On a law with a lattice it runs on the ints (:func:`_lattice_classical_sup`),
+    on any other on its mass keys (:func:`_keyed_classical_sup`).
     """
     if p_law._lattice is not None:
         best, witness = _lattice_classical_sup(*p_law._lattice)
     else:
-        best, witness = 0, None
-        atoms, i, below = p_law.atoms, 0, 0
-        for a in p_law.support_breakpoints():
-            if a >= 1:
-                break
-            while i < len(atoms) and atoms[i][0] <= a:
-                below += atoms[i][1]
-                i += 1
-            ratio = p_law._add_piece_cdf(below, a) / a
-            if ratio > best:
-                best, witness = ratio, a
-        # left-limit at 1: the cdf just below 1 excludes an atom sitting at 1
-        atom_at_one = sum(m for loc, m in p_law.atoms if loc == 1)
-        limit_ratio = p_law.cdf(1) - atom_at_one
-        if limit_ratio > best:
-            best, witness = limit_ratio, 1
+        best, witness = _keyed_classical_sup(p_law)
     return ValidityReport(within(best), best, witness, "classical",
                           "sup over alpha of P(p <= alpha)/alpha")
+
+
+def _keyed_classical_sup(p_law: PValueLaw) -> tuple:
+    """(statistic, witness) of the classical sweep on a law without a
+    lattice, on its mass keys: the ints of ``_masses`` over d, or the
+    masses themselves with d = 1.  A sum of int keys is exact; it becomes
+    the float sum / d where a float joins it, and the statistic
+    ``Fraction(sum, d)`` where it is one."""
+    atoms = p_law.atoms
+    d, akeys, pkeys = p_law._masses or _mass_values(p_law)
+    keyed = p_law._masses is not None
+    best, witness, i, below = 0, None, 0, 0
+    for c in p_law.support_breakpoints():
+        if c >= 1:
+            break
+        while i < len(atoms) and atoms[i][0] <= c:
+            below += akeys[i]
+            i += 1
+        total = _keyed_piece_cdf(p_law.pieces, pkeys, d, keyed, below, c)
+        ratio = (total / d if keyed and type(total) is int else total) / c
+        if ratio > best:
+            best, witness = ratio, c
+    # left-limit at 1: the cdf at 1 less an atom sitting at 1
+    at_one = 0
+    for (loc, _), k in zip(atoms[i:], akeys[i:]):
+        if loc > 1:
+            break
+        below += k
+        if loc == 1:
+            at_one = at_one + k
+    total = _keyed_piece_cdf(p_law.pieces, pkeys, d, keyed, below, 1)
+    if keyed and type(total) is int:
+        limit = total - at_one
+        if best != INF:  # best is 0 or a float
+            bn, bd = best.as_integer_ratio()
+            if limit * bd > bn * d:
+                best, witness = Fraction(limit, d), 1
+    else:
+        limit = total - (at_one / d if keyed else at_one)
+        if limit > best:
+            best, witness = limit, 1
+    return best, witness
+
+
+def _keyed_piece_cdf(pieces: tuple, keys: list, d: int, keyed: bool,
+                     total: Number, alpha: Number) -> Number:
+    """total plus the mass of the pieces at or below alpha, their masses
+    read from ``keys``: the values themselves (d = 1, not ``keyed``), or
+    the ints of ``_masses`` over d, whose int total stays exact until a
+    float term joins it."""
+    for (a, b, _), k in zip(pieces, keys):
+        if alpha >= b:
+            total += k / d if keyed and type(total) is float else k
+        elif alpha > a:
+            term = (k / d if keyed else k) * (alpha - a) / (b - a)
+            total = (total / d if keyed and type(total) is int else total) + term
+    return total
 
 
 def _lattice_classical_sup(d: int, atoms: list, pieces: list) -> tuple:

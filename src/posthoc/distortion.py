@@ -159,9 +159,16 @@ def _stdlib_draws(n: int) -> bool:
     """Whether n draws take their words from the stdlib Philox kernel, as
     lists of ints, rather than from numpy's (:func:`_word_blocks`).  Up to
     ``STDLIB_DRAWS`` draws while numpy is not loaded, as its path is the
-    faster at any n once it is.  A ``None`` entry in ``sys.modules``, which
-    blocks the import, counts as not loaded."""
-    return n <= STDLIB_DRAWS and sys.modules.get("numpy") is None
+    faster at any n once it is; above, when numpy is not installed, which
+    its import finder tells without importing it.  A ``None`` entry in
+    ``sys.modules``, which blocks the import, counts as not installed."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"] is None
+    if n <= STDLIB_DRAWS:
+        return True
+    from importlib.util import find_spec
+
+    return find_spec("numpy") is None
 
 
 def _word_blocks(n: int, seed: int, picks: bool, stdlib: bool):
@@ -257,14 +264,15 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
     integer cuts of :func:`_components`.  So each block of words
     (:func:`_word_blocks`) is counted with integer comparisons: lists of
     ints from the stdlib Philox kernel up to ``STDLIB_DRAWS`` draws while
-    numpy is not loaded (:func:`_stdlib_draws`), uint64 arrays of numpy's
-    Philox, in O(block) memory, above.  Both paths read one stream, so
-    they give the same counts.  Levels, edges and locations past the
-    float range count as inf.  The estimate is the exact mean of the
-    per-draw values 1.0/level and the SE the correctly rounded root of
-    the exact sample variance over n, both computed from those counts.
-    A level so small that 1.0/level is inf scores inf, so a draw at or
-    below it makes both inf; a cell no draw falls in adds nothing.
+    numpy is not loaded, or at any n without numpy (:func:`_stdlib_draws`),
+    uint64 arrays of numpy's Philox, in O(block) memory, otherwise.  Both
+    paths read one stream, so they give the same counts.  Levels, edges
+    and locations past the float range count as inf.  The estimate is the
+    exact mean of the per-draw values 1.0/level and the SE the correctly
+    rounded root of the exact sample variance over n, both computed from
+    those counts.  A level so small that 1.0/level is inf scores inf, so
+    a draw at or below it makes both inf; a cell no draw falls in adds
+    nothing.
     """
     if not isinstance(p_law, PValueLaw):
         raise TypeError(f"expected a PValueLaw, got {type(p_law).__name__}")

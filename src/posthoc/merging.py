@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import Number, checked_weights, is_inf, mul0, power_mean
+from ._numbers import Number, checked_weights, is_inf, power_mean, product0
 from ._record import Record
 from .core import (
     DiscreteSpace,
@@ -78,15 +78,9 @@ def merge_product_independent(components: Sequence):
     spaces = [space for _, space in components]
     outcomes, probs, values = [], [], {}
     for combo in itertools.product(*(s.outcomes for s in spaces)):
-        prob = 1
-        for s, x in zip(spaces, combo):
-            prob = mul0(prob, s.prob(x))
-        e = 1
-        for ev, x in zip(es, combo):
-            e = mul0(e, ev[x])
         outcomes.append(combo)
-        probs.append(prob)
-        values[combo] = e
+        probs.append(product0([s.prob(x) for s, x in zip(spaces, combo)]))
+        values[combo] = product0([ev[x] for ev, x in zip(es, combo)])
     return (EvidenceVariable(values, E_SCALE),
             DiscreteSpace(tuple(outcomes), tuple(probs)))
 
@@ -100,7 +94,7 @@ def merge_harmonic(evs: Sequence[EvidenceVariable],
     """
     outcomes = shared_outcomes(evs, _SHARED)
     weights = _check_weights(weights, len(evs))
-    ps = [ev.as_scale(P_SCALE) for ev in evs]
+    ps = [ev.as_scale(P_SCALE).values for ev in evs]
     return EvidenceVariable(
         {x: power_mean([p[x] for p in ps], weights, -1) for x in outcomes},
         P_SCALE)
@@ -110,14 +104,9 @@ def merge_geometric(evs: Sequence[EvidenceVariable]) -> EvidenceVariable:
     """Pointwise product on the e-scale; preserves geometric (h = 0)
     validity under arbitrary dependence."""
     outcomes = shared_outcomes(evs, _SHARED)
-    es = [ev.as_scale(E_SCALE) for ev in evs]
-    merged = {}
-    for x in outcomes:
-        prod = 1
-        for e in es:
-            prod = mul0(prod, e[x])
-        merged[x] = prod
-    return EvidenceVariable(merged, E_SCALE)
+    es = [ev.as_scale(E_SCALE).values for ev in evs]
+    return EvidenceVariable({x: product0([e[x] for e in es]) for x in outcomes},
+                            E_SCALE)
 
 
 def merge_h_mean(evs: Sequence[EvidenceVariable], weights: Sequence[Number],
@@ -131,7 +120,7 @@ def merge_h_mean(evs: Sequence[EvidenceVariable], weights: Sequence[Number],
     """
     outcomes = shared_outcomes(evs, _SHARED)
     weights = _check_weights(weights, len(evs))
-    es = [ev.as_scale(E_SCALE) for ev in evs]
+    es = [ev.as_scale(E_SCALE).values for ev in evs]
     return EvidenceVariable(
         {x: power_mean([e[x] for e in es], weights, h) for x in outcomes},
         E_SCALE)

@@ -302,3 +302,15 @@ def test_small_monte_carlo_draws_do_not_load_numpy(argv, code):
                     reason="numpy is not installed")
 def test_large_monte_carlo_draws_load_numpy():
     assert "'numpy'" in numpy_modules(["distortion", "--n", "100000"])
+
+
+def test_large_monte_carlo_draws_run_without_numpy(capsys, monkeypatch):
+    # a None entry blocks the import, as where numpy is not installed: the
+    # draws take the stdlib words, which are numpy's, so stdout is the same
+    argv = ("distortion", "--n", "100000")
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "numpy", None)
+        code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["report"]["ok"] is True
+    if importlib.util.find_spec("numpy") is not None:
+        assert run(capsys, *argv) == (0, out)

@@ -1,0 +1,286 @@
+"""The int-pair verdict kernels against the Fraction/float formulations they
+replace, copied here as oracles: equal values of equal type, or the same
+exception.
+
+- ``PValueLaw``'s two sweeps on a law without a lattice: the masses are
+  read as ints over their lcm (``_masses``) when every mass is a Fraction
+  and every location a float, and as they are otherwise.
+- ``power_mean`` on exact values and weights at h = 0, +-inf and at a
+  non-integer h, read as int pairs; and ``product0``, the merges'
+  products, on int pairs.
+
+The oracles add left to right, as the kernels do.  The one builtin ``sum``
+is the geometric mean's log sum, which ``power_mean`` takes too: from
+CPython 3.12 it is compensated, so an oracle that added left to right
+would differ there.  This module imports no numpy.
+"""
+import math
+from fractions import Fraction as F
+from functools import reduce
+
+from hypothesis import example, given, settings, strategies as st
+
+from posthoc import (
+    INF,
+    PValueLaw,
+    check_classical_validity,
+    check_posthoc_validity,
+)
+from posthoc._numbers import (
+    EXACT_TYPES, TOL, is_inf, mul0, pow_ext, power_mean, product0, recip,
+)
+
+
+def same(a, b):
+    """Equal, and of the same type all the way down; nan is the same as nan
+    (0 * inf makes one where an exact factor underflows to 0.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return a == b or a != a and b != b
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def verdict(stat):
+    """stat <= 1: exactly for an exact statistic, within TOL for a float."""
+    return stat <= 1 if type(stat) in EXACT_TYPES else stat <= 1 + TOL
+
+
+# ---------------------------------------------------------------------------
+# PValueLaw without a lattice: the Fraction/float sweeps on the law's values
+
+
+def oracle_recip_mean(law):
+    """E[1/p] as ``expect_recip`` took it without a lattice."""
+    total = 0
+    for loc, m in law.atoms:
+        if m == 0:
+            continue
+        total += mul0(m, recip(loc))
+        if is_inf(total):
+            return INF
+    for a, b, m in law.pieces:
+        if m == 0:
+            continue
+        if a == 0:
+            return INF
+        total += m * (math.log(float(b)) - math.log(float(a))) / float(b - a)
+    return total
+
+
+def oracle_piece_cdf(law, total, alpha):
+    for a, b, m in law.pieces:
+        if alpha >= b:
+            total += m
+        elif alpha > a:
+            total += m * (alpha - a) / (b - a)
+    return total
+
+
+def oracle_classical_sup(law):
+    """(statistic, witness) as ``check_classical_validity`` swept a law
+    without a lattice: P(p <= a) / a over the breakpoints below 1, and the
+    left limit at 1."""
+    best, witness = 0, None
+    atoms, i, below = law.atoms, 0, 0
+    for a in law.support_breakpoints():
+        if a >= 1:
+            break
+        while i < len(atoms) and atoms[i][0] <= a:
+            below += atoms[i][1]
+            i += 1
+        ratio = oracle_piece_cdf(law, below, a) / a
+        if ratio > best:
+            best, witness = ratio, a
+    cdf_at_one, atom_at_one = 0, 0
+    for loc, m in atoms:
+        if loc > 1:
+            break
+        cdf_at_one += m
+        if loc == 1:
+            atom_at_one = atom_at_one + m
+    limit = oracle_piece_cdf(law, cdf_at_one, 1) - atom_at_one
+    if limit > best:
+        best, witness = limit, 1
+    return best, witness
+
+
+def assert_sweeps_match(atoms, pieces):
+    law = PValueLaw(atoms, pieces)
+    assert law._lattice is None
+    post = check_posthoc_validity(law)
+    want = oracle_recip_mean(law)
+    assert same((post.statistic, post.witness), (want, None))
+    assert post.valid is verdict(want)
+    classical = check_classical_validity(law)
+    best, witness = oracle_classical_sup(law)
+    assert same((classical.statistic, classical.witness), (best, witness))
+    assert classical.valid is verdict(best)
+    return law
+
+
+float_locations = st.one_of(st.floats(1e-3, 4), st.floats(1e-300, 1e-3),
+                            st.sampled_from([0.25, 0.5, 1.0, 2.0, INF]))
+
+
+@st.composite
+def float_location_laws(draw, mass_kind="fraction"):
+    """(atoms, pieces) with float locations and endpoints, the kind of
+    masses mass_kind names: Fractions (some 0), or a mix of Fractions,
+    ints where a mass is 0 or 1, and floats; pieces may start at 0.0."""
+    locs = draw(st.lists(float_locations, max_size=5, unique=True))
+    cuts = sorted(draw(st.lists(st.floats(0, 2), max_size=4, unique=True)))
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    n = len(locs) + len(spans)
+    if n == 0:
+        locs, n = [0.5], 1
+    weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+    total = sum(weights)
+    masses = []
+    for w in weights:
+        kind = "fraction" if mass_kind == "fraction" else draw(
+            st.sampled_from(["fraction", "int", "float"]))
+        if kind == "int" and w in (0, total):
+            masses.append(w // total)
+        elif kind == "float":
+            masses.append(w / total)
+        else:
+            masses.append(F(w, total))
+    draw(st.randoms()).shuffle(locs)
+    return (list(zip(locs, masses)),
+            [(a, b, m) for (a, b), m in zip(spans, masses[len(locs):])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(float_location_laws())
+@example(([(0.5, F(1, 4)), (1.0, F(1, 4)), (3.0, F(1, 2))], []))
+@example(([(2.0, F(1, 2))], [(0.25, 0.75, F(1, 2))]))
+@example(([(INF, F(1, 3))], [(0.0, 0.5, F(2, 3))]))
+@example(([(5e-324, F(1, 2)), (1.0, F(1, 2))], []))
+def test_float_locations_sweep_on_mass_keys(law):
+    """Fraction masses at float locations are summed as ints over their
+    lcm and match the Fraction/float sweeps."""
+    atoms, pieces = law
+    got = assert_sweeps_match(atoms, pieces)
+    d, akeys, pkeys = got._masses
+    assert [F(k, d) for k in akeys] == [m for _, m in got.atoms]
+    assert [F(k, d) for k in pkeys] == [m for _, _, m in got.pieces]
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_location_laws(mass_kind="mixed"))
+def test_other_masses_sweep_on_their_values(law):
+    atoms, pieces = law
+    got = assert_sweeps_match(atoms, pieces)
+    masses = [m for _, m in atoms] + [m for _, _, m in pieces]
+    assert (got._masses is None) == any(type(m) is not F for m in masses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([F(1, 8), F(1, 2), 1, F(3, 2), INF, 0.75, 0.5]),
+                min_size=1, max_size=4, unique=True).filter(
+                    lambda locs: float in map(type, locs)),
+       st.lists(st.integers(1, 9), min_size=4, max_size=4))
+def test_exact_and_float_locations_together_sweep_on_their_values(locs, weights):
+    # an exact location next to a float one: the masses are read as they are
+    weights = weights[:len(locs)]
+    atoms = [(loc, F(w, sum(weights))) for loc, w in zip(locs, weights)]
+    got = assert_sweeps_match(atoms, [])
+    exact = [loc for loc in locs if type(loc) is not float]
+    assert (got._masses is None) == bool(exact)
+
+
+# ---------------------------------------------------------------------------
+# power_mean on exact values and weights
+
+
+def oracle_power_mean(values, weights, h):
+    """power_mean before the int pairs at h = 0, +-inf and non-integer h."""
+    pairs = [(v, w) for v, w in zip(values, weights) if w != 0]
+    if is_inf(h):
+        return (max if h > 0 else min)(v for v, _ in pairs)
+    if h == 0:
+        if any(v == 0 for v, _ in pairs):
+            return 0
+        return math.exp(sum(float(w) * math.log(float(v)) for v, w in pairs))
+    if type(h) is int:
+        num, den = 0, 1
+        for v, w in pairs:
+            (vn, vd), (wn, wd) = v.as_integer_ratio(), w.as_integer_ratio()
+            if h < 0:
+                if vn == 0:
+                    return 0
+                vn, vd = vd, vn
+            tn, td = wn * vn ** abs(h), wd * vd ** abs(h)
+            g = math.gcd(den, td)
+            num, den = num * (td // g) + tn * (den // g), den // g * td
+        if not num:
+            return 0 if h > 0 else INF
+        if abs(h) == 1:
+            return F(num, den) if h == 1 else F(den, num)
+        return pow_ext(F(num, den), 1 / h)
+    moment = 0
+    for v, w in pairs:
+        moment = moment + mul0(w, pow_ext(v, h))
+        if is_inf(moment):
+            return INF if h > 0 else 0
+    if moment == 0:
+        return 0 if h > 0 else INF
+    return pow_ext(moment, recip(h) if isinstance(h, (int, F)) else 1.0 / h)
+
+
+exact_values = st.one_of(
+    st.fractions(0, 20, max_denominator=16),
+    st.integers(0, 5),
+    st.sampled_from([F(0), F(1, 10 ** 320), F(10 ** 320), F(10 ** 200)]),
+)
+indices = st.one_of(
+    st.sampled_from([0, F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(1, 3), F(2, 7),
+                     INF, -INF, 0.7, -1.3, 2.0, 1, -1, 2, -2, F(2)]),
+    st.fractions(-5, 5, max_denominator=12), st.floats(-5, 5))
+
+
+@st.composite
+def exact_weighted_values(draw):
+    values = draw(st.lists(exact_values, min_size=1, max_size=5))
+    raw = draw(st.lists(st.integers(0, 6), min_size=len(values),
+                        max_size=len(values)).filter(any))
+    weights = [F(r, sum(raw)) for r in raw]
+    if draw(st.booleans()):  # a weight of 1 and the rest 0, as ints
+        weights = [int(w) if w.denominator == 1 else w for w in weights]
+    return values, tuple(weights)
+
+
+@settings(max_examples=600, deadline=None)
+@given(exact_weighted_values(), indices)
+@example(([F(1, 2), F(1, 3)], (F(1, 2), F(1, 2))), INF)
+@example(([2, F(2), F(1, 2)], (F(1, 3), F(1, 3), F(1, 3))), INF)  # the first max
+@example(([F(1), 1, 3], (F(1, 3), F(1, 3), F(1, 3))), -INF)  # the first min
+@example(([F(3, 2), F(5, 7)], (F(1, 2), F(1, 2))), F(-29, 6))  # float(1 / h)
+@example(([F(1, 3), F(1, 2), F(1, 3)], (F(1, 3), F(1, 3), F(1, 3))), -INF)
+@example(([F(3, 2), 0, 2], (F(1, 2), 0, F(1, 2))), F(-1, 2))
+@example(([F(1, 10 ** 320), F(10 ** 200)], (F(1, 2), F(1, 2))), F(3, 2))
+def test_exact_power_means_on_int_pairs(vw, h):
+    """Equal value and type as the term-by-term formulation."""
+    values, weights = vw
+    assert same(outcome(power_mean, values, weights, h),
+                outcome(oracle_power_mean, values, weights, h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(exact_values, st.floats(0, 4), st.just(INF)), max_size=5))
+@example([2, 3])
+@example([F(2), 3])
+@example([F(1, 2), 0, INF])
+@example([F(1, 10 ** 320), F(1, 10 ** 320), INF])
+def test_products_on_int_pairs(values):
+    """1 * v_1 * v_2 * ... by mul0: an int of ints, a Fraction of exact
+    factors with a Fraction among them, 0 from a zero factor."""
+    assert same(outcome(product0, values), outcome(reduce, mul0, values, 1))

@@ -26,6 +26,7 @@ from posthoc._numbers import (
 )
 from posthoc.core import _lattice_classical_sup
 from posthoc.pfunctions import (
+    _check_inverse,
     _close,
     _eval_terms,
     _pcurve_to_tcurve,
@@ -930,10 +931,50 @@ def test_flat_test_functions_build_what_the_constructor_checks(raw, inf_last):
     lambda: TCurve([(0.62, 0.289, 0.242), (1.497, 0.7545, 5.68e-05), (1.658, 0.884, 0)]),
     # coef * v^143 gives both ends back, but the p-curve's u^-143 overflows
     lambda: TCurve([(0.02, 0.007152365498832552, 0.006993163411685472), (0.04, 1, 0)]),
-], ids=["small-power", "power-level-past-1", "small-test-power", "p-curve-overflow"])
+    # exact operands: 1/g = 10^8/3 scales the rounding of v past the
+    # tolerance; (1/c)^(1/g) = 2^(10^5/7) passes the float range; and
+    # v^(1/g) = (4/7)^(10^4) falls below it
+    lambda: PCurve.power(F(10 ** 9 + 1, 10 ** 9), F(3, 10 ** 8)),
+    lambda: PCurve.power(F(1, 2), F(7, 10 ** 5)),
+    lambda: PCurve.power(F(4, 7), F(1, 10 ** 4)),
+], ids=["small-power", "power-level-past-1", "small-test-power", "p-curve-overflow",
+        "exact-small-power", "exact-coef-overflow", "exact-integer-inverse-power"])
 def test_a_power_piece_without_a_float_inverse_is_refused(build):
     with pytest.raises(ValueError, match="no inverse within float rounding"):
         build()
+
+
+def inverse_outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+inverse_coefs = st.one_of(
+    st.fractions(F(1, 64), 64, max_denominator=64), st.integers(1, 9), st.floats(0.01, 64),
+    st.sampled_from([F(10 ** 9 + 1, 10 ** 9), F(1, 10 ** 300), F(10 ** 300),
+                     F(1, 2 ** 1100), F(2 ** 1100)]))
+inverse_powers = st.one_of(
+    st.fractions(F(1, 48), 6, max_denominator=48), st.integers(1, 3), st.floats(1e-3, 4),
+    st.sampled_from([F(3, 10 ** 8), F(7, 10 ** 5), F(1, 10 ** 4), F(1, 2), F(2)]))
+inverse_ends = st.one_of(
+    st.just(0), st.fractions(F(1, 64), 2, max_denominator=64), st.integers(1, 2),
+    st.sampled_from([F(1, 10 ** 320), F(10 ** 310), 0.5, INF]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(inverse_coefs, inverse_powers,
+       st.lists(inverse_ends, min_size=2, max_size=2, unique=True))
+def test_the_inverse_check_matches_the_reference(c, g, ends):
+    """The constructors' inverse check, whose exact operands are read as
+    floats once on their int pairs, passes, refuses or raises as the
+    reference check on the same values does."""
+    lo, hi = sorted(ends)
+    want = inverse_outcome(reference_inverse_ok, c, g, lo, hi)
+    if want[0] == "ok":
+        want = ("ok", None) if want[1] else ("ValueError", NO_INVERSE)
+    assert inverse_outcome(_check_inverse, c, g, lo, hi) == want
 
 
 def test_a_power_level_past_1_within_the_tolerance_round_trips():

@@ -7,6 +7,7 @@ block the import with a ``None`` entry in ``sys.modules``.  The oracles
 are the forms the kernel and the counter replaced: the per-counter Philox
 loop, and float draws materialised and counted against the cell edges.
 """
+import importlib.util
 import math
 import sys
 from bisect import bisect_right
@@ -287,6 +288,45 @@ class TestStdlibCounter:
                 pytest.raises(ValueError, match="outside"):
             monte_carlo_distortion(uniform_p_law(), decreasing_alpha_strategy(),
                                    CHUNK_WORDS + 3, seed=2)
+
+
+class TestWithoutNumpy:
+    """Where numpy cannot be imported, any number of draws takes the stdlib
+    words, which are numpy's, so the estimate is the same."""
+
+    @pytest.mark.parametrize("law", [uniform_p_law(), valid_hacking_law()],
+                             ids=["uniform", "valid_hacking"])
+    def test_draws_past_the_cutoff_take_the_stdlib_words(self, law):
+        n, s = distortion.STDLIB_DRAWS + 5, decreasing_alpha_strategy()
+        with no_numpy(), taken_paths() as paths:
+            got = monte_carlo_distortion(law, s, n, 2026)
+        assert paths == [True]
+        with on_path(True):
+            assert monte_carlo_distortion(law, s, n, 2026) == got
+
+    @pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                        reason="numpy is not installed")
+    def test_draws_past_the_cutoff_match_numpys(self):
+        law, s = valid_hacking_law(), decreasing_alpha_strategy()
+        n = distortion.STDLIB_DRAWS + 5
+        with no_numpy():
+            got = monte_carlo_distortion(law, s, n, 2026)
+        with taken_paths() as paths:
+            assert monte_carlo_distortion(law, s, n, 2026) == got
+        assert paths == [False]
+
+    def test_the_cutoff_is_decided_without_importing_numpy(self):
+        # loaded numpy takes its path whatever n; a blocked one never does;
+        # one not loaded is looked up past the cutoff, not imported
+        with mock.patch.dict(sys.modules, {"numpy": object()}):
+            assert not distortion._stdlib_draws(1)
+        with no_numpy():
+            assert distortion._stdlib_draws(distortion.STDLIB_DRAWS + 1)
+        with mock.patch.dict(sys.modules):
+            sys.modules.pop("numpy", None)
+            installed = importlib.util.find_spec("numpy") is not None
+            assert distortion._stdlib_draws(distortion.STDLIB_DRAWS + 1) is not installed
+            assert "numpy" not in sys.modules
 
 
 @pytest.mark.parametrize("n, error, message", [
