@@ -127,9 +127,15 @@ def check_seed(seed) -> None:
 
 
 def mul0(a: Number, b: Number) -> Number:
-    """Product with the convention 0 * inf = 0."""
+    """Product with the convention 0 * inf = 0: only a zero factor gives 0,
+    and any other factor times inf is inf of the product's sign."""
     if a == 0 or b == 0:
         return 0
+    if (type(a) is float and math.isinf(a) or type(b) is float and math.isinf(b)) \
+            and a == a and b == b:
+        # not float(x) * inf, which is nan for an exact x whose float is 0.0
+        # and raises OverflowError for one past the float range
+        return INF if (a > 0) == (b > 0) else -INF
     return a * b
 
 
@@ -165,16 +171,51 @@ def log_ext(x: Number) -> float:
     converts a ``Fraction``."""
     if isinstance(x, float):
         return math.log(x) if x else -INF  # math.log(inf) is inf
-    n, d = x.as_integer_ratio()
+    return _log_ratio(*x.as_integer_ratio())
+
+
+def _log_ratio(n: int, d: int) -> float:
+    """:func:`log_ext` of the ratio n / d of ints, d > 0, read on the pair:
+    ln of the true division n / d in the normal float range, else
+    ln n - ln d."""
     if n == 0:
         return -INF
-    try:
-        f = n / d
-    except OverflowError:
-        f = INF
+    f = _ratio_float(n, d)
     if sys.float_info.min <= f < INF:
         return math.log(f)
     return math.log(n) - math.log(d)
+
+
+def _ratio_float(n: int, d: int) -> float:
+    """The true division n / d of ints, d > 0, which is float(Fraction(n, d)),
+    with +-inf past the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return INF if n > 0 else -INF
+
+
+def _recip_share(m: tuple, a: tuple, b: tuple) -> float:
+    """m ln(b / a) / (b - a), the share of E[1/p] of a piece of mass m > 0
+    on (a, b], 0 < a < b, each an int pair (n, d) with d > 0, for a piece
+    whose floats leave the normal float range.  With x = (b - a) / a it is
+    the exact ratio m / a times log1p(x) / x (1.0 where x is below the
+    normal range), or, where x passes the float range, m / (b - a) times
+    ln(b / a): a normal float times a ratio whose float is taken in the
+    log domain where it is not a normal one."""
+    (mn, md), (an, ad), (bn, bd) = m, a, b
+    wn, wd = bn * ad - an * bd, bd * ad  # b - a
+    x = _ratio_float(wn * ad, wd * an)
+    if x < INF:
+        lead = math.log1p(x) / x if x >= sys.float_info.min else 1.0
+        n, d = mn * ad, md * an  # m / a
+    else:
+        lead = _log_ratio(bn * ad, bd * an)
+        n, d = mn * wd, md * wn  # m / (b - a)
+    f = _ratio_float(n, d)
+    if sys.float_info.min <= f < INF:
+        return f * lead
+    return exp_ext(_log_ratio(n, d) + math.log(lead))
 
 
 def exp_ext(t: float) -> float:
@@ -209,14 +250,7 @@ def pow_ext(base: Number, expo: Number) -> Number:
     else:
         e = float(expo)
         if not isinstance(base, float):
-            f = float_ext(base)
-            if not sys.float_info.min <= f < INF:
-                # an exact base outside the normal float range would become
-                # 0.0, a subnormal or an OverflowError: take the power in the
-                # log domain (relative error about |e log base| * 2^-53);
-                # exp underflows to 0.0 by itself
-                return exp_ext(e * log_ext(base))
-            base = f
+            return _ratio_pow(*base.as_integer_ratio(), e)
     try:
         return base ** e
     except OverflowError:
@@ -263,11 +297,13 @@ def power_mean(values, weights, h: Number) -> Number:
     When every value and weight of positive weight is an int or a
     ``Fraction`` they are read as int pairs, and no ``Fraction`` operator
     runs: at h = +-inf the max or min is found by cross-multiplying; at
-    h = 0 each term is float(w) * log(float(v)), with the float of n / d
-    its true division; at an int h the moment is summed on the pairs, one
-    ``Fraction`` in all; at a float h, or a ``Fraction`` h that is not an
-    integer, each term is float(w) * float(v) ** float(h), as
-    :func:`pow_ext` and :func:`mul0` give it (:func:`_float_power_mean`).
+    h = 0 each term is float(w) * log_ext(v), with the float of n / d
+    its true division, so a value outside the normal float range takes its
+    log on the pair, and a mean past the float range is inf; at an int h
+    the moment is summed on the pairs, one ``Fraction`` in all; at a float
+    h, or a ``Fraction`` h that is not an integer, each term is
+    float(w) * float(v) ** float(h), as :func:`pow_ext` and :func:`mul0`
+    give it (:func:`_float_power_mean`).
     Other inputs, and an integral ``Fraction`` h, take those two helpers
     term by term (:func:`_general_power_mean`); both give equal values of
     equal type.
@@ -295,8 +331,8 @@ def power_mean(values, weights, h: Number) -> Number:
         if any(vn == 0 for (vn, _), _ in ratios):
             return 0
         # the builtin sum, as on the general path
-        return math.exp(sum(wn / wd * math.log(vn / vd)
-                            for (vn, vd), (wn, wd) in ratios))
+        return exp_ext(sum(wn / wd * _log_ratio(vn, vd)
+                           for (vn, vd), (wn, wd) in ratios))
     if type(h) is int:
         # the exact moment on int pairs, with one Fraction for the sum
         num, den, e = 0, 1, abs(h)
@@ -333,7 +369,7 @@ def _general_power_mean(pairs: list, h: Number) -> Number:
             return INF
         if has_zero:
             return 0
-        return math.exp(sum(float(w) * math.log(float(v)) for v, w in pairs))
+        return exp_ext(sum(float(w) * log_ext(v) for v, w in pairs))
     moment = 0
     for v, w in pairs:
         moment = moment + mul0(w, pow_ext(v, h))
@@ -378,14 +414,11 @@ def _float_power_mean(ratios: list, h: Number) -> Number:
 
 
 def _ratio_pow(n: int, d: int, e: float) -> float:
-    """:func:`pow_ext` of the base n / d > 0 and a float exponent e, on
-    the int pair: (n / d) ** e, where the true division n / d is
-    float(Fraction(n, d)), or in the log domain outside the normal float
-    range."""
-    try:
-        f = n / d
-    except OverflowError:
-        f = INF
+    """:func:`pow_ext` of an exact base n / d > 0 and a float exponent e:
+    (n / d) ** e, with n / d float(Fraction(n, d)), or outside the normal
+    float range in the log domain (relative error about |e ln(n / d)| *
+    2^-53), where exp underflows to 0.0 by itself."""
+    f = _ratio_float(n, d)
     if not sys.float_info.min <= f < INF:
         return exp_ext(e * log_ext(Fraction(n, d)))
     try:

@@ -55,12 +55,6 @@ class MinimalHCounterexample(Record):
     rho_h: Number
     classical_sup: Number    # sup_alpha P(p <= alpha)/alpha of the induced test
 
-    def __init__(self, ev: EvidenceVariable, space: DiscreteSpace, h: Number,
-                 q: Number, magnitude: Number, rho_h: Number,
-                 classical_sup: Number):
-        self.__dict__.update(ev=ev, space=space, h=h, q=q, magnitude=magnitude,
-                             rho_h=rho_h, classical_sup=classical_sup)
-
 
 def minimal_h_counterexample(h: Number, q: Number) -> MinimalHCounterexample:
     """Binary e-value M * 1{hit} with M = q^(-1/h), for 0 < h < 1.

@@ -380,8 +380,17 @@ RUNNERS = {
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown subcommand or
+    flag, a value of the wrong type) raise ``CliError``, as every other
+    usage error does, instead of printing the usage text and exiting."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posthoc",
         description="post-hoc hypothesis testing experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,8 +400,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--backend", choices=["exact", "float"], default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        # --backend and --format are checked with the config's values, by
+        # _resolve_options
+        p.add_argument("--backend", default=None)
+        p.add_argument("--format", default=None)
         p.add_argument("--fixture", default=None)
         p.add_argument("--strategy", default=None)
     return parser
@@ -480,8 +491,8 @@ def _emit(command, opts, report, tables) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         opts = _resolve_options(args)
         report, tables = RUNNERS[args.command](opts)
         return _emit(args.command, opts, report, tables)

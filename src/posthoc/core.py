@@ -10,6 +10,7 @@ rejecting at a level chosen after seeing the data.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
@@ -18,7 +19,10 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ._numbers import (
     INF,
     Number,
+    _ratio_float,
+    _recip_share,
     checked_lattice,
+    float_ext,
     fmt_number,
     is_inf,
     is_unit_mass,
@@ -318,17 +322,27 @@ class PValueLaw(Record):
                     num = num * (loc // g) + m * (den // g)
                     den = den // g * loc
             # a piece of positive mass adds a float, and a Fraction plus a
-            # float is the float of the Fraction's int pair plus that float
+            # float is the float of the Fraction's int pair plus that float,
+            # inf past the float range
             total = 0 if not num else (
-                num / den if pieces and any(p[2] for p in pieces)
+                _ratio_float(num, den) if pieces and any(p[2] for p in pieces)
                 else Fraction(num, den))
+            low = sys.float_info.min
             for a, b, m, _ in pieces:
                 if m == 0:
                     continue
                 if a == 0:
                     return INF
-                # the float terms below, from correctly rounded int ratios
-                total += (m / d) * (math.log(b / d) - math.log(a / d)) / ((b - a) / d)
+                # the float terms below, from correctly rounded int ratios,
+                # or on the pairs where one leaves the normal float range
+                try:
+                    fa, fb, fw = a / d, b / d, (b - a) / d
+                except OverflowError:
+                    fa = fw = 0.0
+                if fa >= low and fw >= low:
+                    total += (m / d) * (math.log(fb) - math.log(fa)) / fw
+                else:
+                    total += _recip_share((m, d), (a, d), (b, d))
             return total
         d, akeys, pkeys = self._masses or _mass_values(self)
         keyed = self._masses is not None
@@ -344,13 +358,23 @@ class PValueLaw(Record):
                 total += k / d * (1.0 / loc)
             if is_inf(total):
                 return INF
+        low = sys.float_info.min
         for (a, b, m), k in zip(self.pieces, pkeys):
             if k == 0:
                 continue
             if a == 0:
                 return INF
-            total += (k / d if keyed else m) * (
-                math.log(float(b)) - math.log(float(a))) / float(b - a)
+            if type(a) is float is type(b):
+                fa, fb, fw = a, b, b - a
+            else:  # an exact end or width outside the normal float range takes the pairs
+                w = b - a
+                fa, fb, fw = float_ext(a), float_ext(b), float_ext(w)
+                if (fb == INF or fa < low and type(a) is not float
+                        or fw < low and type(w) is not float):
+                    total += _recip_share((k, d) if keyed else m.as_integer_ratio(),
+                                          a.as_integer_ratio(), b.as_integer_ratio())
+                    continue
+            total += (k / d if keyed else m) * (math.log(fb) - math.log(fa)) / fw
         return total
 
     def expect_identity(self) -> Number:

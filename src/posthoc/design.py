@@ -139,7 +139,9 @@ def _ratio(fp: Number, fq: Number) -> Number:
         # float(fp) as Fraction.__mul__ takes it: its int pair's division
         n, d = fp.as_integer_ratio()
         if n:
-            return (n / d) * (1.0 / fq)
+            r = (n / d) * (1.0 / fq)
+            if r == r:  # nan is 0.0 * inf, which mul0 gives as inf
+                return r
     return mul0(fp, recip(fq))
 
 

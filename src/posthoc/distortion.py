@@ -72,12 +72,6 @@ class DistortionReport(Record):
     expected_distortion: Number
     max_distortion: Number
 
-    def __init__(self, per_level: tuple, expected_distortion: Number,
-                 max_distortion: Number):
-        self.__dict__.update(per_level=per_level,
-                             expected_distortion=expected_distortion,
-                             max_distortion=max_distortion)
-
     def to_rows(self, fmt=fmt_number) -> list:
         """One dict per level, each number written by ``fmt``."""
         return [
@@ -370,13 +364,6 @@ class ImpossibilityVerdict(Record):
     witness_strategy: AlphaStrategy | None
     witness_max_distortion: Number
 
-    def __init__(self, controls: bool, ess_inf: Number,
-                 witness_strategy: AlphaStrategy | None,
-                 witness_max_distortion: Number):
-        self.__dict__.update(controls=controls, ess_inf=ess_inf,
-                             witness_strategy=witness_strategy,
-                             witness_max_distortion=witness_max_distortion)
-
     def __bool__(self) -> bool:
         return self.controls
 
@@ -395,10 +382,12 @@ def impossibility_audit(p_law: PValueLaw) -> ImpossibilityVerdict:
     breaks = set(b for b in p_law.support_breakpoints() if b < 1)
     for a, b, m in p_law.pieces:
         if m > 0 and a < 1:
-            left = float(a) if a > 0 else float(min(b, 1)) / 256.0
+            # a left end whose float is 0.0 starts as a piece at 0 does,
+            # and a start that underflows to 0.0 adds no doubling points
+            left = float(a) or float(min(b, 1)) / 256.0
             right = float(min(b, 1))
             x = left
-            while x < right:
+            while 0 < x < right:
                 breaks.add(x)
                 x *= 2.0
     breaks = sorted(breaks)

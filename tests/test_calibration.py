@@ -27,6 +27,18 @@ HALF = (F(1, 2), F(1, 2))
 
 
 class TestHMean:
+    @pytest.mark.parametrize("value, want", [
+        (F(1, 10 ** 400), math.sqrt(1.5) * 1e-200),
+        (F(10 ** 400), math.sqrt(1.5) * 1e200),
+        (F(10 ** 700), INF),
+    ], ids=["below", "above", "past"])
+    def test_geometric_mean_of_a_value_outside_the_float_range(self, value, want):
+        # the log of 10^-400 or 10^400 is taken on its int pair
+        for other in (F(3, 2), 1.5):
+            ev, hyp = simple([value, other], HALF)
+            got = h_mean(ev, 0, hyp)
+            assert type(got) is float and math.isclose(got, want, rel_tol=1e-12)
+
     def test_constant_is_idempotent(self):
         ev, hyp = simple([F(3, 2), F(3, 2)], HALF)
         for h in (-INF, -1, 0, F(1, 2), 1, 3, INF):

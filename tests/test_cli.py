@@ -237,6 +237,33 @@ class TestExitCodes:
     def test_negative_seed_flag_exits_2(self, capsys):
         assert_usage_error(capsys, "merge", "--seed", "-1")
 
+    @pytest.mark.parametrize("argv", [
+        ["merge", "--backend", "foo"],
+        ["merge", "--format", "xml"],
+        ["merge", "--seed", "abc"],
+        ["merge", "--n", "1.5"],
+        ["merge", "--no-such-flag"],
+        ["frobnicate"],
+        [],
+    ], ids=["backend", "format", "seed-type", "n-type", "unknown-flag",
+            "unknown-subcommand", "no-subcommand"])
+    def test_parser_errors_exit_2_with_one_json_line(self, capsys, argv):
+        assert_usage_error(capsys, *argv)
+
+    def test_flag_and_config_values_meet_one_rule(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": "foo"}))
+        main(["merge", "--config", str(cfg)])
+        from_config = capsys.readouterr().err
+        main(["merge", "--backend", "foo"])
+        assert capsys.readouterr().err == from_config != ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", "--help"])
+        assert exc.value.code == 0
+        assert "--backend" in capsys.readouterr().out
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_unwritable_out_exits_2(self, capsys, tmp_path, under):
         taken = tmp_path / "taken"

@@ -709,7 +709,8 @@ class TestRatioTable:
         # f_Q next to 1, on both sides
         ((F(1, 3), F(2, 3)), (1 - 2**-53, 2**-53)),
         ((F(1, 3), F(2, 3)), (1 + 2**-52, 0.0)),
-        # an f_P whose float underflows: 0.0, and 0.0 * inf = nan
+        # an f_P whose float underflows: 0.0, and 0.0 * inf, nan on
+        # floats, is inf by mul0
         ((F(1, 10**400), 1 - F(1, 10**400)), (0.5, 0.5)),
         ((F(1, 10**400), 1 - F(1, 10**400)), (5e-324, 1.0)),
         # int, float, mixed and bool f_P over float f_Q

@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -537,6 +540,27 @@ class TestImpossibility:
         assert not verdict.controls
         assert verdict.witness_max_distortion == 2
         assert max_size_distortion(law, verdict.witness_strategy) == 2
+
+    @pytest.mark.parametrize("pieces", [
+        [(F(1, 10 ** 400), 1, 1)],
+        [(0, F(1, 10 ** 322), 1)],
+        [(F(1, 10 ** 400), F(1, 10 ** 322), 1)],
+    ], ids=["tiny-left-end", "start-underflows", "both-ends-tiny"])
+    def test_a_piece_below_the_float_range_ends(self, pieces):
+        # a subprocess with a timeout: the doubling from a left end whose
+        # float is 0.0 never ended, and would hang the suite
+        code = ("import sys\n"
+                "from fractions import Fraction\n"
+                "from posthoc import PValueLaw, impossibility_audit\n"
+                f"v = impossibility_audit(PValueLaw(pieces={pieces!r}))\n"
+                "print(v.controls, v.ess_inf == Fraction(sys.argv[1]),\n"
+                "      v.witness_max_distortion)")
+        env = dict(os.environ, PYTHONPATH=str(Path(distortion.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code, str(pieces[0][0])],
+                             capture_output=True, text=True, check=True, env=env,
+                             timeout=60).stdout
+        want = "inf" if pieces[0][0] == 0 else str(F(pieces[0][0]) ** -1)
+        assert out.split() == ["False", "True", want]
 
     def test_support_above_one_controls(self):
         law = PValueLaw(atoms=[(1, F(1, 2)), (3, F(1, 2))])

@@ -8,6 +8,10 @@ exception.
 - ``power_mean`` on exact values and weights at h = 0, +-inf and at a
   non-integer h, read as int pairs; and ``product0``, the merges'
   products, on int pairs.
+- E[1/p] on a lattice, and the geometric mean, where an exact value lies
+  outside the normal float range: there the formulations these replace
+  raised or read a subnormal, and the logs are taken on the int pairs,
+  so the oracle is the value computed in ``Decimal``.
 
 The oracles add left to right, as the kernels do.  The one builtin ``sum``
 is the geometric mean's log sum, which ``power_mean`` takes too: from
@@ -15,9 +19,12 @@ CPython 3.12 it is compensated, so an oracle that added left to right
 would differ there.  This module imports no numpy.
 """
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from functools import reduce
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posthoc import (
@@ -267,11 +274,24 @@ def exact_weighted_values(draw):
 @example(([F(1, 3), F(1, 2), F(1, 3)], (F(1, 3), F(1, 3), F(1, 3))), -INF)
 @example(([F(3, 2), 0, 2], (F(1, 2), 0, F(1, 2))), F(-1, 2))
 @example(([F(1, 10 ** 320), F(10 ** 200)], (F(1, 2), F(1, 2))), F(3, 2))
+@example(([F(1, 10 ** 400), F(3, 2)], (F(1, 2), F(1, 2))), 0)
+@example(([F(10 ** 400), F(1, 10 ** 320)], (F(1, 2), F(1, 2))), 0)
+@example(([F(10 ** 320)], (1,)), 0)
 def test_exact_power_means_on_int_pairs(vw, h):
-    """Equal value and type as the term-by-term formulation."""
+    """Equal value and type as the term-by-term formulation; at h = 0 with
+    a value outside the normal float range, the mean in ``Decimal``."""
     values, weights = vw
-    assert same(outcome(power_mean, values, weights, h),
-                outcome(oracle_power_mean, values, weights, h))
+    got = outcome(power_mean, values, weights, h)
+    kept = [(v, w) for v, w in zip(values, weights) if w]
+    if h == 0 and all(v for v, _ in kept) and not all(
+            in_float_range(v) for v, _ in kept):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = sum(decimal(w) * decimal_log(v) for v, w in kept).exp()
+        assert got[0] == "ok" and type(got[1]) is float
+        assert math.isclose(got[1], float(want), rel_tol=1e-12, abs_tol=1e-300)
+    else:
+        assert same(got, outcome(oracle_power_mean, values, weights, h))
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,5 +302,138 @@ def test_exact_power_means_on_int_pairs(vw, h):
 @example([F(1, 10 ** 320), F(1, 10 ** 320), INF])
 def test_products_on_int_pairs(values):
     """1 * v_1 * v_2 * ... by mul0: an int of ints, a Fraction of exact
-    factors with a Fraction among them, 0 from a zero factor."""
+    factors with a Fraction among them, 0 from a zero factor, and inf from
+    an inf factor times positive exact ones, however small."""
     assert same(outcome(product0, values), outcome(reduce, mul0, values, 1))
+    if INF in values and all(v == INF or type(v) in EXACT_TYPES and v > 0
+                             for v in values):
+        assert product0(values) == INF
+
+
+# ---------------------------------------------------------------------------
+# exact values outside the normal float range
+
+
+def in_float_range(x):
+    """x is 0, or its float is a normal float."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return False
+    return x == 0 or sys.float_info.min <= f < INF
+
+
+def decimal(x):
+    n, d = x.as_integer_ratio()
+    return Decimal(n) / Decimal(d)
+
+
+def decimal_log(x):
+    n, d = x.as_integer_ratio()
+    return Decimal(n).ln() - Decimal(d).ln()
+
+
+def oracle_lattice_recip_mean(law):
+    """E[1/p] as ``expect_recip`` took it on a lattice before its logs and
+    piece widths were range-safe."""
+    d, atoms, pieces = law._lattice
+    num, den = 0, 1
+    for loc, m, _ in atoms:
+        if m:
+            g = math.gcd(den, loc)
+            num = num * (loc // g) + m * (den // g)
+            den = den // g * loc
+    total = 0 if not num else (
+        num / den if pieces and any(p[2] for p in pieces) else F(num, den))
+    for a, b, m, _ in pieces:
+        if m == 0:
+            continue
+        if a == 0:
+            return INF
+        total += (m / d) * (math.log(b / d) - math.log(a / d)) / ((b - a) / d)
+    return total
+
+
+def decimal_log1p(x):
+    """ln(1 + x) of a Fraction x >= 0, with x - x^2 / 2 below 1e-20."""
+    if x < F(1, 10 ** 20):
+        return decimal(x) * (1 - decimal(x) / 2)
+    return decimal_log(1 + x)
+
+
+def decimal_recip_mean(law):
+    """E[1/p] in ``Decimal``: sum m / loc + sum m ln(b / a) / (b - a)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(decimal(F(m) / loc) for loc, m in law.atoms if m)
+        for a, b, m in law.pieces:
+            if m:
+                if a == 0:
+                    return INF
+                total += decimal(m) * decimal_log1p(F(b - a) / a) / decimal(b - a)
+        return float(total)
+
+
+wide_ends = st.one_of(
+    st.fractions(0, 8, max_denominator=16),
+    st.sampled_from([F(1, 10 ** 400), F(1, 10 ** 400) + F(1, 10 ** 800),
+                     F(3, 10 ** 330), F(1, 10 ** 310), 1 + F(1, 10 ** 400),
+                     F(10 ** 400), 10 ** 400, F(10 ** 309, 7)]),
+)
+
+
+@st.composite
+def wide_lattice_laws(draw):
+    """Exact laws with Fraction masses whose atom locations and piece ends
+    may lie below, inside or above the normal float range."""
+    ends = sorted(draw(st.lists(wide_ends, min_size=2, max_size=6, unique=True)))
+    spans = list(zip(ends[::2], ends[1::2]))
+    locs = draw(st.lists(wide_ends.filter(bool), max_size=2, unique=True))
+    n = len(locs) + len(spans)
+    raw = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any))
+    masses = [F(r, sum(raw)) for r in raw]
+    return PValueLaw(list(zip(locs, masses)),
+                     [(a, b, m) for (a, b), m in zip(spans, masses[len(locs):])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_lattice_laws())
+@example(PValueLaw(pieces=[(F(1, 10 ** 400), F(1), F(1))]))
+@example(PValueLaw(pieces=[(F(1), F(10 ** 400), F(1))]))
+@example(PValueLaw([(F(1, 10 ** 400), F(1, 2))], [(F(1), F(2), F(1, 2))]))
+@example(PValueLaw(pieces=[(F(1, 10 ** 400), F(3, 10 ** 330), F(1))]))
+@example(PValueLaw(pieces=[(1, 1 + F(1, 10 ** 400), F(1))]))
+@example(PValueLaw(pieces=[(F(1, 10 ** 400), F(2, 10 ** 400), F(1, 10 ** 400)),
+                           (1, 2, 1 - F(1, 10 ** 400))]))  # ln 2 + ln 2
+@example(PValueLaw(pieces=[(F(1, 10 ** 310), F(1, 10 ** 200), F(1))]))  # 2.5e202
+@example(PValueLaw(pieces=[(1, 1 + F(1, 10 ** 400), F(1, 10 ** 400)),
+                           (2, 3, 1 - F(1, 10 ** 400))]))
+def test_lattice_recip_mean_outside_the_float_range(law):
+    """The former formulation where every end and width of a piece of
+    positive mass, and the atoms' sum, is a normal float; else the value
+    in ``Decimal``."""
+    assert law._lattice is not None
+    got = outcome(law.expect_recip)
+    d, atoms, pieces = law._lattice
+    atom_sum = sum((F(m, loc) for loc, m, _ in atoms if m), F(0))
+    live = [(a, b) for a, b, m, _ in pieces if m]
+    if (all(in_float_range(F(x, d)) for a, b in live for x in (a, b, b - a))
+            and (not live or atom_sum < sys.float_info.max)):
+        assert same(got, outcome(oracle_lattice_recip_mean, law))
+    else:
+        assert got[0] == "ok"
+        assert math.isclose(got[1], decimal_recip_mean(law),
+                            rel_tol=1e-12, abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("mass", [F(1), 1], ids=["lattice", "int-mass"])
+@pytest.mark.parametrize("a, b, want", [
+    (F(1, 10 ** 400), 1, 400 * math.log(10)),
+    (1, 10 ** 400, 0.0),
+], ids=["below", "above"])
+def test_pieces_outside_the_float_range(mass, a, b, want):
+    law = PValueLaw(pieces=[(a, b, mass)])
+    assert (law._lattice is None) == (type(mass) is int)
+    rep = check_posthoc_validity(law)
+    assert math.isclose(rep.statistic, want, rel_tol=1e-12)
+    assert rep.valid is (want <= 1)

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from posthoc import (
     INF,
@@ -269,6 +269,7 @@ mixed_numbers = st.one_of(st.fractions(F(1, 32), 4, max_denominator=32),
 @given(laws(locations=mixed_numbers, mass_kind="float")
        | laws(locations=mixed_numbers,
               ends=st.one_of(exact_ends, st.floats(0, 2))))
+@example(([], [(2.2250738585e-313, 2, F(1))]))  # a subnormal float end, an int end
 def test_mixed_inputs_take_the_fallback(law):
     atoms, pieces = law
     values = [x for a in atoms for x in a] + [x for p in pieces for x in p]

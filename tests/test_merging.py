@@ -152,6 +152,13 @@ class TestGeometric:
         merged = merge_geometric([ev, ev])
         assert all(merged[x] == 1 for x in merged.outcomes)
 
+    def test_a_tiny_exact_value_times_inf_is_inf(self):
+        # float(10^-400) * inf is nan; the product of e-values 10^-400 and inf is inf
+        a = EvidenceVariable({0: F(1, 10 ** 400), 1: 2}, "e")
+        b = EvidenceVariable({0: INF, 1: F(1, 2)}, "e")
+        merged = merge_geometric([a, b])
+        assert merged[0] == INF and merged[1] == 1
+
     def test_perfect_dependence_stays_geometric(self):
         sp = DiscreteSpace((0, 1), (F(1, 2), F(1, 2)))
         ev = EvidenceVariable({0: 4, 1: F(1, 4)}, "e")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from posthoc._numbers import (
-    INF, TOL, at_most, checked_weights, exp_ext, is_finite, is_inf,
+    INF, TOL, at_most, checked_weights, exp_ext, float_ext, is_finite, is_inf,
     is_unit_mass, log_ext, mul0, pow_ext, power_mean, recip, sqrt_fraction,
     within,
 )
@@ -99,6 +99,47 @@ def test_fast_paths_on_fixed_points():
     assert same(pow_ext(1e-200, -2.5), INF)
     assert same(pow_ext(1e200, 2), INF)
     assert same(pow_ext(1e200, -2), 0.0)
+
+
+def pow_ext_range_test_reference(base, expo):
+    """pow_ext of an exact base and a non-integer exponent as it was written
+    with a range test of its own: the power of float(base), or of the log
+    domain where that is not a normal float."""
+    e = float(expo)
+    f = float_ext(base)
+    if not sys.float_info.min <= f < INF:
+        return exp_ext(e * log_ext(base))
+    try:
+        return f ** e
+    except OverflowError:
+        return INF
+
+
+@given(st.one_of(st.fractions(0, 50, max_denominator=64).filter(bool), st.integers(1, 50),
+                 st.sampled_from([F(1, 10 ** 400), F(10 ** 400), 10 ** 400, F(1, 10 ** 310),
+                                  F(3, 2 ** 1075), F(2 ** 1024 - 1), F(10 ** 308)])),
+       st.one_of(st.fractions(-5, 5, max_denominator=6).filter(lambda e: e.denominator > 1),
+                 st.floats(-5, 5), st.sampled_from([2.0, 400.0, -400.0])))
+def test_pow_ext_of_an_exact_base_is_its_int_pair_power(base, expo):
+    assert same(pow_ext(base, expo), pow_ext_range_test_reference(base, expo))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (F(1, 10 ** 400), INF, INF),
+    (INF, F(1, 10 ** 400), INF),
+    (F(10 ** 400), INF, INF),
+    (F(-1, 10 ** 400), INF, -INF),
+    (2.0, INF, INF),
+    (INF, INF, INF),
+    (0, INF, 0),
+    (INF, 0.0, 0),
+    (F(0), INF, 0),
+    (F(1, 3), F(3, 2), F(1, 2)),
+])
+def test_mul0_gives_0_only_for_a_zero_factor(a, b, want):
+    # a positive factor, however small or large, times inf is inf
+    assert same(mul0(a, b), want)
+    assert math.isnan(mul0(math.nan, INF)) and math.isnan(mul0(F(1, 2), math.nan))
 
 
 def decimal_power(base, expo):

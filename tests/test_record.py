@@ -117,6 +117,30 @@ def test_fields_cannot_be_assigned_or_deleted(obj, field):
         obj.not_a_field = 1
 
 
+def test_declared_fields_are_taken_by_position_or_by_name():
+    a = StoppingRule("now", None)
+    assert a == StoppingRule(markov=None, name="now") == StoppingRule("now", markov=None)
+    assert (a.name, a.markov) == ("now", None)
+    assert repr(a) == "StoppingRule(name='now', markov=None)"
+
+
+@pytest.mark.parametrize("args, kwargs, given", [
+    (("now",), {}, "1 by position and []"),
+    ((), {}, "0 by position and []"),
+    (("now", None), {"kind": 1}, "2 by position and ['kind']"),
+    (("now", None), {"name": "later"}, "2 by position and ['name']"),
+    (("now", None, 1), {}, "3 by position and []"),
+    ((), {"name": "now", "markov": None, "kind": 1},
+     "0 by position and ['name', 'markov', 'kind']"),
+], ids=["missing", "none", "unknown", "repeated", "too-many", "unknown-by-name"])
+def test_a_missing_unknown_or_repeated_field_is_refused(args, kwargs, given):
+    message = ("StoppingRule() takes the fields ['name', 'markov'] once each, "
+               f"got {given} by name")
+    with pytest.raises(TypeError) as exc:
+        StoppingRule(*args, **kwargs)
+    assert str(exc.value) == message
+
+
 def test_pfunction_is_unhashable():
     with pytest.raises(TypeError):
         hash(PFunction({0: PCurve.constant(F(1, 2))}))

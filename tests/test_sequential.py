@@ -1,11 +1,16 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import posthoc
 from posthoc import (
     EPROCESS,
     INF,
@@ -35,7 +40,6 @@ from posthoc import (
     ville_tail,
 )
 from posthoc._numbers import within
-from posthoc.sequential import _posthoc_sup
 
 
 def ev_on(values, probs=None):
@@ -114,6 +118,43 @@ class TestProcessModel:
             ProcessModel(initial, z, EPROCESS, 10)
 
 
+def grid_sup(x, grid):
+    """sup_c 1{x >= 1/c}/c over c = 1/v for v in the grid: the largest grid
+    value in (0, x], or 0."""
+    return max((v for v in grid if 0 < v <= x), default=0)
+
+
+def oracle_markov_sides(X, H):
+    """(E[sup_c 1{X >= 1/c}/c], E[X]) of the first member of largest E[X],
+    the supremum taken from its definition on the grid of X's values."""
+    e = X.as_scale("e")
+    grid = [e[x] for x in e.outcomes]
+    worst = None
+    for m in H.members:
+        lhs = m.expectation(lambda x: grid_sup(e[x], grid))
+        rhs = m.expectation(lambda x: e[x])
+        if worst is None or rhs > worst[1]:
+            worst = (lhs, rhs)
+    return worst
+
+
+@st.composite
+def markov_inputs(draw):
+    """(X, H): X on 1-5 outcomes, e- or p-scale, with int and Fraction
+    values, 0 and inf among them; H of 1-3 exact members, zero masses
+    allowed."""
+    k = draw(st.integers(1, 5))
+    values = st.one_of(st.integers(0, 20), st.fractions(0, 20, max_denominator=12),
+                       st.sampled_from([0, INF]))
+    X = EvidenceVariable(dict(enumerate(draw(st.lists(values, min_size=k, max_size=k)))),
+                         draw(st.sampled_from(["e", "p"])))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+        members.append(DiscreteSpace(tuple(range(k)), tuple(F(x, sum(w)) for x in w)))
+    return X, Hypothesis(members)
+
+
 class TestMarkovEquality:
     def test_constant(self):
         ev, hyp = ev_on([F(3, 2), F(3, 2)])
@@ -127,17 +168,14 @@ class TestMarkovEquality:
         ev, hyp = ev_on([F(1, 2), F(3, 2)])
         assert markov_equality_check(ev, hyp) == (1, 1)
 
-    @given(st.lists(st.fractions(min_value=0, max_value=20,
-                                 max_denominator=12), min_size=1, max_size=8),
-           st.fractions(min_value=0, max_value=25, max_denominator=12))
-    def test_posthoc_sup_is_the_grid_floor(self, grid, x):
-        # the deterministic Markov identity: sup_c 1{x >= 1/c}/c = x on the
-        # grid, and the largest grid value <= x off it
-        for v in grid:
-            assert _posthoc_sup(v, grid) == v
-        if x not in grid:
-            assert _posthoc_sup(x, grid) == max(
-                (v for v in grid if v <= x), default=0)
+    @settings(max_examples=300, deadline=None)
+    @given(markov_inputs())
+    def test_both_sides_match_the_grid_oracle(self, inputs):
+        # the closed form against the supremum searched on X's own values
+        X, H = inputs
+        lhs, rhs = oracle_markov_sides(X, H)
+        assert lhs == rhs
+        assert markov_equality_check(X, H) == (lhs, rhs)
 
 
 @st.composite
@@ -319,18 +357,24 @@ class TestExactLattice:
         # at most T + 1 values of M_T for a two-point factor
         assert len(stopped_law(martingale_fixture(), fixed(50))) == 51
 
-    def test_exact_check_runs_no_simulation(self, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew random numbers on an exact rule")
-
-        for name in ("default_rng", "Generator", "Philox"):
-            monkeypatch.setattr(np.random, name, no_draws)
-        rep = ville_equality_check(martingale_fixture(),
-                                   StoppingRule.hitting_time(2.0),
-                                   400_000, 2026)
-        assert rep.method == "exact" and rep.n is None
-        assert rep.mean == 1.0 and rep.se == 0.0 and rep.valid
-        assert rep.mean_exact == "1"
+    def test_exact_check_runs_no_simulation(self):
+        # in a fresh interpreter, as pytest may have loaded numpy already:
+        # the check loads neither numpy nor the Philox stream
+        code = ("import json, sys\n"
+                "from posthoc.sequential import (StoppingRule, martingale_fixture,\n"
+                "                                ville_equality_check)\n"
+                "rep = ville_equality_check(martingale_fixture(),\n"
+                "                           StoppingRule.hitting_time(2.0),\n"
+                "                           400_000, 2026)\n"
+                "print(json.dumps([rep.to_dict(), sorted(sys.modules)]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(posthoc.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        rep, modules = json.loads(out)
+        assert rep["method"] == "exact" and rep["n"] is None
+        assert rep["mean"] == 1.0 and rep["se"] == 0.0 and rep["valid"]
+        assert rep["mean_exact"] == "1"
+        assert "numpy" not in modules and "posthoc._philox" not in modules
 
     def test_invalid_eprocess_is_refuted_exactly(self):
         out = anytime_validity_check(invalid_eprocess_fixture(),
