@@ -58,8 +58,8 @@ _SUBMODULE = {
             "SUPERMARTINGALE", "VilleReport", "anytime_validity_check",
             "invalid_eprocess_fixture", "markov_equality_check",
             "martingale_fixture", "mrmw_sandwich", "stopped_law",
-            "stopped_mean", "sup_stopped_mean", "supermartingale_fixture",
-            "ville_equality_check", "ville_tail",
+            "stopped_mean", "stopped_p_law", "sup_stopped_mean",
+            "supermartingale_fixture", "ville_equality_check", "ville_tail",
         ),
     }.items()
     for name in names

@@ -351,13 +351,20 @@ class PValueLaw(Record):
             if k == 0:  # masses are nonnegative
                 continue
             if not keyed:
-                total += mul0(m, recip(loc))
+                term = mul0(m, recip(loc))
+                # an exact sum plus a float is the sum's float plus the
+                # float, here inf past the float range, as in _ratio_float
+                if type(term) is float and type(total) is not float:
+                    total = float_ext(total)
+                total += term
             elif loc != INF:  # an atom at inf adds 0
                 # m * (1.0 / loc): a Fraction times a float is the float
                 # of its int pair, k / d, times the float
                 total += k / d * (1.0 / loc)
             if is_inf(total):
                 return INF
+        if any(pkeys):  # a piece of positive mass adds a float, as above
+            total = float_ext(total)
         low = sys.float_info.min
         for (a, b, m), k in zip(self.pieces, pkeys):
             if k == 0:

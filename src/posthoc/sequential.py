@@ -4,11 +4,12 @@ Ville equalities; test families merge in :mod:`posthoc.merging`.
 Processes are multiplicative with a finite-support i.i.d. factor, so the
 martingale and supermartingale moment conditions are checkable exactly at
 construction.  A stopping rule is a predicate on (t, M_t), and stopped
-means are exact: M_t takes finitely many values at each t, so one forward
-pass over the (t, M_t) lattice gives E[M_tau] for every rule, and stopping
-at the first hit of 1/alpha gives Ville's P(max_t M_t >= 1/alpha).
-E-process claims are certified or refuted by the exact supremum of
-E[M_tau] over all stopping times.  Nothing here is simulated.
+laws are exact: one forward pass over the (t, M_t) lattice gives the law
+of M_tau, and 1/M_tau is a p-value law (:func:`stopped_p_law`) whose
+``core`` checks give E[M_tau] and, stopping at the first hit of 1/alpha,
+Ville's P(max_t M_t >= 1/alpha).  E-process claims are certified or
+refuted by the exact supremum of E[M_tau] over all stopping times.
+Nothing here is simulated.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ from .core import (
     E_SCALE,
     EvidenceVariable,
     Hypothesis,
+    PValueLaw,
+    check_posthoc_validity,
     shared_outcomes,
 )
 
@@ -117,32 +120,26 @@ def markov_equality_check(X: EvidenceVariable, H: Hypothesis):
 
     Pointwise sup_c 1{x >= 1/c}/c = x: it is attained at c = 1/x for
     0 < x < inf, no c > 0 reaches x = 0, and 1/c grows without bound at
-    x = inf.  So both sides are the member's E[X]
-    (:meth:`Hypothesis.sup_expectation`).
+    x = inf.  So both sides are the member's E[X], the post-hoc statistic
+    of :func:`check_posthoc_validity`.
     """
-    shared_outcomes([X, H], _EVIDENCE_AND_H)
-    e = X.as_scale(E_SCALE)
-    mean, _ = H.sup_expectation(lambda x: e[x])
+    mean = check_posthoc_validity(X, H).statistic
     return mean, mean
 
 
 def mrmw_sandwich(X: EvidenceVariable, c: Number, H: Hypothesis):
     """(P(X >= 1/c), E[cX AND 1], cE[X]) for the worst hypothesis member,
-    the first of largest cE[X].  1{X >= 1/c} <= min(cX, 1) <= cX holds
-    pointwise, so the three are ordered for every member."""
+    the first of largest E[X] (:meth:`Hypothesis.sup_expectation`), which
+    for c > 0 is that of largest cE[X].  1{X >= 1/c} <= min(cX, 1) <= cX
+    holds pointwise, so the three are ordered for every member."""
     if not 0 < c < INF:  # also true for nan
         raise ValueError(f"c must be positive and finite, got {c}")
     shared_outcomes([X, H], _EVIDENCE_AND_H)
     e = X.as_scale(E_SCALE)
-    inv_c = recip(c)
-    worst = None
-    for m in H.members:
-        a = m.expectation(lambda x: 1 if e[x] >= inv_c else 0)
-        b = m.expectation(lambda x: min(mul0(c, e[x]), 1))
-        r = mul0(c, m.expectation(lambda x: e[x]))
-        if worst is None or r > worst[2]:
-            worst = (a, b, r)
-    return worst
+    mean, i = H.sup_expectation(lambda x: e[x])
+    m, inv_c = H.members[i], recip(c)
+    return (m.expectation(lambda x: 1 if e[x] >= inv_c else 0),
+            m.expectation(lambda x: min(mul0(c, e[x]), 1)), mul0(c, mean))
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +191,22 @@ def stopped_law(model: ProcessModel, rule: StoppingRule) -> dict:
     return law
 
 
+def stopped_p_law(model: ProcessModel, rule: StoppingRule) -> PValueLaw:
+    """The law of the p-value 1/M_tau: atoms at 1/v for the values v of
+    :func:`stopped_law` (inf for v = 0), each mass over the masses' exact
+    total, which is 1 unless float factor probabilities sum to 1 only within
+    TOL.  Its post-hoc statistic is E[M_tau], ``cdf(alpha)`` is
+    P(M_tau >= 1/alpha), and its classical statistic is Markov's best bound
+    sup_{c > 1} c P(M_tau >= c)."""
+    law = stopped_law(model, rule)
+    total = sum(law.values())
+    return PValueLaw([(recip(v), m if total == 1 else m / total)
+                      for v, m in law.items()])
+
+
 def stopped_mean(model: ProcessModel, rule: StoppingRule) -> Fraction:
-    """E[M_tau], exactly, from :func:`stopped_law`."""
-    return sum((v * m for v, m in stopped_law(model, rule).items()),
-               Fraction(0))
+    """E[M_tau], exactly: the post-hoc statistic of :func:`stopped_p_law`."""
+    return Fraction(check_posthoc_validity(stopped_p_law(model, rule)).statistic)
 
 
 def sup_stopped_mean(model: ProcessModel) -> Fraction:
@@ -220,29 +229,27 @@ def ville_tail(model: ProcessModel, alpha: Number) -> Fraction:
 
     Stopping at the first t with M_t >= 1/alpha, or at T, leaves
     M_tau >= 1/alpha on exactly the paths whose running maximum reaches
-    1/alpha, so the tail is the mass of :func:`stopped_law` under that
-    hitting rule at values >= 1/alpha; no running-maximum state is needed.
+    1/alpha, so the tail is ``cdf(alpha)`` of :func:`stopped_p_law` under
+    that hitting rule; no running-maximum state is needed.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    level = 1 / Fraction(alpha)
-    law = stopped_law(model, StoppingRule.hitting_time(level))
-    return sum((m for v, m in law.items() if v >= level), Fraction(0))
+    alpha = Fraction(alpha)
+    law = stopped_p_law(model, StoppingRule.hitting_time(1 / alpha))
+    return Fraction(law.cdf(alpha))
 
 
-def _slack(model: ProcessModel) -> float:
-    """How far an exact stopped mean may pass M_0 and still count as M_0.
-
-    0 on exact inputs.  Float inputs pass the model's moment check with
-    E[Z] within TOL of 1, which moves any E[M_tau] by at most
-    M_0((1 + TOL)^T - 1).
-    """
-    z = model.multiplier
-    if not any(isinstance(x, float)
-               for x in (model.initial, *z.outcomes, *z.probs)):
-        return 0.0
-    return TOL + float(model.initial) * math.expm1(
-        model.horizon * math.log1p(TOL))
+def _at_most_initial(model: ProcessModel, mean: Fraction, equal=False) -> bool:
+    """The one verdict on a stopped mean, E[M_tau] <= M_0 (= M_0 when
+    ``equal``), exact on exact inputs.  Float inputs pass the moment check
+    with E[Z] within TOL of 1, which moves any E[M_tau] by at most
+    M_0((1 + TOL)^T - 1): there the gap may reach that slack plus TOL."""
+    z, slack = model.multiplier, 0.0
+    if any(isinstance(x, float) for x in (model.initial, *z.outcomes, *z.probs)):
+        slack = TOL + float(model.initial) * math.expm1(
+            model.horizon * math.log1p(TOL))
+    gap = mean - Fraction(model.initial)
+    return (abs(gap) if equal else gap) <= slack
 
 
 def _require_samples(n: int) -> None:
@@ -274,12 +281,13 @@ class VilleReport(Record):
         }
 
 
-def _stopped_row(model: ProcessModel, rule: StoppingRule):
-    """(exact E[M_tau], the method, n, mean, mean_exact and se fields of a
-    report row)."""
+def _stopped_row(model: ProcessModel, rule: StoppingRule, equal=False) -> dict:
+    """The method, n, mean, mean_exact, se and valid fields of a report row
+    on the exact E[M_tau], valid by :func:`_at_most_initial`."""
     exact = stopped_mean(model, rule)
-    return exact, {"method": "exact", "n": None, "mean": float_ext(exact),
-                   "mean_exact": fmt_number(exact), "se": 0.0}
+    return {"method": "exact", "n": None, "mean": float_ext(exact),
+            "mean_exact": fmt_number(exact), "se": 0.0,
+            "valid": _at_most_initial(model, exact, equal)}
 
 
 def ville_equality_check(model: ProcessModel, rule: StoppingRule,
@@ -292,15 +300,11 @@ def ville_equality_check(model: ProcessModel, rule: StoppingRule,
     nothing is simulated, and stay for the callers that pass them.
     """
     _require_samples(n)
-    exact, fields = _stopped_row(model, rule)
-    gap, slack = exact - Fraction(model.initial), _slack(model)
-    if model.kind == MARTINGALE:
-        valid, detail = abs(gap) <= slack, "optional stopping equality, exact"
-    else:
-        valid = gap <= slack
-        detail = "stopped mean bounded by the initial value, exact"
+    equal = model.kind == MARTINGALE
+    detail = ("optional stopping equality, exact" if equal
+              else "stopped mean bounded by the initial value, exact")
     return VilleReport(rule.name, model.kind, initial=float(model.initial),
-                       valid=valid, detail=detail, **fields)
+                       detail=detail, **_stopped_row(model, rule, equal))
 
 
 def anytime_validity_check(models, rules: Sequence[StoppingRule],
@@ -322,19 +326,13 @@ def anytime_validity_check(models, rules: Sequence[StoppingRule],
     if isinstance(models, ProcessModel):
         models = {"null": models}
     rows, sups, valid = [], {}, True
-    worst = None
     for name, model in models.items():
-        slack = _slack(model)
         sup = sup_stopped_mean(model)
         sups[name] = fmt_number(sup)
-        valid = valid and sup - Fraction(model.initial) <= slack
-        for rule in rules:
-            exact, fields = _stopped_row(model, rule)
-            rows.append({"member": name, "rule": rule.name, **fields,
-                         "valid": exact - Fraction(model.initial) <= slack})
-            if worst is None or fields["mean"] > worst:
-                worst = fields["mean"]
-    return {"valid": valid, "sup_mean": worst,
+        valid = valid and _at_most_initial(model, sup)
+        rows += [{"member": name, "rule": rule.name, **_stopped_row(model, rule)}
+                 for rule in rules]
+    return {"valid": valid, "sup_mean": max([r["mean"] for r in rows], default=None),
             "sup_all_stopping_times": sups, "rows": rows}
 
 

@@ -437,3 +437,17 @@ def test_pieces_outside_the_float_range(mass, a, b, want):
     rep = check_posthoc_validity(law)
     assert math.isclose(rep.statistic, want, rel_tol=1e-12)
     assert rep.valid is (want <= 1)
+
+
+@pytest.mark.parametrize("atoms, pieces", [
+    ([(F(1, 10 ** 400), F(1, 2))], [(0.5, 1.0, F(1, 2))]),
+    ([(F(1, 10 ** 400), F(1, 2)), (1.0, F(1, 2))], []),
+], ids=["float-piece", "float-atom"])
+def test_an_exact_atom_sum_past_the_float_range_meets_a_float_term(atoms, pieces):
+    # a law without a lattice: the exact sum 10^400 / 2 plus a float term
+    # took the sum's float, which raised OverflowError; it is inf
+    law = PValueLaw(atoms, pieces)
+    assert law._lattice is None and law._masses is None
+    rep = check_posthoc_validity(law)
+    assert rep.statistic == INF and type(rep.statistic) is float
+    assert not rep.valid

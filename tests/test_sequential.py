@@ -24,6 +24,7 @@ from posthoc import (
     TestFamilyCollection,
     TestFunction,
     anytime_validity_check,
+    check_classical_validity,
     check_posthoc_validity,
     fdr_average,
     fwer_merge,
@@ -34,12 +35,13 @@ from posthoc import (
     mrmw_sandwich,
     stopped_law,
     stopped_mean,
+    stopped_p_law,
     sup_stopped_mean,
     supermartingale_fixture,
     ville_equality_check,
     ville_tail,
 )
-from posthoc._numbers import within
+from posthoc._numbers import mul0, recip, within
 
 
 def ev_on(values, probs=None):
@@ -200,7 +202,32 @@ def sandwich_inputs(draw):
     return X, c, Hypothesis(members)
 
 
+def oracle_sandwich(X, c, H):
+    """mrmw_sandwich as first written: its own loop over the members for
+    the first of largest cE[X]."""
+    e = X.as_scale("e")
+    worst = None
+    for m in H.members:
+        a = m.expectation(lambda x: 1 if e[x] >= recip(c) else 0)
+        b = m.expectation(lambda x: min(mul0(c, e[x]), 1))
+        r = mul0(c, m.expectation(lambda x: e[x]))
+        if worst is None or r > worst[2]:
+            worst = (a, b, r)
+    return worst
+
+
 class TestMrmwSandwich:
+    @settings(max_examples=200, deadline=None)
+    @given(markov_inputs(),
+           st.one_of(st.integers(1, 20),
+                     st.fractions(F(1, 100), 20, max_denominator=100).filter(bool)))
+    def test_exact_inputs_match_the_member_loop(self, inputs, c):
+        # on exact inputs the first of largest E[X] is the first of largest cE[X]
+        X, H = inputs
+        got, want = mrmw_sandwich(X, c, H), oracle_sandwich(X, c, H)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
     @settings(max_examples=300, deadline=None)
     @given(sandwich_inputs())
     def test_the_sandwich_is_ordered(self, inputs):
@@ -346,6 +373,7 @@ class TestExactLattice:
                                        StoppingRule.fixed_time(model.horizon))
         out = anytime_validity_check(model, rules, n=1, seed=0)
         assert out["sup_all_stopping_times"] == {"null": fmt_number(sup)}
+        assert out["sup_mean"] == max(float(stopped_mean(model, r)) for r in rules)
         assert out["valid"] is (sup <= model.initial)
 
     def test_fixture_values(self):
@@ -617,6 +645,110 @@ class TestVilleTail:
     def test_rejects_alpha_outside_the_unit_interval(self, alpha):
         with pytest.raises(ValueError, match="alpha must be in"):
             ville_tail(martingale_fixture(), alpha)
+
+
+def markov_bound_oracle(law):
+    """Markov's best fixed-level bound on a stopped law {v: m}, as the
+    classical check searches it, levels alpha = 1/c below 1:
+    max(0, c P(M >= c) for each value c > 1, and the limit P(M > 1))."""
+    above = [sum(m for w, m in law.items() if w > 1)]
+    return max(above + [c * sum(m for w, m in law.items() if w >= c)
+                        for c in law if c > 1])
+
+
+class TestStoppedPLaw:
+    """The law of 1/M_tau, and the core checks that read it."""
+
+    @staticmethod
+    def assert_law_of_the_reciprocal(model, rule):
+        law = stopped_law(model, rule)
+        p_law = stopped_p_law(model, rule)
+        assert dict(p_law.atoms) == {(1 / v if v else INF): m
+                                     for v, m in law.items()}
+        assert sum((m for _, m in p_law.atoms), F(0)) == 1
+        assert all(type(m) is F for _, m in p_law.atoms)
+        # E[M_tau] is the sum it replaced, of the same type
+        mean = stopped_mean(model, rule)
+        assert type(mean) is F
+        assert mean == sum((v * m for v, m in law.items()), F(0))
+        # Markov's best fixed-level bound is at most E[M_tau], with equality
+        # iff M_tau takes at most one nonzero value, and that above 1
+        classical = check_classical_validity(p_law).statistic
+        assert classical == markov_bound_oracle(law)
+        assert classical <= mean
+        nonzero = [v for v in law if v]
+        assert (classical == mean) is (
+            not nonzero or len(nonzero) == 1 and nonzero[0] > 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_models(), markov_rules)
+    def test_law_and_checks_on_lattice_models(self, model, rule):
+        self.assert_law_of_the_reciprocal(model, rule)
+
+    @pytest.mark.parametrize("rule", [StoppingRule.hitting_time(20),
+                                      StoppingRule.hitting_time(2.0),
+                                      StoppingRule.fixed_time(50)],
+                             ids=lambda rule: rule.name)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_law_and_checks_on_the_fixtures(self, fixture, rule):
+        self.assert_law_of_the_reciprocal(FIXTURES[fixture], rule)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_models(),
+           st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16))
+    def test_cdf_of_the_hitting_law_is_ville_tail(self, model, alpha):
+        law = stopped_p_law(model, StoppingRule.hitting_time(1 / alpha))
+        tail = ville_tail(model, alpha)
+        assert type(tail) is F
+        assert law.cdf(alpha) == tail == brute_force_ville_tail(model, alpha)
+
+    @pytest.mark.parametrize("fixture", [martingale_fixture,
+                                         supermartingale_fixture,
+                                         invalid_eprocess_fixture])
+    @pytest.mark.parametrize("alpha", [F(1, 20), F(1, 2), 0.05])
+    def test_cdf_on_the_fixtures(self, fixture, alpha):
+        level = 1 / F(alpha)
+        for model in (fixture(), fixture(horizon=8)):
+            rule = StoppingRule.hitting_time(level)
+            got = stopped_p_law(model, rule).cdf(alpha)
+            assert got == ville_tail(model, alpha) == sum(
+                (m for v, m in stopped_law(model, rule).items() if v >= level), F(0))
+        # the short horizon's 2^8 paths can be enumerated
+        assert got == brute_force_ville_tail(model, alpha)
+
+    def test_markov_gap_on_the_martingale_fixture(self):
+        # under hit@20, E[M_tau] = 1 while the best fixed-level bound is
+        # 0.77159..., attained at the first reachable value above 20,
+        # 3^16 / 2^21 = 20.52...
+        law = stopped_p_law(martingale_fixture(), StoppingRule.hitting_time(20))
+        assert check_posthoc_validity(law).statistic == 1
+        classical = check_classical_validity(law)
+        assert classical.statistic == F(910934518301839086759, 2 ** 70)
+        assert classical.witness == F(2 ** 21, 3 ** 16)
+
+    def test_a_zero_value_is_an_atom_at_inf(self):
+        z = DiscreteSpace((0, 2), (F(1, 2), F(1, 2)))
+        model = ProcessModel(1, z, MARTINGALE, 3)
+        law = stopped_p_law(model, StoppingRule.fixed_time(3))
+        assert law.atoms == ((F(1, 8), F(1, 8)), (INF, F(7, 8)))
+        assert stopped_mean(model, StoppingRule.fixed_time(3)) == 1
+        assert ville_tail(model, F(1, 8)) == F(1, 8)
+        assert ville_tail(model, F(1, 9)) == 0
+
+    def test_float_probabilities_that_miss_one_exactly(self):
+        # Fraction(0.3) + Fraction(0.7) = 1 - 2^-54: the stopped masses are
+        # divided by their exact total, so the law is a p-value law
+        z = DiscreteSpace((F(1, 2), F(17, 14)), (0.3, 0.7))
+        model = ProcessModel(1, z, SUPERMARTINGALE, 20)
+        for rule in (StoppingRule.fixed_time(20), StoppingRule.hitting_time(2)):
+            law = stopped_law(model, rule)
+            total = sum(law.values(), F(0))
+            assert total != 1
+            p_law = stopped_p_law(model, rule)
+            assert sum((m for _, m in p_law.atoms), F(0)) == 1
+            assert stopped_mean(model, rule) == sum(
+                (v * m for v, m in law.items()), F(0)) / total
+            assert ville_equality_check(model, rule, 1, 0).valid
 
 
 class TestMultipleTesting:
