@@ -21,9 +21,8 @@ _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # Weyl key bumps
 _MASK = (1 << 64) - 1
 # counters per packed int: 256 to 8192 run alike (10% apart), and a
 # smaller int keeps memory down; a caller that counts words as they come
-# takes them in chunks of CHUNK_WORDS
+# takes them 4 * _LANES at a time (distortion.CHUNK_WORDS)
 _LANES = 512
-CHUNK_WORDS = 4 * _LANES
 # a memoryview cast reads words in the host's byte order; on a big-endian
 # host the low word of each 128-bit lane is the second and the lanes run
 # backwards, so a step of -2 from the end reads them in order

@@ -6,10 +6,10 @@ that is byte-identical for identical (config, seed).
 """
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -18,8 +18,8 @@ from . import __version__
 
 # Each runner imports the library modules it uses, and a usage error loads
 # none but _numbers, whose seed check the options share with the library.
-# Every run also loads distortion and _philox: the envelope's fixture_hash
-# builds the --fixture law and the --strategy pieces, whatever it runs.
+# Every run also loads distortion: the envelope's fixture_hash builds the
+# --fixture law and the --strategy pieces, whatever it runs.
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 2026
@@ -83,20 +83,8 @@ def _fixture_hash(law, strategy) -> str:
     return sha256(blob).hexdigest()[:16]
 
 
-def _table(header, rows) -> str:
-    """CSV text: the header, then the rows, each a sequence or a dict keyed
-    by the header."""
-    import csv
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([r[k] for k in header] if isinstance(r, dict) else r for r in rows)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns report dict + named CSV tables)
+# subcommand implementations (each returns report dict + {name: (header, rows)})
 
 
 def run_distortion(opts):
@@ -119,8 +107,8 @@ def run_distortion(opts):
         "mc_within_3se": within,
         "ok": within,
     }
-    return report, {"distortion": _table(["level", "mass", "size", "distortion"],
-                                         rep.to_rows(fmt))}
+    return report, {"distortion": (["level", "mass", "size", "distortion"],
+                                   report["per_level"])}
 
 
 def run_optimal(opts):
@@ -157,7 +145,7 @@ def run_optimal(opts):
         },
         "ok": recip_mean == 1,
     }
-    return report, {"optimal": _table(["quantity", "value"], gauss.items())}
+    return report, {"optimal": (["quantity", "value"], gauss.items())}
 
 
 def run_merge(opts):
@@ -215,7 +203,7 @@ def run_pfunction(opts):
         "round_trip_exact": round_trip_ok,
         "ok": rep.valid,
     }
-    return report, {"pfunction": _table(["outcome", "u", "p"], pf.to_rows())}
+    return report, {"pfunction": (["outcome", "u", "p"], pf.to_rows())}
 
 
 def run_sequential(opts):
@@ -278,7 +266,7 @@ def run_ville(opts):
         "verdict": "PASS" if passed else "FAIL",
         "ok": passed,
     }
-    return report, {"ville": _table(list(rows[0]), rows)}
+    return report, {"ville": (list(rows[0]), rows)}
 
 
 def reproduce_examples(opts=None):
@@ -362,7 +350,7 @@ def reproduce_examples(opts=None):
     check("gaussian/posthoc_power", gauss["posthoc_power"],
           1 - normal.cdf(math.log(20) - 0.5), tol=1e-12)
     report = {"rows": rows, "failures": failures, "ok": not failures}
-    return report, {"examples": _table(["example", "got", "want", "ok"], rows)}
+    return report, {"examples": (["example", "got", "want", "ok"], rows)}
 
 
 RUNNERS = {
@@ -380,46 +368,67 @@ RUNNERS = {
 # argument plumbing
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors (an unknown subcommand or
-    flag, a value of the wrong type) raise ``CliError``, as every other
-    usage error does, instead of printing the usage text and exiting."""
-
-    def error(self, message):
-        raise CliError(message)
+# each flag with the type of its value; _resolve_options checks the values
+FLAGS = {"config": Path, "seed": int, "n": int, "out": Path,
+         "backend": str, "format": str, "fixture": str, "strategy": str}
+# a token argparse reads as a value: no leading '-', '-', a negative number or a space
+_VALUE = r"(?s)\Z|[^-]|-\Z|-\d+$|-\d*\.\d+$|.* "  # compiled on first use
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="posthoc",
-        description="post-hoc hypothesis testing experiment runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--out", type=Path, default=None)
-        # --backend and --format are checked with the config's values, by
-        # _resolve_options
-        p.add_argument("--backend", default=None)
-        p.add_argument("--format", default=None)
-        p.add_argument("--fixture", default=None)
-        p.add_argument("--strategy", default=None)
-    return parser
+def _parse(args) -> tuple:
+    """(subcommand, {flag: value}) from ``<subcommand> --flag value ...``, read
+    as argparse read it (a unique prefix names a flag, the last repeat wins),
+    its usage errors raised as CliError; -h or --help prints the usage, exits 0."""
+    def flag(token, names):  # (name, text after '=' or None) of "help" or a name
+        if token[:2] == "-h":
+            return "help", None if token == "-h" else token[2:]
+        key, eq, value = token[2:].partition("=")
+        hits = [k for k in ("help", *names) if k.startswith(key) and token[:2] == "--"]
+        if len(hits) > 1 and key not in hits:
+            raise CliError(f"ambiguous option {token}: could be any of {hits}")
+        return (key if key in hits else hits[0], value if eq else None) if hits else None
+
+    cut = args.index("--") if "--" in args else len(args)
+    found = [flag(tok, ()) for tok in args[:cut]]  # the top level knows -h alone
+    command, flags, extras, i = None, {}, args[cut:], 0
+    while i < cut:
+        (name, value), tok, i = found[i] or (None, None), args[i], i + 1
+        if name == "help" and value is None:
+            sys.stdout.write(f"usage: posthoc {{{','.join(RUNNERS)}}} [-h] "
+                             + " ".join(f"[--{k} {k.upper()}]" for k in FLAGS) + "\n")
+            raise SystemExit(0)
+        if name is None and command is None and re.match(_VALUE, tok):
+            if tok not in RUNNERS:
+                raise CliError(f"unknown subcommand {tok!r}; choose from {list(RUNNERS)}")
+            command = tok  # argparse reads each later token before acting on any
+            found[i:] = [flag(later, FLAGS) for later in args[i:cut]]
+        elif name is None:
+            extras.append(tok)
+        else:
+            if value is None and (i == cut or found[i] or not re.match(_VALUE, args[i])):
+                raise CliError(f"--{name} takes one value")
+            value, i = (args[i], i + 1) if value is None else (value, i)
+            try:
+                flags[name] = FLAGS[name](value)
+            except (KeyError, ValueError):  # KeyError: --help=value
+                raise CliError(f"--{name}: invalid value {value!r}") from None
+    if command is None or extras:
+        raise CliError(f"unrecognized arguments {extras}" if command
+                       else f"choose a subcommand from {list(RUNNERS)}")
+    return command, flags
 
 
-def _resolve_options(args) -> dict:
-    config = {}
-    if args.config is not None:
-        if not args.config.exists():
-            raise CliError(f"config file not found: {args.config}")
+def _resolve_options(flags) -> dict:
+    config, path = {}, flags.pop("config", None)
+    if path is not None:
+        if not path.exists():
+            raise CliError(f"config file not found: {path}")
         try:
-            config = json.loads(args.config.read_text())
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}") from None
+            config = json.loads(path.read_text())
+        except (OSError, ValueError, RecursionError) as exc:
+            raise CliError(f"cannot read config {path}: {exc}") from None
         if not isinstance(config, dict):
-            raise CliError(f"config {args.config} must be a JSON object, "
+            raise CliError(f"config {path} must be a JSON object, "
                            f"got {type(config).__name__}")
     opts = {
         "seed": DEFAULT_SEED,
@@ -434,10 +443,7 @@ def _resolve_options(args) -> dict:
     if unknown:
         raise CliError(f"unknown config keys {unknown}; choose from {list(opts)}")
     opts.update(config)
-    for key in ("seed", "n", "backend", "format", "fixture", "strategy", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val  # flags win over config
+    opts.update(flags)  # flags win over config
     for key in ("seed", "n"):
         if not isinstance(opts[key], int) or isinstance(opts[key], bool):
             raise CliError(f"{key} must be an integer, got {opts[key]!r}")
@@ -472,7 +478,16 @@ def _emit(command, opts, report, tables) -> int:
         "report": report,
     }
     text = json.dumps(envelope, indent=2, sort_keys=True, default=str) + "\n"
-    out = opts.get("out")
+    out = opts["out"]
+    if out is not None or opts["format"] == "csv":
+        import csv  # a run loads csv only where it writes a table
+
+        for name, (header, rows) in tables.items():
+            buf = io.StringIO()
+            w = csv.writer(buf, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([r[k] for k in header] if isinstance(r, dict) else r for r in rows)
+            tables[name] = buf.getvalue()
     if out is not None:
         out = Path(out)
         try:
@@ -492,10 +507,10 @@ def _emit(command, opts, report, tables) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        opts = _resolve_options(args)
-        report, tables = RUNNERS[args.command](opts)
-        return _emit(args.command, opts, report, tables)
+        command, flags = _parse(sys.argv[1:] if argv is None else list(argv))
+        opts = _resolve_options(flags)
+        report, tables = RUNNERS[command](opts)
+        return _emit(command, opts, report, tables)
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

@@ -448,7 +448,9 @@ def _exact_sorted(atoms: tuple, pieces: tuple) -> tuple:
     if total != d and (total is None
                        or float not in {type(t[-1]) for t in chain(atoms, pieces)}
                        or not is_unit_mass(_ratio_float(total, d))):
-        total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
+        # the exact total, as a float where some mass is one (inf past the range)
+        total = INF if total is None else Fraction(total, d) if float not in {
+            type(t[-1]) for t in chain(atoms, pieces)} else _ratio_float(total, d)
         raise ValueError(f"masses must sum to 1, got {total}")
     return (tuple([r[2] for r in rows]) + last, tuple([s[3] for s in spans]),
             (d, rows, spans), floats)

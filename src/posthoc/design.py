@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from statistics import NormalDist
 
 from ._numbers import (
     INF, Number, at_most, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext,
@@ -377,6 +376,8 @@ def gaussian_shift_pair(n_cells: int = 2001) -> SimplePair:
     CLIP]; the alternative mass is proportional to the shift likelihood
     ratio exp(x - 1/2) and renormalized.
     """
+    from statistics import NormalDist
+
     inv_cdf = NormalDist().inv_cdf
     centers = [
         min(max(inv_cdf((i + 0.5) / n_cells), -CLIP), CLIP)
@@ -406,6 +407,8 @@ def gaussian_log_optimal_report(alpha: float = 0.05,
     if not (0 < alpha < 1 and alpha * n_cells >= 1):  # also true for nan
         raise ValueError("need 0 < alpha < 1 and alpha * n_cells >= 1, "
                          f"got alpha = {alpha}, n_cells = {n_cells}")
+    from statistics import NormalDist
+
     normal = NormalDist()
     size = int(alpha * n_cells) / n_cells
     z = normal.inv_cdf(1 - size)

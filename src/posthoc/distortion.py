@@ -16,7 +16,6 @@ from ._numbers import (
     INF, Number, check_seed, float_ext, fmt_number, frac, is_inf, recip,
     sqrt_fraction,
 )
-from ._philox import CHUNK_WORDS, choice_cdf, philox_words
 from ._record import Record
 from .core import PValueLaw
 
@@ -142,6 +141,9 @@ def distortion_report(p_law: PValueLaw, s: AlphaStrategy) -> DistortionReport:
 
 
 SAMPLE_BLOCK = 1 << 16  # words per block on numpy's path: 512 KB a stream
+# words per chunk on the stdlib path: four for each of the 512 counters
+# that posthoc._philox runs at once
+CHUNK_WORDS = 1 << 11
 # the most draws counted without numpy: a CLI run of 2^16 draws takes
 # 0.15-0.18 s against 0.28-0.29 s with numpy's import, and at 2^18
 # draws numpy's path is the faster on a two-component law (CPython 3.11
@@ -176,6 +178,8 @@ def _word_blocks(n: int, seed: int, picks: bool, stdlib: bool):
     arrays of ``numpy.random.Philox.random_raw``, ``SAMPLE_BLOCK`` at a
     time.  Both read this one stream."""
     if stdlib:
+        from ._philox import philox_words
+
         for start in range(0, n, CHUNK_WORDS):
             count = min(CHUNK_WORDS, n - start)
             yield (philox_words(seed, start, count) if picks else None,
@@ -207,6 +211,8 @@ def _components(p_law: PValueLaw) -> tuple:
     ``bisect_right(cdf, u)`` on the cdf of ``Generator.choice``
     (:func:`posthoc._philox.choice_cdf`).  A law of one component has
     no cuts."""
+    from ._philox import choice_cdf
+
     comps = [(float(m), float_ext(loc), 0.0) for loc, m in p_law.atoms]
     comps += [(float(m), float_ext(a), float_ext(b) - float_ext(a))
               for a, b, m in p_law.pieces]

@@ -42,7 +42,8 @@ class TestExamples:
     def test_reproduce_examples_rows(self):
         report, tables = reproduce_examples()
         assert all(row["ok"] for row in report["rows"])
-        assert tables["examples"].startswith("example,got,want,ok\n")
+        # a table is its header and rows, written only where asked for
+        assert tables["examples"] == (["example", "got", "want", "ok"], report["rows"])
         ids = [row["example"] for row in report["rows"]]
         assert "decreasing_alpha/expected" in ids
         assert "minimal_h/classical_sup" in ids
@@ -212,8 +213,8 @@ class TestExitCodes:
         assert report["ok"] is False
         assert code == 1
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
-                             ids=["invalid-json", "json-list"])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "[" * 100_000],
+                             ids=["invalid-json", "json-list", "deeply-nested"])
     def test_malformed_config_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -245,10 +246,44 @@ class TestExitCodes:
         ["merge", "--no-such-flag"],
         ["frobnicate"],
         [],
+        ["merge", "--seed"],
+        ["merge", "--out", "--seed", "3"],
+        ["merge", "--s", "3"],
+        ["merge", "--help=yes"],
+        ["merge", "extra"],
+        ["merge", "--", "--seed", "3"],
+        ["--seed", "3", "merge"],
     ], ids=["backend", "format", "seed-type", "n-type", "unknown-flag",
-            "unknown-subcommand", "no-subcommand"])
+            "unknown-subcommand", "no-subcommand", "missing-value",
+            "flag-for-value", "ambiguous-prefix", "help-value", "positional",
+            "double-dash", "flag-before-subcommand"])
     def test_parser_errors_exit_2_with_one_json_line(self, capsys, argv):
         assert_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["merge", "--seed=9"],
+        ["merge", "--se", "9"],
+        ["merge", "--seed", "1", "--seed", "9"],
+        ["merge", "--seed", "1", "--seed=9"],
+    ], ids=["equals", "prefix", "repeated", "repeated-equals"])
+    def test_flag_forms_read_as_the_long_form(self, capsys, argv):
+        assert run(capsys, *argv) == run(capsys, "merge", "--seed", "9")
+
+    def test_a_prefix_and_an_equals_value_name_the_fixture(self, capsys):
+        _, want = run(capsys, "distortion", "--n", "10", "--fixture", "valid_hacking")
+        assert run(capsys, "distortion", "--n=10", "--fix=valid_hacking")[1] == want
+        assert json.loads(want)["report"]["fixture"] == "valid_hacking"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["merge", "-h"],
+                                      ["ville", "--n", "5", "--he"]],
+                             ids=["top", "top-long", "subcommand", "prefix"])
+    def test_help_names_every_flag_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert all(f"--{flag}" in usage for flag in (
+            "config", "seed", "n", "out", "backend", "format", "fixture", "strategy"))
 
     def test_flag_and_config_values_meet_one_rule(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -171,6 +171,19 @@ class TestPValueLaw:
         with pytest.raises(ValueError, match="piece masses must be nonnegative"):
             PValueLaw(atoms=[(2, 1.0)], pieces=[(0.5, 1, math.nan)])
 
+    @pytest.mark.parametrize("atoms, total", [
+        ([(F(1, 2), F(10 ** 400)), (1.0, 0.5)], "inf"),
+        ([(F(1, 2), F(1, 2)), (1, F(1, 4))], "3/4"),
+        ([(0.5, 0.1), (0.7, 0.2), (0.9, 0.3)], "0.6"),
+    ], ids=["past-the-float-range", "exact", "floats"])
+    def test_the_mass_sum_error_names_the_exact_total(self, atoms, total):
+        # the message added the values: a Fraction past the float range
+        # plus a float mass raised OverflowError, and 0.1 + 0.2 + 0.3 read
+        # 0.6000000000000001
+        with pytest.raises(ValueError) as exc:
+            PValueLaw(atoms=atoms)
+        assert str(exc.value) == f"masses must sum to 1, got {total}"
+
     @pytest.mark.parametrize("law", [
         PValueLaw(atoms=[(F(1, 2), F(1, 3)), (2, F(2, 3))]),
         PValueLaw(atoms=[(0.5, 0.25)], pieces=[(0, 1, 0.75)]),

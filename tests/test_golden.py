@@ -1,5 +1,8 @@
 """Byte-for-byte stdout of the CLI at its default config and of the README's
-commands, against the copies committed in ``tests/golden/``.
+commands, against the copies committed in ``tests/golden/``: from ``main``
+in process, and from a fresh ``python -m posthoc.cli`` process that writes
+no bytecode, as the benchmark starts each command, so the options are read
+from ``sys.argv`` too.
 
 A change that claims identical output proves it by passing this test.  A
 change that means to alter the output regenerates the copies with
@@ -15,6 +18,8 @@ which names each differing file and exits 1 if any differs.
 """
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,6 +52,18 @@ def _stdout(argv) -> str:
     return buf.getvalue()
 
 
+def _process_stdout(argv) -> bytes:
+    import posthoc
+
+    src = str(Path(posthoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "posthoc.cli", *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, f"posthoc {' '.join(argv)} exited {proc.returncode}"
+    return proc.stdout
+
+
 def pytest_generate_tests(metafunc):
     # parametrized by hook, so the module imports without pytest
     if "name" in metafunc.fixturenames:
@@ -58,15 +75,25 @@ def test_stdout_matches_golden(name):
     assert _stdout(COMMANDS[name]) == want
 
 
+def test_process_stdout_matches_golden(name):
+    assert _process_stdout(COMMANDS[name]) == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
 def check() -> int:
-    """0 when every stdout matches its golden file, else 1."""
-    differing = [name for name in sorted(COMMANDS)
-                 if _stdout(COMMANDS[name])
-                 != (GOLDEN / f"{name}.stdout").read_text()]
-    for name in differing:
-        sys.stderr.write(f"differs: {name}.stdout\n")
-    sys.stderr.write(f"{len(COMMANDS) - len(differing)} of {len(COMMANDS)} "
-                     "golden files match\n")
+    """0 when every stdout, in process and from a process, matches its
+    golden file, else 1."""
+    differing = []
+    for name in sorted(COMMANDS):
+        want = (GOLDEN / f"{name}.stdout").read_bytes()
+        if _stdout(COMMANDS[name]).encode() != want:
+            differing.append(f"{name}.stdout in process")
+        if _process_stdout(COMMANDS[name]) != want:
+            differing.append(f"{name}.stdout from python -m posthoc.cli")
+    for entry in differing:
+        sys.stderr.write(f"differs: {entry}\n")
+    runs = 2 * len(COMMANDS)
+    sys.stderr.write(f"{runs - len(differing)} of {runs} runs match their golden "
+                     f"files ({len(COMMANDS)} in process, {len(COMMANDS)} as processes)\n")
     return 1 if differing else 0
 
 

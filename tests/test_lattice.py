@@ -25,7 +25,7 @@ from posthoc import (
     test_function_of,
 )
 from posthoc._numbers import (
-    TOL, common_denominator, is_inf, is_unit_mass, mul0, pow_ext, recip,
+    TOL, common_denominator, float_ext, is_inf, is_unit_mass, mul0, pow_ext, recip,
 )
 from posthoc.core import _lattice_classical_sup
 from test_int_pairs import assert_matches_its_twin, statistics
@@ -64,6 +64,15 @@ def same_outcome(got, want):
 # PValueLaw oracle: the constructor and sweeps before the lattice
 
 
+def mass_sum_message(atoms, pieces):
+    """The error of masses that miss 1: their exact total, as a float
+    (inf past the float range) where some mass is a float."""
+    masses = [m for _, m in atoms] + [m for _, _, m in pieces]
+    total = INF if INF in masses else sum(map(F, masses))
+    return ("masses must sum to 1, got "
+            f"{float_ext(total) if float in map(type, masses) else total}")
+
+
 class ReferenceLaw:
     def __init__(self, atoms=(), pieces=()):
         atoms = tuple((loc, m) for loc, m in atoms)
@@ -94,9 +103,9 @@ class ReferenceLaw:
                     [m for _, m in atoms] + [m for _, _, m in pieces])
         if exact:
             if total != 1:
-                raise ValueError(f"masses must sum to 1, got {total}")
+                raise ValueError(mass_sum_message(atoms, pieces))
         elif not (total <= 1 + TOL and 1 <= total + TOL):
-            raise ValueError(f"masses must sum to 1, got {total}")
+            raise ValueError(mass_sum_message(atoms, pieces))
         self.atoms = tuple(sorted(atoms))
         self.pieces = tuple(sorted(pieces))
 
@@ -411,8 +420,7 @@ def keyed_checked_sorted(atoms, pieces, d, keys):
             if s2[0] < s1[1]:
                 raise ValueError("piece intervals must be disjoint")
     if not is_unit_mass(sum(masses) + sum(keys[k + 2::3]), d):
-        total = sum(m for _, m in atoms) + sum(m for _, _, m in pieces)
-        raise ValueError(f"masses must sum to 1, got {total}")
+        raise ValueError(mass_sum_message(atoms, pieces))
     by_loc = sorted(zip(locs, masses, atoms))
     return (tuple([t[2] for t in by_loc]), tuple([s[3] for s in spans]),
             (d, [t[:2] for t in by_loc], [s[:3] for s in spans]))

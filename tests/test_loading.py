@@ -95,6 +95,24 @@ def test_readme_commands_load_no_openssl(argv, tmp_path):
     assert not {"_hashlib", "ssl"} & modules
 
 
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_load_only_what_they_use(argv, tmp_path):
+    # the options are read without argparse; the Philox words load with a
+    # Monte Carlo draw, csv with a table to write, statistics with a normal
+    # quantile
+    code = ("import contextlib, io, os, sys\n"
+            "from posthoc.cli import main\n"
+            "os.chdir(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[2:]) == 0\n")
+    modules = loaded_after(code, str(tmp_path), *argv)
+    assert not {"argparse", "gettext", "locale"} & modules
+    assert ("posthoc._philox" in modules) is (argv[0] == "distortion")
+    assert ("csv" in modules) is ("--out" in argv or "csv" in argv)
+    if argv[0] == "merge":
+        assert "statistics" not in modules
+
+
 def test_fixture_hash_falls_back_to_hashlib(tmp_path):
     out = tmp_path / "merge.stdout"
     code = ("import contextlib, sys\n"

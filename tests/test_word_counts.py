@@ -30,8 +30,8 @@ from posthoc import (
 )
 from posthoc import distortion
 from posthoc._numbers import sqrt_fraction
-from posthoc._philox import CHUNK_WORDS, choice_cdf, philox_words
-from posthoc.distortion import _components, _last_k
+from posthoc._philox import _LANES, choice_cdf, philox_words
+from posthoc.distortion import CHUNK_WORDS, _components, _last_k
 
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
@@ -215,6 +215,11 @@ class TestPackedKernel:
     def test_bad_key_raises_the_seed_check(self):
         with pytest.raises(ValueError, match="key must be positive"):
             philox_words(2 ** 128, 0, 4)
+
+    def test_a_chunk_is_one_batch_of_lanes(self):
+        # the stdlib path's chunks, and the counts above, fill the batches
+        # the kernel runs at once
+        assert CHUNK_WORDS == 4 * _LANES
 
 
 class TestLastK:
