@@ -47,6 +47,8 @@ def size_difference_validity(tf: TestFunction, H: Hypothesis) -> bool:
 class MinimalHCounterexample(Record):
     """An e-value that is h-valid yet induces a classically invalid test."""
 
+    __slots__ = ("ev", "space", "h", "q", "magnitude", "rho_h", "classical_sup")
+
     ev: EvidenceVariable
     space: DiscreteSpace
     h: Number

@@ -31,10 +31,7 @@ from ._numbers import (
     recip,
     within,
 )
-from ._record import Record
-
-# the one setter past Record's frozen __setattr__, looked up once
-_set = object.__setattr__
+from ._record import Record, _set
 
 E_SCALE = "e"
 P_SCALE = "p"
@@ -75,6 +72,8 @@ class DiscreteSpace(Record):
     and ``probs``.
     """
 
+    __slots__ = ("outcomes", "probs", "_index", "_lattice")
+
     outcomes: tuple
     probs: tuple
 
@@ -87,8 +86,10 @@ class DiscreteSpace(Record):
         if len(index) != len(outcomes):
             raise ValueError("outcome ids must be unique")
         lattice = checked_lattice(probs, "probabilities")
-        self.__dict__.update(outcomes=outcomes, probs=probs, _index=index,
-                             _lattice=lattice)
+        _set(self, "outcomes", outcomes)
+        _set(self, "probs", probs)
+        _set(self, "_index", index)
+        _set(self, "_lattice", lattice)
 
     def prob(self, outcome) -> Number:
         try:
@@ -120,6 +121,8 @@ class Hypothesis(Record):
     The composite expectation is the supremum (here: max) over members.
     """
 
+    __slots__ = ("members",)
+
     members: tuple
 
     def __init__(self, members: Iterable[DiscreteSpace]):
@@ -127,7 +130,7 @@ class Hypothesis(Record):
         if not members:
             raise ValueError("hypothesis must contain at least one distribution")
         shared_outcomes(members, "all members must share the same outcome set")
-        object.__setattr__(self, "members", members)
+        _set(self, "members", members)
 
     @classmethod
     def simple(cls, space: DiscreteSpace) -> "Hypothesis":
@@ -153,6 +156,8 @@ class Hypothesis(Record):
 
 class EvidenceVariable(Record):
     """Per-outcome evidence in [0, inf], tagged e-scale or p-scale."""
+
+    __slots__ = ("values", "scale")
 
     values: Mapping[Any, Number]
     scale: str
@@ -208,6 +213,7 @@ class TestFunction(Record):
     """Nondecreasing family of level-alpha tests, summarized by its jump point."""
 
     __test__ = False  # not a pytest class despite the name
+    __slots__ = ("p",)
 
     p: EvidenceVariable
 
@@ -216,7 +222,7 @@ class TestFunction(Record):
             raise ValueError("a test function is parameterized by a p-scale variable")
         if any(v == 0 for v in p.values.values()):
             raise ValueError("p-values must be strictly positive")
-        object.__setattr__(self, "p", p)
+        _set(self, "p", p)
 
     def __call__(self, alpha: Number, outcome) -> int:
         return 1 if self.p[outcome] <= alpha else 0
@@ -260,6 +266,8 @@ class PValueLaw(Record):
     random words against them.
     """
 
+    __slots__ = ("atoms", "pieces", "_lattice", "_float")
+
     atoms: tuple
     pieces: tuple
 
@@ -267,8 +275,10 @@ class PValueLaw(Record):
         atoms = tuple([(loc, m) for loc, m in atoms])
         pieces = tuple([(a, b, m) for a, b, m in pieces])
         atoms, pieces, lattice, floats = _exact_sorted(atoms, pieces)
-        self.__dict__.update(atoms=atoms, pieces=pieces, _lattice=lattice,
-                             _float=floats)
+        _set(self, "atoms", atoms)
+        _set(self, "pieces", pieces)
+        _set(self, "_lattice", lattice)
+        _set(self, "_float", floats)
 
     # -- exact integration ------------------------------------------------
 
@@ -487,6 +497,8 @@ def law_of(ev: EvidenceVariable, space: DiscreteSpace) -> PValueLaw:
 
 
 class ValidityReport(Record):
+    __slots__ = ("valid", "statistic", "witness", "kind", "detail")
+
     valid: bool
     statistic: Number
     witness: Any
@@ -495,7 +507,6 @@ class ValidityReport(Record):
 
     def __init__(self, valid: bool, statistic: Number, witness: Any = None,
                  kind: str = "", detail: str = ""):
-        # set one by one, the fields stay inline: no __dict__ to collect
         _set(self, "valid", valid)
         _set(self, "statistic", statistic)
         _set(self, "witness", witness)
@@ -595,6 +606,8 @@ def check_posthoc_validity(obj, H: Hypothesis | None = None) -> ValidityReport:
 class EvidenceLattice(Record):
     """Finite totally ordered evidence space with bottom '0' and top 'inf'."""
 
+    __slots__ = ("elements",)
+
     elements: tuple
 
     def __init__(self, elements: Sequence):
@@ -603,7 +616,7 @@ class EvidenceLattice(Record):
             raise ValueError("lattice needs at least bottom and top")
         if len(set(elements)) != len(elements):
             raise ValueError("lattice elements must be distinct")
-        object.__setattr__(self, "elements", elements)
+        _set(self, "elements", elements)
 
     @property
     def bottom(self):

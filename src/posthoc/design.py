@@ -19,7 +19,7 @@ from ._numbers import (
     INF, Number, at_most, exp_ext, float_ext, is_inf, log_ext, mul0, pow_ext,
     recip,
 )
-from ._record import Record
+from ._record import Record, _set
 from .core import (
     DiscreteSpace, E_SCALE, EvidenceVariable, P_SCALE, dual, shared_outcomes,
 )
@@ -34,6 +34,8 @@ CLIP = 8.0
 
 class UtilitySpec(Record):
     """Nondecreasing concave utility on [0, inf]."""
+
+    __slots__ = ("kind", "param")
 
     kind: str
     param: Number
@@ -54,7 +56,8 @@ class UtilitySpec(Record):
                 raise ValueError("NEYMAN_PEARSON needs a level in (0, 1)")
         else:
             raise ValueError(f"unknown utility kind {kind!r}")
-        self.__dict__.update(kind=kind, param=param)
+        _set(self, "kind", kind)
+        _set(self, "param", param)
 
     @classmethod
     def log(cls) -> "UtilitySpec":
@@ -102,6 +105,8 @@ class SimplePair(Record):
     without its ABC dispatch.  Other types take ``mul0``.
     """
 
+    __slots__ = ("P", "Q", "_ratios", "_q")
+
     P: DiscreteSpace
     Q: DiscreteSpace
 
@@ -109,8 +114,10 @@ class SimplePair(Record):
         shared_outcomes([P, Q], "P and Q must share an outcome set")
         q = (Q.probs if Q.outcomes == P.outcomes
              else tuple(map(Q.prob, P.outcomes)))
-        self.__dict__.update(P=P, Q=Q, _ratios=tuple(map(_ratio, P.probs, q)),
-                             _q=q)
+        _set(self, "P", P)
+        _set(self, "Q", Q)
+        _set(self, "_ratios", tuple(map(_ratio, P.probs, q)))
+        _set(self, "_q", q)
 
     def density_ratio(self, outcome) -> Number:
         """f_P/f_Q from the pair's table; 0/0 is reported as 1 (the outcome

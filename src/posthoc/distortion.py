@@ -16,7 +16,7 @@ from ._numbers import (
     INF, Number, check_seed, float_ext, fmt_number, frac, is_inf, recip,
     sqrt_fraction,
 )
-from ._record import Record
+from ._record import Record, _set
 from .core import PValueLaw
 
 
@@ -28,6 +28,8 @@ class AlphaStrategy(Record):
     observed p-value; the comparison "p <= level" is non-strict, matching
     the half-open integration convention.
     """
+
+    __slots__ = ("pieces",)
 
     pieces: tuple
 
@@ -47,7 +49,7 @@ class AlphaStrategy(Record):
                 raise ValueError(f"levels must be positive and finite, got {lvl}")
             if hi <= lo:
                 raise ValueError(f"bad strategy interval ({lo}, {hi}]")
-        object.__setattr__(self, "pieces", pieces)
+        _set(self, "pieces", pieces)
 
     @classmethod
     def constant(cls, alpha: Number) -> "AlphaStrategy":
@@ -66,6 +68,8 @@ class AlphaStrategy(Record):
 
 class DistortionReport(Record):
     """Per-level conditional sizes plus the expected and maximum distortion."""
+
+    __slots__ = ("per_level", "expected_distortion", "max_distortion")
 
     per_level: tuple  # rows of (level, mass, size, distortion)
     expected_distortion: Number
@@ -365,6 +369,8 @@ def monte_carlo_distortion(p_law: PValueLaw, s: AlphaStrategy, n: int, seed: int
 
 
 class ImpossibilityVerdict(Record):
+    __slots__ = ("controls", "ess_inf", "witness_strategy", "witness_max_distortion")
+
     controls: bool
     ess_inf: Number
     witness_strategy: AlphaStrategy | None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._numbers import Number, checked_weights, is_inf, power_mean, product0
-from ._record import Record
+from ._record import Record, _set
 from .core import (
     DiscreteSpace,
     E_SCALE,
@@ -185,13 +185,14 @@ class TestFamilyCollection(Record):
     """Finite family of test functions on a common outcome set."""
 
     __test__ = False  # not a pytest class despite the name
+    __slots__ = ("members",)
 
     members: tuple
 
     def __init__(self, members: Sequence[TestFunction]):
         members = tuple(members)
         shared_outcomes([tf.p for tf in members], _SHARED)
-        object.__setattr__(self, "members", members)
+        _set(self, "members", members)
 
     @property
     def outcomes(self) -> tuple:

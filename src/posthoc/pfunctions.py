@@ -33,7 +33,7 @@ from ._numbers import (
     recip,
     within,
 )
-from ._record import Record
+from ._record import Record, _set
 from .core import (
     _EVIDENCE_AND_H,
     E_SCALE,
@@ -58,6 +58,8 @@ class PCurve(Record):
     the ends of each piece, never falls (within :func:`_close`); a power
     piece must also have a float inverse (:func:`_check_inverse`).
     """
+
+    __slots__ = ("segments",)
 
     segments: tuple  # ((u_hi, terms), ...); terms = ((a, g), ...)
 
@@ -94,7 +96,7 @@ class PCurve(Record):
                 _check_inverse(recip(terms[0][0]), terms[0][1], u_lo, u_hi)
             prev_end = end
             u_lo = u_hi
-        object.__setattr__(self, "segments", tuple(segs))
+        _set(self, "segments", tuple(segs))
 
     # -- constructors ------------------------------------------------------
 
@@ -230,6 +232,8 @@ class TCurve(Record):
     (:func:`_check_inverse`).
     """
 
+    __slots__ = ("segments",)
+
     segments: tuple
 
     def __init__(self, segments: Iterable):
@@ -254,7 +258,7 @@ class TCurve(Record):
             if m != 0 and c > 0:  # the power piece that the transform inverts
                 _check_inverse(c, m, alo, a_hi)
             prev_end = end
-        object.__setattr__(self, "segments", tuple(segs))
+        _set(self, "segments", tuple(segs))
 
     @classmethod
     def indicator(cls, p: Number) -> "TCurve":
@@ -301,10 +305,12 @@ class TCurve(Record):
 class _OutcomeCurves(Record):
     """One curve per outcome."""
 
+    __slots__ = ("curves",)
+
     curves: Mapping
 
     def __init__(self, curves: Mapping):
-        object.__setattr__(self, "curves", dict(curves))
+        _set(self, "curves", dict(curves))
 
     def __getitem__(self, outcome):
         return self.curves[outcome]
@@ -322,12 +328,16 @@ class _OutcomeCurves(Record):
 class PFunction(_OutcomeCurves):
     """Per-outcome p-function (quantile representation of a randomized test)."""
 
+    __slots__ = ()
+
     def is_randomized(self) -> bool:
         return not all(c.is_constant() for c in self.curves.values())
 
 
 class RandomizedTestFunction(_OutcomeCurves):
     """Per-outcome randomized test function."""
+
+    __slots__ = ()
 
     @classmethod
     def from_test_function(cls, tf: TestFunction) -> "RandomizedTestFunction":
@@ -440,7 +450,7 @@ def _built(cls, segments):
     passed it, the loop keeps breakpoints strictly increasing, and the
     levels are the input's own breakpoints or levels."""
     curve = object.__new__(cls)
-    object.__setattr__(curve, "segments", tuple(segments))
+    _set(curve, "segments", tuple(segments))
     return curve
 
 

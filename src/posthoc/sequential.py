@@ -28,7 +28,7 @@ from ._numbers import (
     recip,
     within,
 )
-from ._record import Record
+from ._record import Record, _set
 from .core import (
     _EVIDENCE_AND_H,
     DiscreteSpace,
@@ -56,6 +56,8 @@ class ProcessModel(Record):
     refuted by :func:`anytime_validity_check`.
     """
 
+    __slots__ = ("initial", "multiplier", "kind", "horizon")
+
     initial: Number
     multiplier: DiscreteSpace  # outcomes are the numeric factor values
     kind: str
@@ -74,8 +76,10 @@ class ProcessModel(Record):
                 raise ValueError(f"multiplicative factors must be finite, got {v}")
             if v < 0:
                 raise ValueError("multiplicative factors must be nonnegative")
-        self.__dict__.update(initial=initial, multiplier=multiplier, kind=kind,
-                             horizon=horizon)
+        _set(self, "initial", initial)
+        _set(self, "multiplier", multiplier)
+        _set(self, "kind", kind)
+        _set(self, "horizon", horizon)
         mean = self.step_mean()
         if kind == MARTINGALE:
             if not (within(mean) and within(1, mean)):
@@ -94,6 +98,8 @@ class StoppingRule(Record):
     """Stop at the first t with ``markov(t, M_t)`` true, capped at the
     horizon.  Every rule is such a predicate on (t, M_t), so every rule is
     evaluated exactly on the state lattice (:func:`stopped_law`)."""
+
+    __slots__ = ("name", "markov")
 
     name: str
     markov: Callable[[int, Number], bool]
@@ -258,6 +264,9 @@ def _require_samples(n: int) -> None:
 
 
 class VilleReport(Record):
+    __slots__ = ("rule", "kind", "n", "mean", "se", "initial", "valid", "detail",
+                 "method", "mean_exact")
+
     rule: str
     kind: str
     n: None  # the mean is exact, drawn from no sample

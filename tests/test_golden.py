@@ -14,7 +14,8 @@ pytest, on the standard library alone, with
 
     PYTHONPATH=src python tests/test_golden.py --check
 
-which names each differing file and exits 1 if any differs.
+which names each differing file, and each command that exits non-zero,
+and exits 1 if any differs.
 """
 import contextlib
 import io
@@ -42,17 +43,19 @@ COMMANDS = {
 }
 
 
-def _stdout(argv) -> str:
+def _run(argv) -> tuple:
+    """The exit code and stdout of ``main(argv)`` in process."""
     from posthoc.cli import main
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(list(argv))
-    assert code == 0, f"posthoc {' '.join(argv)} exited {code}"
-    return buf.getvalue()
+    return code, buf.getvalue()
 
 
-def _process_stdout(argv) -> bytes:
+def _run_process(argv) -> tuple:
+    """The exit code and stdout bytes of a ``python -m posthoc.cli``
+    process."""
     import posthoc
 
     src = str(Path(posthoc.__file__).resolve().parents[1])
@@ -60,8 +63,7 @@ def _process_stdout(argv) -> bytes:
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "posthoc.cli", *argv],
                           capture_output=True, env=env)
-    assert proc.returncode == 0, f"posthoc {' '.join(argv)} exited {proc.returncode}"
-    return proc.stdout
+    return proc.returncode, proc.stdout
 
 
 def pytest_generate_tests(metafunc):
@@ -71,24 +73,30 @@ def pytest_generate_tests(metafunc):
 
 
 def test_stdout_matches_golden(name):
-    want = (GOLDEN / f"{name}.stdout").read_text()
-    assert _stdout(COMMANDS[name]) == want
+    assert _run(COMMANDS[name]) == (0, (GOLDEN / f"{name}.stdout").read_text())
 
 
 def test_process_stdout_matches_golden(name):
-    assert _process_stdout(COMMANDS[name]) == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert _run_process(COMMANDS[name]) == (0, (GOLDEN / f"{name}.stdout").read_bytes())
 
 
 def check() -> int:
-    """0 when every stdout, in process and from a process, matches its
-    golden file, else 1."""
+    """0 when every command exits 0 and its stdout, in process and from a
+    process, matches its golden file, else 1.  A command that exits
+    non-zero is named among the differing runs, and the rest still run."""
     differing = []
     for name in sorted(COMMANDS):
+        argv = COMMANDS[name]
         want = (GOLDEN / f"{name}.stdout").read_bytes()
-        if _stdout(COMMANDS[name]).encode() != want:
-            differing.append(f"{name}.stdout in process")
-        if _process_stdout(COMMANDS[name]) != want:
-            differing.append(f"{name}.stdout from python -m posthoc.cli")
+        code, out = _run(argv)
+        results = [("in process", code, out.encode()),
+                   ("from python -m posthoc.cli", *_run_process(argv))]
+        for where, code, out in results:
+            if code != 0:
+                differing.append(f"{name}.stdout {where}: posthoc {' '.join(argv)} "
+                                 f"exited {code}")
+            elif out != want:
+                differing.append(f"{name}.stdout {where}")
     for entry in differing:
         sys.stderr.write(f"differs: {entry}\n")
     runs = 2 * len(COMMANDS)
@@ -102,5 +110,8 @@ if __name__ == "__main__":
         sys.exit(check())
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.stdout").write_text(_stdout(argv))
+        code, out = _run(argv)
+        if code != 0:
+            sys.exit(f"posthoc {' '.join(argv)} exited {code}")
+        (GOLDEN / f"{name}.stdout").write_text(out)
         sys.stderr.write(f"wrote {name}.stdout\n")

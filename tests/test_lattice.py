@@ -6,7 +6,6 @@ twin instead (``test_int_pairs.assert_matches_its_twin``), and those of a
 law with an int mass against its law of ``Fraction`` masses."""
 import gc
 import math
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -569,15 +568,16 @@ def test_flat_round_trips_keep_only_their_results():
     two wrappers with their curve dicts, a test function and a p-function
     with their segment tuples, and per piece a segment tuple and a new
     Fraction in the test function, and in the p-function a segment, its
-    terms and term tuples and a new Fraction: 21 on CPython 3.11-3.13,
-    and 4 instance dicts more on 3.10."""
+    terms and term tuples and a new Fraction: 21 on every CPython from
+    3.10, since the records keep their fields in slots, with no instance
+    dict."""
     pfs = [PFunction({0: PCurve.steps([(F(1, 4), F(i + 1, 4096)), (1, F(1, 2))])})
            for i in range(1000)]
     gc.collect()
     before = len(gc.get_objects())
     kept = [(tf, pfunction_of(tf)) for tf in map(test_function_of, pfs)]
     gc.collect()
-    per_trip = 9 + 6 * 2 + (4 if sys.version_info < (3, 11) else 0)
+    per_trip = 9 + 6 * 2
     # the list itself, and slack far below one object per round trip
     assert len(gc.get_objects()) - before <= per_trip * len(kept) + 8
     assert all(back == pf for (_, back), pf in zip(kept, pfs))
