@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -56,7 +56,10 @@ class PCurve(Record):
 
     The constructor sorts the pieces by breakpoint and checks that p, at
     the ends of each piece, never falls (within :func:`_close`); a power
-    piece must also have a float inverse (:func:`_check_inverse`).
+    piece must also have a float inverse (:func:`_check_inverse`).  A
+    piece's terms given as a tuple of pairs are kept, not copied, so the
+    flat pieces of step curves share the term tuples of the flat-level
+    table (:func:`_flat`).
     """
 
     __slots__ = ("segments",)
@@ -66,7 +69,11 @@ class PCurve(Record):
     def __init__(self, segments: Iterable):
         segs = []
         for u_hi, terms in segments:
-            terms = tuple([(a, g) for a, g in terms])
+            # a tuple of pairs is kept as it is, so curves share the
+            # flat-level table's terms
+            if type(terms) is not tuple or not all(
+                    [type(t) is tuple and len(t) == 2 for t in terms]):
+                terms = tuple([(a, g) for a, g in terms])
             for a, g in terms:
                 # an exact number has the sign of its numerator, and an int
                 # comparison skips Fraction's ABC checks; nan fails both
@@ -166,8 +173,30 @@ class PCurve(Record):
         ])
 
 
+# The bound of the flat-level table.  On CPython 3.10-3.13 an entry holds
+# about 500 B for a level of word-sized ints (its two Fractions, its
+# tuples, the key and the cache's link), more only by the size of larger
+# ints, so a full table holds about 2.1 MB.
+_FLAT_LEVELS = 4096
+
+
+@lru_cache(maxsize=_FLAT_LEVELS)
+def _flat(n: int, d: int) -> tuple:
+    """The exact level n/d as a ``Fraction`` and the terms ((d/n, 0),) of
+    its flat piece, ((inf, 0),) for the level 0: the one place where an
+    exact flat piece's reciprocal is made.  Step curves, their test
+    functions and the transforms' flat pieces all read a level here, so
+    each level in the table is one ``Fraction`` and one term tuple however
+    many curves hold it."""
+    return Fraction(n, d), ((Fraction(d, n) if n else INF, 0),)
+
+
 def _level_terms(p: Number) -> tuple:
-    """The terms of the flat piece p(u) = p: none for p = inf."""
+    """The terms of the flat piece p(u) = p: none for p = inf.  An int or
+    ``Fraction`` level's terms are :func:`_flat`'s shared tuple; a float
+    level's are made here."""
+    if type(p) in EXACT_TYPES:
+        return _flat(*p.as_integer_ratio())[1]
     return () if is_inf(p) else ((recip(p), 0),)
 
 
@@ -183,9 +212,13 @@ def _close(a: Number, b: Number) -> bool:
 
 def _eval_terms(terms, u: Number) -> Number:
     """p(u) = 1 / sum a * u^(-g); the sum starts at its first term, as
-    0 + Fraction takes Fraction's slow reflected addition."""
+    0 + Fraction takes Fraction's slow reflected addition.  An exact flat
+    piece's value is its level in :func:`_flat`'s table."""
     if not terms:
         return INF
+    if len(terms) == 1 and terms[0][1] == 0 and type(terms[0][0]) in EXACT_TYPES:
+        n, d = terms[0][0].as_integer_ratio()
+        return _flat(d, n)[0]
     return recip(reduce(add, (a if g == 0 else mul0(a, pow_ext(u, -g))
                               for a, g in terms)))
 
@@ -448,7 +481,9 @@ def _built(cls, segments):
     """A ``PCurve`` or ``TCurve`` on a transform's segments without the
     constructor's re-check, which cannot fail on a flat output: the input
     passed it, the loop keeps breakpoints strictly increasing, and the
-    levels are the input's own breakpoints or levels."""
+    levels are the input's own breakpoints or levels.  The segments are
+    new; an exact flat level and its terms are the flat-level table's
+    (:func:`_flat`), shared by every curve that reads that level there."""
     curve = object.__new__(cls)
     _set(curve, "segments", tuple(segments))
     return curve
@@ -470,7 +505,8 @@ def _pcurve_to_tcurve(pc: PCurve) -> TCurve:
         if not terms:
             break  # p = inf: the test never climbs past u_lo
         a, g = _single_term(terms)
-        c = recip(a)  # p(u) = c * u^g
+        # p(u) = c * u^g: a flat piece's c is its value
+        c = _eval_terms(terms, u_hi) if g == 0 else recip(a)
         v_hi = c  # p(u_hi), where the test reaches u_hi
         if g != 0:
             # inverted piece on [v_lo, v_hi), then flat at u_hi from v_hi

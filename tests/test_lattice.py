@@ -4,8 +4,10 @@ as oracles: equal values of equal type, or the same ValueError message.
 The statistics of a law with a float input are checked against its exact
 twin instead (``test_int_pairs.assert_matches_its_twin``), and those of a
 law with an int mass against its law of ``Fraction`` masses."""
+import copy
 import gc
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +19,7 @@ from posthoc import (
     PCurve,
     PFunction,
     PValueLaw,
+    RandomizedTestFunction,
     TCurve,
     check_classical_validity,
     check_posthoc_validity,
@@ -29,9 +32,12 @@ from posthoc._numbers import (
 from posthoc.core import _lattice_classical_sup
 from test_int_pairs import assert_matches_its_twin, statistics
 from posthoc.pfunctions import (
+    _FLAT_LEVELS,
     _check_inverse,
     _close,
     _eval_terms,
+    _flat,
+    _level_terms,
     _pcurve_to_tcurve,
     _single_term,
     _tcurve_to_pcurve,
@@ -563,24 +569,25 @@ def test_a_flat_round_trip_builds_the_p_curve_anew(a):
 
 
 def test_flat_round_trips_keep_only_their_results():
-    """1000 kept round trips of two-piece step p-functions leave no more
-    GC-tracked objects than their results hold: per round trip the pair,
-    two wrappers with their curve dicts, a test function and a p-function
-    with their segment tuples, and per piece a segment tuple and a new
-    Fraction in the test function, and in the p-function a segment, its
-    terms and term tuples and a new Fraction: 21 on every CPython from
-    3.10, since the records keep their fields in slots, with no instance
-    dict."""
+    """1000 kept round trips of two-piece step p-functions, each over a
+    level of its own, leave no more GC-tracked objects than their results
+    hold: per round trip the pair, two wrappers with their curve dicts, a
+    test function and a p-function with their segment tuples, and per
+    piece only a segment tuple in each.  The levels in the test function
+    and the terms in the p-function are the flat-level table's, made when
+    the inputs were: 13 on every CPython from 3.10."""
     pfs = [PFunction({0: PCurve.steps([(F(1, 4), F(i + 1, 4096)), (1, F(1, 2))])})
            for i in range(1000)]
     gc.collect()
     before = len(gc.get_objects())
     kept = [(tf, pfunction_of(tf)) for tf in map(test_function_of, pfs)]
     gc.collect()
-    per_trip = 9 + 6 * 2
+    per_trip = 9 + 2 * 2
     # the list itself, and slack far below one object per round trip
     assert len(gc.get_objects()) - before <= per_trip * len(kept) + 8
     assert all(back == pf for (_, back), pf in zip(kept, pfs))
+    assert all(back[0].segments[0][1] is pf[0].segments[0][1]
+               for (_, back), pf in zip(kept, pfs))
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +789,71 @@ def test_two_terms_on_a_piece_still_raise():
     got, want = outcome(_pcurve_to_tcurve, curve), outcome(reference_to_tcurve,
                                                             curve.segments)
     assert got[0] == want[0] == "ValueError" and got[1] == want[1]
+
+
+# the flat-level table: each exact level's Fraction and terms are made once,
+# in a bounded table, and read by every step curve and transform
+
+def test_round_trips_past_the_table_bound_match_the_oracle():
+    """More distinct exact levels than the table holds: the curves are
+    built first, so the transforms find the first levels evicted and make
+    them again, and every round trip still gives its input and the
+    oracle's curve while the table stays within its bound."""
+    n = _FLAT_LEVELS + 500
+    curves = [PCurve.steps([(F(1, 3), F(i + 1, 3 * n)), (1, i % 3 + 1)])
+              for i in range(n)]
+    misses = _flat.cache_info().misses
+    for curve in curves:
+        tc = TCurve(_pcurve_to_tcurve(curve).segments)
+        back = _tcurve_to_pcurve(tc)
+        assert back == curve
+        assert same(back.segments, reference_to_pcurve(tc.segments))
+        assert same(tc.segments, reference_to_tcurve(curve.segments))
+        assert _flat.cache_info().currsize <= _FLAT_LEVELS
+    assert _flat.cache_info().misses - misses >= n - _FLAT_LEVELS
+
+
+@pytest.mark.parametrize("level, terms", [
+    (3, ((F(1, 3), 0),)),
+    (True, ((F(1), 0),)),
+    (F(3, 7), ((F(7, 3), 0),)),
+    (0.25, ((4.0, 0),)),
+    (0, ((INF, 0),)),
+    (F(0), ((INF, 0),)),
+    (INF, ()),
+])
+def test_table_levels_keep_their_values_and_types(level, terms):
+    """An int level's coefficient is a Fraction, a float's a float, the
+    level 0 has the coefficient inf and inf has no terms, as when each was
+    made apart; the transforms read the same values and types."""
+    assert same(_level_terms(level), terms)
+    assert same(_level_terms(level), () if is_inf(level) else ((recip(level), 0),))
+    curve = PCurve.steps([(F(1, 2), level), (1, INF)])
+    assert same(curve.segments[0][1], terms)
+    assert curve.value(F(1, 2)) == level
+    assert_round_trip_matches(curve)
+
+
+def test_curves_sharing_a_level_compare_hash_and_copy_alike():
+    level, top = F(5, 13), F(9, 10)
+    a = PCurve.steps([(F(1, 4), level), (1, top)])
+    b = PCurve.steps([(F(1, 4), level), (1, top)])
+    c = PCurve.steps([(F(1, 2), level), (1, top)])
+    assert a.segments[0][1] is b.segments[0][1] is c.segments[0][1]
+    made_apart = PCurve([[F(1, 4), [[F(13, 5), 0]]], [1, [[F(10, 9), 0]]]])
+    assert a == b == made_apart != c
+    assert hash(a) == hash(b) == hash(made_apart)
+    pf = PFunction({0: a, 1: c})
+    rtf = test_function_of(pf)
+    back = pfunction_of(rtf)
+    assert back == pf and back[0].segments[0][1] is a.segments[0][1]
+    # the wrappers hold a dict of curves, so only the curves hash
+    for obj in (a, rtf[0], back[1], pf, rtf, back):
+        for twin in (copy.copy(obj), copy.deepcopy(obj),
+                     pickle.loads(pickle.dumps(obj))):
+            assert twin == obj
+            if not isinstance(obj, (PFunction, RandomizedTestFunction)):
+                assert hash(twin) == hash(obj)
 
 
 # float dips: PCurve lets p fall by a relative 1e-9, and the transform

@@ -80,6 +80,26 @@ class TestPCurve:
         with pytest.raises(ValueError, match="breakpoints must strictly increase"):
             PCurve([(0.5, ((2, 0),)), (math.nan, ((2, 0),)), (1, ((1, 0),))])
 
+    @pytest.mark.parametrize("term, message", [
+        ((F(-1, 2), 0), "term coefficients must be positive"),
+        ((0, 0), "term coefficients must be positive"),
+        ((math.nan, 0), "term coefficients must be positive"),
+        ((F(1, 2), -1), "term powers must be nonnegative"),
+        ((2, F(-1, 3)), "term powers must be nonnegative"),
+    ])
+    def test_a_kept_term_tuple_is_still_checked(self, term, message):
+        # a tuple of pairs is kept, not copied, and the checks still read it
+        with pytest.raises(ValueError, match=message):
+            PCurve([(F(1, 2), ((F(1), 0),)), (1, (term,))])
+
+    def test_a_tuple_of_pairs_is_kept_and_lists_become_tuples(self):
+        terms = ((F(1, 2), 0),)
+        assert PCurve([(1, terms)]).segments[0][1] is terms
+        c = PCurve([[F(1, 2), [[2, 0]]], [1, ([F(1, 2), 0],)]])
+        assert c.segments == ((F(1, 2), ((2, 0),)), (1, ((F(1, 2), 0),)))
+        assert all(type(seg) is tuple and type(seg[1]) is tuple
+                   and all(type(t) is tuple for t in seg[1]) for seg in c.segments)
+
     def test_statistic_limit_at_zero(self):
         # p(u) = u^2: u/p(u) = 1/u diverges toward u = 0
         assert PCurve.power(1, 2).statistic() == INF
