@@ -285,128 +285,97 @@ def lattice_keys(values) -> tuple:
 def power_mean(values, weights, h: Number) -> Number:
     """Weighted power mean (sum_i w_i v_i^h)^(1/h) of values in [0, inf].
 
-    Terms of weight 0 are left out.  h = -inf and +inf give the min and max
-    of the rest, and h = 0 the weighted geometric mean exp(sum_i w_i log v_i),
-    which is 0 when some v_i = 0 and inf when some v_i = inf.  When both 0
-    and inf carry positive weight at h = 0 the mean is undefined, and this
-    raises ``ValueError``: any value would make some validity check pass or
-    fail falsely.  For h != 0 a moment of inf or 0 gives inf or 0 on the
-    side the sign of h implies, and the root is exact for an int or
-    ``Fraction`` h applied to an exact moment with an integer 1/h.
+    Terms of weight 0 are left out.  h = -inf and +inf give the first min
+    and max of the rest, by :func:`at_most`; h = 0 the weighted geometric
+    mean exp(sum_i float(w_i) log_ext(v_i)), 0 when some v_i = 0 and inf
+    when some v_i = inf.  Both at once raise ``ValueError``: any value
+    would make some validity check pass or fail falsely.  At any other h
+    a moment of inf or 0 gives inf or 0 on the side the sign of h implies.
 
-    When every value and weight of positive weight is an int or a
-    ``Fraction`` they are read as int pairs, and no ``Fraction`` operator
-    runs: at h = +-inf the max or min is found by cross-multiplying; at
-    h = 0 each term is float(w) * log_ext(v), with the float of n / d
-    its true division, so a value outside the normal float range takes its
-    log on the pair, and a mean past the float range is inf; at an int h
-    the moment is summed on the pairs, one ``Fraction`` in all; at a float
-    h, or a ``Fraction`` h that is not an integer, each term is
-    float(w) * float(v) ** float(h), as :func:`pow_ext` and :func:`mul0`
-    give it (:func:`_float_power_mean`).
-    Other inputs, and an integral ``Fraction`` h, take those two helpers
-    term by term (:func:`_general_power_mean`); both give equal values of
-    equal type.
+    One pass, left to right, each exact value and weight read as its int
+    pair once; an integral ``Fraction`` h is its int.  A term is
+    ``mul0(w, pow_ext(v, h))``: at an int h the exact terms add into one
+    ``Fraction`` until a float term makes the moment the float that
+    ``Fraction + float`` gives, with an exact part past the float range
+    read as inf.  The root is exact at h = +-1.
     """
-    values, weights = tuple(values), tuple(weights)
-    if not (EXACT_TYPES.issuperset(map(type, values))
-            and EXACT_TYPES.issuperset(map(type, weights))):
-        pairs = [(v, w) for v, w in zip(values, weights) if w != 0]
-        if not EXACT_TYPES.issuperset([type(x) for pair in pairs for x in pair]):
-            return _general_power_mean(pairs, h)
-        # the terms of positive weight are exact
-        values, weights = [v for v, _ in pairs], [w for _, w in pairs]
-    wrs = [w.as_integer_ratio() for w in weights]
+    if type(h) is Fraction and h.denominator == 1:
+        h = h.numerator
+    terms = []  # (v, w) of positive weight, an exact w as its int pair
+    for v, w in zip(values, weights):
+        if isinstance(w, (int, Fraction)):
+            w = w.as_integer_ratio()
+            if w[0]:
+                terms.append((v, w))
+        elif w != 0:
+            terms.append((v, w))
     if is_inf(h):
-        # the first extreme value of positive weight, as max and min give it
-        side, best = (1 if h > 0 else -1), None
-        for v, (wn, _) in zip(values, wrs):
-            if wn:
-                vn, vd = v.as_integer_ratio()
-                if best is None or side * (vn * bd - bn * vd) > 0:
-                    best, bn, bd = v, vn, vd
+        best = None
+        for v, _ in terms:
+            if best is None or not (at_most(v, best) if h > 0 else at_most(best, v)):
+                best = v
         return (max if h > 0 else min)(()) if best is None else best
-    ratios = [(v.as_integer_ratio(), wr) for v, wr in zip(values, wrs) if wr[0]]
     if h == 0:
-        if any(vn == 0 for (vn, _), _ in ratios):
+        logs = [log_ext(v) for v, _ in terms]
+        if -INF in logs:
+            if INF in logs:
+                raise ValueError("geometric mean undefined: support includes 0 and inf")
             return 0
-        # the builtin sum, as on the general path
-        return exp_ext(sum(wn / wd * _log_ratio(vn, vd)
-                           for (vn, vd), (wn, wd) in ratios))
-    if type(h) is int:
-        # the exact moment on int pairs, with one Fraction for the sum
-        num, den, e = 0, 1, abs(h)
-        for (vn, vd), (wn, wd) in ratios:
-            if h < 0:
-                if vn == 0:
-                    return 0  # v^h = inf makes the moment inf
-                vn, vd = vd, vn
-            tn, td = wn * vn ** e, wd * vd ** e
-            g = math.gcd(den, td)
-            num, den = num * (td // g) + tn * (den // g), den // g * td
-        if not num:
-            return 0 if h > 0 else INF
-        if abs(h) == 1:  # the moment, or its reciprocal, as a ratio
-            return Fraction(num, den) if h == 1 else Fraction(den, num)
-        return _ratio_pow(num, den, 1 / h)  # 1 / h is float(Fraction(1, h))
-    if type(h) is float and h == h or type(h) is Fraction and h.denominator != 1:
-        return _float_power_mean(ratios, h)
-    return _general_power_mean(
-        [(v, w) for v, w, wr in zip(values, weights, wrs) if wr[0]], h)
-
-
-def _general_power_mean(pairs: list, h: Number) -> Number:
-    """:func:`power_mean` of the (value, weight) pairs of positive weight,
-    term by term with :func:`pow_ext` and :func:`mul0`."""
-    if is_inf(h):
-        return (max if h > 0 else min)(v for v, _ in pairs)
-    if h == 0:
-        has_zero = any(v == 0 for v, _ in pairs)
-        has_inf = any(is_inf(v) for v, _ in pairs)
-        if has_zero and has_inf:
-            raise ValueError("geometric mean undefined: support includes 0 and inf")
-        if has_inf:
+        if INF in logs:
             return INF
-        if has_zero:
-            return 0
-        return exp_ext(sum(float(w) * log_ext(v) for v, w in pairs))
-    moment = 0
-    for v, w in pairs:
-        moment = moment + mul0(w, pow_ext(v, h))
-        if is_inf(moment):
-            return INF if h > 0 else 0
-    if moment == 0:
-        return 0 if h > 0 else INF
-    return pow_ext(moment, recip(h) if isinstance(h, (int, Fraction)) else 1.0 / h)
-
-
-def _float_power_mean(ratios: list, h: Number) -> Number:
-    """:func:`power_mean` of exact values and weights at a finite h != 0
-    that is a float or a ``Fraction`` with a denominator: the float moment
-    of :func:`mul0` and :func:`pow_ext`, added left to right, and its root
-    1 / h, all on int pairs.  A base outside the normal float range takes
-    :func:`pow_ext`'s log domain."""
-    hn, hd = h.as_integer_ratio()
-    e = hn / hd  # float(h)
-    moment = 0
-    for (vn, vd), (wn, wd) in ratios:
-        if vn == 0:
-            if hn < 0:
-                return 0  # v^h = inf makes the moment inf
-            continue  # v^h = 0 adds nothing
-        t = _ratio_pow(vn, vd, e)
-        if t:  # mul0: w * 0 is 0
-            moment = moment + wn / wd * t
-            if moment == INF:
-                return INF if hn > 0 else 0
-    if moment == 0:
-        return 0 if hn > 0 else INF
-    if type(h) is float:
-        root = 1.0 / h
-    elif abs(hn) == 1:  # recip(h) is an integer
-        root = hd if hn > 0 else -hd
+        return exp_ext(sum((w[0] / w[1] if type(w) is tuple else w) * x
+                           for (_, w), x in zip(terms, logs)))
+    whole = isinstance(h, int)
+    # e, the exponent of an exact v^h, and the root recip(h) as pow_ext
+    # reads it: an int where it is one
+    if isinstance(h, (int, Fraction)):
+        hn, hd = h.as_integer_ratio()
+        e = abs(h) if whole else hn / hd
+        root = hn * hd if abs(hn) == 1 else hd / hn
     else:
-        root = hd / hn  # float(recip(h))
+        e = float(h)
+        root = 1.0 / e
+    # the exact moment num / den at an int h, until a float term makes it a float
+    num, den, moment = 0, 1, None if whole else 0.0
+    for v, w in terms:
+        if whole and isinstance(v, (int, Fraction)):
+            vn, vd = v.as_integer_ratio()
+            if not vn:
+                if h < 0:
+                    return 0  # mul0(w, 0^h = inf) makes the moment inf
+                continue
+            if h < 0:
+                vn, vd = vd, vn
+            tn, td = vn ** e, vd ** e  # v^h
+            if type(w) is tuple:
+                tn, td = w[0] * tn, w[1] * td
+                if moment is None:
+                    g = math.gcd(den, td)
+                    num, den = num * (td // g) + tn * (den // g), den // g * td
+                    continue
+                t = _ratio_float(tn, td)
+            else:
+                t = w * _ratio_float(tn, td)
+        else:
+            if isinstance(v, (int, Fraction)):
+                vn, vd = v.as_integer_ratio()
+                t = _ratio_pow(vn, vd, e)
+            else:
+                t = pow_ext(v, h)
+            if not t:
+                continue  # mul0(w, 0) adds 0
+            if t == INF:
+                return INF if h > 0 else 0  # mul0(w, inf) makes the moment inf
+            t = (w[0] / w[1] if type(w) is tuple else w) * t
+        moment = (_ratio_float(num, den) if moment is None else moment) + t
+        if moment == INF:
+            return INF if h > 0 else 0
+    if not (num if moment is None else moment):
+        return 0 if h > 0 else INF
+    if moment is None:
+        if abs(h) == 1:
+            return Fraction(num, den) if h == 1 else Fraction(den, num)
+        return _ratio_pow(num, den, root)
     try:
         return moment ** root
     except OverflowError:

@@ -455,13 +455,13 @@ def _exact_sorted(atoms: tuple, pieces: tuple) -> tuple:
         masses += keys[k + 2::3]
     # a mass at inf passes its sign check and fails here
     total = None if odd and INF in masses else sum(masses)
-    if total != d and (total is None
-                       or float not in {type(t[-1]) for t in chain(atoms, pieces)}
-                       or not is_unit_mass(_ratio_float(total, d))):
-        # the exact total, as a float where some mass is one (inf past the range)
-        total = INF if total is None else Fraction(total, d) if float not in {
-            type(t[-1]) for t in chain(atoms, pieces)} else _ratio_float(total, d)
-        raise ValueError(f"masses must sum to 1, got {total}")
+    if total != d:
+        float_mass = float in {type(t[-1]) for t in chain(atoms, pieces)}
+        if total is None or not float_mass or not is_unit_mass(_ratio_float(total, d)):
+            # the exact total, as a float where some mass is one (inf past the range)
+            total = (INF if total is None else _ratio_float(total, d) if float_mass
+                     else Fraction(total, d))
+            raise ValueError(f"masses must sum to 1, got {total}")
     return (tuple([r[2] for r in rows]) + last, tuple([s[3] for s in spans]),
             (d, rows, spans), floats)
 

@@ -25,7 +25,6 @@ from ._numbers import (
     INF,
     TOL,
     Number,
-    _ratio_pow,
     at_most,
     is_inf,
     mul0,
@@ -397,84 +396,16 @@ def _inverse(c: Number, g: Number) -> tuple:
 def _check_inverse(c: Number, g: Number, u_lo: Number, u_hi: Number) -> None:
     """``ValueError`` unless the :func:`_inverse` of v = c * u^g on (u_lo,
     u_hi] gives both ends back within :func:`_close`, as a test function
-    and as a p-curve evaluates it: in floats it scales the rounding of v by
-    1/g, and coef can overflow.  Run by the constructors, not the transforms.
-    Exact c and ends with a ``Fraction`` g that is not an integer take
-    :func:`_exact_inverse_ok`, which reads each as a float once."""
-    ok = None
-    if (type(g) is Fraction and g.denominator != 1 and type(c) in EXACT_TYPES
-            and type(u_lo) in EXACT_TYPES and type(u_hi) in EXACT_TYPES):
-        ok = _exact_inverse_ok(c.as_integer_ratio(), g.as_integer_ratio(), (u_lo, u_hi))
-    if ok is None:
-        ok = _inverse_ok(c, g, u_lo, u_hi)
-    if not ok:
-        raise ValueError("a power piece has no inverse within float rounding")
-
-
-def _inverse_ok(c: Number, g: Number, u_lo: Number, u_hi: Number) -> bool:
-    """The check of :func:`_check_inverse` on any operands, with
-    :func:`pow_ext`, :func:`mul0` and :func:`_close`."""
+    (coef * v^(1/g)) and as a p-curve (1 / ((1 / coef) * v^-(1/g)))
+    evaluates it, with :func:`pow_ext` and :func:`mul0` on any operands:
+    in floats it scales the rounding of v by 1/g, and coef can overflow.
+    u = 0 needs no inverse.  Run by the constructors, not the transforms."""
     coef, power = _inverse(c, g)
     for u in (u_lo, u_hi):
         v = mul0(c, pow_ext(u, g))
         if u > 0 and not (_close(mul0(coef, pow_ext(v, power)), u)
                           and _close(_eval_terms(((recip(coef), power),), v), u)):
-            return False
-    return True
-
-
-def _exact_inverse_ok(c: tuple, g: tuple, ends: tuple) -> bool | None:
-    """The check of :func:`_check_inverse` for c = cn / cd > 0, the power
-    g = gn / gd > 0 with gd > 1 and exact ends, on int pairs: the floats,
-    and the exceptions, of :func:`pow_ext`, :func:`mul0`, :func:`recip`
-    and :func:`_close` on the same values.  Each exact operand is read as
-    a float once, by the true division of its pair; coef = (1/c)^(1/g) is
-    the exact (cd**gd, cn**gd) for an integer 1/g, and a float otherwise.
-    A value of 0, inf or nan met on the way fails the check, as there.
-    None when an end is past the float range: :func:`_inverse_ok` decides."""
-    (cn, cd), (gn, gd) = c, g
-    pairs = [u.as_integer_ratio() for u in ends]
-    try:
-        floats = [un / ud for un, ud in pairs]
-    except OverflowError:
-        return None
-    whole = gn == 1  # 1/g is the integer gd
-    p = gd if whole else gd / gn  # the exponent 1/g of v
-    if whole:  # coef's pair
-        top, bottom = cd ** gd, cn ** gd
-    else:
-        coef = _ratio_pow(cd, cn, p)
-    for (un, ud), uf in zip(pairs, floats):
-        if un == 0:
-            continue  # v(0) = 0 needs no inverse
-        t = _ratio_pow(un, ud, gn / gd)  # u^g
-        if t == 0:
-            return False
-        v = cn / cd * t
-        if not 0 < v < INF:
-            return False
-        tol = 1e-9 * max(1.0, abs(uf))
-        # the test function's coef * v^(1/g); an exact coef is read as its
-        # float, which may overflow, whatever x
-        try:
-            x = v ** p
-        except OverflowError:
-            x = INF
-        if x == 0 or not whole and not 0 < coef < INF:
-            return False
-        if not abs((top / bottom if whole else coef) * x - uf) <= tol:
-            return False
-        # the p-curve's 1 / ((1 / coef) * v^-(1/g))
-        try:
-            z = v ** -p
-        except OverflowError:
-            z = INF
-        if z == 0:
-            return False
-        term = (bottom / top if whole else 1.0 / coef) * z
-        if not 0 < term < INF or not abs(1.0 / term - uf) <= tol:
-            return False
-    return True
+            raise ValueError("a power piece has no inverse within float rounding")
 
 
 def _built(cls, segments):

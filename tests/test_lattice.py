@@ -1065,9 +1065,9 @@ inverse_ends = st.one_of(
 @given(inverse_coefs, inverse_powers,
        st.lists(inverse_ends, min_size=2, max_size=2, unique=True))
 def test_the_inverse_check_matches_the_reference(c, g, ends):
-    """The constructors' inverse check, whose exact operands are read as
-    floats once on their int pairs, passes, refuses or raises as the
-    reference check on the same values does."""
+    """The constructors' inverse check passes, refuses or raises as the
+    reference check on the same values does: one formulation on every
+    operand type, with no second path for exact ones."""
     lo, hi = sorted(ends)
     want = inverse_outcome(reference_inverse_ok, c, g, lo, hi)
     if want[0] == "ok":

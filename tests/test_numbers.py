@@ -360,6 +360,28 @@ def test_power_mean_infinite_index_is_max_and_min():
     assert power_mean([F(1, 2), 3], [1, 0], INF) == F(1, 2)
 
 
+def test_an_exact_moment_past_the_float_range_meets_its_limit():
+    """An exact moment past the float range that meets a float or inf term
+    gives the limit the sign of h implies, where Fraction + float raised
+    OverflowError; an integral Fraction h is its int."""
+    from posthoc import (DiscreteSpace, E_SCALE, EvidenceVariable, Hypothesis,
+                         P_SCALE, h_mean, merge_h_mean, merge_harmonic)
+
+    half = [F(1, 2)] * 2
+    assert power_mean([F(10 ** 320), INF], half, 2) == INF
+    assert power_mean([F(1, 10 ** 320), 0.0], half, -1) == 0
+    assert power_mean([F(10 ** 320), 3.0], half, 1) == INF
+    assert power_mean([F(1, 10 ** 320), 0], half, F(-1)) == 0
+    assert power_mean([F(1, 10 ** 320), 0], half, -1) == 0
+    space = DiscreteSpace((0, 1), (F(1, 2), F(1, 2)))
+    ev = EvidenceVariable({0: F(10 ** 320), 1: INF}, E_SCALE)
+    assert h_mean(ev, 1, Hypothesis.simple(space)) == INF
+    big, top = (EvidenceVariable({0: x}, E_SCALE) for x in (F(10 ** 320), INF))
+    assert merge_h_mean([big, top], half, 2)[0] == INF
+    small, zero = (EvidenceVariable({0: x}, P_SCALE) for x in (F(1, 10 ** 320), 0.0))
+    assert merge_harmonic([small, zero], half)[0] == 0
+
+
 @given(st.fractions(0, 10 ** 6) | st.fractions(0, F(1, 10 ** 6)),
        st.integers(0, 3 * 10 ** 6))
 def test_sqrt_fraction_is_correctly_rounded(x, k):
